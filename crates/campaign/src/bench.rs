@@ -5,7 +5,7 @@
 //! per second was this bench's v1 currency — but raw throughput
 //! overstates value: two happens-before-equivalent schedules manifest
 //! exactly the same races, so the true currency is *distinct schedule
-//! classes per second*. The v2 bench measures three windows per
+//! classes per second*. The v2 bench measures two windows per
 //! (app, preset) arm:
 //!
 //! 1. **raw** — the v1 measurement, unchanged for trajectory
@@ -16,20 +16,6 @@
 //!    HB canonical key, a seen-set splits runs into distinct vs
 //!    redundant. `distinct_per_sec` is the honest throughput;
 //!    `redundancy_ratio` is what raw counting was overstating.
-//! 3. **pruned** — the [`ForkExplorer`] engine: record one run, memoize
-//!    its decision prefix, then fork — replay the prefix, steer the first
-//!    fresh decision away from already-explored classes, count draws
-//!    rejected at the divergence as *skipped* (schedules dispositioned
-//!    without executing their suffix). `effective_per_sec` counts
-//!    distinct + skipped per second — classes dispositioned per second.
-//!
-//! A separate **snapshot-fork microbench** measures the other pruning
-//! primitive: one admissible loop is snapshotted once and resumed many
-//! times, each resume under a differently-seeded suffix scheduler
-//! (`restore` + `replace_scheduler`), with each resumed run's canonical
-//! key deduped. Fig6 app arms cannot use loop snapshots (their custom
-//! environments are snapshot-inadmissible), so this primitive is measured
-//! on a synthetic timer workload and reported once, not per arm.
 //!
 //! The report serializes to `BENCH_throughput.json` at the repo root;
 //! [`read_summary`] reads both v1 and v2 documents so the perf trajectory
@@ -42,7 +28,7 @@ use nodefz_obs::{JsonValue, JsonWriter, ObsLevel};
 use crate::config::PRESETS;
 use crate::driver::{arm_seed, derive_seed, RunContext};
 use crate::metrics::{build_registry, WorkerTelemetry};
-use crate::prune::{ForkExplorer, PruneCounters, SEEN_CAP};
+use crate::prune::SEEN_CAP;
 
 /// Configuration of one throughput measurement.
 #[derive(Clone, Debug)]
@@ -97,29 +83,6 @@ impl CanonWindow {
     }
 }
 
-/// The pruned window: [`ForkExplorer`] counters over one wall-clock
-/// window.
-#[derive(Clone, Debug)]
-pub struct PrunedWindow {
-    /// The explorer's counters at window end.
-    pub counters: PruneCounters,
-    /// Actual measured wall-clock time (>= the configured window).
-    pub elapsed: Duration,
-}
-
-impl PrunedWindow {
-    /// Distinct HB classes per second under pruned exploration.
-    pub fn distinct_per_sec(&self) -> f64 {
-        self.counters.distinct as f64 / self.elapsed.as_secs_f64().max(f64::EPSILON)
-    }
-
-    /// Schedule classes dispositioned per second: executed-and-distinct
-    /// plus skipped-without-executing.
-    pub fn effective_per_sec(&self) -> f64 {
-        self.counters.effective() as f64 / self.elapsed.as_secs_f64().max(f64::EPSILON)
-    }
-}
-
 /// Measured throughput of one (app, preset) arm.
 #[derive(Clone, Debug)]
 pub struct ArmThroughput {
@@ -135,8 +98,6 @@ pub struct ArmThroughput {
     pub elapsed: Duration,
     /// The canon window's measurement.
     pub canon: CanonWindow,
-    /// The pruned window's measurement.
-    pub pruned: PrunedWindow,
 }
 
 impl ArmThroughput {
@@ -151,38 +112,11 @@ impl ArmThroughput {
     }
 }
 
-/// The snapshot-fork microbench: one admissible loop snapshotted once,
-/// resumed many times under distinct suffix schedulers.
-#[derive(Clone, Debug)]
-pub struct SnapshotBench {
-    /// Resumes performed (each one `restore` + `replace_scheduler` + run).
-    pub forks: u64,
-    /// Resumed runs that opened a new HB class.
-    pub distinct: u64,
-    /// Actual measured wall-clock time.
-    pub elapsed: Duration,
-}
-
-impl SnapshotBench {
-    /// Snapshot resumes per second.
-    pub fn forks_per_sec(&self) -> f64 {
-        self.forks as f64 / self.elapsed.as_secs_f64().max(f64::EPSILON)
-    }
-
-    /// Distinct HB classes per second across resumed runs.
-    pub fn distinct_per_sec(&self) -> f64 {
-        self.distinct as f64 / self.elapsed.as_secs_f64().max(f64::EPSILON)
-    }
-}
-
-/// A full throughput report: one entry per (app, preset) arm plus the
-/// snapshot-fork microbench.
+/// A full throughput report: one entry per (app, preset) arm.
 #[derive(Clone, Debug)]
 pub struct ThroughputReport {
     /// Per-arm measurements, in (app, preset) order.
     pub arms: Vec<ArmThroughput>,
-    /// The snapshot-fork microbench result.
-    pub snapshot_fork: SnapshotBench,
     /// The configuration that produced the report.
     pub config: BenchConfig,
 }
@@ -208,17 +142,6 @@ impl ThroughputReport {
         let distinct: u64 = self.arms.iter().map(|a| a.canon.distinct).sum();
         let elapsed: Duration = self.arms.iter().map(|a| a.canon.elapsed).sum();
         distinct as f64 / elapsed.as_secs_f64().max(f64::EPSILON)
-    }
-
-    /// Aggregate classes dispositioned per second across pruned windows.
-    pub fn total_effective_per_sec(&self) -> f64 {
-        let effective: u64 = self
-            .arms
-            .iter()
-            .map(|a| a.pruned.counters.effective())
-            .sum();
-        let elapsed: Duration = self.arms.iter().map(|a| a.pruned.elapsed).sum();
-        effective as f64 / elapsed.as_secs_f64().max(f64::EPSILON)
     }
 
     /// Aggregate canon-window redundancy.
@@ -260,43 +183,15 @@ impl ThroughputReport {
             w.field_f64("distinct_per_sec", arm.canon.distinct_per_sec(), 1);
             w.field_f64("redundancy_ratio", arm.canon.redundancy_ratio(), 6);
             w.end_object();
-            w.key("pruned");
-            w.begin_object();
-            let c = &arm.pruned.counters;
-            w.field_u64("runs", c.runs);
-            w.field_u64("distinct", c.distinct);
-            w.field_u64("redundant", c.redundant);
-            w.field_u64("skipped", c.skipped);
-            w.field_u64("forked", c.forked);
-            w.field_u64("prefix_hits", c.prefix_hits);
-            w.field_u64("snapshot_forks", c.snapshot_forks);
-            w.field_f64("elapsed_ms", arm.pruned.elapsed.as_secs_f64() * 1e3, 3);
-            w.field_f64("distinct_per_sec", arm.pruned.distinct_per_sec(), 1);
-            w.field_f64("effective_per_sec", arm.pruned.effective_per_sec(), 1);
-            w.field_f64("prefix_hit_rate", c.prefix_hit_rate(), 6);
-            w.end_object();
             w.end_object();
         }
         w.end_array();
-        w.key("snapshot_fork");
-        w.begin_object();
-        w.field_u64("forks", self.snapshot_fork.forks);
-        w.field_u64("distinct", self.snapshot_fork.distinct);
-        w.field_f64(
-            "elapsed_ms",
-            self.snapshot_fork.elapsed.as_secs_f64() * 1e3,
-            3,
-        );
-        w.field_f64("forks_per_sec", self.snapshot_fork.forks_per_sec(), 1);
-        w.field_f64("distinct_per_sec", self.snapshot_fork.distinct_per_sec(), 1);
-        w.end_object();
         w.key("total");
         w.begin_object();
         w.field_u64("runs", self.total_runs());
         w.field_f64("elapsed_ms", self.total_elapsed().as_secs_f64() * 1e3, 3);
         w.field_f64("execs_per_sec", self.total_execs_per_sec(), 1);
         w.field_f64("distinct_per_sec", self.total_distinct_per_sec(), 1);
-        w.field_f64("effective_per_sec", self.total_effective_per_sec(), 1);
         w.field_f64("redundancy_ratio", self.total_redundancy_ratio(), 6);
         w.end_object();
         w.end_object();
@@ -369,13 +264,11 @@ pub fn measure(cfg: &BenchConfig) -> Result<ThroughputReport, String> {
                 events: events_after - events_before,
                 elapsed,
                 canon: canon_window(app, preset, base, seed_no, cfg.window),
-                pruned: pruned_window(app, preset, cfg.base_seed, cfg.window),
             });
         }
     }
     Ok(ThroughputReport {
         arms,
-        snapshot_fork: snapshot_fork_bench(cfg.base_seed, cfg.window),
         config: cfg.clone(),
     })
 }
@@ -416,89 +309,6 @@ fn canon_window(
     }
 }
 
-/// The pruned window: the fork explorer's step loop.
-fn pruned_window(app: &str, preset: usize, base_seed: u64, window: Duration) -> PrunedWindow {
-    let mut explorer =
-        ForkExplorer::new(app, preset, base_seed).expect("apps validated before measuring");
-    let start = Instant::now();
-    loop {
-        explorer.step();
-        let elapsed = start.elapsed();
-        if elapsed >= window {
-            return PrunedWindow {
-                counters: *explorer.counters(),
-                elapsed,
-            };
-        }
-    }
-}
-
-/// The snapshot-fork microbench (module docs): a one-shot-free timer
-/// program under a fork-capable fuzz scheduler, snapshotted at an
-/// iteration boundary, then resumed in a loop — each resume restoring the
-/// prefix state (no prefix re-execution) and swapping in a fresh-seeded
-/// suffix scheduler.
-fn snapshot_fork_bench(base_seed: u64, window: Duration) -> SnapshotBench {
-    use nodefz_rt::{EventLogHandle, EventLoop, LoopConfig, VDur, VTime};
-
-    let params = crate::config::preset_params(0);
-    let cfg = LoopConfig {
-        max_vtime: VTime::ZERO + VDur::millis(40),
-        ..LoopConfig::seeded(base_seed)
-    };
-    let mut el = EventLoop::with_scheduler(
-        cfg,
-        Box::new(nodefz::FuzzScheduler::new(params.clone(), base_seed)),
-    );
-    let log = EventLogHandle::fresh();
-    el.set_event_log(&log);
-    el.enter(|cx| {
-        cx.set_interval(VDur::millis(3), |cx| {
-            cx.touch_write("bench:a");
-        });
-        cx.set_interval(VDur::millis(5), |cx| {
-            cx.touch_read("bench:a");
-            cx.touch_update("bench:b");
-        });
-        cx.set_interval(VDur::millis(7), |cx| {
-            cx.touch_write("bench:b");
-        });
-    });
-    assert!(
-        el.run_bounded(4).is_none(),
-        "bench prefix outlasts 4 iterations"
-    );
-    let snap = el.snapshot().expect("timer-only loop is admissible");
-
-    let mut canon = nodefz_hb::CanonBuilder::new();
-    let mut scratch = Vec::new();
-    let mut seen = nodefz_hb::SeenSet::new(SEEN_CAP);
-    let mut out = SnapshotBench {
-        forks: 0,
-        distinct: 0,
-        elapsed: Duration::ZERO,
-    };
-    let start = Instant::now();
-    loop {
-        assert!(el.restore(&snap), "one-shot-free snapshot never stales");
-        let sched_seed = derive_seed(base_seed ^ 0x736e_6170, out.forks);
-        el.replace_scheduler(Box::new(nodefz::FuzzScheduler::new(
-            params.clone(),
-            sched_seed,
-        )));
-        el.run();
-        out.forks += 1;
-        let key = log.with(|l| canon.build(l, &mut scratch));
-        if seen.insert(key) {
-            out.distinct += 1;
-        }
-        out.elapsed = start.elapsed();
-        if out.elapsed >= window {
-            return out;
-        }
-    }
-}
-
 /// One arm row of a normalized bench summary ([`read_summary`]).
 #[derive(Clone, Debug)]
 pub struct BenchArmSummary {
@@ -525,8 +335,6 @@ pub struct BenchSummary {
     pub total_execs_per_sec: f64,
     /// Aggregate distinct HB classes per second (`None` in v1 documents).
     pub total_distinct_per_sec: Option<f64>,
-    /// Aggregate classes dispositioned per second (`None` in v1).
-    pub total_effective_per_sec: Option<f64>,
 }
 
 /// Reads a persisted bench document — `nodefz-throughput-v1` or `-v2` —
@@ -583,7 +391,6 @@ pub fn read_summary(json: &str) -> Result<BenchSummary, String> {
             .and_then(|v| v.as_f64())
             .ok_or("total: missing execs_per_sec")?,
         total_distinct_per_sec: total.get("distinct_per_sec").and_then(|v| v.as_f64()),
-        total_effective_per_sec: total.get("effective_per_sec").and_then(|v| v.as_f64()),
     })
 }
 
@@ -611,16 +418,9 @@ mod tests {
             assert!(arm.canon.runs > 0);
             assert_eq!(arm.canon.distinct + arm.canon.redundant, arm.canon.runs);
             assert!(arm.canon.distinct_per_sec() > 0.0);
-            let c = &arm.pruned.counters;
-            assert!(c.runs > 0);
-            assert_eq!(c.distinct + c.redundant, c.runs);
-            assert!(c.forked > 0, "pruned window must fork: {c:?}");
         }
         assert!(report.total_execs_per_sec() > 0.0);
         assert!(report.total_distinct_per_sec() > 0.0);
-        assert!(report.total_effective_per_sec() > 0.0);
-        assert!(report.snapshot_fork.forks > 0);
-        assert!(report.snapshot_fork.distinct > 0);
     }
 
     #[test]
@@ -631,7 +431,6 @@ mod tests {
         assert!(json.contains("\"schema\": \"nodefz-throughput-v2\""));
         assert!(json.contains("\"distinct_per_sec\""));
         assert!(json.contains("\"redundancy_ratio\""));
-        assert!(json.contains("\"snapshot_fork\""));
         assert_eq!(
             json.matches("\"app\"").count(),
             PRESETS.len(),
@@ -651,7 +450,6 @@ mod tests {
             assert!(row.redundancy_ratio.is_some());
         }
         assert!(summary.total_distinct_per_sec.is_some());
-        assert!(summary.total_effective_per_sec.is_some());
     }
 
     #[test]

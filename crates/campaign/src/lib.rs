@@ -38,7 +38,7 @@ pub use analyze::{analyze_campaign, AnalyzeConfig, AnalyzeReport, ConfirmedRace}
 pub use arms::{arm_space, arms_from_json, arms_to_json, ArmMode, ArmSpec};
 pub use bench::{
     measure, read_summary, ArmThroughput, BenchArmSummary, BenchConfig, BenchSummary, CanonWindow,
-    PrunedWindow, SnapshotBench, ThroughputReport,
+    ThroughputReport,
 };
 pub use config::{
     preset_index, preset_name, preset_params, CampaignConfig, DIRECTED_PRESET, PRESETS,
@@ -50,7 +50,5 @@ pub use driver::{
     FuzzExec, RunContext,
 };
 pub use metrics::{ArmMetrics, Discovery, MetricsSnapshot, PhaseMetrics};
-pub use prune::{
-    env_scope, ClassVerdict, ForkExplorer, PruneCounters, PruneHealth, Pruner, ScheduleTrie,
-};
+pub use prune::{env_scope, ClassVerdict, PruneCounters, PruneHealth, Pruner};
 pub use shrink::{shrink, ShrinkResult};

@@ -1,88 +1,34 @@
-//! Schedule-space pruning: online HB-equivalence dedup plus prefix-forked
-//! exploration.
+//! Schedule-space pruning accounting: online HB-equivalence dedup.
 //!
 //! Raw throughput (executions per second) overstates a fuzzer's value:
 //! two schedules that are happens-before-equivalent manifest exactly the
 //! same races (`nodefz-hb`'s canonical-key theorem), so every redundant
-//! execution is waste. This module makes the redundancy visible and then
-//! removes it:
+//! execution is waste. [`Pruner`] makes the redundancy visible: every
+//! run's event log is folded into a [`CanonKey`]; an LRU-capped
+//! [`SeenSet`] classifies each run as *distinct* (a new equivalence
+//! class) or *redundant*. For manifesting runs the pruner also memoizes
+//! the class's bug signature and cross-checks repeats — an online
+//! soundness check of the same-key-same-races theorem
+//! ([`ClassVerdict::Mismatch`] would mean a canonicalization bug, never
+//! silently absorbed).
 //!
-//! * [`Pruner`] — the campaign controller's side. Every run's event log is
-//!   folded into a [`CanonKey`]; an LRU-capped [`SeenSet`] classifies each
-//!   run as *distinct* (a new equivalence class) or *redundant*. For
-//!   manifesting runs the pruner also memoizes the class's bug signature
-//!   and cross-checks repeats — an online soundness check of the
-//!   same-key-same-races theorem ([`ClassVerdict::Mismatch`] would mean a
-//!   canonicalization bug, never silently absorbed).
-//! * [`ScheduleTrie`] — what has been explored *under a given decision
-//!   prefix*. Each forked run reports the fingerprint of the decision it
-//!   took at its divergence point; the trie accumulates them into the
-//!   avoid set (the sleep set) handed to the next fork of that prefix.
-//! * [`ForkExplorer`] — the pruned execution engine used by the
-//!   throughput bench: it records one run, memoizes its decision prefix,
-//!   and then forks — replaying the prefix and steering the first fresh
-//!   decision away from the trie's explored set ([`Mode::Forked`]). Draws
-//!   rejected at the divergence point count as *skipped* schedules: runs
-//!   the campaign did not execute because their first divergent decision
-//!   was already covered.
-//!
-//! Fig6 bug substrates drive their environments through
-//! `EnvAction::Custom`, which the loop-snapshot admissibility check
-//! (`nodefz_rt::snapshot`) conservatively rejects — so app-arm forking
-//! replays decision prefixes rather than restoring [`LoopSnapshot`]s, and
-//! per-arm `snapshot_forks` honestly reads 0. The bench measures
-//! snapshot-restore forking separately on an admissible workload.
+//! Classification is pure accounting: it never changes which schedules
+//! run, so a campaign's corpus is identical with or without it.
 //!
 //! [`CanonKey`]: nodefz_hb::CanonKey
 //! [`SeenSet`]: nodefz_hb::SeenSet
-//! [`LoopSnapshot`]: nodefz_rt::LoopSnapshot
 
 use std::collections::HashMap;
 
-use nodefz::{Decision, DecisionTrace, ForkSpec, Mode, TraceHandle};
-use nodefz_apps::common::{RunCfg, Variant};
-use nodefz_hb::{CanonBuilder, CanonKey, SeenSet};
-use nodefz_rt::{EventLogHandle, LoopPool};
+use nodefz_hb::{CanonKey, SeenSet};
 use nodefz_trace::BugSignature;
-
-use crate::config::preset_params;
-use crate::driver::{arm_seed, derive_seed, resolve_case};
 
 /// Default capacity of pruning seen-sets: large enough that a campaign's
 /// working set never thrashes, small enough to bound memory (~16 bytes a
 /// key).
 pub const SEEN_CAP: usize = 1 << 20;
 
-/// How many runs share one memoized prefix cut before the explorer
-/// rotates to the next cut of the same recorded trace (and eventually,
-/// once the cut schedule wraps, records a fresh trace — a fresh
-/// environment seed opens a fresh region of the schedule space).
-const PREFIX_REFRESH: u64 = 64;
-
-/// Prefix cut points rotated over one recorded trace, as fractions of its
-/// decision count. A record run is expensive (a full execution that
-/// usually lands in an already-seen class), so when one cut's divergence
-/// space exhausts, the explorer moves the divergence point instead of
-/// re-recording: each cut keys its own [`ScheduleTrie`] node with a fresh
-/// avoid set over a genuinely different decision position.
-const PREFIX_CUTS: [(usize, usize); 14] = [
-    (8, 16),
-    (10, 16),
-    (12, 16),
-    (14, 16),
-    (6, 16),
-    (4, 16),
-    (2, 16),
-    (9, 16),
-    (11, 16),
-    (13, 16),
-    (15, 16),
-    (7, 16),
-    (5, 16),
-    (3, 16),
-];
-
-/// Counters describing a pruned exploration, campaign, or bench window.
+/// Counters of a campaign's HB-class classification.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PruneCounters {
     /// Executions performed.
@@ -91,16 +37,6 @@ pub struct PruneCounters {
     pub distinct: u64,
     /// Executions whose canonical key was already seen.
     pub redundant: u64,
-    /// Schedules skipped without executing: draws rejected at fork
-    /// divergence points because their class was already covered.
-    pub skipped: u64,
-    /// Executions launched as prefix forks ([`Mode::Forked`]).
-    pub forked: u64,
-    /// Forked executions that actually replayed a non-empty prefix.
-    pub prefix_hits: u64,
-    /// Executions resumed from a restored [`nodefz_rt::LoopSnapshot`]
-    /// (0 for fig6 app arms — see the module docs on admissibility).
-    pub snapshot_forks: u64,
     /// Same-key runs whose outcome contradicted the memoized class
     /// outcome. Always 0 unless canonicalization is broken.
     pub mismatches: u64,
@@ -114,76 +50,6 @@ impl PruneCounters {
         } else {
             self.redundant as f64 / self.runs as f64
         }
-    }
-
-    /// Fraction of executions that reused a memoized decision prefix.
-    pub fn prefix_hit_rate(&self) -> f64 {
-        if self.runs == 0 {
-            0.0
-        } else {
-            self.prefix_hits as f64 / self.runs as f64
-        }
-    }
-
-    /// Schedules whose class membership is known: executed-and-distinct
-    /// plus skipped-without-executing.
-    pub fn effective(&self) -> u64 {
-        self.distinct + self.skipped
-    }
-}
-
-/// Chained fingerprint of a decision prefix, keying [`ScheduleTrie`]
-/// nodes. Order-sensitive (FNV-folded over per-decision fingerprints), so
-/// two different prefixes of the same multiset of decisions key
-/// different nodes.
-pub fn prefix_key(decisions: &[Decision]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for d in decisions {
-        h = (h ^ nodefz::decision_fingerprint(d)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Which first-divergence decisions have been explored under each
-/// memoized prefix — the persistent half of the sleep set: forks feed the
-/// divergence decision they took back in, later forks of the same prefix
-/// get it in their avoid set.
-#[derive(Debug, Default)]
-pub struct ScheduleTrie {
-    nodes: HashMap<u64, Vec<u64>>,
-}
-
-impl ScheduleTrie {
-    /// Creates an empty trie.
-    pub fn new() -> ScheduleTrie {
-        ScheduleTrie::default()
-    }
-
-    /// Records that `fp` was explored under the prefix keyed `prefix`;
-    /// returns whether it was new.
-    pub fn note(&mut self, prefix: u64, fp: u64) -> bool {
-        let explored = self.nodes.entry(prefix).or_default();
-        if explored.contains(&fp) {
-            false
-        } else {
-            explored.push(fp);
-            true
-        }
-    }
-
-    /// The explored first-divergence fingerprints under a prefix.
-    pub fn explored(&self, prefix: u64) -> &[u64] {
-        self.nodes.get(&prefix).map_or(&[], Vec::as_slice)
-    }
-
-    /// Number of prefixes with any explored divergence.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether nothing has been explored.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 }
 
@@ -329,195 +195,6 @@ pub struct PruneHealth {
     pub seen_hits: u64,
 }
 
-/// Pruned exploration of one (app, preset) arm: record a prefix, then
-/// fork — replay the prefix, steer the divergence away from explored
-/// decisions, fuzz the suffix, and canon-dedup the result (module docs).
-pub struct ForkExplorer {
-    preset: usize,
-    case: Box<dyn nodefz_apps::common::BugCase>,
-    arm_base: u64,
-    pool: LoopPool,
-    handle: TraceHandle,
-    events: EventLogHandle,
-    canon: CanonBuilder,
-    scratch: Vec<u64>,
-    seen: SeenSet,
-    trie: ScheduleTrie,
-    counters: PruneCounters,
-    /// The last recorded trace, source of the rotating prefix cuts
-    /// (`None` until the first record run, and again when the cut
-    /// schedule wraps).
-    full: Option<DecisionTrace>,
-    /// Index into [`PREFIX_CUTS`] of the installed cut.
-    cut_idx: usize,
-    /// The persistent forked run config for the installed cut: its
-    /// [`Mode::Forked`] spec carries the prefix, the per-fork avoid set,
-    /// and the shared status handle. Kept across forks so the prefix is
-    /// cloned once per cut, not once per run.
-    fork_cfg: Option<RunCfg>,
-    prefix_env: u64,
-    prefix_node: u64,
-}
-
-impl ForkExplorer {
-    /// Creates an explorer for one arm. Returns `None` for an unknown
-    /// app abbreviation.
-    pub fn new(app: &str, preset: usize, base_seed: u64) -> Option<ForkExplorer> {
-        Some(ForkExplorer {
-            preset,
-            case: resolve_case(app)?,
-            arm_base: arm_seed(base_seed, app, preset),
-            pool: LoopPool::new(),
-            handle: TraceHandle::fresh(),
-            events: EventLogHandle::fresh(),
-            canon: CanonBuilder::new(),
-            scratch: Vec::new(),
-            seen: SeenSet::new(SEEN_CAP),
-            trie: ScheduleTrie::new(),
-            counters: PruneCounters::default(),
-            full: None,
-            cut_idx: 0,
-            fork_cfg: None,
-            prefix_env: 0,
-            prefix_node: 0,
-        })
-    }
-
-    /// Executes one pruned step; returns whether it found a distinct
-    /// HB class. Deterministic in (app, preset, base_seed, step index).
-    pub fn step(&mut self) -> bool {
-        let i = self.counters.runs;
-        if i > 0 && i.is_multiple_of(PREFIX_REFRESH) {
-            self.advance_cut();
-        }
-        if self.fork_cfg.is_none() {
-            self.record_step(i)
-        } else {
-            self.fork_step(i)
-        }
-    }
-
-    /// The counters accumulated so far.
-    pub fn counters(&self) -> &PruneCounters {
-        &self.counters
-    }
-
-    /// Records a full run, keeps its trace as the cut source, and
-    /// installs the first prefix cut.
-    fn record_step(&mut self, i: u64) -> bool {
-        let env_seed = derive_seed(self.arm_base, i);
-        let mode = Mode::Record(preset_params(self.preset), self.handle.clone());
-        let run_cfg = RunCfg::new(mode, env_seed)
-            .pooled(&self.pool)
-            .events(&self.events);
-        self.case.run(&run_cfg, Variant::Buggy);
-        self.full = Some(self.handle.snapshot());
-        self.prefix_env = env_seed;
-        self.cut_idx = 0;
-        self.install_cut();
-        self.classify()
-    }
-
-    /// Builds the persistent forked run config for the current cut of the
-    /// recorded trace.
-    fn install_cut(&mut self) {
-        let full = self.full.as_ref().expect("install_cut implies a trace");
-        let (num, den) = PREFIX_CUTS[self.cut_idx];
-        let cut = full.decisions.len() * num / den;
-        let prefix = DecisionTrace {
-            pool_mode: full.pool_mode,
-            demux_done: full.demux_done,
-            decisions: full.decisions[..cut].to_vec(),
-        };
-        self.prefix_node = prefix_key(&prefix.decisions);
-        let mut cfg = RunCfg::new(
-            Mode::Forked(ForkSpec::new(preset_params(self.preset), prefix)),
-            self.prefix_env,
-        )
-        .pooled(&self.pool)
-        .events(&self.events);
-        cfg.trace = false;
-        self.fork_cfg = Some(cfg);
-    }
-
-    /// Moves the divergence point: the next cut of the same recorded
-    /// trace, or — once the cut schedule wraps — a fresh record run.
-    fn advance_cut(&mut self) {
-        if self.full.is_none() {
-            return;
-        }
-        self.cut_idx += 1;
-        if self.cut_idx < PREFIX_CUTS.len() {
-            self.install_cut();
-        } else {
-            self.full = None;
-            self.fork_cfg = None;
-        }
-    }
-
-    /// Forks from the installed prefix cut, avoiding explored
-    /// divergences.
-    fn fork_step(&mut self, i: u64) -> bool {
-        {
-            let cfg = self.fork_cfg.as_mut().expect("fork_step implies a cut");
-            let Mode::Forked(spec) = &mut cfg.mode else {
-                unreachable!("fork_cfg always carries Mode::Forked");
-            };
-            spec.avoid.clear();
-            spec.avoid
-                .extend_from_slice(self.trie.explored(self.prefix_node));
-            // Same environment as the recorded prefix, fresh suffix
-            // decisions.
-            cfg.sched_seed = derive_seed(self.arm_base ^ 0x666f_726b, i);
-        }
-        let cfg = self.fork_cfg.as_ref().expect("unchanged");
-        self.case.run(cfg, Variant::Buggy);
-
-        let Mode::Forked(spec) = &cfg.mode else {
-            unreachable!("fork_cfg always carries Mode::Forked");
-        };
-        let status = &spec.status;
-        self.counters.forked += 1;
-        if status.replayed() > 0 {
-            self.counters.prefix_hits += 1;
-        }
-        self.counters.skipped += status.skipped();
-        let divergence = status.divergence_fingerprint();
-        let exhausted = status.retries_exhausted();
-        if let Some(fp) = divergence {
-            self.trie.note(self.prefix_node, fp);
-        }
-        if exhausted {
-            // Every reachable decision at this divergence point is
-            // covered: move the divergence rather than farm skips from a
-            // mined-out space.
-            self.advance_cut();
-        }
-        self.classify()
-    }
-
-    /// Folds the run's event log into its canonical key and classifies
-    /// it against the seen-set. Allocation-free at steady state: the
-    /// builder, scratch buffer, and log handle are all reused.
-    fn classify(&mut self) -> bool {
-        self.counters.runs += 1;
-        let ForkExplorer {
-            events,
-            canon,
-            scratch,
-            ..
-        } = self;
-        let key = events.with(|log| canon.build(log, scratch));
-        if self.seen.insert(key) {
-            self.counters.distinct += 1;
-            true
-        } else {
-            self.counters.redundant += 1;
-            false
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -527,29 +204,6 @@ mod tests {
         let mut schedule = TypeSchedule::new();
         schedule.push(CbKind::Timer);
         BugSignature::new(app, detail, &schedule)
-    }
-
-    #[test]
-    fn prefix_keys_are_order_sensitive_and_stable() {
-        let a = [Decision::Timer(None), Decision::DeferClose(true)];
-        let b = [Decision::DeferClose(true), Decision::Timer(None)];
-        assert_eq!(prefix_key(&a), prefix_key(&a));
-        assert_ne!(prefix_key(&a), prefix_key(&b));
-        assert_ne!(prefix_key(&a), prefix_key(&a[..1]));
-        assert_ne!(prefix_key(&a), prefix_key(&[]));
-    }
-
-    #[test]
-    fn trie_accumulates_distinct_divergences_per_prefix() {
-        let mut trie = ScheduleTrie::new();
-        assert!(trie.is_empty());
-        assert!(trie.note(1, 10));
-        assert!(!trie.note(1, 10), "repeat fingerprints are absorbed");
-        assert!(trie.note(1, 11));
-        assert!(trie.note(2, 10), "prefixes are independent");
-        assert_eq!(trie.explored(1), &[10, 11]);
-        assert_eq!(trie.explored(3), &[] as &[u64]);
-        assert_eq!(trie.len(), 2);
     }
 
     #[test]
@@ -595,40 +249,5 @@ mod tests {
         assert_eq!(p.observe(k, 1, Some(&bug)), ClassVerdict::Mismatch);
         assert_eq!(p.observe(k, 2, None), ClassVerdict::Mismatch);
         assert_eq!(p.counters().mismatches, 2);
-    }
-
-    #[test]
-    fn explorer_forks_reuse_the_prefix_and_counters_balance() {
-        let mut ex = ForkExplorer::new("GHO", 0, 7).expect("GHO resolves");
-        for _ in 0..24 {
-            ex.step();
-        }
-        let c = *ex.counters();
-        assert_eq!(c.runs, 24);
-        assert_eq!(c.distinct + c.redundant, c.runs, "every run classified");
-        assert!(c.forked > 0, "steps after the first fork: {c:?}");
-        assert!(
-            c.prefix_hits > 0,
-            "forked runs replay the memoized prefix: {c:?}"
-        );
-        assert_eq!(c.snapshot_forks, 0, "app arms are snapshot-inadmissible");
-        assert!(c.distinct >= 1);
-    }
-
-    #[test]
-    fn explorer_is_deterministic() {
-        let run = || {
-            let mut ex = ForkExplorer::new("GHO", 0, 11).expect("GHO resolves");
-            for _ in 0..16 {
-                ex.step();
-            }
-            *ex.counters()
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn unknown_app_yields_no_explorer() {
-        assert!(ForkExplorer::new("NOPE", 0, 1).is_none());
     }
 }

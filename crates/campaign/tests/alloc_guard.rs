@@ -14,11 +14,6 @@ use nodefz_check::CountingAlloc;
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
 
-/// Serializes the measuring tests: the counting allocator is global, so a
-/// concurrently running test would bleed its allocations into the
-/// measured window.
-static MEASURE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 /// Maximum steady-state allocations per dispatched callback.
 ///
 /// Every dispatched callback is a boxed closure (`Job = Box<dyn FnOnce>`),
@@ -30,7 +25,6 @@ const ALLOCS_PER_EVENT_BUDGET: f64 = 3.0;
 
 #[test]
 fn fuzzed_run_stays_within_allocation_budget() {
-    let _guard = MEASURE.lock().unwrap();
     let mut ctx = RunContext::new();
     // Warm up: let every pooled buffer reach steady-state capacity.
     let mut warm_events = 0u64;
@@ -56,73 +50,6 @@ fn fuzzed_run_stays_within_allocation_budget() {
         per_event,
         during.allocs,
         events,
-        during.bytes,
-    );
-}
-
-/// Maximum steady-state allocations per snapshot fork (restore +
-/// scheduler replacement + resumed run + canonicalization).
-///
-/// The replacement scheduler is a box plus its PRNG state, interval
-/// re-arms box a fresh timer job each tick of the resumed suffix, and the
-/// restore/rewind/canon machinery reuses pooled buffers at steady state.
-/// Measured ~18 allocs/fork; 30 is the tripwire.
-const ALLOCS_PER_FORK_BUDGET: f64 = 30.0;
-
-#[test]
-fn snapshot_fork_cycle_stays_within_allocation_budget() {
-    use nodefz_rt::{EventLogHandle, EventLoop, LoopConfig, VDur, VTime};
-
-    let _guard = MEASURE.lock().unwrap();
-    let params = nodefz_campaign::preset_params(0);
-    let cfg = LoopConfig {
-        max_vtime: VTime::ZERO + VDur::millis(40),
-        ..LoopConfig::seeded(7)
-    };
-    let mut el =
-        EventLoop::with_scheduler(cfg, Box::new(nodefz::FuzzScheduler::new(params.clone(), 7)));
-    let log = EventLogHandle::fresh();
-    el.set_event_log(&log);
-    el.enter(|cx| {
-        cx.set_interval(VDur::millis(3), |cx| {
-            cx.touch_write("guard:a");
-        });
-        cx.set_interval(VDur::millis(5), |cx| {
-            cx.touch_read("guard:a");
-        });
-    });
-    assert!(el.run_bounded(4).is_none(), "prefix outlasts 4 iterations");
-    let snap = el.snapshot().expect("timer-only loop is admissible");
-
-    let mut canon = nodefz_hb::CanonBuilder::new();
-    let mut scratch = Vec::new();
-    let mut fork = |el: &mut EventLoop, seed: u64| {
-        assert!(el.restore(&snap), "one-shot-free snapshot never stales");
-        el.replace_scheduler(Box::new(nodefz::FuzzScheduler::new(params.clone(), seed)));
-        el.run();
-        log.with(|l| canon.build(l, &mut scratch))
-    };
-
-    // Warm up: pooled buffers (log, canon scratch, ready queues) reach
-    // steady-state capacity.
-    for seed in 0..20 {
-        fork(&mut el, seed);
-    }
-
-    let before = ALLOC.stats();
-    const FORKS: u64 = 50;
-    for seed in 100..100 + FORKS {
-        fork(&mut el, seed);
-    }
-    let during = ALLOC.stats().since(&before);
-
-    let per_fork = during.allocs as f64 / FORKS as f64;
-    assert!(
-        per_fork <= ALLOCS_PER_FORK_BUDGET,
-        "fork path allocates too much: {:.2} allocs/fork over {FORKS} forks \
-         ({} allocs, {} bytes) — budget is {ALLOCS_PER_FORK_BUDGET}",
-        per_fork,
-        during.allocs,
         during.bytes,
     );
 }

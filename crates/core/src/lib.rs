@@ -46,7 +46,6 @@
 
 mod codec;
 mod directed;
-mod fork;
 mod mode;
 mod params;
 mod replay;
@@ -55,7 +54,6 @@ mod systematic;
 
 pub use codec::{decode_trace, encode_trace, TraceDecodeError};
 pub use directed::{DirectedScheduler, DirectedSpec};
-pub use fork::{decision_fingerprint, AvoidSet, ForkScheduler, ForkSpec, ForkStatusHandle};
 pub use mode::Mode;
 pub use params::FuzzParams;
 pub use replay::{

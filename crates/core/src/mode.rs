@@ -10,7 +10,6 @@
 use nodefz_rt::{EventLoop, LoopConfig, LoopPool, Scheduler, VanillaScheduler};
 
 use crate::directed::{DirectedScheduler, DirectedSpec};
-use crate::fork::{ForkScheduler, ForkSpec};
 use crate::params::FuzzParams;
 use crate::replay::{
     DecisionTrace, RecordingScheduler, ReplayScheduler, ReplayStatusHandle, TraceHandle,
@@ -43,10 +42,6 @@ pub enum Mode {
     /// run is recorded into the [`TraceHandle`] so a confirmed race
     /// becomes a replayable repro.
     Directed(DirectedSpec, TraceHandle),
-    /// Prefix-forked fuzzing: replays the spec's decision prefix verbatim,
-    /// steers the first fresh decision away from the spec's avoid set,
-    /// then fuzzes (schedule-space pruning — see [`crate::ForkScheduler`]).
-    Forked(ForkSpec),
 }
 
 impl Mode {
@@ -61,7 +56,6 @@ impl Mode {
             Mode::Record(..) => "nodeFZ(record)",
             Mode::Replay(..) => "replay",
             Mode::Directed(..) => "nodeFZ(directed)",
-            Mode::Forked(..) => "nodeFZ(forked)",
         }
     }
 
@@ -77,7 +71,6 @@ impl Mode {
             Mode::Replay(..) => None,
             // The directed suffix runs the standard parameterization.
             Mode::Directed(..) => Some(FuzzParams::standard()),
-            Mode::Forked(spec) => Some(spec.params.clone()),
         }
     }
 
@@ -95,7 +88,6 @@ impl Mode {
                 DirectedScheduler::new(spec.clone(), sched_seed),
                 handle,
             )),
-            Mode::Forked(spec) => Box::new(ForkScheduler::attached(spec, sched_seed)),
             _ => match self.params() {
                 None => Box::new(VanillaScheduler::new()),
                 Some(p) => Box::new(FuzzScheduler::new(p, sched_seed)),

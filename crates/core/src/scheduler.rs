@@ -37,12 +37,6 @@ use crate::params::FuzzParams;
 /// });
 /// assert!(el.run().has_error("ran"));
 /// ```
-///
-/// Cloning duplicates the scheduler *at its current PRNG position*: the
-/// clone draws exactly the decisions the original would have drawn next.
-/// This is what makes the scheduler snapshot-forkable (see
-/// [`Scheduler::fork_box`]).
-#[derive(Clone)]
 pub struct FuzzScheduler {
     params: FuzzParams,
     rng: Rng,
@@ -168,10 +162,6 @@ impl Scheduler for FuzzScheduler {
             self.stats.nonfifo_picks += 1;
         }
         idx
-    }
-
-    fn fork_box(&self) -> Option<Box<dyn Scheduler>> {
-        Some(Box::new(self.clone()))
     }
 }
 
@@ -321,22 +311,6 @@ mod tests {
         for _ in 0..1_000 {
             assert_eq!(a.on_timer(), b.on_timer());
             assert_eq!(a.pick_task(7), b.pick_task(7));
-        }
-    }
-
-    #[test]
-    fn fork_continues_the_identical_decision_stream() {
-        let mut original = FuzzScheduler::new(FuzzParams::standard(), 11);
-        // Advance the PRNG so the fork point is mid-stream.
-        for _ in 0..37 {
-            let _ = original.on_timer();
-            let _ = original.pick_task(5);
-        }
-        let mut fork = original.fork_box().expect("fuzz schedulers fork");
-        for _ in 0..500 {
-            assert_eq!(original.on_timer(), fork.on_timer());
-            assert_eq!(original.pick_task(7), fork.pick_task(7));
-            assert_eq!(original.defer_close(), fork.defer_close());
         }
     }
 

@@ -45,15 +45,13 @@ use nodefz_rt::{PoolMode, ReadyEntry, Scheduler, TimerVerdict, VDur};
 /// }
 /// assert!(distinct.len() > 1, "delays produce distinct schedules");
 /// ```
-#[derive(Clone)]
 pub struct SystematicScheduler {
     schedule_id: u64,
     delay_budget: u32,
     opportunity: u32,
     delays_used: u32,
     /// Mirror of `opportunity` readable after the event loop consumed the
-    /// scheduler (see [`SystematicScheduler::probed`]). Shared by clones,
-    /// so a snapshot fork keeps reporting into the same probe.
+    /// scheduler (see [`SystematicScheduler::probed`]).
     probe: Option<OpportunityProbe>,
 }
 
@@ -192,10 +190,6 @@ impl Scheduler for SystematicScheduler {
         // Close events are covered through the ready/timer opportunities;
         // keeping them undelayed keeps the opportunity indices stable.
         false
-    }
-
-    fn fork_box(&self) -> Option<Box<dyn Scheduler>> {
-        Some(Box::new(self.clone()))
     }
 }
 
@@ -365,18 +359,6 @@ mod tests {
         assert!(k > 0, "the run consulted opportunities");
         assert!(k < 64, "small program consults few opportunities");
         assert_eq!(probe.decided_mask(), (1u64 << k) - 1);
-    }
-
-    #[test]
-    fn forked_systematic_scheduler_continues_identically() {
-        let mut a = SystematicScheduler::new(0b1101_0110, 8);
-        for _ in 0..3 {
-            let _ = a.on_timer();
-        }
-        let mut b = a.fork_box().expect("systematic schedulers fork");
-        for _ in 0..20 {
-            assert_eq!(a.on_timer(), b.on_timer());
-        }
     }
 
     #[test]

@@ -19,8 +19,7 @@
 //! key without ever materializing a normal form.
 //!
 //! The fold is incremental: [`CanonBuilder::push`] consumes events one at
-//! a time and [`CanonBuilder::key`] is valid after any prefix, which is
-//! what prefix-memoizing explorers key their snapshot tables on.
+//! a time and [`CanonBuilder::key`] is valid after any prefix.
 //!
 //! [`SeenSet`] is the companion membership structure: an interned,
 //! splitmix-hashed, capacity-capped set of keys with LRU eviction, sized

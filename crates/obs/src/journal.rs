@@ -38,8 +38,9 @@ pub enum PruneOutcome {
     Distinct,
     /// The class had already been executed; the run was redundant.
     Redundant,
-    /// The class was dispositioned by a prefix-snapshot fork without a
-    /// full execution.
+    /// Written by earlier builds for a class dispositioned without a full
+    /// execution. The current build never emits it; it still decodes so
+    /// older journals stay readable.
     Forked,
     /// The per-environment outcome memo disagreed with this run — the
     /// soundness tripwire.

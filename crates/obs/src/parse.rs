@@ -13,9 +13,17 @@
 //! a crash-robust reader wants: a half-written snapshot must be an error,
 //! never a silently short document.
 //!
+//! Nesting is capped at [`MAX_DEPTH`] containers, so a hostile or corrupt
+//! document is a [`JsonParseError`], never a stack overflow.
+//!
 //! [`JsonWriter`]: crate::JsonWriter
 
 use std::fmt;
+
+/// Deepest container nesting [`JsonValue::parse`] accepts. Every
+/// producer in this workspace nests a handful of levels; the cap only
+/// bounds the parser's recursion on hostile input.
+const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -56,11 +64,13 @@ impl JsonValue {
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonParseError`] naming the first malformed byte.
+    /// Returns a [`JsonParseError`] naming the first malformed byte, or
+    /// the container that opens past 128 levels of nesting.
     pub fn parse(text: &str) -> Result<JsonValue, JsonParseError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -127,6 +137,8 @@ impl JsonValue {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -171,8 +183,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, JsonParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -180,6 +192,21 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one container with `parse`, refusing to open more than
+    /// [`MAX_DEPTH`] at once.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonParseError>,
+    ) -> Result<JsonValue, JsonParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<JsonValue, JsonParseError> {
@@ -400,6 +427,17 @@ mod tests {
         assert_eq!(items[3].as_str(), Some("é😀"));
         assert!(JsonValue::parse("[1.5.5]").is_err());
         assert!(JsonValue::parse(r#""\ud800""#).is_err(), "lone surrogate");
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            let err = JsonValue::parse(&open.repeat(200_000)).unwrap_err();
+            assert_eq!(err.offset, MAX_DEPTH * open.len(), "{err}");
+            assert!(err.message.contains("nesting"), "{err}");
+            let at_cap = format!("{}1{}", open.repeat(MAX_DEPTH), close.repeat(MAX_DEPTH));
+            JsonValue::parse(&at_cap).expect("a document exactly at the cap parses");
+        }
     }
 
     #[test]

@@ -61,8 +61,8 @@ pub struct OrchConfig {
     pub replay_checks: u32,
     /// Forward `--prune` to workers: each child campaign classifies its
     /// runs into happens-before equivalence classes and reports pruning
-    /// counters in its metrics snapshot, which the rollup aggregates into
-    /// effective throughput per arm.
+    /// counters in its metrics snapshot, which the rollup aggregates per
+    /// arm.
     pub prune: bool,
 }
 
@@ -132,34 +132,19 @@ pub struct WorkPruning {
     pub distinct: u64,
     /// Runs landing in an already-seen class.
     pub redundant: u64,
-    /// Schedule classes dispositioned without executing them.
-    pub skipped: u64,
-    /// Prefix-forked runs.
-    pub forked: u64,
 }
 
 impl WorkPruning {
-    /// Classes dispositioned: executed-and-distinct plus
-    /// skipped-without-executing.
-    pub fn effective(&self) -> u64 {
-        self.distinct + self.skipped
-    }
-
     fn add(&mut self, other: &WorkPruning) {
         self.runs += other.runs;
         self.distinct += other.distinct;
         self.redundant += other.redundant;
-        self.skipped += other.skipped;
-        self.forked += other.forked;
     }
 
     fn write_fields(&self, w: &mut JsonWriter) {
         w.field_u64("runs", self.runs);
         w.field_u64("distinct", self.distinct);
         w.field_u64("redundant", self.redundant);
-        w.field_u64("skipped", self.skipped);
-        w.field_u64("forked", self.forked);
-        w.field_u64("effective", self.effective());
     }
 }
 
@@ -450,8 +435,6 @@ fn read_worker_metrics(path: &Path) -> Result<Option<WorkerMetrics>, String> {
             runs: p.get("runs")?.as_u64()?,
             distinct: p.get("distinct")?.as_u64()?,
             redundant: p.get("redundant")?.as_u64()?,
-            skipped: p.get("skipped")?.as_u64()?,
-            forked: p.get("forked")?.as_u64()?,
         })
     });
     Ok(Some(WorkerMetrics {
@@ -888,8 +871,6 @@ mod tests {
                     runs: 40,
                     distinct: 4,
                     redundant: 36,
-                    skipped: 120,
-                    forked: 30,
                 }),
             }],
             discovery: vec![OrchDiscovery {
@@ -919,10 +900,9 @@ mod tests {
         assert_eq!(report.quarantined().len(), 1);
 
         let totals = report.pruning_totals().unwrap();
-        assert_eq!(totals.effective(), 124);
+        assert_eq!(totals.distinct, 4);
         let pruning = doc.get("pruning").unwrap();
-        assert_eq!(pruning.get("skipped").and_then(|v| v.as_u64()), Some(120));
-        assert_eq!(pruning.get("effective").and_then(|v| v.as_u64()), Some(124));
+        assert_eq!(pruning.get("runs").and_then(|v| v.as_u64()), Some(40));
         assert_eq!(
             arm.get("pruning")
                 .and_then(|p| p.get("distinct"))
@@ -932,9 +912,9 @@ mod tests {
         let work = &doc.get("work").and_then(|w| w.as_array()).unwrap()[0];
         assert_eq!(
             work.get("pruning")
-                .and_then(|p| p.get("forked"))
+                .and_then(|p| p.get("redundant"))
                 .and_then(|v| v.as_u64()),
-            Some(30)
+            Some(36)
         );
     }
 
@@ -967,6 +947,62 @@ mod tests {
         assert!(report.pruning_totals().is_none());
         let doc = JsonValue::parse(&report.to_json()).unwrap();
         assert!(doc.get("pruning").is_none());
+    }
+
+    /// A worker metrics snapshot from a build that still wrote the fork
+    /// explorer's counters inside `pruning` — frozen, do not regenerate.
+    const OLDER_WORKER_METRICS: &str = r#"{
+  "schema": "nodefz-metrics-v1",
+  "runs": 40,
+  "discovery": [],
+  "pruning": {"runs": 40, "distinct": 4, "redundant": 36, "skipped": 120, "forked": 30, "mismatches": 0, "redundancy_ratio": 0.900000}
+}
+"#;
+
+    #[test]
+    fn worker_pruning_block_round_trips_from_the_campaign_writer() {
+        let counters = nodefz_campaign::PruneCounters {
+            runs: 40,
+            distinct: 4,
+            redundant: 36,
+            mismatches: 0,
+        };
+        let current = nodefz_campaign::MetricsSnapshot {
+            elapsed: Duration::from_millis(10),
+            budget: 40,
+            runs: 40,
+            dispatched: 0,
+            manifested: 0,
+            unique_bugs: 0,
+            finished: true,
+            arms: Vec::new(),
+            discovery: Vec::new(),
+            phases: Vec::new(),
+            callbacks: Vec::new(),
+            run_dispatched: None,
+            pruning: Some(counters),
+            prune_health: None,
+            sa: None,
+            apicov: None,
+        }
+        .to_json();
+        let dir = std::env::temp_dir().join(format!("nodefz-orch-metrics-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let expected = WorkPruning {
+            runs: 40,
+            distinct: 4,
+            redundant: 36,
+        };
+        for (name, text) in [
+            ("current", current.as_str()),
+            ("older", OLDER_WORKER_METRICS),
+        ] {
+            let path = dir.join(format!("{name}.json"));
+            std::fs::write(&path, text).unwrap();
+            let metrics = read_worker_metrics(&path).unwrap().expect("file exists");
+            assert_eq!(metrics.pruning, Some(expected), "{name} document");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -77,21 +77,12 @@ impl<'a> Ctx<'a> {
     /// Schedules `cb` to run once, at least `delay` from now (`setTimeout`).
     pub fn set_timeout(&mut self, delay: VDur, cb: impl FnOnce(&mut Ctx<'_>) + 'static) -> TimerId {
         let mut cb = Some(cb);
-        // The spent flag is shared with any snapshot clone of this entry:
-        // firing the one-shot anywhere marks every copy stale (restores of
-        // a snapshot holding it then refuse — see `crate::snapshot`).
-        let spent = Rc::new(std::cell::Cell::new(false));
-        let flag = spent.clone();
         let wrapped = Rc::new(RefCell::new(move |cx: &mut Ctx<'_>| {
             if let Some(f) = cb.take() {
-                flag.set(true);
                 f(cx);
             }
         }));
-        let id = self
-            .st
-            .timers
-            .insert_with_spent(self.st.now + delay, None, wrapped, Some(spent));
+        let id = self.st.timers.insert(self.st.now + delay, None, wrapped);
         self.note_timer_cause(id);
         id
     }

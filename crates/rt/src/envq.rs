@@ -92,39 +92,6 @@ impl EnvQueue {
     pub fn len(&self) -> usize {
         self.heap.len()
     }
-
-    /// Whether any scheduled entry is an [`EnvAction::Custom`] — the one
-    /// action kind that cannot be duplicated into a snapshot (its closure
-    /// is one-shot).
-    pub fn has_custom(&self) -> bool {
-        self.heap
-            .iter()
-            .any(|e| matches!(e.action, EnvAction::Custom(..)))
-    }
-
-    /// Clones the queue for a snapshot. Refuses (returns `None`) if any
-    /// entry is an [`EnvAction::Custom`]: its `FnOnce` closure cannot be
-    /// duplicated, so a loop with pending custom environment effects is
-    /// not forkable.
-    pub fn try_clone(&self) -> Option<EnvQueue> {
-        let mut heap = BinaryHeap::with_capacity(self.heap.len());
-        for e in self.heap.iter() {
-            let action = match &e.action {
-                EnvAction::TaskFinish(id) => EnvAction::TaskFinish(*id),
-                EnvAction::PoolWakeup => EnvAction::PoolWakeup,
-                EnvAction::Custom(..) => return None,
-            };
-            heap.push(EnvEntry {
-                at: e.at,
-                seq: e.seq,
-                action,
-            });
-        }
-        Some(EnvQueue {
-            heap,
-            next_seq: self.next_seq,
-        })
-    }
 }
 
 #[cfg(test)]

@@ -80,7 +80,7 @@ impl std::error::Error for Errno {}
 /// Bug oracles inspect the [`RunReport`](crate::RunReport) error list to
 /// decide whether a race manifested; `fatal` entries model uncaught
 /// exceptions (a Node.js process crash).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct AppError {
     /// Virtual time at which the error was reported.
     pub at: VTime,

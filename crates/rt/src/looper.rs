@@ -24,7 +24,6 @@ use crate::proc::ProcTable;
 use crate::rng::Rng;
 use crate::sched::{PoolMode, Scheduler, TimerVerdict, VanillaScheduler};
 use crate::signal::SignalState;
-use crate::snapshot::LoopSnapshot;
 use crate::time::{VDur, VTime};
 use crate::timers::TimerHeap;
 use crate::trace::{CbKind, TraceRecorder, TypeSchedule};
@@ -75,10 +74,7 @@ pub(crate) type CausedJob = (Job, Option<CbId>);
 type RepeatCb = Rc<RefCell<dyn FnMut(&mut Ctx<'_>)>>;
 
 /// Registry for idle/prepare/check handles.
-///
-/// Cloning shares the callback `Rc`s with the original (see the
-/// fork-safety note on `TimerEntry`).
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub(crate) struct RepeatHandles {
     items: Vec<(HandleId, RepeatCb, Option<CbId>)>,
     next: u64,
@@ -180,7 +176,7 @@ pub enum Termination {
 }
 
 /// The outcome of one [`EventLoop::run`].
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug)]
 pub struct RunReport {
     /// Loop iterations executed.
     pub iterations: u64,
@@ -698,21 +694,9 @@ impl EventLoop {
 
     /// Runs the loop to completion and returns the run report.
     pub fn run(&mut self) -> RunReport {
-        self.run_bounded(u64::MAX)
-            .expect("unbounded run terminates")
-    }
-
-    /// Runs at most `max` more iterations. Returns the run report if the
-    /// loop terminated within them, or `None` if it paused mid-run — a
-    /// paused loop is a candidate [`EventLoop::snapshot`] point and
-    /// resumes with another `run_bounded` (or `run`) call.
-    pub fn run_bounded(&mut self, max: u64) -> Option<RunReport> {
         // A previous run's hang verdict does not carry over: re-entering
-        // may have scheduled new work. (At a mid-run pause the loop is
-        // never hung — a hang verdict terminates — so clearing here
-        // cannot change a resumed run's behavior.)
+        // may have scheduled new work.
         self.st.hung = false;
-        let mut left = max;
         let termination = loop {
             if self.st.stopped {
                 break Termination::Stopped;
@@ -729,13 +713,9 @@ impl EventLoop {
             if self.st.now > self.st.cfg.max_vtime {
                 break Termination::VTimeCap;
             }
-            if left == 0 {
-                return None;
-            }
-            left -= 1;
             self.iterate();
         };
-        Some(RunReport {
+        RunReport {
             iterations: self.st.iter,
             end_time: self.st.now,
             dispatched: self.st.trace.dispatched(),
@@ -743,58 +723,6 @@ impl EventLoop {
             schedule: self.st.trace.schedule().clone(),
             pool: self.st.pool.stats,
             termination,
-        })
-    }
-
-    /// Whether the loop is at a forkable point: no queued one-shot
-    /// callbacks (microtasks, immediates, pending/close queues, pool
-    /// tasks, custom environment effects) and a scheduler that implements
-    /// [`Scheduler::fork_box`]. See [`crate::snapshot`] for the full
-    /// admissibility and fork-safety story.
-    pub fn fork_admissible(&self) -> bool {
-        crate::snapshot::fork_admissible(&self.st, self.sched.as_ref())
-    }
-
-    /// Captures a snapshot of the (paused) loop, or `None` if it is not at
-    /// a forkable point ([`EventLoop::fork_admissible`]).
-    ///
-    /// The snapshot owns a fork of the scheduler and a deep copy of any
-    /// attached event log; it can be restored any number of times.
-    pub fn snapshot(&self) -> Option<LoopSnapshot> {
-        LoopSnapshot::capture(&self.st, self.sched.as_ref(), self.pool_mode)
-    }
-
-    /// Replaces the loop's scheduler, returning the previous one.
-    ///
-    /// Only meaningful while the loop is paused at an iteration boundary
-    /// (after [`EventLoop::run_bounded`] returned `None`, or right after
-    /// [`EventLoop::restore`]): swapping mid-phase would hand related
-    /// decisions to two different deciders. Fork exploration uses this to
-    /// resume one captured prefix under many differently-seeded suffix
-    /// schedulers — restore rewinds the state, this picks the suffix.
-    pub fn replace_scheduler(&mut self, sched: Box<dyn Scheduler>) -> Box<dyn Scheduler> {
-        std::mem::replace(&mut self.sched, sched)
-    }
-
-    /// Rewinds the loop to a snapshot, replacing its scheduler with a
-    /// fresh fork of the captured one. Returns `false` (leaving the loop
-    /// untouched) if the snapshot cannot be soundly resumed: its scheduler
-    /// refuses to fork again, or a captured one-shot timer was already
-    /// consumed by another run sharing it (stale snapshot).
-    ///
-    /// The restored loop resumes with [`EventLoop::run`] /
-    /// [`EventLoop::run_bounded`] exactly as the original would have. If
-    /// the loop has an event log attached, the snapshot's log content is
-    /// written into that same handle, so external holders observe the
-    /// rewind.
-    pub fn restore(&mut self, snap: &LoopSnapshot) -> bool {
-        match snap.restore_into(&mut self.st) {
-            Some(sched) => {
-                self.sched = sched;
-                self.pool_mode = snap.pool_mode;
-                true
-            }
-            None => false,
         }
     }
 

@@ -74,9 +74,6 @@ pub struct ReadyEntry {
     pub seq: u64,
 }
 
-/// Cloning shares the callback `Rc` with the original (see the fork-safety
-/// note on `TimerEntry`).
-#[derive(Clone)]
 pub(crate) struct Watcher {
     pub kind: FdKind,
     pub cb: Option<IoCb>,
@@ -89,7 +86,6 @@ pub(crate) struct Watcher {
 /// First descriptor handed out: 0/1/2 are "taken", as on a real process.
 const FD_BASE: u32 = 3;
 
-#[derive(Clone)]
 pub(crate) struct PollState {
     next_fd: u32,
     pub limit: usize,

@@ -52,13 +52,11 @@ impl ChildSpec {
 }
 
 /// An event observable on a child's pipe.
-#[derive(Clone)]
 pub(crate) enum ChildEvent {
     Output(Vec<u8>),
     Exit(i32),
 }
 
-#[derive(Clone)]
 pub(crate) struct ChildState {
     pub pid: Pid,
     pub fd: Fd,
@@ -67,7 +65,7 @@ pub(crate) struct ChildState {
     pub exited: bool,
 }
 
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub(crate) struct ProcTable {
     pub children: Vec<ChildState>,
     pub next_pid: u32,

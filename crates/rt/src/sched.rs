@@ -105,19 +105,6 @@ pub trait Scheduler {
     fn decision_count(&self) -> u64 {
         0
     }
-
-    /// Duplicates this scheduler — current PRNG position, decision
-    /// counters and all — for a prefix-snapshot fork (see
-    /// [`crate::LoopSnapshot`]). A fork resumed from the duplicate draws
-    /// exactly the decisions the original would have drawn from this
-    /// point on.
-    ///
-    /// The default refuses (`None`), which makes loops driven by such a
-    /// scheduler snapshot-inadmissible: schedulers holding shared handles
-    /// (recording sinks, replay cursors) must opt in explicitly.
-    fn fork_box(&self) -> Option<Box<dyn Scheduler>> {
-        None
-    }
 }
 
 /// The libuv-faithful scheduler: FIFO everything, multiplexed done queue,
@@ -153,10 +140,6 @@ impl Scheduler for VanillaScheduler {
         PoolMode::Concurrent {
             workers: self.workers,
         }
-    }
-
-    fn fork_box(&self) -> Option<Box<dyn Scheduler>> {
-        Some(Box::new(self.clone()))
     }
 }
 

@@ -43,7 +43,7 @@ impl Signal {
 }
 
 /// Registry mapping signals to their watcher descriptors.
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub(crate) struct SignalState {
     watchers: HashMap<Signal, Vec<Fd>>,
     pub delivered: u64,
