@@ -89,10 +89,9 @@ pub struct RunCfg {
     /// it never changes seeds, decisions, or schedules. The `nodefz-hb`
     /// analyzer consumes the result.
     pub events: Option<nodefz_rt::EventLogHandle>,
-    /// Observability handle attached to every loop this config builds
-    /// (compile-time feature `obs`). Profiling reads the run; it never
-    /// changes seeds, decisions, or schedules.
-    #[cfg(feature = "obs")]
+    /// Observability handle attached to every loop this config builds.
+    /// Profiling reads the run; it never changes seeds, decisions, or
+    /// schedules.
     pub obs: Option<nodefz_rt::ObsHandle>,
 }
 
@@ -107,7 +106,6 @@ impl RunCfg {
             trace: true,
             pool: None,
             events: None,
-            #[cfg(feature = "obs")]
             obs: None,
         }
     }
@@ -129,8 +127,7 @@ impl RunCfg {
     }
 
     /// Attaches an observability handle to every loop built from this
-    /// configuration (compile-time feature `obs`).
-    #[cfg(feature = "obs")]
+    /// configuration.
     #[must_use]
     pub fn observed(mut self, obs: &nodefz_rt::ObsHandle) -> RunCfg {
         self.obs = Some(obs.clone());
@@ -147,7 +144,6 @@ impl RunCfg {
             trace: self.trace,
             ..LoopConfig::seeded(self.env_seed)
         };
-        #[allow(unused_mut)]
         let mut el = match &self.pool {
             Some(pool) => self.mode.build_loop_pooled(cfg, self.sched_seed, pool),
             None => self.mode.build_loop(cfg, self.sched_seed),
@@ -155,7 +151,6 @@ impl RunCfg {
         if let Some(events) = &self.events {
             el.set_event_log(events);
         }
-        #[cfg(feature = "obs")]
         if let Some(obs) = &self.obs {
             el.set_obs(obs.clone());
         }

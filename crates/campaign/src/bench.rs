@@ -17,13 +17,11 @@
 //!    redundant. `distinct_per_sec` is the honest throughput;
 //!    `redundancy_ratio` is what raw counting was overstating.
 //!
-//! The report serializes to `BENCH_throughput.json` at the repo root;
-//! [`read_summary`] reads both v1 and v2 documents so the perf trajectory
-//! spans the schema change.
+//! The report serializes to `BENCH_throughput.json` at the repo root.
 
 use std::time::{Duration, Instant};
 
-use nodefz_obs::{JsonValue, JsonWriter, ObsLevel};
+use nodefz_obs::{JsonWriter, ObsLevel};
 
 use crate::config::PRESETS;
 use crate::driver::{arm_seed, derive_seed, RunContext};
@@ -222,7 +220,7 @@ pub fn measure(cfg: &BenchConfig) -> Result<ThroughputReport, String> {
     // Counting rides the campaign's own metrics registry (one shard, same
     // layout and recording path as a campaign worker), so per-arm numbers
     // are counter deltas across the measurement window.
-    let (registry, ids) = build_registry(1);
+    let (registry, ids) = build_registry(1, ObsLevel::Off);
     let telemetry = WorkerTelemetry::new(registry.shard(0), ids, ObsLevel::Off);
     let scrape = |registry: &nodefz_obs::Registry| {
         let snap = registry.snapshot();
@@ -309,91 +307,6 @@ fn canon_window(
     }
 }
 
-/// One arm row of a normalized bench summary ([`read_summary`]).
-#[derive(Clone, Debug)]
-pub struct BenchArmSummary {
-    /// Bug abbreviation.
-    pub app: String,
-    /// Preset name.
-    pub preset: String,
-    /// Raw executions per second.
-    pub execs_per_sec: f64,
-    /// Distinct HB classes per second (`None` in v1 documents).
-    pub distinct_per_sec: Option<f64>,
-    /// Canon-window redundancy (`None` in v1 documents).
-    pub redundancy_ratio: Option<f64>,
-}
-
-/// A normalized view over a persisted bench document, any schema version.
-#[derive(Clone, Debug)]
-pub struct BenchSummary {
-    /// The document's schema tag.
-    pub schema: String,
-    /// Per-arm rows, in document order.
-    pub arms: Vec<BenchArmSummary>,
-    /// Aggregate raw executions per second.
-    pub total_execs_per_sec: f64,
-    /// Aggregate distinct HB classes per second (`None` in v1 documents).
-    pub total_distinct_per_sec: Option<f64>,
-}
-
-/// Reads a persisted bench document — `nodefz-throughput-v1` or `-v2` —
-/// into a normalized summary, so trajectory tooling spans the schema
-/// change (v1 documents simply have no pruning columns).
-///
-/// # Errors
-///
-/// Fails on malformed JSON, an unknown schema tag, or missing fields.
-pub fn read_summary(json: &str) -> Result<BenchSummary, String> {
-    let doc = JsonValue::parse(json).map_err(|e| format!("bench document: {e}"))?;
-    let schema =
-        nodefz_obs::expect_schema_any(&doc, &["nodefz-throughput-v1", "nodefz-throughput-v2"])
-            .map_err(|e| format!("bench document: {e}"))?
-            .to_string();
-    let arms = doc
-        .get("arms")
-        .and_then(|a| a.as_array())
-        .ok_or("bench document: missing arms")?
-        .iter()
-        .map(|arm| {
-            Ok(BenchArmSummary {
-                app: arm
-                    .get("app")
-                    .and_then(|v| v.as_str())
-                    .ok_or("arm: missing app")?
-                    .to_string(),
-                preset: arm
-                    .get("preset")
-                    .and_then(|v| v.as_str())
-                    .ok_or("arm: missing preset")?
-                    .to_string(),
-                execs_per_sec: arm
-                    .get("execs_per_sec")
-                    .and_then(|v| v.as_f64())
-                    .ok_or("arm: missing execs_per_sec")?,
-                distinct_per_sec: arm
-                    .get("canon")
-                    .and_then(|c| c.get("distinct_per_sec"))
-                    .and_then(|v| v.as_f64()),
-                redundancy_ratio: arm
-                    .get("canon")
-                    .and_then(|c| c.get("redundancy_ratio"))
-                    .and_then(|v| v.as_f64()),
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let total = doc.get("total").ok_or("bench document: missing total")?;
-    Ok(BenchSummary {
-        schema,
-        arms,
-        total_execs_per_sec: total
-            .get("execs_per_sec")
-            .and_then(|v| v.as_f64())
-            .ok_or("total: missing execs_per_sec")?,
-        total_distinct_per_sec: total.get("distinct_per_sec").and_then(|v| v.as_f64()),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,27 +349,6 @@ mod tests {
             PRESETS.len(),
             "one arm object per preset"
         );
-    }
-
-    #[test]
-    fn summary_reads_back_the_v2_document() {
-        let report = measure(&tiny()).unwrap();
-        let summary = read_summary(&report.to_json()).unwrap();
-        assert_eq!(summary.schema, "nodefz-throughput-v2");
-        assert_eq!(summary.arms.len(), report.arms.len());
-        for (row, arm) in summary.arms.iter().zip(&report.arms) {
-            assert_eq!(row.app, arm.app);
-            assert!(row.distinct_per_sec.is_some());
-            assert!(row.redundancy_ratio.is_some());
-        }
-        assert!(summary.total_distinct_per_sec.is_some());
-    }
-
-    #[test]
-    fn summary_rejects_garbage() {
-        assert!(read_summary("not json").is_err());
-        assert!(read_summary("{\"schema\": \"nodefz-throughput-v9\"}").is_err());
-        assert!(read_summary("{}").is_err());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! chrome://tracing exporter (feature `rt`).
+//! chrome://tracing exporter behind `--trace-out`.
 //!
 //! Collects the loop's [`TraceEvent`]s and renders them as a Chrome
 //! Trace Event Format document — an object with a `traceEvents` array of
@@ -7,9 +7,8 @@
 //! so traces of the same seed line up exactly; the measured wall time of
 //! each span rides along in `args.wall_ns`.
 
+use nodefz_obs::JsonWriter;
 use nodefz_rt::{TraceEvent, TraceEventSink};
-
-use crate::JsonWriter;
 
 struct Span {
     name: &'static str,
@@ -24,80 +23,31 @@ struct Span {
 ///
 /// Wrap it in `Rc<RefCell<...>>`, hand it to `ObsHandle::with_sink`, run
 /// the loop, then call [`ChromeTrace::to_json`].
-pub struct ChromeTrace {
+#[derive(Default)]
+pub(crate) struct ChromeTrace {
     spans: Vec<Span>,
-    pid: u64,
-    tid: u64,
-    process_name: Option<String>,
-    thread_name: Option<String>,
-}
-
-impl Default for ChromeTrace {
-    fn default() -> ChromeTrace {
-        ChromeTrace {
-            spans: Vec::new(),
-            pid: 1,
-            tid: 1,
-            process_name: None,
-            thread_name: None,
-        }
-    }
 }
 
 impl ChromeTrace {
-    /// An empty trace.
-    pub fn new() -> ChromeTrace {
-        ChromeTrace::default()
-    }
-
-    /// Names the process/thread this trace's spans belong to.
-    ///
-    /// When set, [`ChromeTrace::to_json`] leads the event array with
-    /// `"ph": "M"` `process_name`/`thread_name` metadata events and puts
-    /// every span on `pid`, so merging several workers' traces into one
-    /// document yields labeled tracks in Perfetto instead of bare pids.
-    pub fn set_identity(&mut self, pid: u64, process_name: &str, thread_name: &str) {
-        self.pid = pid;
-        self.tid = 1;
-        self.process_name = Some(process_name.to_string());
-        self.thread_name = Some(thread_name.to_string());
-    }
-
-    /// How many spans were collected.
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// Whether no spans were collected.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
     /// Renders the chrome-trace document.
     ///
     /// `ts`/`dur` are virtual microseconds (fractional, since the loop
     /// tracks nanoseconds); every event lives on `pid` 1 / `tid` 1 so
     /// nesting (demux inside poll, callbacks inside phases) renders as a
     /// flame graph on one track.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.begin_object();
         w.field_str("displayTimeUnit", "ms");
         w.key("traceEvents");
         w.begin_array();
-        if let Some(name) = &self.process_name {
-            metadata_event(&mut w, "process_name", self.pid, self.tid, name);
-        }
-        if let Some(name) = &self.thread_name {
-            metadata_event(&mut w, "thread_name", self.pid, self.tid, name);
-        }
         for s in &self.spans {
             w.begin_object();
             w.field_str("name", s.name);
             w.field_str("cat", s.cat);
             w.field_str("ph", "X");
-            w.field_u64("pid", self.pid);
-            w.field_u64("tid", self.tid);
+            w.field_u64("pid", 1);
+            w.field_u64("tid", 1);
             w.field_f64("ts", s.ts_ns as f64 / 1_000.0, 3);
             w.field_f64("dur", s.dur_ns as f64 / 1_000.0, 3);
             w.key("args");
@@ -126,20 +76,6 @@ impl TraceEventSink for ChromeTrace {
             wall_ns: ev.wall_ns,
         });
     }
-}
-
-/// Emits one `"ph": "M"` metadata event naming a process or thread.
-fn metadata_event(w: &mut JsonWriter, kind: &str, pid: u64, tid: u64, name: &str) {
-    w.begin_object();
-    w.field_str("name", kind);
-    w.field_str("ph", "M");
-    w.field_u64("pid", pid);
-    w.field_u64("tid", tid);
-    w.key("args");
-    w.begin_object();
-    w.field_str("name", name);
-    w.end_object();
-    w.end_object();
 }
 
 /// Maps a span name back to its `'static` label.
@@ -178,42 +114,21 @@ mod tests {
 
     #[test]
     fn collects_and_serializes_complete_events() {
-        let mut t = ChromeTrace::new();
-        assert!(t.is_empty());
+        let mut t = ChromeTrace::default();
         t.event(&ev("poll", "phase", 1_000, 2_500));
         t.event(&ev("timer", "callback", 1_500, 500));
-        assert_eq!(t.len(), 2);
         let json = t.to_json();
+        assert_eq!(json.matches(r#""ph": "X""#).count(), 2, "{json}");
         assert!(json.starts_with(r#"{"displayTimeUnit": "ms", "traceEvents": ["#));
         assert!(json.contains(r#""name": "poll""#), "{json}");
-        assert!(json.contains(r#""ph": "X""#), "{json}");
         // 1000 ns -> 1.000 us, 2500 ns -> 2.500 us.
         assert!(json.contains(r#""ts": 1.000, "dur": 2.500"#), "{json}");
         assert!(json.contains(r#""args": {"wall_ns": 42}"#), "{json}");
     }
 
     #[test]
-    fn identity_emits_metadata_events_and_moves_spans_to_the_pid() {
-        let mut t = ChromeTrace::new();
-        t.set_identity(7, "worker: GHO/aggressive", "loop");
-        t.event(&ev("poll", "phase", 0, 1_000));
-        let json = t.to_json();
-        assert!(
-            json.contains(
-                r#"{"name": "process_name", "ph": "M", "pid": 7, "tid": 1, "args": {"name": "worker: GHO/aggressive"}}"#
-            ),
-            "{json}"
-        );
-        assert!(
-            json.contains(r#"{"name": "thread_name", "ph": "M", "pid": 7, "tid": 1, "args": {"name": "loop"}}"#),
-            "{json}"
-        );
-        assert!(json.contains(r#""ph": "X", "pid": 7, "tid": 1"#), "{json}");
-    }
-
-    #[test]
     fn unknown_names_fall_back_without_breaking_the_document() {
-        let mut t = ChromeTrace::new();
+        let mut t = ChromeTrace::default();
         t.event(&ev("bespoke", "phase", 0, 1));
         assert!(t.to_json().contains(r#""name": "span""#));
     }

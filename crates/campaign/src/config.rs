@@ -73,12 +73,11 @@ pub struct CampaignConfig {
     /// Where to write periodic `nodefz-metrics-v1` telemetry snapshots
     /// (`None` = no snapshots). Controller-side telemetry — arms,
     /// discovery curve, per-arm diversity — is collected whenever this is
-    /// set; loop-phase timings additionally require the `obs` build and
+    /// set; loop-phase timings additionally require
     /// [`CampaignConfig::obs_level`] above [`ObsLevel::Off`].
     pub metrics_out: Option<PathBuf>,
     /// Where to write a chrome://tracing timeline of one dedicated
-    /// instrumented run after the campaign drains (`None` = no trace).
-    /// Requires a build with the `obs` feature.
+    /// profiled run after the campaign drains (`None` = no trace).
     pub trace_out: Option<PathBuf>,
     /// Where to write the campaign flight-recorder journal
     /// (`nodefz-journal-v1` JSON lines: arm pulls with decision-time
@@ -86,7 +85,7 @@ pub struct CampaignConfig {
     pub journal_out: Option<PathBuf>,
     /// Runtime telemetry dial for worker runs. Above [`ObsLevel::Off`]
     /// the workers profile loop phases and per-kind dispatches into the
-    /// metrics registry; requires a build with the `obs` feature.
+    /// metrics registry.
     pub obs_level: ObsLevel,
     /// Whether to classify every run by its happens-before canonical key
     /// ([`crate::prune`]): the controller counts distinct vs redundant
@@ -154,22 +153,6 @@ impl CampaignConfig {
                 ));
             }
         }
-        if cfg!(not(feature = "obs")) {
-            if self.trace_out.is_some() {
-                return Err(
-                    "--trace-out needs loop instrumentation, which this binary was built \
-                     without (rebuild with --features nodefz-orchestrate/obs)"
-                        .into(),
-                );
-            }
-            if !self.obs_level.is_off() {
-                return Err(format!(
-                    "--obs-level {} needs loop instrumentation, which this binary was built \
-                     without (rebuild with --features nodefz-orchestrate/obs)",
-                    self.obs_level.label()
-                ));
-            }
-        }
         Ok(())
     }
 }
@@ -197,31 +180,26 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_needing_instrumentation_is_rejected_in_a_bare_build() {
+    fn telemetry_options_validate() {
         let base = CampaignConfig {
             apps: vec!["KUE".into()],
             ..CampaignConfig::default()
         };
-        let traced = CampaignConfig {
-            trace_out: Some("trace.json".into()),
-            ..base.clone()
-        };
-        let leveled = CampaignConfig {
-            obs_level: ObsLevel::Counters,
-            ..base.clone()
-        };
-        // Metrics snapshots never require the instrumented build.
-        let metrics = CampaignConfig {
-            metrics_out: Some("metrics.json".into()),
-            ..base
-        };
-        metrics.validate().unwrap();
-        if cfg!(feature = "obs") {
-            traced.validate().unwrap();
-            leveled.validate().unwrap();
-        } else {
-            assert!(traced.validate().unwrap_err().contains("--trace-out"));
-            assert!(leveled.validate().unwrap_err().contains("--obs-level"));
+        for cfg in [
+            CampaignConfig {
+                trace_out: Some("trace.json".into()),
+                ..base.clone()
+            },
+            CampaignConfig {
+                obs_level: ObsLevel::Counters,
+                ..base.clone()
+            },
+            CampaignConfig {
+                metrics_out: Some("metrics.json".into()),
+                ..base
+            },
+        ] {
+            cfg.validate().unwrap();
         }
     }
 

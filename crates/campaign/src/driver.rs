@@ -261,7 +261,6 @@ pub struct RunContext {
     prune: Option<PruneKit>,
     /// Loop-observability handle attached to every fuzz run (profiling
     /// only — it never changes seeds, decisions, or schedules).
-    #[cfg(feature = "obs")]
     obs: Option<nodefz_rt::ObsHandle>,
 }
 
@@ -285,7 +284,6 @@ impl RunContext {
             pool: nodefz_rt::LoopPool::new(),
             handle: TraceHandle::fresh(),
             prune: None,
-            #[cfg(feature = "obs")]
             obs: None,
         }
     }
@@ -302,7 +300,6 @@ impl RunContext {
     }
 
     /// Attaches a loop-observability handle to every subsequent fuzz run.
-    #[cfg(feature = "obs")]
     pub fn set_obs(&mut self, obs: nodefz_rt::ObsHandle) {
         self.obs = Some(obs);
     }
@@ -356,12 +353,10 @@ impl RunContext {
             Some(spec) => Mode::Directed(spec, self.handle.clone()),
             None => Mode::Record(preset_params(preset), self.handle.clone()),
         };
-        #[allow(unused_mut)]
         let mut run_cfg = RunCfg::new(mode, env_seed).pooled(&self.pool);
         if let Some(kit) = &self.prune {
             run_cfg = run_cfg.events(&kit.events);
         }
-        #[cfg(feature = "obs")]
         if let Some(obs) = &self.obs {
             run_cfg = run_cfg.observed(obs);
         }
@@ -440,10 +435,9 @@ fn worker_loop(
     if prune {
         ctx.enable_prune();
     }
-    // In instrumented builds above `off`, every fuzz run on this worker is
-    // profiled through a thread-local handle (`Rc`-based, so it is created
-    // here, not shipped across the spawn) and flushed into the shard.
-    #[cfg(feature = "obs")]
+    // Above `off`, every fuzz run on this worker is profiled through a
+    // thread-local handle (`Rc`-based, so it is created here, not shipped
+    // across the spawn) and flushed into the shard.
     if let Some(obs) = telemetry.obs() {
         ctx.set_obs(obs.clone());
     }
@@ -513,14 +507,10 @@ fn worker_loop(
     }
 }
 
-/// Derives the i-th environment seed of a campaign (splitmix64 step).
+/// Derives the i-th environment seed of a campaign: the i-th output of
+/// the splitmix64 stream starting at `base`.
 pub(crate) fn derive_seed(base: u64, i: u64) -> u64 {
-    let mut z = base
-        .wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    nodefz_rt::splitmix64(base.wrapping_add(i.wrapping_mul(nodefz_rt::GOLDEN_GAMMA)))
 }
 
 /// Folds an arm into the campaign base seed so each arm probes its own
@@ -534,12 +524,7 @@ fn arm_base(base: u64, arm: &Arm) -> u64 {
 /// The (app, preset)-folded base seed, shared with the throughput bench so
 /// its seed stream matches a campaign's.
 pub(crate) fn arm_seed(base: u64, app: &str, preset: usize) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in app.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    base ^ h ^ ((preset as u64) << 56)
+    base ^ nodefz_rt::fnv1a(app.as_bytes()) ^ ((preset as u64) << 56)
 }
 
 /// Runs a campaign, invoking `on_event` for live progress.
@@ -610,7 +595,7 @@ pub fn run_with_progress(
 
     // One registry shard per worker: fuzz executions record into their
     // own shard with relaxed atomic adds; snapshots fold them here.
-    let (registry, metric_ids) = metrics::build_registry(cfg.threads);
+    let (registry, metric_ids) = metrics::build_registry(cfg.threads, cfg.obs_level);
     let telemetry_on = cfg.metrics_out.is_some();
 
     let queue = Arc::new(SeedQueue::new(cfg.threads));
@@ -897,7 +882,6 @@ pub fn run_with_progress(
         j.write(path)
             .map_err(|e| format!("journal: cannot write {}: {e}", path.display()))?;
     }
-    #[cfg(feature = "obs")]
     if let Some(path) = &cfg.trace_out {
         write_trace(path, cfg)?;
     }
@@ -1044,13 +1028,12 @@ fn conform_apicov(cfg: &CampaignConfig, bandit: &Bandit) -> Option<nodefz_confor
 /// (loadable in Perfetto). Workers never collect per-event traces — one
 /// representative run is cheap and its schedule is deterministic: the
 /// first app, the first preset, the arm's first derived seed.
-#[cfg(feature = "obs")]
 fn write_trace(path: &std::path::Path, cfg: &CampaignConfig) -> Result<(), String> {
     use std::cell::RefCell;
     use std::rc::Rc;
 
     let app = cfg.apps.first().expect("validated: at least one app");
-    let sink = Rc::new(RefCell::new(nodefz_obs::ChromeTrace::new()));
+    let sink = Rc::new(RefCell::new(crate::chrome::ChromeTrace::default()));
     let mut ctx = RunContext::new();
     ctx.set_obs(nodefz_rt::ObsHandle::with_sink(sink.clone()));
     let env_seed = derive_seed(arm_seed(cfg.base_seed, app, 0), 0);

@@ -32,14 +32,12 @@ pub mod prune;
 pub mod report;
 pub mod shrink;
 
+mod chrome;
 mod driver;
 
 pub use analyze::{analyze_campaign, AnalyzeConfig, AnalyzeReport, ConfirmedRace};
 pub use arms::{arm_space, arms_from_json, arms_to_json, ArmMode, ArmSpec};
-pub use bench::{
-    measure, read_summary, ArmThroughput, BenchArmSummary, BenchConfig, BenchSummary, CanonWindow,
-    ThroughputReport,
-};
+pub use bench::{measure, ArmThroughput, BenchConfig, CanonWindow, ThroughputReport};
 pub use config::{
     preset_index, preset_name, preset_params, CampaignConfig, DIRECTED_PRESET, PRESETS,
 };

@@ -12,8 +12,8 @@
 //! behavior, Fig. 7's diversity, §5.4's where-does-the-time-go) for a live
 //! campaign.
 //!
-//! Loop-phase timings and per-kind dispatch counts only exist in builds
-//! with the `obs` feature; without it the registry still carries the
+//! Loop-phase timings and per-kind dispatch counts are collected only
+//! above [`ObsLevel::Off`]; at `off` the registry still carries the
 //! campaign-level counters and the document's `phases`/`callbacks` arrays
 //! are empty.
 
@@ -46,24 +46,26 @@ pub(crate) struct MetricIds {
     /// Per-run dispatched-callback distribution.
     run_dispatched: HistogramId,
     /// Per-phase (entries, vtime_ns, wall_ns) counters, by `Phase::index()`.
-    #[cfg(feature = "obs")]
     phases: Vec<[CounterId; 3]>,
     /// Per-kind dispatch counters, by `CbKind::index()`.
-    #[cfg(feature = "obs")]
     kinds: Vec<CounterId>,
 }
 
 /// Builds the campaign's frozen metric layout with `shards` worker shards.
-pub(crate) fn build_registry(shards: usize) -> (Registry, Arc<MetricIds>) {
+/// The loop-profile counters (per phase, per callback kind) are
+/// registered only above [`ObsLevel::Off`], so a snapshot at `off` carries
+/// empty `phases`/`callbacks` arrays.
+pub(crate) fn build_registry(shards: usize, level: ObsLevel) -> (Registry, Arc<MetricIds>) {
     let mut b = RegistryBuilder::new();
+    let profiled = !level.is_off();
     let ids = MetricIds {
         runs: b.counter("campaign.runs"),
         manifested: b.counter("campaign.manifested"),
         dispatched: b.counter("campaign.dispatched"),
         run_dispatched: b.histogram("run.dispatched", &DISPATCH_BOUNDS),
-        #[cfg(feature = "obs")]
         phases: nodefz_rt::Phase::all()
             .iter()
+            .filter(|_| profiled)
             .map(|p| {
                 [
                     b.counter(&format!("phase.{}.entries", p.label())),
@@ -72,42 +74,37 @@ pub(crate) fn build_registry(shards: usize) -> (Registry, Arc<MetricIds>) {
                 ]
             })
             .collect(),
-        #[cfg(feature = "obs")]
         kinds: nodefz_rt::CbKind::all()
             .iter()
+            .filter(|_| profiled)
             .map(|k| b.counter(&format!("callback.{}", k.label())))
             .collect(),
     };
     (b.build(shards), Arc::new(ids))
 }
 
-/// A worker's telemetry kit: its registry shard plus, in instrumented
-/// builds above [`ObsLevel::Off`], a loop-observability handle the worker
-/// attaches to every run and flushes into the shard afterwards.
+/// A worker's telemetry kit: its registry shard plus, above
+/// [`ObsLevel::Off`], a loop-observability handle the worker attaches to
+/// every run and flushes into the shard afterwards.
 ///
 /// Constructed *on* the worker thread — the loop handle is `Rc`-based and
 /// must not cross threads; only the shard handle and ids travel.
 pub(crate) struct WorkerTelemetry {
     shard: ShardHandle,
     ids: Arc<MetricIds>,
-    #[cfg(feature = "obs")]
     obs: Option<nodefz_rt::ObsHandle>,
 }
 
 impl WorkerTelemetry {
     pub(crate) fn new(shard: ShardHandle, ids: Arc<MetricIds>, level: ObsLevel) -> WorkerTelemetry {
-        #[cfg(not(feature = "obs"))]
-        let _ = level;
         WorkerTelemetry {
             shard,
             ids,
-            #[cfg(feature = "obs")]
             obs: (!level.is_off()).then(nodefz_rt::ObsHandle::new),
         }
     }
 
     /// The loop handle to attach to runs, when profiling is on.
-    #[cfg(feature = "obs")]
     pub(crate) fn obs(&self) -> Option<&nodefz_rt::ObsHandle> {
         self.obs.as_ref()
     }
@@ -121,7 +118,6 @@ impl WorkerTelemetry {
         if manifested {
             self.shard.inc(self.ids.manifested);
         }
-        #[cfg(feature = "obs")]
         if let Some(obs) = &self.obs {
             for (profile, ids) in obs.phase_profiles().iter().zip(&self.ids.phases) {
                 self.shard.add(ids[0], profile.entries);
@@ -435,48 +431,34 @@ pub(crate) fn collect(
     }
 }
 
-#[cfg(feature = "obs")]
+/// One row per profiled phase; empty when the layout registered none
+/// ([`build_registry`] at [`ObsLevel::Off`]).
 fn collect_phases(registry: &RegistrySnapshot) -> Vec<PhaseMetrics> {
     nodefz_rt::Phase::all()
         .iter()
-        .map(|p| PhaseMetrics {
-            phase: p.label(),
-            entries: registry
-                .counter(&format!("phase.{}.entries", p.label()))
-                .unwrap_or(0),
-            vtime_ns: registry
-                .counter(&format!("phase.{}.vtime_ns", p.label()))
-                .unwrap_or(0),
-            wall_ns: registry
-                .counter(&format!("phase.{}.wall_ns", p.label()))
-                .unwrap_or(0),
+        .filter_map(|p| {
+            let counter = |field: &str| registry.counter(&format!("phase.{}.{field}", p.label()));
+            Some(PhaseMetrics {
+                phase: p.label(),
+                entries: counter("entries")?,
+                vtime_ns: counter("vtime_ns")?,
+                wall_ns: counter("wall_ns")?,
+            })
         })
         .collect()
 }
 
-#[cfg(not(feature = "obs"))]
-fn collect_phases(_registry: &RegistrySnapshot) -> Vec<PhaseMetrics> {
-    Vec::new()
-}
-
-#[cfg(feature = "obs")]
+/// One row per profiled callback kind; empty like [`collect_phases`].
 fn collect_callbacks(registry: &RegistrySnapshot) -> Vec<(&'static str, u64)> {
     nodefz_rt::CbKind::all()
         .iter()
-        .map(|k| {
-            (
+        .filter_map(|k| {
+            Some((
                 k.label(),
-                registry
-                    .counter(&format!("callback.{}", k.label()))
-                    .unwrap_or(0),
-            )
+                registry.counter(&format!("callback.{}", k.label()))?,
+            ))
         })
         .collect()
-}
-
-#[cfg(not(feature = "obs"))]
-fn collect_callbacks(_registry: &RegistrySnapshot) -> Vec<(&'static str, u64)> {
-    Vec::new()
 }
 
 #[cfg(test)]
@@ -509,7 +491,7 @@ mod tests {
         // Fig. 7's metric truncates schedules at the first 20 K callbacks;
         // the snapshot must pin that constant, not invent its own.
         assert_eq!(PAPER_TRUNCATION, 20_000);
-        let (reg, _) = build_registry(1);
+        let (reg, _) = build_registry(1, ObsLevel::Off);
         let snap = collect(
             Duration::from_millis(100),
             10,
@@ -539,7 +521,7 @@ mod tests {
 
     #[test]
     fn unsampled_arms_serialize_null_diversity_and_bounds() {
-        let (reg, _) = build_registry(1);
+        let (reg, _) = build_registry(1, ObsLevel::Off);
         let snap = collect(
             Duration::from_millis(50),
             10,
@@ -560,7 +542,7 @@ mod tests {
 
     #[test]
     fn worker_recording_lands_in_the_document() {
-        let (reg, ids) = build_registry(2);
+        let (reg, ids) = build_registry(2, ObsLevel::Off);
         let w0 = WorkerTelemetry::new(reg.shard(0), ids.clone(), ObsLevel::Off);
         let w1 = WorkerTelemetry::new(reg.shard(1), ids, ObsLevel::Off);
         w0.record_exec(100, false);
@@ -607,7 +589,7 @@ mod tests {
                 first_ms: 48,
             },
         ];
-        let (reg, _) = build_registry(1);
+        let (reg, _) = build_registry(1, ObsLevel::Off);
         let snap = collect(
             Duration::from_secs(1),
             20,

@@ -58,12 +58,7 @@ impl PruneCounters {
 /// they execute the same callbacks on the same inputs, which is the
 /// precondition for "HB-equivalent ⟹ identical manifestation".
 pub fn env_scope(app: &str, env_seed: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in app.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h ^ env_seed
+    nodefz_rt::fnv1a(app.as_bytes()) ^ env_seed
 }
 
 /// How [`Pruner::observe`] classified one run.

@@ -14,7 +14,7 @@
 //! mismatch) is what makes such candidates runnable at all. The oracle
 //! judges only "does the same bug still manifest".
 
-use nodefz::{Decision, DecisionTrace};
+use nodefz::{ddmin, Decision, DecisionTrace};
 
 /// Outcome of a shrink.
 #[derive(Clone, Debug)]
@@ -39,34 +39,23 @@ where
     F: FnMut(&DecisionTrace) -> bool,
 {
     let original_len = trace.decisions.len();
-    let mut runs = 0u64;
-    let mut current = trace.clone();
 
     // Phase 1: ddmin — remove ever-smaller chunks while the bug survives.
-    let mut chunk = current.decisions.len().div_ceil(2).max(1);
-    while chunk >= 1 && !current.decisions.is_empty() {
-        let mut start = 0;
-        let mut removed_any = false;
-        while start < current.decisions.len() {
-            let end = (start + chunk).min(current.decisions.len());
-            let mut candidate = current.clone();
-            candidate.decisions.drain(start..end);
-            runs += 1;
-            if manifests(&candidate) {
-                current = candidate;
-                removed_any = true;
-                // Same start now addresses the next chunk.
-            } else {
-                start = end;
-            }
-        }
-        if chunk == 1 && !removed_any {
-            break;
-        }
-        if !removed_any {
-            chunk /= 2;
-        }
-    }
+    // One reused trace carries each candidate decision list to the oracle.
+    let mut candidate = DecisionTrace {
+        decisions: Vec::new(),
+        ..*trace
+    };
+    let phase1 = ddmin(&trace.decisions, |decisions| {
+        candidate.decisions.clear();
+        candidate.decisions.extend_from_slice(decisions);
+        manifests(&candidate)
+    });
+    let mut runs = phase1.runs;
+    let mut current = DecisionTrace {
+        decisions: phase1.items,
+        ..*trace
+    };
 
     // Phase 2: simplify surviving decisions to their inert forms.
     for i in 0..current.decisions.len() {

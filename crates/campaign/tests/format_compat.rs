@@ -102,35 +102,3 @@ fn recorded_trace_survives_the_disk_format_and_replays_identically() {
         .verdict()
         .expect("faithful replay after disk round trip");
 }
-
-/// A `nodefz-throughput-v1` bench document exactly as the pre-pruning
-/// build wrote it (abridged to two arms) — frozen, do not regenerate.
-const LEGACY_BENCH: &str = r#"{
-  "schema": "nodefz-throughput-v1",
-  "warmup_ms": 100,
-  "window_ms": 400,
-  "base_seed": 1,
-  "arms": [
-    {"app": "GHO", "preset": "standard", "runs": 14506, "events": 1077523, "elapsed_ms": 400.009, "execs_per_sec": 36264.2, "events_per_sec": 2693748.5},
-    {"app": "CLF", "preset": "aggressive", "runs": 36273, "events": 831506, "elapsed_ms": 400.007, "execs_per_sec": 90681.0, "events_per_sec": 2078730.4}
-  ],
-  "total": {"runs": 50779, "elapsed_ms": 800.016, "execs_per_sec": 63472.5, "events_per_sec": 2386213.1}
-}
-"#;
-
-#[test]
-fn legacy_bench_document_reads_back_without_pruning_columns() {
-    let summary = nodefz_campaign::read_summary(LEGACY_BENCH).expect("v1 bench parses");
-    assert_eq!(summary.schema, "nodefz-throughput-v1");
-    assert_eq!(summary.total_execs_per_sec, 63472.5);
-    assert_eq!(
-        summary.total_distinct_per_sec, None,
-        "v1 documents predate canonicalization"
-    );
-    assert_eq!(summary.arms.len(), 2);
-    let gho = &summary.arms[0];
-    assert_eq!((gho.app.as_str(), gho.preset.as_str()), ("GHO", "standard"));
-    assert_eq!(gho.execs_per_sec, 36264.2);
-    assert_eq!(gho.distinct_per_sec, None);
-    assert_eq!(gho.redundancy_ratio, None);
-}

@@ -15,9 +15,7 @@
 //! [`forall`] does no automatic shrinking: generators here are used with
 //! small size bounds, so a failing case is already near-minimal, and the
 //! printed seed makes it trivially replayable under a debugger. Harnesses
-//! that *do* want minimization (the conformance tester shrinks whole
-//! generated programs) can reach for the element-agnostic [`ddmin`] in
-//! [`shrink`].
+//! that *do* want minimization use `nodefz::ddmin`.
 //!
 //! ```
 //! use nodefz_check::forall;
@@ -34,10 +32,8 @@
 #![warn(missing_docs)]
 
 pub mod alloc;
-pub mod shrink;
 
 pub use alloc::{AllocStats, CountingAlloc};
-pub use shrink::{ddmin, DdminResult};
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 

@@ -214,7 +214,7 @@ impl Prog {
         if self.nodes.is_empty() || self.nodes[0].op != Op::Root {
             return Err(ProgError("node 0 must be the root".into()));
         }
-        let mut referenced = vec![0u8; self.nodes.len()];
+        let mut referenced = vec![0usize; self.nodes.len()];
         for (id, node) in self.nodes.iter().enumerate() {
             if id > 0 && node.op == Op::Root {
                 return Err(ProgError(format!("node {id}: root op off node 0")));
@@ -393,6 +393,12 @@ impl Prog {
                     .and_then(|v| v.parse().ok())
                     .ok_or_else(|| ProgError(format!("node {id}: missing {key}")))
             };
+            // Counts stored as `u8`: out-of-range values are errors, never
+            // truncated into range.
+            let count = |key: &str| -> Result<u8, ProgError> {
+                u8::try_from(num(key)?)
+                    .map_err(|_| ProgError(format!("node {id}: {key} out of range")))
+            };
             let op = match opname {
                 "root" => Op::Root,
                 "timer" => Op::Timer {
@@ -406,21 +412,21 @@ impl Prog {
                     cost_us: num("cost_us")?,
                 },
                 "fdchain" => Op::FdChain {
-                    msgs: num("msgs")? as u8,
+                    msgs: count("msgs")?,
                     gap_us: num("gap_us")?,
                 },
                 "interval" => Op::Interval {
                     period_us: num("period_us")?,
-                    ticks: num("ticks")? as u8,
+                    ticks: count("ticks")?,
                 },
                 "barrier" => Op::Barrier {
-                    parties: num("parties")? as u8,
+                    parties: count("parties")?,
                 },
                 "series" => Op::Series {
-                    steps: num("steps")? as u8,
+                    steps: count("steps")?,
                 },
                 "emitter" => Op::Emitter {
-                    listeners: num("listeners")? as u8,
+                    listeners: count("listeners")?,
                 },
                 "kv" => Op::Kv,
                 "fs" => Op::Fs,
@@ -441,13 +447,14 @@ impl Prog {
                 if part.is_empty() {
                     continue;
                 }
-                let (kind, site) = part.split_at(1);
-                let kind = match kind {
-                    "r" => AccessKind::Read,
-                    "w" => AccessKind::Write,
-                    "u" => AccessKind::Update,
-                    other => return Err(ProgError(format!("node {id}: bad touch '{other}'"))),
+                let mut chars = part.chars();
+                let kind = match chars.next() {
+                    Some('r') => AccessKind::Read,
+                    Some('w') => AccessKind::Write,
+                    Some('u') => AccessKind::Update,
+                    _ => return Err(ProgError(format!("node {id}: bad touch '{part}'"))),
                 };
+                let site = chars.as_str();
                 let site: u8 = site
                     .parse()
                     .map_err(|_| ProgError(format!("node {id}: bad touch site '{site}'")))?;
@@ -792,6 +799,10 @@ mod tests {
 
     #[test]
     fn parse_rejects_structural_defects() {
+        let listed_257_times = format!(
+            "nodefz-prog v1\n0 root children={}\n1 close\nend\n",
+            vec!["1"; 257].join(",")
+        );
         for bad in [
             "nodefz-prog v2\nend\n",
             "nodefz-prog v1\n0 root children=0 touches=\nend\n",
@@ -799,6 +810,15 @@ mod tests {
             "nodefz-prog v1\n0 root children= touches=\n",
             "nodefz-prog v1\n0 timer delay_us=1 children= touches=\nend\n",
             "nodefz-prog v1\n0 root children=1,1 touches=\n1 close children= touches=\nend\n",
+            // A multibyte touch kind, a child count past `u8`, and counts
+            // that would truncate into range (257 as u8 is 1).
+            "nodefz-prog v1\n0 root touches=é1\nend\n",
+            &listed_257_times,
+            "nodefz-prog v1\n0 root children=1\n1 fdchain msgs=257 gap_us=1\nend\n",
+            "nodefz-prog v1\n0 root children=1\n1 interval period_us=1 ticks=257\nend\n",
+            "nodefz-prog v1\n0 root children=1\n1 barrier parties=257\nend\n",
+            "nodefz-prog v1\n0 root children=1\n1 series steps=257\nend\n",
+            "nodefz-prog v1\n0 root children=1\n1 emitter listeners=257\nend\n",
         ] {
             assert!(Prog::parse(bad).is_err(), "accepted: {bad:?}");
         }

@@ -2,13 +2,13 @@
 //!
 //! When a generated program fails the differential harness, the raw tree
 //! is rarely the smallest witness. [`shrink_prog`] delta-debugs the
-//! program's non-root nodes with [`nodefz_check::ddmin`], re-running the
+//! program's non-root nodes with [`nodefz::ddmin`], re-running the
 //! caller's failure predicate on each structurally-valid projection
 //! ([`Prog::project`] drops orphaned subtrees and renumbers densely), and
 //! returns the minimal still-failing program — printable as a
 //! deterministic `nodefz-prog v1` literal via its `Display` impl.
 
-use nodefz_check::ddmin;
+use nodefz::ddmin;
 
 use crate::prog::Prog;
 

@@ -50,6 +50,7 @@ mod mode;
 mod params;
 mod replay;
 mod scheduler;
+mod shrink;
 mod systematic;
 
 pub use codec::{decode_trace, encode_trace, TraceDecodeError};
@@ -61,4 +62,5 @@ pub use replay::{
     ReplayScheduler, ReplayStatusHandle, TraceFormatError, TraceHandle,
 };
 pub use scheduler::{FuzzScheduler, FuzzStats};
+pub use shrink::{ddmin, DdminResult};
 pub use systematic::{explore, explore_pruned, OpportunityProbe, PruneStats, SystematicScheduler};

@@ -143,15 +143,13 @@ impl FuzzParams {
     /// the fidelity guarantees under *every* legal parameterization, not
     /// just the paper's three presets.
     pub fn sampled(seed: u64) -> FuzzParams {
-        // Local splitmix64 so the sampler has no dependency on the
-        // runtime's RNG stream shapes.
+        // A plain splitmix64 stream, so the sampler has no dependency on
+        // the runtime's RNG stream shapes.
         let mut state = seed;
         let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+            let z = nodefz_rt::splitmix64(state);
+            state = state.wrapping_add(nodefz_rt::GOLDEN_GAMMA);
+            z
         };
         let pct = |v: u64| (v % 101) as f64;
         let serialize_pool = next() % 4 != 0;

@@ -1,10 +1,8 @@
 //! Generic delta-debugging list minimization.
 //!
-//! The campaign crate ships a `DecisionTrace`-specific shrinker; this
-//! module is the element-agnostic core of the same algorithm, so other
-//! harnesses (notably `nodefz-conform`, which shrinks generated *programs*
-//! rather than decision traces) can ddmin over their own element type
-//! without re-deriving the chunk schedule.
+//! The one ddmin in the workspace: the campaign's trace shrinker runs it
+//! over a `DecisionTrace`'s decisions, and `nodefz-conform` runs it over
+//! a generated program's nodes.
 //!
 //! The oracle is "interesting": it must return `true` for any candidate
 //! that still exhibits the behaviour being minimized (a failure, a bug

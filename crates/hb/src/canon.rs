@@ -27,7 +27,7 @@
 
 use std::collections::VecDeque;
 
-use nodefz_rt::{AccessKind, EvDetail, EvKind, EventLog, EventRecord};
+use nodefz_rt::{fnv1a, splitmix64, AccessKind, EvDetail, EvKind, EventLog, EventRecord};
 
 /// A 128-bit canonical key for one schedule's HB-equivalence class.
 ///
@@ -47,31 +47,10 @@ impl CanonKey {
     }
 }
 
-/// splitmix64 finalizer: the avalanche mix behind every hash here.
-#[inline]
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Combines two words order-sensitively (for causal chains).
 #[inline]
 fn chain(a: u64, b: u64) -> u64 {
-    mix(a ^ b.rotate_left(17).wrapping_mul(0xA24B_AED4_963E_E407))
-}
-
-/// FNV-1a over a byte string; seeds site-name hashes so access footprints
-/// are independent of the log's (schedule-dependent) interning order.
-#[inline]
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    splitmix64(a ^ b.rotate_left(17).wrapping_mul(0xA24B_AED4_963E_E407))
 }
 
 fn kind_tag(kind: EvKind) -> u64 {
@@ -143,7 +122,7 @@ impl CanonBuilder {
     /// shared-site accesses (see [`CanonBuilder::fold_accesses`]); pass 0
     /// for events with no instrumented accesses.
     pub fn push(&mut self, ev: &EventRecord, footprint: u64) {
-        let mut name = mix(kind_tag(ev.kind) ^ 0x6E66_7A63_616E_6F6E); // "nfzcanon"
+        let mut name = splitmix64(kind_tag(ev.kind) ^ 0x6E66_7A63_616E_6F6E); // "nfzcanon"
         if let Some(c) = ev.cause {
             let cn = self.names.get(c.0 as usize).copied().unwrap_or(0);
             name = chain(name, cn ^ 0x01);
@@ -171,8 +150,8 @@ impl CanonBuilder {
             self.names.resize(idx + 1, 0);
         }
         self.names[idx] = name;
-        self.acc[0] = self.acc[0].wrapping_add(mix(name ^ 0x9049_4E45_5F30_3030));
-        self.acc[1] = self.acc[1].wrapping_add(mix(name ^ 0x104E_4F44_455F_465A));
+        self.acc[0] = self.acc[0].wrapping_add(splitmix64(name ^ 0x9049_4E45_5F30_3030));
+        self.acc[1] = self.acc[1].wrapping_add(splitmix64(name ^ 0x104E_4F44_455F_465A));
         self.len += 1;
     }
 
@@ -181,14 +160,14 @@ impl CanonBuilder {
         if self.len == 0 {
             return CanonKey::EMPTY;
         }
-        let hi = mix(self.acc[0] ^ self.len);
-        let lo = mix(self.acc[1] ^ self.len.rotate_left(32));
+        let hi = splitmix64(self.acc[0] ^ self.len);
+        let lo = splitmix64(self.acc[1] ^ self.len.rotate_left(32));
         CanonKey((u128::from(hi) << 64) | u128::from(lo))
     }
 
     /// Computes per-event access footprints for `log` into `out`
     /// (indexed by event id): a commutative fold of
-    /// `mix(site_name_hash ^ access_kind)` over the event's accesses.
+    /// `splitmix64(site_name_hash ^ access_kind)` over the event's accesses.
     ///
     /// Site *names* are hashed, not site indices — interning order differs
     /// between interleavings, the strings do not.
@@ -201,7 +180,7 @@ impl CanonBuilder {
         for a in &log.accesses {
             let site = self.site_hashes.get(a.site as usize).copied().unwrap_or(0);
             if let Some(slot) = out.get_mut(a.event.0 as usize) {
-                *slot = slot.wrapping_add(mix(site ^ access_tag(a.kind)));
+                *slot = slot.wrapping_add(splitmix64(site ^ access_tag(a.kind)));
             }
         }
     }

@@ -327,7 +327,10 @@ impl Journal {
                     message: format!("seq {} not monotone (next {})", entry.seq, journal.next_seq),
                 });
             }
-            journal.next_seq = entry.seq + 1;
+            journal.next_seq = entry.seq.checked_add(1).ok_or_else(|| JournalDecodeError {
+                line: idx + 1,
+                message: format!("seq {} overflows", entry.seq),
+            })?;
             journal.buf.push_back(entry);
         }
         Ok(journal)
@@ -571,5 +574,30 @@ mod tests {
         let text = j.encode();
         let torn = &text[..text.len() - 3];
         assert!(Journal::decode(torn).is_err());
+    }
+
+    #[test]
+    fn out_of_range_seq_is_an_error_not_a_wrap() {
+        let header = Journal::new(4).encode();
+        let line = |seq: &str| {
+            format!(
+                r#"{{"seq": {seq}, "t_ms": 0, "kind": "prune", "exec": 1, "verdict": "distinct"}}"#
+            )
+        };
+        // u64::MAX's spelling is 2^64 as a double: out of range, so the
+        // line fails instead of wrapping the sequence back to 0.
+        let max = format!("{header}{}\n{}\n", line("18446744073709551615"), line("0"));
+        let Err(err) = Journal::decode(&max) else {
+            panic!("a seq of 2^64 decoded");
+        };
+        assert_eq!(err.line, 2, "{err}");
+        assert!(err.message.contains("seq"), "{err}");
+        // The largest in-range seq still decodes and continues the sequence.
+        let top = format!("{header}{}\n", line("18446744073709549568"));
+        let j = Journal::decode(&top).expect("in-range seq decodes");
+        assert_eq!(
+            j.entries().last().expect("entry").seq,
+            18_446_744_073_709_549_568
+        );
     }
 }

@@ -1,4 +1,4 @@
-//! nodefz-obs: zero-overhead-when-off telemetry for Node.fz campaigns.
+//! nodefz-obs: telemetry for Node.fz campaigns.
 //!
 //! The paper's evaluation is built on observables — bug manifestation
 //! rates (Fig. 6), schedule diversity (Fig. 7), and runtime overhead
@@ -10,12 +10,12 @@
 //!   per-worker sharded counters and fixed-bucket histograms. All hot-path
 //!   operations are relaxed `AtomicU64` adds on pre-allocated slots; the
 //!   sharded values are only folded together at scrape time.
-//! * [`ObsLevel`] — the runtime knob layered on top of the compile-time
-//!   `obs` cargo features downstream crates define. The default build
-//!   compiles none of the loop instrumentation at all.
+//! * [`ObsLevel`] — the run-time dial for loop profiling. Every build
+//!   compiles the runtime's loop hooks; a run is profiled only when a
+//!   handle is attached, which the campaign does above [`ObsLevel::Off`].
 //! * [`JsonWriter`] — a dependency-free JSON emitter shared by the
-//!   `nodefz-metrics-v1` snapshot writer, the `nodefz-throughput-v1`
-//!   bench report, and the chrome-trace exporter.
+//!   `nodefz-metrics-v1` snapshot writer, the `nodefz-throughput-v2`
+//!   bench report, and the campaign's chrome-trace exporter.
 //! * [`JsonValue`] — the matching reader: a strict recursive-descent
 //!   parser for consumers of those documents in *other* processes (the
 //!   campaign orchestrator reading worker snapshots).
@@ -29,9 +29,6 @@
 //!   ring of structured events (arm pulls with bandit state, prune
 //!   verdicts, worker lifecycle, discoveries) with the
 //!   `nodefz-journal-v1` JSON-lines codec.
-//! * [`ChromeTrace`] (feature `rt`) — a `TraceEventSink` that collects a
-//!   single run's loop-phase and callback timeline in chrome://tracing
-//!   format, loadable in Perfetto.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -42,9 +39,6 @@ mod json;
 mod parse;
 mod registry;
 mod schema;
-
-#[cfg(feature = "rt")]
-mod chrome;
 
 pub use fsio::write_atomic;
 pub use journal::{
@@ -57,36 +51,28 @@ pub use registry::{
     CounterId, CounterSnapshot, HistogramId, HistogramSnapshot, Registry, RegistryBuilder,
     RegistrySnapshot, ShardHandle,
 };
-pub use schema::{expect_header, expect_schema, expect_schema_any, SchemaError};
+pub use schema::{expect_header, expect_schema, SchemaError};
 
-#[cfg(feature = "rt")]
-pub use chrome::ChromeTrace;
-
-/// How much telemetry an observed run should collect.
+/// How much loop telemetry a campaign's worker runs collect.
 ///
-/// The compile-time `obs` features decide whether instrumentation code
-/// exists at all; `ObsLevel` is the runtime dial on top of it. A binary
-/// built with telemetry compiled in still defaults to [`ObsLevel::Off`].
+/// The loop hooks are compiled into every build; this run-time dial
+/// decides whether workers attach a profiling handle at all.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ObsLevel {
-    /// No telemetry: no registry writes, no phase timing, no trace events.
+    /// No loop profiling: no handle attached, no phase timing.
     #[default]
     Off,
-    /// Counters and histograms only (phase timings, dispatch counts,
-    /// campaign gauges). No per-event trace collection.
+    /// Per-phase timings and per-kind dispatch counts, folded into the
+    /// metrics registry after every run.
     Counters,
-    /// Everything in [`ObsLevel::Counters`] plus per-event chrome-trace
-    /// collection where a sink is attached.
-    Full,
 }
 
 impl ObsLevel {
-    /// Parses the CLI spelling (`off` | `counters` | `full`).
+    /// Parses the CLI spelling (`off` | `counters`).
     pub fn parse(s: &str) -> Option<ObsLevel> {
         match s {
             "off" => Some(ObsLevel::Off),
             "counters" => Some(ObsLevel::Counters),
-            "full" => Some(ObsLevel::Full),
             _ => None,
         }
     }
@@ -96,7 +82,6 @@ impl ObsLevel {
         match self {
             ObsLevel::Off => "off",
             ObsLevel::Counters => "counters",
-            ObsLevel::Full => "full",
         }
     }
 
@@ -112,16 +97,16 @@ mod tests {
 
     #[test]
     fn levels_round_trip_through_their_labels() {
-        for level in [ObsLevel::Off, ObsLevel::Counters, ObsLevel::Full] {
+        for level in [ObsLevel::Off, ObsLevel::Counters] {
             assert_eq!(ObsLevel::parse(level.label()), Some(level));
         }
         assert_eq!(ObsLevel::parse("verbose"), None);
+        assert_eq!(ObsLevel::parse("full"), None);
     }
 
     #[test]
     fn default_is_off_and_levels_are_ordered() {
         assert!(ObsLevel::default().is_off());
         assert!(ObsLevel::Off < ObsLevel::Counters);
-        assert!(ObsLevel::Counters < ObsLevel::Full);
     }
 }

@@ -106,10 +106,11 @@ impl JsonValue {
     }
 
     /// The numeric payload as an unsigned integer (must be whole and
-    /// in range).
+    /// below 2^64). `u64::MAX as f64` rounds up to 2^64 itself, so the
+    /// bound is strict: 2^64 would otherwise saturate to `u64::MAX`.
     pub fn as_u64(&self) -> Option<u64> {
         let n = self.as_f64()?;
-        (n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64).then_some(n as u64)
+        (n >= 0.0 && n.fract() == 0.0 && n < u64::MAX as f64).then_some(n as u64)
     }
 
     /// The boolean payload, if this is a boolean.
@@ -426,6 +427,21 @@ mod tests {
         assert_eq!(items[2].as_u64(), Some(0));
         assert_eq!(items[3].as_str(), Some("é😀"));
         assert!(JsonValue::parse("[1.5.5]").is_err());
+    }
+
+    #[test]
+    fn as_u64_rejects_two_to_the_64_and_above() {
+        let num = |text: &str| JsonValue::parse(text).unwrap().as_u64();
+        // The largest double below 2^64 still converts exactly.
+        assert_eq!(
+            num("18446744073709549568"),
+            Some(18_446_744_073_709_549_568)
+        );
+        // u64::MAX's decimal spelling parses to the double 2^64.
+        assert_eq!(num("18446744073709551615"), None);
+        assert_eq!(num("18446744073709551616"), None);
+        assert_eq!(num("1e400"), None, "infinity");
+        assert_eq!(num("0.5"), None);
         assert!(JsonValue::parse(r#""\ud800""#).is_err(), "lone surrogate");
     }
 

@@ -56,34 +56,15 @@ impl std::error::Error for SchemaError {}
 /// [`SchemaError::Missing`] when the field is absent or not a string,
 /// [`SchemaError::Mismatch`] when it names a different schema.
 pub fn expect_schema(doc: &JsonValue, expected: &str) -> Result<(), SchemaError> {
-    expect_schema_any(doc, &[expected]).map(|_| ())
-}
-
-/// Checks a parsed JSON document's `"schema"` field against a set of
-/// accepted schemas (a reader spanning a v1 → v2 migration) and returns
-/// the one that matched.
-///
-/// # Errors
-///
-/// As [`expect_schema`]; the error's `expected` joins the accepted set
-/// with `|`.
-pub fn expect_schema_any<'a>(
-    doc: &JsonValue,
-    accepted: &[&'a str],
-) -> Result<&'a str, SchemaError> {
-    let expected = || accepted.join("|");
     match doc.get("schema").and_then(|s| s.as_str()) {
         None => Err(SchemaError::Missing {
-            expected: expected(),
+            expected: expected.to_string(),
         }),
-        Some(found) => accepted
-            .iter()
-            .find(|s| **s == found)
-            .copied()
-            .ok_or_else(|| SchemaError::Mismatch {
-                expected: expected(),
-                found: found.to_string(),
-            }),
+        Some(found) if found == expected => Ok(()),
+        Some(found) => Err(SchemaError::Mismatch {
+            expected: expected.to_string(),
+            found: found.to_string(),
+        }),
     }
 }
 
@@ -132,18 +113,6 @@ mod tests {
             expect_schema(&absent, "nodefz-x-v1"),
             Err(SchemaError::Missing { .. })
         ));
-    }
-
-    #[test]
-    fn schema_any_returns_the_matched_version() {
-        let v2 = JsonValue::parse("{\"schema\": \"nodefz-x-v2\"}").unwrap();
-        assert_eq!(
-            expect_schema_any(&v2, &["nodefz-x-v1", "nodefz-x-v2"]),
-            Ok("nodefz-x-v2")
-        );
-        let v3 = JsonValue::parse("{\"schema\": \"nodefz-x-v3\"}").unwrap();
-        let err = expect_schema_any(&v3, &["nodefz-x-v1", "nodefz-x-v2"]).unwrap_err();
-        assert!(err.to_string().contains("nodefz-x-v1|nodefz-x-v2"));
     }
 
     #[test]

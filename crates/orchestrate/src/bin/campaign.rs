@@ -77,10 +77,9 @@ const USAGE: &str = "usage: campaign [options]
   --journal-out PATH write the nodefz-journal-v1 flight recorder (arm
                      pulls with bandit state, prune verdicts, bug
                      discoveries) to PATH at drain
-  --trace-out PATH   after the campaign, record one instrumented run as a
-                     chrome://tracing timeline (needs an obs-feature build)
-  --obs-level LEVEL  worker loop profiling: off | counters | full
-                     (default off; above off needs an obs-feature build)
+  --trace-out PATH   after the campaign, record one profiled run as a
+                     chrome://tracing timeline
+  --obs-level LEVEL  worker loop profiling: off | counters (default off)
   --bench-execs      measure execs/sec per (app, preset) and exit
   --bench-window-ms N  measurement window per arm (default 400)
   --bench-warmup-ms N  warmup per arm, excluded from measurement (default 100)

@@ -22,9 +22,10 @@ use std::time::Duration;
 
 use nodefz_campaign::{arm_space, ArmSpec};
 use nodefz_obs::{Journal, JournalEvent, JsonValue, JsonWriter, WorkerState, JOURNAL_CAP};
+use nodefz_rt::{fnv1a, splitmix64, GOLDEN_GAMMA};
 
 use crate::merge::MergedCorpus;
-use crate::scheduler::{ArmState, Scheduler, SchedulerKind, SplitMix};
+use crate::scheduler::{ArmState, Scheduler, SchedulerKind};
 use crate::worker::{self, Outcome, WorkItem};
 
 /// Everything an orchestrated campaign needs.
@@ -382,12 +383,7 @@ impl OrchReport {
 /// many slices that arm has already received — never on shard count,
 /// spawn order, or wall clock.
 pub fn work_seed(base: u64, arm_label: &str, nth_pull: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in arm_label.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    SplitMix::new(base ^ h ^ nth_pull.wrapping_mul(0x9e37_79b9_7f4a_7c15)).next_u64()
+    splitmix64(base ^ fnv1a(arm_label.as_bytes()) ^ nth_pull.wrapping_mul(GOLDEN_GAMMA))
 }
 
 /// The fields the orchestrator reads back from a worker's

@@ -4,8 +4,8 @@
 //! An orchestrated workdir holds one journal per process — the
 //! orchestrator's (arm picks, worker lifecycle, merged discoveries) plus
 //! one per worker slice (its own arm pulls, prune verdicts, local
-//! discoveries) — and, under an obs-feature build, one chrome-trace
-//! timeline per worker. This module folds them into two artifacts:
+//! discoveries) — and one chrome-trace timeline per worker that drained
+//! (`--trace-out`). This module folds them into two artifacts:
 //!
 //! * `journal.jsonl` — every retained event from every journal, each
 //!   line tagged with its `source` process, orchestrator first. Still a
@@ -15,7 +15,7 @@
 //!   reap, in wall milliseconds), and each worker gets its own pid with
 //!   `process_name`/`thread_name` metadata naming it by its arm, its
 //!   virtual-time spans re-based onto that pid. Workers without a trace
-//!   (default builds) still appear as named processes.
+//!   (crashed or stalled before drain) still appear as named processes.
 
 use std::path::{Path, PathBuf};
 

@@ -217,11 +217,9 @@ impl SplitMix {
 
     /// Next raw 64-bit draw.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        let z = nodefz_rt::splitmix64(self.state);
+        self.state = self.state.wrapping_add(nodefz_rt::GOLDEN_GAMMA);
+        z
     }
 
     /// Uniform draw in `[0, 1)`.

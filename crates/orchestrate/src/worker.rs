@@ -51,8 +51,8 @@ impl WorkItem {
         self.dir.join("journal.jsonl")
     }
 
-    /// The worker's chrome-trace timeline path (written only by
-    /// obs-feature builds).
+    /// The worker's chrome-trace timeline path (written once the worker
+    /// drains; a crashed or stalled worker leaves none).
     pub fn trace_path(&self) -> PathBuf {
         self.dir.join("trace.json")
     }
@@ -129,15 +129,11 @@ pub fn worker_args(arm: &ArmSpec, item: &WorkItem, replay_checks: u32, prune: bo
         item.metrics_path().display().to_string(),
         "--journal-out".into(),
         item.journal_path().display().to_string(),
+        "--trace-out".into(),
+        item.trace_path().display().to_string(),
     ];
     if prune {
         args.push("--prune".into());
-    }
-    // Same binary, so an obs-built orchestrator spawns obs-built workers:
-    // have each record its chrome-trace timeline for the merged report.
-    if cfg!(feature = "obs") {
-        args.push("--trace-out".into());
-        args.push(item.trace_path().display().to_string());
     }
     if item.sabotage {
         args.push("--crash-after-runs".into());
@@ -238,6 +234,7 @@ mod tests {
             joined.contains("--journal-out /tmp/w/journal.jsonl"),
             "{joined}"
         );
+        assert!(joined.contains("--trace-out /tmp/w/trace.json"), "{joined}");
         assert!(!joined.contains("--crash-after-runs"), "{joined}");
         assert!(!joined.contains("--prune"), "{joined}");
     }

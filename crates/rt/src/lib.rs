@@ -62,7 +62,6 @@ mod envq;
 mod error;
 mod events;
 mod looper;
-#[cfg(feature = "obs")]
 pub mod obs;
 mod poll;
 mod pool;
@@ -81,12 +80,11 @@ pub use events::{
     Access, AccessKind, CbId, EvDetail, EvKind, EventLog, EventLogHandle, EventRecord,
 };
 pub use looper::{EventLoop, LiveCounts, LoopConfig, LoopPool, RunReport, Termination};
-#[cfg(feature = "obs")]
 pub use obs::{LoopObs, ObsHandle, Phase, PhaseProfile, TraceEvent, TraceEventSink};
 pub use poll::{Fd, FdKind, ReadyEntry};
 pub use pool::{PoolStats, TaskId, WorkCtx};
 pub use proc::{ChildSpec, Pid};
-pub use rng::{Rng, ShuffleScratch};
+pub use rng::{fnv1a, splitmix64, Rng, ShuffleScratch, GOLDEN_GAMMA};
 pub use sched::{PoolMode, Scheduler, TimerVerdict, VanillaScheduler};
 pub use signal::Signal;
 pub use time::{VDur, VTime};

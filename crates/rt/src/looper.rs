@@ -11,13 +11,11 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-#[cfg(feature = "obs")]
-use crate::obs::{ObsHandle, ObsSpan, Phase};
-
 use crate::ctx::{Ctx, HandleId};
 use crate::envq::{EnvAction, EnvQueue};
 use crate::error::AppError;
 use crate::events::{CbId, EvDetail, EvKind, EventLogHandle};
+use crate::obs::{ObsHandle, ObsSpan, Phase};
 use crate::poll::{Fd, FdKind, PollState, ReadyEntry};
 use crate::pool::{CompletedTask, PoolState, PoolStats, RunningTask, TaskId, WorkCtx};
 use crate::proc::ProcTable;
@@ -28,10 +26,8 @@ use crate::time::{VDur, VTime};
 use crate::timers::TimerHeap;
 use crate::trace::{CbKind, TraceRecorder, TypeSchedule};
 
-/// Wraps a loop-phase body in an observability span (feature `obs`).
-/// With the feature off this expands to the bare body: the hot path
-/// compiles exactly as before.
-#[cfg(feature = "obs")]
+/// Wraps a loop-phase body in an observability span; a no-op unless an
+/// [`ObsHandle`] is attached.
 macro_rules! phased {
     ($self:ident, $phase:ident, $body:expr) => {{
         let span = $self.obs_enter();
@@ -40,15 +36,7 @@ macro_rules! phased {
     }};
 }
 
-#[cfg(not(feature = "obs"))]
-macro_rules! phased {
-    ($self:ident, $phase:ident, $body:expr) => {
-        $body
-    };
-}
-
-/// Wraps one callback dispatch in an observability span (feature `obs`).
-#[cfg(feature = "obs")]
+/// Wraps one callback dispatch in an observability span.
 macro_rules! cb_span {
     ($self:ident, $kind:expr, $body:expr) => {{
         let kind = $kind;
@@ -56,13 +44,6 @@ macro_rules! cb_span {
         $body;
         $self.obs_exit_dispatch(span, kind);
     }};
-}
-
-#[cfg(not(feature = "obs"))]
-macro_rules! cb_span {
-    ($self:ident, $kind:expr, $body:expr) => {
-        $body
-    };
 }
 
 /// A one-shot queued callback.
@@ -540,8 +521,7 @@ pub struct EventLoop {
     pool_mode: PoolMode,
     /// Pool the state returns to when the loop is dropped.
     home: Option<LoopPool>,
-    /// Attached observability, if any (compile-time feature `obs`).
-    #[cfg(feature = "obs")]
+    /// Attached observability, if any.
     obs: Option<ObsHandle>,
 }
 
@@ -560,7 +540,6 @@ impl EventLoop {
             sched,
             pool_mode,
             home: None,
-            #[cfg(feature = "obs")]
             obs: None,
         }
     }
@@ -588,7 +567,6 @@ impl EventLoop {
             sched,
             pool_mode,
             home: Some(pool.clone()),
-            #[cfg(feature = "obs")]
             obs: None,
         }
     }
@@ -607,29 +585,18 @@ impl EventLoop {
     }
 
     /// Attaches an observability handle: subsequent phases and dispatches
-    /// are profiled into it (and forwarded to its sink, if any).
-    ///
-    /// Only available with the `obs` feature; without it the loop carries
-    /// no instrumentation at all.
-    #[cfg(feature = "obs")]
+    /// are profiled into it (and forwarded to its sink, if any). A loop
+    /// without a handle skips the profiling entirely.
     pub fn set_obs(&mut self, obs: ObsHandle) {
         self.obs = Some(obs);
     }
 
-    /// Detaches the observability handle, if one was attached.
-    #[cfg(feature = "obs")]
-    pub fn clear_obs(&mut self) {
-        self.obs = None;
-    }
-
-    #[cfg(feature = "obs")]
     fn obs_enter(&self) -> ObsSpan {
         self.obs
             .as_ref()
             .map(|_| (self.st.now, std::time::Instant::now()))
     }
 
-    #[cfg(feature = "obs")]
     fn obs_exit_phase(&mut self, span: ObsSpan, phase: Phase) {
         if let (Some(obs), Some((start, wall))) = (&self.obs, span) {
             let wall_ns = wall.elapsed().as_nanos() as u64;
@@ -637,7 +604,6 @@ impl EventLoop {
         }
     }
 
-    #[cfg(feature = "obs")]
     fn obs_exit_dispatch(&mut self, span: ObsSpan, kind: CbKind) {
         if let (Some(obs), Some((start, wall))) = (&self.obs, span) {
             let wall_ns = wall.elapsed().as_nanos() as u64;

@@ -1,12 +1,12 @@
-//! Loop-phase observability (compile-time feature `obs`).
+//! Loop-phase observability.
 //!
-//! When the `obs` feature is enabled the event loop can carry an
-//! [`ObsHandle`]: per-phase virtual-time and wall-time profiles, per-
-//! [`CbKind`] dispatch counts, and an optional [`TraceEventSink`] that
-//! receives one event per completed phase span and per dispatched
-//! callback (the nodefz-obs crate turns those into chrome://tracing
-//! JSON). Without the feature none of this module exists and the loop's
-//! hot path compiles exactly as before — zero overhead when off.
+//! The event loop can carry an [`ObsHandle`]: per-phase virtual-time and
+//! wall-time profiles, per-[`CbKind`] dispatch counts, and an optional
+//! [`TraceEventSink`] that receives one event per completed phase span
+//! and per dispatched callback (the campaign's `--trace-out` turns those
+//! into chrome://tracing JSON). Whether a run is profiled is decided at
+//! run time: a loop with no handle attached takes none of the timing
+//! paths, it only tests the empty `Option` at each phase and dispatch.
 //!
 //! The handle is `Rc`-based, like the loop itself: observability is
 //! attached per loop on its owning thread, and only aggregated numbers
@@ -109,7 +109,7 @@ pub struct TraceEvent<'a> {
     pub wall_ns: u64,
 }
 
-/// A consumer of [`TraceEvent`]s, e.g. nodefz-obs's chrome-trace
+/// A consumer of [`TraceEvent`]s, e.g. the campaign's chrome-trace
 /// exporter.
 pub trait TraceEventSink {
     /// Receives one completed span. Called synchronously from the loop.

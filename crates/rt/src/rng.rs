@@ -29,27 +29,42 @@ pub struct Rng {
     s: [u64; 4],
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
+/// The splitmix64 stream increment: 2^64 over the golden ratio, odd.
+pub const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// splitmix64: adds [`GOLDEN_GAMMA`] to `z`, then applies the avalanche
+/// finalizer. This is the output of one step of the splitmix64 stream
+/// whose state is `z` (the next state is `z + GOLDEN_GAMMA`), and the
+/// workspace's one 64-bit mixer for seed derivation and hashing.
+#[inline]
+pub fn splitmix64(z: u64) -> u64 {
+    let mut z = z.wrapping_add(GOLDEN_GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
 
+/// 64-bit FNV-1a over a byte string.
+#[inline]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
 impl Rng {
-    /// Creates a generator from a 64-bit seed.
+    /// Creates a generator from a 64-bit seed: the state is the first
+    /// four outputs of the splitmix64 stream starting at `seed`.
     ///
     /// Identical seeds always produce identical streams.
     pub fn new(seed: u64) -> Rng {
-        let mut sm = seed;
         Rng {
-            s: [
-                splitmix64(&mut sm),
-                splitmix64(&mut sm),
-                splitmix64(&mut sm),
-                splitmix64(&mut sm),
-            ],
+            s: std::array::from_fn(|i| {
+                splitmix64(seed.wrapping_add((i as u64).wrapping_mul(GOLDEN_GAMMA)))
+            }),
         }
     }
 
@@ -217,6 +232,16 @@ impl Rng {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mixers_match_their_reference_vectors() {
+        // splitmix64's published stream from state 0.
+        assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(splitmix64(GOLDEN_GAMMA), 0x6E78_9E6A_A1B9_65F4);
+        assert_eq!(fnv1a(b""), 0xCBF2_9CE4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xAF63_DC4C_8601_EC8C);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_F739_67E8);
+    }
 
     #[test]
     fn same_seed_same_stream() {

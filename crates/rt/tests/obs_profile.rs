@@ -1,7 +1,6 @@
-//! Integration tests for loop-phase profiling (feature `obs`): phase
-//! profiles, per-kind dispatch counts, sink events, and — critically —
-//! that attaching observability does not perturb the run itself.
-#![cfg(feature = "obs")]
+//! Integration tests for loop-phase profiling: phase profiles, per-kind
+//! dispatch counts, sink events, and — critically — that attaching
+//! observability does not perturb the run itself.
 
 use std::cell::RefCell;
 use std::rc::Rc;

@@ -68,18 +68,8 @@ pub fn analyze_model(model: StaticModel) -> ModelAnalysis {
     }
 }
 
-/// 64-bit FNV-1a over `bytes`.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn finding_id(parts: &[&str]) -> String {
-    format!("sa-{:016x}", fnv1a64(parts.join("|").as_bytes()))
+    format!("sa-{:016x}", nodefz_rt::fnv1a(parts.join("|").as_bytes()))
 }
 
 fn candidate_id(model: &StaticModel, c: &Candidate) -> String {

@@ -13,17 +13,7 @@
 
 use std::fmt;
 
-use nodefz_rt::{CbKind, TypeSchedule};
-
-/// 64-bit FNV-1a over a byte string.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use nodefz_rt::{fnv1a, CbKind, TypeSchedule};
 
 /// Normalizes a failure-site string for grouping.
 ///
