@@ -9,10 +9,10 @@
 //!   feeding replay-then-flip runs; no fuzz preset),
 //! * `conform` — the generative conformance arm under a real preset.
 //!
-//! `campaign --list --json` prints this enumeration as the
-//! `nodefz-arms-v1` document so an orchestrator — possibly driving a
-//! different build of the binary — consumes a machine-readable contract
-//! instead of scraping human output.
+//! The orchestrator enumerates the space in-process with [`arm_space`].
+//! `campaign --list --json` prints the same enumeration as the
+//! `nodefz-arms-v1` document, for scripts and people who want the arm
+//! space without scraping human output.
 
 use nodefz_obs::JsonWriter;
 
@@ -36,16 +36,6 @@ impl ArmMode {
             ArmMode::Fuzz => "fuzz",
             ArmMode::Directed => "directed",
             ArmMode::Conform => "conform",
-        }
-    }
-
-    /// Parses the document spelling.
-    pub fn parse(s: &str) -> Option<ArmMode> {
-        match s {
-            "fuzz" => Some(ArmMode::Fuzz),
-            "directed" => Some(ArmMode::Directed),
-            "conform" => Some(ArmMode::Conform),
-            _ => None,
         }
     }
 }
@@ -119,35 +109,6 @@ pub fn arms_to_json(arms: &[ArmSpec]) -> String {
     out
 }
 
-/// Parses a `nodefz-arms-v1` document back into arm specs.
-///
-/// # Errors
-///
-/// Describes the first malformed part.
-pub fn arms_from_json(text: &str) -> Result<Vec<ArmSpec>, String> {
-    let doc = nodefz_obs::JsonValue::parse(text).map_err(|e| format!("arms document: {e}"))?;
-    nodefz_obs::expect_schema(&doc, "nodefz-arms-v1").map_err(|e| format!("arms document: {e}"))?;
-    let arms = doc
-        .get("arms")
-        .and_then(|a| a.as_array())
-        .ok_or("arms document: missing arms array")?;
-    arms.iter()
-        .map(|arm| {
-            let field = |key: &str| {
-                arm.get(key)
-                    .and_then(|v| v.as_str())
-                    .ok_or_else(|| format!("arms document: arm missing '{key}'"))
-            };
-            Ok(ArmSpec {
-                app: field("app")?.to_string(),
-                preset: field("preset")?.to_string(),
-                mode: ArmMode::parse(field("mode")?)
-                    .ok_or_else(|| format!("arms document: unknown mode in {arm:?}"))?,
-            })
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,32 +136,5 @@ mod tests {
                 && !labels.contains(&"CONFORM-API/directed/directed".to_string()),
             "the conform pseudo-apps have no directed arm"
         );
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let arms = arm_space(&["GHO".to_string(), "CONFORM".to_string()]);
-        let json = arms_to_json(&arms);
-        assert!(json.contains("\"schema\": \"nodefz-arms-v1\""));
-        assert_eq!(arms_from_json(&json).unwrap(), arms);
-    }
-
-    #[test]
-    fn malformed_documents_are_named() {
-        assert!(arms_from_json("{}").unwrap_err().contains("schema"));
-        assert!(arms_from_json("not json")
-            .unwrap_err()
-            .contains("arms document"));
-        let wrong_mode =
-            r#"{"schema": "nodefz-arms-v1", "arms": [{"app": "A", "preset": "p", "mode": "x"}]}"#;
-        assert!(arms_from_json(wrong_mode).unwrap_err().contains("mode"));
-    }
-
-    #[test]
-    fn modes_round_trip_their_labels() {
-        for mode in [ArmMode::Fuzz, ArmMode::Directed, ArmMode::Conform] {
-            assert_eq!(ArmMode::parse(mode.label()), Some(mode));
-        }
-        assert_eq!(ArmMode::parse("replay"), None);
     }
 }

@@ -153,8 +153,24 @@ impl CampaignConfig {
                 ));
             }
         }
-        Ok(())
+        reject_duplicate_apps(&self.apps)
     }
+}
+
+/// Fails naming the first app listed twice. Apps compare
+/// case-insensitively, as [`crate::resolve_case`] resolves them: a
+/// duplicate would split one arm's runs across two indistinguishable arms.
+///
+/// # Errors
+///
+/// Names the duplicated app.
+pub fn reject_duplicate_apps(apps: &[String]) -> Result<(), String> {
+    for (i, app) in apps.iter().enumerate() {
+        if apps[..i].iter().any(|a| a.eq_ignore_ascii_case(app)) {
+            return Err(format!("app '{app}' is listed twice"));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -177,6 +193,16 @@ mod tests {
         };
         let err = cfg.validate().unwrap_err();
         assert!(err.contains("NOPE"), "{err}");
+    }
+
+    #[test]
+    fn duplicate_apps_are_named_in_the_error() {
+        let cfg = CampaignConfig {
+            apps: vec!["KUE".into(), "GHO".into(), "kue".into()],
+            ..CampaignConfig::default()
+        };
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("kue") && err.contains("twice"), "{err}");
     }
 
     #[test]

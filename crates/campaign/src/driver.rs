@@ -30,7 +30,7 @@ use nodefz_rt::{EventLogHandle, TypeSchedule};
 use nodefz_trace::BugSignature;
 
 use crate::analyze::directed_specs;
-use crate::bandit::{Arm, Bandit};
+use crate::bandit::Bandit;
 use crate::config::{preset_name, preset_params, CampaignConfig, DIRECTED_PRESET};
 use crate::corpus::{Corpus, CorpusEntry};
 use crate::dedup::{BugRecord, Deduper, Finding};
@@ -63,12 +63,24 @@ pub fn resolve_case(app: &str) -> Option<Box<dyn nodefz_apps::common::BugCase>> 
     nodefz_apps::by_abbr(app)
 }
 
+/// One (app, preset) pair the campaign can spend runs on; the bandit
+/// knows it by its index in the campaign's arm list.
+#[derive(Clone, Debug)]
+pub(crate) struct Arm {
+    /// Bug abbreviation ("KUE", …).
+    pub app: String,
+    /// Index into [`crate::config::PRESETS`], or [`DIRECTED_PRESET`].
+    pub preset: usize,
+}
+
 /// One unit of worker work.
 enum Job {
     /// Run the app once under a recording fuzz scheduler — or, when a
     /// directed spec is attached, under a race-directed scheduler that
     /// replays the spec's prefix and forces the predicted flip.
     Fuzz {
+        /// Index of the arm in the campaign's arm list.
+        arm: usize,
         app: String,
         preset: usize,
         env_seed: u64,
@@ -91,8 +103,8 @@ enum Job {
 /// Worker → controller messages.
 enum Msg {
     FuzzDone {
-        app: String,
-        preset: usize,
+        /// Index of the arm the run was dispatched for.
+        arm: usize,
         finding: Option<Finding>,
         /// The run's type schedule, when the job asked for it.
         schedule: Option<TypeSchedule>,
@@ -444,6 +456,7 @@ fn worker_loop(
     loop {
         match queue.pop(me) {
             Some(Job::Fuzz {
+                arm,
                 app,
                 preset,
                 env_seed,
@@ -457,8 +470,7 @@ fn worker_loop(
                 telemetry.record_exec(exec.dispatched, exec.finding.is_some());
                 if tx
                     .send(Msg::FuzzDone {
-                        app,
-                        preset,
+                        arm,
                         finding: exec.finding,
                         schedule: exec.schedule,
                         canon: exec.canon,
@@ -515,8 +527,9 @@ pub(crate) fn derive_seed(base: u64, i: u64) -> u64 {
 
 /// Folds an arm into the campaign base seed so each arm probes its own
 /// deterministic seed sequence. Worker completion order then only decides
-/// *how many* seeds of each arm's sequence get probed, not which ones —
-/// same-seed campaigns reproduce the same findings.
+/// *how many* seeds of each arm's sequence get probed, not which ones: a
+/// one-thread campaign reproduces byte for byte, and with more threads
+/// hit counts (and which run first trips a bug) can vary.
 fn arm_base(base: u64, arm: &Arm) -> u64 {
     arm_seed(base, &arm.app, arm.preset)
 }
@@ -582,7 +595,7 @@ pub fn run_with_progress(
             cfg.apps.join(", ")
         ));
     }
-    let mut bandit = Bandit::new(arms);
+    let mut bandit = Bandit::new(arms.len());
     let mut deduper = Deduper::new();
     // Controller-side pruning: classify every run's canonical key and
     // cross-check class outcomes. Accounting only — the dispatched run
@@ -632,38 +645,37 @@ pub fn run_with_progress(
     // Telemetry series the controller owns: the discovery curve and the
     // per-arm schedule samples feeding the diversity summary.
     let mut discovery: Vec<Discovery> = Vec::new();
-    let mut arm_schedules: std::collections::HashMap<(String, usize), Vec<TypeSchedule>> =
-        std::collections::HashMap::new();
+    let mut arm_schedules: Vec<Vec<TypeSchedule>> = vec![Vec::new(); arms.len()];
     let mut last_metrics = Instant::now();
 
     // Deep enough that sub-millisecond runs never starve a worker while a
     // completion round-trips through the controller; shallow enough that
     // the bandit still steers most of the budget.
     let max_inflight = (cfg.threads as u64) * 8;
-    let mut arm_pulls: std::collections::HashMap<(String, usize), u64> =
-        std::collections::HashMap::new();
-    let mut dispatch = |bandit: &mut Bandit,
-                        dispatched: &mut u64,
-                        next_slot: &mut usize,
-                        journal: &mut Option<Journal>,
-                        exec: u64| {
-        // Snapshot *before* the pick so the journal records the posterior
+    let dispatch = |bandit: &mut Bandit,
+                    dispatched: &mut u64,
+                    next_slot: &mut usize,
+                    journal: &mut Option<Journal>,
+                    exec: u64| {
+        // Snapshot *before* the pick so the journal records the bandit
         // state the decision was actually made from.
         let decision_state = journal.is_some().then(|| bandit.snapshot());
-        let arm = bandit.pick();
+        let i = bandit.pick().expect("campaign arms are never retired");
+        let arm = &arms[i];
         if let (Some(j), Some(snap)) = (journal.as_mut(), decision_state) {
-            let s = snap.iter().find(|s| s.arm == arm);
+            let s = &snap[i];
             j.push(JournalEvent::ArmPull {
                 exec,
                 arm: format!("{}/{}", arm.app, preset_name(arm.preset)),
-                pulls: s.map_or(0, |s| s.pulls) + 1,
-                mean_reward: s.map_or(1.0, |s| s.mean_reward),
-                ucb: s.and_then(|s| s.ucb_bound),
+                pulls: s.pulls + 1,
+                mean_reward: s.mean_reward,
+                ucb: s.ucb_bound,
                 successes: None,
                 failures: None,
             });
         }
-        let pull = arm_pulls.entry((arm.app.clone(), arm.preset)).or_insert(0);
+        // Pulls before this one: the arm's position in its seed stream.
+        let pull = bandit.pulls(i) - 1;
         // The directed arm cycles predicted flips and bumps the retry
         // attempt each full cycle; its env seed is pinned to the analyzed
         // run's, because the replayed prefix only makes sense against the
@@ -671,20 +683,20 @@ pub fn run_with_progress(
         let (env_seed, directed) = if arm.preset == DIRECTED_PRESET {
             let (analysis_seed, app_specs) =
                 specs.get(&arm.app).expect("directed arm implies specs");
-            let spec = app_specs[(*pull as usize) % app_specs.len()].clone();
-            let attempt = *pull / app_specs.len() as u64;
+            let spec = app_specs[(pull as usize) % app_specs.len()].clone();
+            let attempt = pull / app_specs.len() as u64;
             (*analysis_seed, Some(spec.with_attempt(attempt)))
         } else {
-            (derive_seed(arm_base(cfg.base_seed, &arm), *pull), None)
+            (derive_seed(arm_base(cfg.base_seed, arm), pull), None)
         };
         // Sample the first few runs of each arm for diversity. Decided by
         // pull index, so sampling is as deterministic as the seed stream.
-        let want_schedule = telemetry_on && *pull < SCHEDULE_SAMPLES;
-        *pull += 1;
+        let want_schedule = telemetry_on && pull < SCHEDULE_SAMPLES;
         queue.push(
             *next_slot,
             Job::Fuzz {
-                app: arm.app,
+                arm: i,
+                app: arm.app.clone(),
                 preset: arm.preset,
                 env_seed,
                 directed,
@@ -724,14 +736,13 @@ pub fn run_with_progress(
         };
         match msg {
             Msg::FuzzDone {
-                app,
-                preset,
+                arm: i,
                 finding,
                 schedule,
                 canon,
             } => {
                 completed += 1;
-                let arm = Arm { app, preset };
+                let arm = &arms[i];
                 if let (Some(pruner), Some((key, scope))) = (pruner.as_mut(), canon) {
                     let verdict =
                         pruner.observe(key, scope, finding.as_ref().map(|f| &f.signature));
@@ -747,10 +758,7 @@ pub fn run_with_progress(
                     }
                 }
                 if let Some(schedule) = schedule {
-                    arm_schedules
-                        .entry((arm.app.clone(), arm.preset))
-                        .or_default()
-                        .push(schedule);
+                    arm_schedules[i].push(schedule);
                 }
                 let mut new_bugs = 0;
                 if let Some(finding) = finding {
@@ -796,7 +804,7 @@ pub fn run_with_progress(
                         shrinks_pending += 1;
                     }
                 }
-                bandit.reward(&arm, new_bugs);
+                bandit.reward(i, new_bugs);
                 on_event(&Event::Run {
                     completed,
                     budget: cfg.budget,
@@ -847,6 +855,7 @@ pub fn run_with_progress(
                     cfg,
                     start,
                     false,
+                    &arms,
                     &bandit,
                     &arm_schedules,
                     &discovery,
@@ -870,6 +879,7 @@ pub fn run_with_progress(
             cfg,
             start,
             true,
+            &arms,
             &bandit,
             &arm_schedules,
             &discovery,
@@ -915,10 +925,17 @@ pub fn run_with_progress(
             }
         })
         .collect();
-    let arms = bandit
-        .summary()
-        .into_iter()
-        .map(|(arm, pulls, ema)| (arm.app, preset_name(arm.preset), pulls, ema))
+    let arms = arms
+        .iter()
+        .zip(bandit.snapshot())
+        .map(|(arm, s)| {
+            (
+                arm.app.clone(),
+                preset_name(arm.preset),
+                s.pulls,
+                s.mean_reward,
+            )
+        })
         .collect();
     Ok(CampaignReport {
         runs: completed,
@@ -945,8 +962,9 @@ fn write_metrics(
     cfg: &CampaignConfig,
     start: Instant,
     finished: bool,
+    arms: &[Arm],
     bandit: &Bandit,
-    arm_schedules: &std::collections::HashMap<(String, usize), Vec<TypeSchedule>>,
+    arm_schedules: &[Vec<TypeSchedule>],
     discovery: &[Discovery],
     registry: &nodefz_obs::Registry,
     unique_bugs: u64,
@@ -957,20 +975,16 @@ fn write_metrics(
         cfg.budget,
         unique_bugs,
         finished,
+        arms,
         &bandit.snapshot(),
-        |app, preset| {
-            arm_schedules
-                .get(&(app.to_string(), preset))
-                .cloned()
-                .unwrap_or_default()
-        },
+        arm_schedules,
         discovery,
         &registry.snapshot(),
         pruner.map(Pruner::counters),
         pruner.map(Pruner::health),
     );
     if finished {
-        snapshot.apicov = conform_apicov(cfg, bandit);
+        snapshot.apicov = conform_apicov(cfg, arms, bandit);
     }
     // Atomic (temp file + rename): an orchestrator polls these snapshots
     // from another process while the campaign runs, and must never read a
@@ -995,17 +1009,21 @@ const APICOV_REPLAY_CAP: u64 = 500;
 /// programs the campaign exercised and folds them into one
 /// `nodefz-apicov-v1` snapshot. Runs on the controller at the final
 /// metrics write only.
-fn conform_apicov(cfg: &CampaignConfig, bandit: &Bandit) -> Option<nodefz_conform::ApiCovSnapshot> {
+fn conform_apicov(
+    cfg: &CampaignConfig,
+    arms: &[Arm],
+    bandit: &Bandit,
+) -> Option<nodefz_conform::ApiCovSnapshot> {
     use nodefz_conform::{ApiCoverage, OracleCtx};
     let mut cov = ApiCoverage::default();
     let mut pulled = false;
-    for arm in bandit.snapshot() {
-        if !arm.arm.app.eq_ignore_ascii_case(nodefz_conform::API_ABBR) || arm.pulls == 0 {
+    for (arm, state) in arms.iter().zip(bandit.snapshot()) {
+        if !arm.app.eq_ignore_ascii_case(nodefz_conform::API_ABBR) || state.pulls == 0 {
             continue;
         }
         pulled = true;
-        let base = arm_base(cfg.base_seed, &arm.arm);
-        for pull in 0..arm.pulls.min(APICOV_REPLAY_CAP) {
+        let base = arm_base(cfg.base_seed, arm);
+        for pull in 0..state.pulls.min(APICOV_REPLAY_CAP) {
             let seed = derive_seed(base, pull);
             let prog = std::rc::Rc::new(nodefz_conform::generate_api(seed));
             let (report, log) = nodefz_conform::run_logged(&prog, seed, Mode::Vanilla, &None);
@@ -1077,6 +1095,7 @@ mod tests {
             q.push(
                 0,
                 Job::Fuzz {
+                    arm: 0,
                     app: "KUE".into(),
                     preset: 0,
                     env_seed: i,

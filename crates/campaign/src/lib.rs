@@ -36,10 +36,11 @@ mod chrome;
 mod driver;
 
 pub use analyze::{analyze_campaign, AnalyzeConfig, AnalyzeReport, ConfirmedRace};
-pub use arms::{arm_space, arms_from_json, arms_to_json, ArmMode, ArmSpec};
+pub use arms::{arm_space, arms_to_json, ArmMode, ArmSpec};
 pub use bench::{measure, ArmThroughput, BenchConfig, CanonWindow, ThroughputReport};
 pub use config::{
-    preset_index, preset_name, preset_params, CampaignConfig, DIRECTED_PRESET, PRESETS,
+    preset_index, preset_name, preset_params, reject_duplicate_apps, CampaignConfig,
+    DIRECTED_PRESET, PRESETS,
 };
 pub use corpus::{Corpus, CorpusDecodeError, CorpusEntry};
 pub use dedup::{BugRecord, Deduper, Finding};

@@ -27,6 +27,7 @@ use nodefz_obs::{
 use nodefz_trace::{DiversitySummary, PAPER_TRUNCATION};
 
 use crate::bandit::ArmSnapshot;
+use crate::driver::Arm;
 use crate::prune::{PruneCounters, PruneHealth};
 
 /// Upper bounds for the per-run dispatched-callback histogram. Bug runs
@@ -379,8 +380,9 @@ impl MetricsSnapshot {
 }
 
 /// Assembles a [`MetricsSnapshot`] from the controller's state and a
-/// registry scrape. `schedules_of` supplies the sampled [`TypeSchedule`]s
-/// of one arm for the diversity summary (empty slice = not sampled yet).
+/// registry scrape. `arms`, `bandit` and `schedules` are parallel, one
+/// entry per arm: the arm, its bandit state, and its sampled
+/// [`TypeSchedule`]s for the diversity summary (empty = not sampled yet).
 ///
 /// [`TypeSchedule`]: nodefz_rt::TypeSchedule
 #[allow(clippy::too_many_arguments)]
@@ -389,8 +391,9 @@ pub(crate) fn collect(
     budget: u64,
     unique_bugs: u64,
     finished: bool,
-    arms: &[ArmSnapshot],
-    schedules_of: impl Fn(&str, usize) -> Vec<nodefz_rt::TypeSchedule>,
+    arms: &[Arm],
+    bandit: &[ArmSnapshot],
+    schedules: &[Vec<nodefz_rt::TypeSchedule>],
     discovery: &[Discovery],
     registry: &RegistrySnapshot,
     pruning: Option<&PruneCounters>,
@@ -398,17 +401,16 @@ pub(crate) fn collect(
 ) -> MetricsSnapshot {
     let arms = arms
         .iter()
-        .map(|a| {
-            let samples = schedules_of(&a.arm.app, a.arm.preset);
-            ArmMetrics {
-                app: a.arm.app.clone(),
-                preset: crate::config::preset_name(a.arm.preset),
-                pulls: a.pulls,
-                mean_reward: a.mean_reward,
-                ucb_bound: a.ucb_bound,
-                diversity: (!samples.is_empty())
-                    .then(|| DiversitySummary::compute(&samples, PAPER_TRUNCATION)),
-            }
+        .zip(bandit)
+        .zip(schedules)
+        .map(|((arm, state), samples)| ArmMetrics {
+            app: arm.app.clone(),
+            preset: crate::config::preset_name(arm.preset),
+            pulls: state.pulls,
+            mean_reward: state.mean_reward,
+            ucb_bound: state.ucb_bound,
+            diversity: (!samples.is_empty())
+                .then(|| DiversitySummary::compute(samples, PAPER_TRUNCATION)),
         })
         .collect();
     MetricsSnapshot {
@@ -464,18 +466,20 @@ fn collect_callbacks(registry: &RegistrySnapshot) -> Vec<(&'static str, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bandit::Arm;
 
-    fn arm_snap(app: &str, pulls: u64) -> ArmSnapshot {
-        ArmSnapshot {
-            arm: Arm {
-                app: app.into(),
-                preset: 0,
-            },
+    fn kue() -> [Arm; 1] {
+        [Arm {
+            app: "KUE".into(),
+            preset: 0,
+        }]
+    }
+
+    fn arm_snap(pulls: u64) -> [ArmSnapshot; 1] {
+        [ArmSnapshot {
             pulls,
             mean_reward: 0.25,
             ucb_bound: (pulls > 0).then_some(0.75),
-        }
+        }]
     }
 
     fn schedule(kinds: &[nodefz_rt::CbKind]) -> nodefz_rt::TypeSchedule {
@@ -497,13 +501,12 @@ mod tests {
             10,
             0,
             false,
-            &[arm_snap("KUE", 2)],
-            |_, _| {
-                vec![
-                    schedule(&[nodefz_rt::CbKind::Timer, nodefz_rt::CbKind::Check]),
-                    schedule(&[nodefz_rt::CbKind::Check, nodefz_rt::CbKind::Timer]),
-                ]
-            },
+            &kue(),
+            &arm_snap(2),
+            &[vec![
+                schedule(&[nodefz_rt::CbKind::Timer, nodefz_rt::CbKind::Check]),
+                schedule(&[nodefz_rt::CbKind::Check, nodefz_rt::CbKind::Timer]),
+            ]],
             &[],
             &reg.snapshot(),
             None,
@@ -527,8 +530,9 @@ mod tests {
             10,
             0,
             false,
-            &[arm_snap("KUE", 0)],
-            |_, _| Vec::new(),
+            &kue(),
+            &arm_snap(0),
+            &[Vec::new()],
             &[],
             &reg.snapshot(),
             None,
@@ -554,7 +558,8 @@ mod tests {
             1,
             true,
             &[],
-            |_, _| Vec::new(),
+            &[],
+            &[],
             &[],
             &reg.snapshot(),
             None,
@@ -596,7 +601,8 @@ mod tests {
             2,
             true,
             &[],
-            |_, _| Vec::new(),
+            &[],
+            &[],
             &discovery,
             &reg.snapshot(),
             None,

@@ -109,10 +109,12 @@ impl WorkerState {
 /// discovery curve in the matching `nodefz-metrics-v1` snapshot.
 #[derive(Clone, Debug, PartialEq)]
 pub enum JournalEvent {
-    /// A bandit arm selection, with the decision-time posterior state.
+    /// A bandit arm selection, with the decision-time bandit state.
     ///
-    /// The campaign driver's UCB bandit fills `mean_reward`/`ucb`; the
-    /// orchestrator's Thompson scheduler fills `successes`/`failures`.
+    /// The campaign driver and the orchestrator both fill `mean_reward` and
+    /// `ucb` from the UCB bandit and write `successes`/`failures` as null.
+    /// Only older builds, whose orchestrator ran a Thompson scheduler,
+    /// wrote those two; the decoder still reads them.
     ArmPull {
         /// Completed executions when the pull was made.
         exec: u64,
@@ -122,12 +124,12 @@ pub enum JournalEvent {
         pulls: u64,
         /// Mean observed reward of the arm at decision time.
         mean_reward: f64,
-        /// UCB bound at decision time (None before every arm has a pull,
-        /// or under a posterior-sampling scheduler).
+        /// UCB score the pick ranked the arm by (None while the arm was
+        /// unpulled: its score was infinite).
         ucb: Option<f64>,
-        /// Beta-posterior success pseudo-count (Thompson scheduler).
+        /// Beta-posterior success pseudo-count (older builds only).
         successes: Option<f64>,
-        /// Beta-posterior failure pseudo-count (Thompson scheduler).
+        /// Beta-posterior failure pseudo-count (older builds only).
         failures: Option<f64>,
     },
     /// The Pruner's verdict for one classified run.

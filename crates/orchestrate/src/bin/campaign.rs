@@ -9,11 +9,9 @@
 //!          [--attempts N] [--metrics-out PATH] [--trace-out PATH]
 //!          [--obs-level LEVEL] [--bench-execs] [--bench-window-ms N]
 //!          [--bench-warmup-ms N] [--bench-out PATH]
-//!          [--orchestrate | --bench-orchestrate] [--shards N] [--rounds N]
-//!          [--round-budget N] [--slices N] [--scheduler thompson|ucb]
-//!          [--workdir DIR] [--merged-corpus DIR] [--orch-out PATH]
-//!          [--worker-deadline-secs S] [--induce-crash K]
-//!          [--bench-orch-out PATH]
+//!          [--orchestrate] [--shards N] [--rounds N] [--round-budget N]
+//!          [--slices N] [--workdir DIR] [--merged-corpus DIR]
+//!          [--orch-out PATH] [--worker-deadline-secs S] [--induce-crash K]
 //! ```
 //!
 //! Plain `std::env::args` parsing — no argument-parsing dependency.
@@ -24,7 +22,7 @@
 use std::process::ExitCode;
 
 use nodefz_campaign::{report, run_with_progress, BenchConfig, CampaignConfig, Corpus, Event};
-use nodefz_orchestrate::{OrchConfig, SchedulerKind};
+use nodefz_orchestrate::OrchConfig;
 
 const USAGE: &str = "usage: campaign [options]
        campaign report [--workdir DIR] [--out DIR]
@@ -90,12 +88,10 @@ const USAGE: &str = "usage: campaign [options]
                      across child campaign processes and merge their
                      corpora with cross-shard dedup
   --shards N         concurrent worker processes (default 2)
-  --rounds N         budget rounds incl. the initial coverage round
-                     (default 3)
+  --rounds N         budget rounds incl. round 0, which gives every arm
+                     one slice (default 3)
   --round-budget N   fuzz runs per budget slice (default 40)
-  --slices N         slices per post-coverage round (default: arm count)
-  --scheduler S      round allocation policy: thompson | ucb
-                     (default thompson)
+  --slices N         slices per round after round 0 (default: arm count)
   --workdir DIR      orchestrator scratch dir (default nodefz-orch)
   --merged-corpus DIR  canonical merged corpus (default WORKDIR/corpus)
   --orch-out PATH    nodefz-orch-v1 rollup, refreshed per round
@@ -104,10 +100,6 @@ const USAGE: &str = "usage: campaign [options]
                      (default 120)
   --induce-crash K   deliberately crash the K-th work item's worker
                      (crash-robustness testing)
-  --bench-orchestrate  run the same orchestration under thompson and ucb
-                     and write the execs-to-discovery comparison
-  --bench-orch-out PATH  where --bench-orchestrate writes the report
-                     (default BENCH_orchestrate.json)
 
 campaign report — merge an orchestrated workdir's flight recorders
   --workdir DIR      the orchestrator workdir to read (default nodefz-orch)
@@ -166,7 +158,6 @@ struct AltMode {
     /// set is filled in, so `--conform` alone fuzzes fig6 + CONFORM).
     conform: bool,
     orchestrate: bool,
-    bench_orchestrate: bool,
     orch: OrchOpts,
     /// Undocumented worker sabotage: abort the process after N runs.
     crash_after_runs: Option<u64>,
@@ -177,13 +168,11 @@ struct OrchOpts {
     rounds: u32,
     round_budget: u64,
     slices: Option<usize>,
-    scheduler: SchedulerKind,
     workdir: String,
     merged_corpus: Option<String>,
     orch_out: String,
     worker_deadline_secs: u64,
     induce_crash: Option<usize>,
-    bench_out: String,
 }
 
 impl Default for OrchOpts {
@@ -193,13 +182,11 @@ impl Default for OrchOpts {
             rounds: 3,
             round_budget: 40,
             slices: None,
-            scheduler: SchedulerKind::Thompson,
             workdir: "nodefz-orch".into(),
             merged_corpus: None,
             orch_out: "ORCH_report.json".into(),
             worker_deadline_secs: 120,
             induce_crash: None,
-            bench_out: "BENCH_orchestrate.json".into(),
         }
     }
 }
@@ -268,7 +255,6 @@ fn parse_args(args: &[String]) -> Result<(CampaignConfig, AltMode), String> {
         analyze: None,
         conform: false,
         orchestrate: false,
-        bench_orchestrate: false,
         orch: OrchOpts::default(),
         crash_after_runs: None,
     };
@@ -338,18 +324,12 @@ fn parse_args(args: &[String]) -> Result<(CampaignConfig, AltMode), String> {
             }
             "--bench-out" => bench_opts.out = value("--bench-out")?,
             "--orchestrate" => alt.orchestrate = true,
-            "--bench-orchestrate" => alt.bench_orchestrate = true,
             "--shards" => alt.orch.shards = num("--shards", value("--shards")?)?,
             "--rounds" => alt.orch.rounds = num("--rounds", value("--rounds")?)?,
             "--round-budget" => {
                 alt.orch.round_budget = num("--round-budget", value("--round-budget")?)?;
             }
             "--slices" => alt.orch.slices = Some(num("--slices", value("--slices")?)?),
-            "--scheduler" => {
-                let spelled = value("--scheduler")?;
-                alt.orch.scheduler = SchedulerKind::parse(&spelled)
-                    .ok_or_else(|| format!("--scheduler: unknown policy '{spelled}'"))?;
-            }
             "--workdir" => alt.orch.workdir = value("--workdir")?,
             "--merged-corpus" => alt.orch.merged_corpus = Some(value("--merged-corpus")?),
             "--orch-out" => alt.orch.orch_out = value("--orch-out")?,
@@ -360,7 +340,6 @@ fn parse_args(args: &[String]) -> Result<(CampaignConfig, AltMode), String> {
             "--induce-crash" => {
                 alt.orch.induce_crash = Some(num("--induce-crash", value("--induce-crash")?)?);
             }
-            "--bench-orch-out" => alt.orch.bench_out = value("--bench-orch-out")?,
             "--crash-after-runs" => {
                 alt.crash_after_runs =
                     Some(num("--crash-after-runs", value("--crash-after-runs")?)?);
@@ -600,7 +579,6 @@ fn orch_config(cfg: &CampaignConfig, opts: &OrchOpts) -> Result<OrchConfig, Stri
         slices_per_round: opts.slices,
         slice_budget: opts.round_budget,
         base_seed: cfg.base_seed,
-        scheduler: opts.scheduler,
         workdir: opts.workdir.clone().into(),
         merged_corpus: opts.merged_corpus.clone().map(Into::into),
         orch_out: Some(opts.orch_out.clone().into()),
@@ -621,9 +599,8 @@ fn run_orchestrate(cfg: &CampaignConfig, opts: &OrchOpts) -> ExitCode {
         }
     };
     println!(
-        "orchestrate: {} apps, {} scheduler, {} rounds x {} runs/slice on {} shard(s)",
+        "orchestrate: {} apps, {} rounds x {} runs/slice on {} shard(s)",
         orch.apps.len(),
-        orch.scheduler.label(),
         orch.rounds,
         orch.slice_budget,
         orch.shards,
@@ -660,44 +637,6 @@ fn run_orchestrate(cfg: &CampaignConfig, opts: &OrchOpts) -> ExitCode {
                 report.total_runs,
             );
             println!("wrote {}", opts.orch_out);
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("campaign: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn run_bench_orchestrate(cfg: &CampaignConfig, opts: &OrchOpts) -> ExitCode {
-    let orch = match orch_config(cfg, opts) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("campaign: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match nodefz_orchestrate::bench_orchestrate(&orch, |line| println!("{line}")) {
-        Ok(bench) => {
-            for report in [&bench.thompson, &bench.ucb] {
-                println!(
-                    "  {:<9} {} unique bug(s) in {} runs, full discovery at {}",
-                    report.scheduler.label(),
-                    report.unique_bugs(),
-                    report.total_runs,
-                    report
-                        .execs_to_full_discovery()
-                        .map(|e| e.to_string())
-                        .unwrap_or_else(|| "-".into()),
-                );
-            }
-            if let Err(e) =
-                nodefz_obs::write_atomic(std::path::Path::new(&opts.bench_out), &bench.to_json())
-            {
-                eprintln!("campaign: cannot write {}: {e}", opts.bench_out);
-                return ExitCode::FAILURE;
-            }
-            println!("wrote {}", opts.bench_out);
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -1211,8 +1150,8 @@ fn main() -> ExitCode {
     }
     if alt.list {
         if alt.list_json {
-            // The machine-readable contract an orchestrating process
-            // consumes: the arm space for the *resolved* app set.
+            // The machine-readable arm space for the *resolved* app set —
+            // the same enumeration `--orchestrate` allocates over.
             print!(
                 "{}",
                 nodefz_campaign::arms_to_json(&nodefz_campaign::arm_space(&cfg.apps))
@@ -1237,9 +1176,6 @@ fn main() -> ExitCode {
     }
     if let Some(opts) = &alt.analyze {
         return run_analyze(&cfg, opts);
-    }
-    if alt.bench_orchestrate {
-        return run_bench_orchestrate(&cfg, &alt.orch);
     }
     if alt.orchestrate {
         return run_orchestrate(&cfg, &alt.orch);

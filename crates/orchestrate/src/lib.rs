@@ -10,18 +10,19 @@
 //!             ┌► worker proc (KUE/standard/fuzz)  ──► corpus shard ─┐
 //! orchestrate ┼► worker proc (KUE/directed)       ──► corpus shard ─┼► merge ─► canonical corpus
 //!    ▲        └► worker proc (CONFORM/aggressive) ──► corpus shard ─┘    │
-//!    └──────────── Thompson-sampling budget reallocation ◄──────────────┘
+//!    └──────────── campaign-bandit budget reallocation ◄────────────────┘
 //! ```
 //!
-//! * [`scheduler`] — Thompson sampling over Beta posteriors (reward =
-//!   new unique bugs per budget slice), with the in-process UCB policy
-//!   kept as a fallback for comparison.
+//! Slices are allocated by the same UCB bandit a single campaign uses for
+//! its runs ([`nodefz_campaign::bandit::Bandit`]): one pull per slice,
+//! rewarded by the new unique bugs the slice added to the merged corpus.
+//!
 //! * [`worker`] — child-process lifecycle: spawn the same binary in
 //!   single-campaign mode, poll, kill past the deadline, classify exits.
 //! * [`merge`] — cross-shard corpus merge with [`BugSignature`] dedup;
 //!   the merged corpus is canonical and passes `campaign --verify`.
 //! * [`orch`] — the round loop tying it together, plus the
-//!   `nodefz-orch-v1` rollup and the Thompson-vs-UCB bench.
+//!   `nodefz-orch-v1` rollup.
 //! * [`report`] — merges the orchestrator's and every worker's
 //!   `nodefz-journal-v1` flight recorders plus per-worker chrome traces
 //!   into one tagged journal and one unified Perfetto timeline.
@@ -40,14 +41,12 @@
 pub mod merge;
 pub mod orch;
 pub mod report;
-pub mod scheduler;
 pub mod worker;
 
 pub use merge::MergedCorpus;
 pub use orch::{
-    bench_orchestrate, orchestrate, work_seed, OrchBenchReport, OrchConfig, OrchDiscovery,
-    OrchReport, WorkPruning, WorkRecord,
+    orchestrate, work_seed, ArmState, OrchConfig, OrchDiscovery, OrchReport, WorkPruning,
+    WorkRecord,
 };
 pub use report::{merge_report, ReportSummary};
-pub use scheduler::{ArmState, Scheduler, SchedulerKind, SplitMix};
 pub use worker::{Outcome, WorkItem};

@@ -1,31 +1,33 @@
 //! The orchestration loop: rounds of budget slices across worker
 //! processes, cross-shard merge, rollup reporting.
 //!
-//! Round 0 is the *coverage round*: every arm in the enumerated space
-//! gets exactly one slice, so the full app × preset × mode grid is
-//! touched before any allocation policy kicks in. Every later round asks
-//! the [`Scheduler`] for each slice's arm. Work items are identified by
-//! a global spawn index; results are processed **in index order**, not
-//! completion order, and each item's seed derives from (arm, per-arm
-//! pull count) only — so the found-bug set and the scheduler trajectory
-//! are invariant to the shard count, which merely bounds how many
-//! workers run at once.
+//! One campaign [`Bandit`] allocates budget slices over the enumerated
+//! app × preset × mode space, exactly as a single campaign allocates its
+//! runs: a slice is one pull, and its reward is the number of new
+//! signatures it added to the merged corpus. Round 0 takes one pick per
+//! arm — the bandit's optimistic start plays every unpulled arm before any
+//! arm twice, so the whole grid is touched once — and every later round
+//! takes `--slices` picks. Work items are identified by a global spawn
+//! index; results are processed **in index order**, not completion order,
+//! and each item's seed derives from (arm, per-arm pull count) only — so
+//! the found-bug set and the bandit trajectory are invariant to the shard
+//! count, which merely bounds how many workers run at once.
 //!
 //! Crash robustness: a worker that exits nonzero, dies on a signal, or
-//! outlives the worker deadline quarantines its arm for the rest of the
-//! campaign; whatever its shard corpus holds is salvaged into the merge
-//! and the round continues.
+//! outlives the worker deadline quarantines its arm (the bandit retires
+//! it) for the rest of the campaign; whatever its shard corpus holds is
+//! salvaged into the merge and the round continues.
 
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use nodefz_campaign::bandit::Bandit;
 use nodefz_campaign::{arm_space, ArmSpec};
 use nodefz_obs::{Journal, JournalEvent, JsonValue, JsonWriter, WorkerState, JOURNAL_CAP};
 use nodefz_rt::{fnv1a, splitmix64, GOLDEN_GAMMA};
 
 use crate::merge::MergedCorpus;
-use crate::scheduler::{ArmState, Scheduler, SchedulerKind};
 use crate::worker::{self, Outcome, WorkItem};
 
 /// Everything an orchestrated campaign needs.
@@ -35,16 +37,14 @@ pub struct OrchConfig {
     pub apps: Vec<String>,
     /// Maximum concurrently running worker processes.
     pub shards: usize,
-    /// Total rounds, including the coverage round.
+    /// Total rounds, including round 0 (one slice per arm).
     pub rounds: u32,
-    /// Slices per post-coverage round (`None` = one per enumerated arm).
+    /// Slices per round after round 0 (`None` = one per enumerated arm).
     pub slices_per_round: Option<usize>,
     /// Fuzz runs per budget slice.
     pub slice_budget: u64,
     /// Base environment seed; work-item seeds derive from it.
     pub base_seed: u64,
-    /// Allocation policy for post-coverage rounds.
-    pub scheduler: SchedulerKind,
     /// Scratch directory for per-slice work dirs.
     pub workdir: PathBuf,
     /// Canonical merged corpus (`None` = `{workdir}/corpus`).
@@ -76,7 +76,6 @@ impl Default for OrchConfig {
             slices_per_round: None,
             slice_budget: 40,
             base_seed: 1,
-            scheduler: SchedulerKind::Thompson,
             workdir: PathBuf::from("nodefz-orch"),
             merged_corpus: None,
             orch_out: None,
@@ -111,7 +110,7 @@ impl OrchConfig {
         if self.worker_bin.as_os_str().is_empty() {
             return Err("worker binary path is empty".into());
         }
-        Ok(())
+        nodefz_campaign::reject_duplicate_apps(&self.apps)
     }
 
     /// The canonical merged corpus directory.
@@ -147,6 +146,28 @@ impl WorkPruning {
         w.field_u64("distinct", self.distinct);
         w.field_u64("redundant", self.redundant);
     }
+}
+
+/// One orchestrated arm's standing, for the rollup: the bandit's view of
+/// it plus what its slices contributed.
+#[derive(Clone, Debug)]
+pub struct ArmState {
+    /// What the arm runs.
+    pub spec: ArmSpec,
+    /// Budget slices played on this arm so far.
+    pub pulls: u64,
+    /// The bandit's recent-yield EMA for the arm.
+    pub mean_reward: f64,
+    /// The UCB score the bandit's next pick ranks the arm by (`None`
+    /// while unpulled).
+    pub ucb_bound: Option<f64>,
+    /// New unique bugs this arm contributed to the merged corpus.
+    pub new_bugs: u64,
+    /// Fuzz runs this arm's workers actually executed.
+    pub runs: u64,
+    /// Why the arm was quarantined, if it was (crashed/stalled/errored
+    /// worker). Quarantined arms receive no further slices.
+    pub quarantined: Option<String>,
 }
 
 /// One executed budget slice, for the rollup.
@@ -187,8 +208,6 @@ pub struct OrchDiscovery {
 /// rollup document.
 #[derive(Clone, Debug)]
 pub struct OrchReport {
-    /// Allocation policy that ran.
-    pub scheduler: SchedulerKind,
     /// Concurrency bound used.
     pub shards: usize,
     /// Rounds completed so far.
@@ -199,7 +218,7 @@ pub struct OrchReport {
     pub slice_budget: u64,
     /// Fuzz runs executed across all workers.
     pub total_runs: u64,
-    /// Final scheduler arm states, in enumeration order.
+    /// Final arm states, in enumeration order.
     pub arms: Vec<ArmState>,
     /// Every executed slice, in processing order.
     pub work: Vec<WorkRecord>,
@@ -218,13 +237,6 @@ impl OrchReport {
     /// Distinct bugs in the merged corpus.
     pub fn unique_bugs(&self) -> usize {
         self.merged_entries
-    }
-
-    /// Global exec count at which the *last* unique bug was found — the
-    /// bench's execs-to-full-discovery figure. `None` when nothing was
-    /// found.
-    pub fn execs_to_full_discovery(&self) -> Option<u64> {
-        self.discovery.iter().map(|d| d.exec).max()
     }
 
     /// Campaign-wide pruning totals summed over all slices that reported
@@ -293,7 +305,6 @@ impl OrchReport {
         let mut w = JsonWriter::new();
         w.begin_object();
         w.field_str("schema", "nodefz-orch-v1");
-        w.field_str("scheduler", self.scheduler.label());
         w.field_u64("shards", self.shards as u64);
         w.field_u64("rounds_done", u64::from(self.rounds_done));
         w.field_u64("rounds", u64::from(self.rounds));
@@ -320,8 +331,12 @@ impl OrchReport {
                 w.field_u64("sa_candidates", *n);
             }
             w.field_u64("pulls", arm.pulls);
-            w.field_f64("successes", arm.successes, 4);
-            w.field_f64("failures", arm.failures, 4);
+            w.field_f64("mean_reward", arm.mean_reward, 6);
+            w.key("ucb_bound");
+            match arm.ucb_bound {
+                Some(b) => w.f64(b, 6),
+                None => w.null(),
+            }
             w.field_u64("new_bugs", arm.new_bugs);
             w.field_u64("runs", arm.runs);
             w.field_bool("quarantined", arm.quarantined.is_some());
@@ -444,7 +459,7 @@ fn read_worker_metrics(path: &Path) -> Result<Option<WorkerMetrics>, String> {
 /// returning (item, outcome) pairs sorted by global index.
 fn run_items(
     cfg: &OrchConfig,
-    arms: &[ArmState],
+    arms: &[ArmSpec],
     items: Vec<WorkItem>,
     journal: &mut Journal,
     progress: &mut dyn FnMut(String),
@@ -457,7 +472,7 @@ fn run_items(
             let Some(item) = pending.pop_front() else {
                 break;
             };
-            let spec = &arms[item.arm].spec;
+            let spec = &arms[item.arm];
             match worker::spawn(&cfg.worker_bin, spec, &item, cfg.replay_checks, cfg.prune) {
                 Ok(handle) => {
                     journal.push(JournalEvent::Worker {
@@ -489,13 +504,13 @@ fn run_items(
                     progress(format!(
                         "  worker {} ({}) {}",
                         handle.item.index,
-                        arms[handle.item.arm].spec.label(),
+                        arms[handle.item.arm].label(),
                         outcome.label(),
                     ));
                 }
                 journal.push(JournalEvent::Worker {
                     index: handle.item.index as u64,
-                    arm: arms[handle.item.arm].spec.label(),
+                    arm: arms[handle.item.arm].label(),
                     state: WorkerState::Reaped,
                     reason: Some(outcome.label()),
                 });
@@ -529,7 +544,21 @@ pub fn orchestrate(
         return Err("arm space is empty".into());
     }
     let slices = cfg.slices_per_round.unwrap_or(arms.len()).max(1);
-    let mut scheduler = Scheduler::new(cfg.scheduler, arms, cfg.base_seed);
+    let mut bandit = Bandit::new(arms.len());
+    // Per-arm tallies; the bandit fields are filled in from the bandit
+    // whenever a report is taken.
+    let mut states: Vec<ArmState> = arms
+        .iter()
+        .map(|spec| ArmState {
+            spec: spec.clone(),
+            pulls: 0,
+            mean_reward: 0.0,
+            ucb_bound: None,
+            new_bugs: 0,
+            runs: 0,
+            quarantined: None,
+        })
+        .collect();
     let mut merged = MergedCorpus::new();
     let mut work: Vec<WorkRecord> = Vec::new();
     let mut discovery: Vec<OrchDiscovery> = Vec::new();
@@ -540,7 +569,7 @@ pub fn orchestrate(
     std::fs::create_dir_all(&cfg.workdir)
         .map_err(|e| format!("workdir {}: {e}", cfg.workdir.display()))?;
 
-    // Orchestrator flight recorder: arm picks with the posterior that
+    // Orchestrator flight recorder: arm picks with the bandit state that
     // made them, worker lifecycle, merged discoveries. Written atomically
     // alongside the rollup so `campaign report` can reconstruct where the
     // budget went even after a crash.
@@ -548,50 +577,48 @@ pub fn orchestrate(
     let journal_path = cfg.workdir.join("journal.jsonl");
 
     for round in 0..cfg.rounds {
-        // Coverage round touches every arm once; later rounds ask the
-        // scheduler per slice.
-        let picks: Vec<usize> = if round == 0 {
-            let all = scheduler.active();
-            all.iter().for_each(|&i| scheduler.pull(i));
-            all
-        } else {
-            (0..slices).filter_map(|_| scheduler.pick()).collect()
-        };
-        if picks.is_empty() {
+        // Round 0's picks cover every arm once (optimistic start); later
+        // rounds take `slices` picks. Picks run out only once every arm is
+        // retired.
+        let picks = if round == 0 { arms.len() } else { slices };
+        let mut items: Vec<WorkItem> = Vec::new();
+        for _ in 0..picks {
+            // Snapshot *before* the pick so the journal records the state
+            // the decision was made from.
+            let decision_state = bandit.snapshot();
+            let Some(arm) = bandit.pick() else {
+                break;
+            };
+            let s = &decision_state[arm];
+            let label = arms[arm].label();
+            journal.push(JournalEvent::ArmPull {
+                exec: total_runs,
+                arm: label.clone(),
+                pulls: s.pulls + 1,
+                mean_reward: s.mean_reward,
+                ucb: s.ucb_bound,
+                successes: None,
+                failures: None,
+            });
+            let index = next_index;
+            next_index += 1;
+            items.push(WorkItem {
+                index,
+                round,
+                arm,
+                seed: work_seed(cfg.base_seed, &label, s.pulls),
+                budget: cfg.slice_budget,
+                dir: cfg.workdir.join(format!(
+                    "r{round}-i{index}-{}",
+                    label.replace('/', "-").to_lowercase()
+                )),
+                sabotage: cfg.induce_crash == Some(index),
+            });
+        }
+        if items.is_empty() {
             progress(format!("round {round}: every arm quarantined, stopping"));
             break;
         }
-        let items: Vec<WorkItem> = picks
-            .into_iter()
-            .map(|arm| {
-                let state = &scheduler.arms()[arm];
-                let label = state.spec.label();
-                journal.push(JournalEvent::ArmPull {
-                    exec: total_runs,
-                    arm: label.clone(),
-                    pulls: state.pulls,
-                    mean_reward: state.successes / (state.successes + state.failures).max(1.0),
-                    ucb: None,
-                    successes: Some(state.successes),
-                    failures: Some(state.failures),
-                });
-                let seed = work_seed(cfg.base_seed, &label, state.pulls - 1);
-                let index = next_index;
-                next_index += 1;
-                WorkItem {
-                    index,
-                    round,
-                    arm,
-                    seed,
-                    budget: cfg.slice_budget,
-                    dir: cfg.workdir.join(format!(
-                        "r{round}-i{index}-{}",
-                        label.replace('/', "-").to_lowercase()
-                    )),
-                    sabotage: cfg.induce_crash == Some(index),
-                }
-            })
-            .collect();
         progress(format!(
             "round {round}: {} slice(s) x {} runs on {} shard(s)",
             items.len(),
@@ -599,8 +626,7 @@ pub fn orchestrate(
             cfg.shards,
         ));
 
-        for (item, outcome) in run_items(cfg, scheduler.arms(), items, &mut journal, &mut progress)
-        {
+        for (item, outcome) in run_items(cfg, &arms, items, &mut journal, &mut progress) {
             let (new_sigs, skipped) = merged
                 .fold_shard(&item.corpus_dir())
                 .map_err(|e| format!("merge shard {}: {e}", item.dir.display()))?;
@@ -632,18 +658,22 @@ pub fn orchestrate(
                 });
             }
             total_runs += runs;
-            scheduler.reward(item.arm, new_sigs.len() as u64, runs);
+            bandit.reward(item.arm, new_sigs.len() as u64);
+            let state = &mut states[item.arm];
+            state.new_bugs += new_sigs.len() as u64;
+            state.runs += runs;
+            let label = state.spec.label();
             if !outcome.is_ok() {
-                scheduler.quarantine(item.arm, &outcome.label());
+                bandit.retire(item.arm);
+                state.quarantined = Some(outcome.label());
                 journal.push(JournalEvent::Worker {
                     index: item.index as u64,
-                    arm: scheduler.arms()[item.arm].spec.label(),
+                    arm: label.clone(),
                     state: WorkerState::Quarantined,
                     reason: Some(outcome.label()),
                 });
                 progress(format!(
-                    "  quarantined {} after {} ({} entr{} salvaged)",
-                    scheduler.arms()[item.arm].spec.label(),
+                    "  quarantined {label} after {} ({} entr{} salvaged)",
                     outcome.label(),
                     new_sigs.len(),
                     if new_sigs.len() == 1 { "y" } else { "ies" },
@@ -652,7 +682,7 @@ pub fn orchestrate(
             work.push(WorkRecord {
                 index: item.index,
                 round,
-                arm: scheduler.arms()[item.arm].spec.label(),
+                arm: label,
                 seed: item.seed,
                 outcome: outcome.label(),
                 runs,
@@ -661,7 +691,6 @@ pub fn orchestrate(
                 pruning,
             });
         }
-        scheduler.end_round();
         rounds_done = round + 1;
         progress(format!(
             "round {round}: {} unique bug(s) merged, {} runs total",
@@ -671,7 +700,8 @@ pub fn orchestrate(
         if let Some(out) = &cfg.orch_out {
             let snapshot = snapshot_report(
                 cfg,
-                &scheduler,
+                &states,
+                &bandit,
                 &merged,
                 &work,
                 &discovery,
@@ -694,7 +724,8 @@ pub fn orchestrate(
     let finished = rounds_done == cfg.rounds;
     let report = snapshot_report(
         cfg,
-        &scheduler,
+        &states,
+        &bandit,
         &merged,
         &work,
         &discovery,
@@ -715,7 +746,8 @@ pub fn orchestrate(
 #[allow(clippy::too_many_arguments)]
 fn snapshot_report(
     cfg: &OrchConfig,
-    scheduler: &Scheduler,
+    states: &[ArmState],
+    bandit: &Bandit,
     merged: &MergedCorpus,
     work: &[WorkRecord],
     discovery: &[OrchDiscovery],
@@ -724,13 +756,21 @@ fn snapshot_report(
     finished: bool,
 ) -> OrchReport {
     OrchReport {
-        scheduler: cfg.scheduler,
         shards: cfg.shards,
         rounds_done,
         rounds: cfg.rounds,
         slice_budget: cfg.slice_budget,
         total_runs,
-        arms: scheduler.arms().to_vec(),
+        arms: states
+            .iter()
+            .zip(bandit.snapshot())
+            .map(|(state, s)| ArmState {
+                pulls: s.pulls,
+                mean_reward: s.mean_reward,
+                ucb_bound: s.ucb_bound,
+                ..state.clone()
+            })
+            .collect(),
         work: work.to_vec(),
         discovery: discovery.to_vec(),
         merged_entries: merged.unique_bugs(),
@@ -739,88 +779,9 @@ fn snapshot_report(
     }
 }
 
-/// Runs the same orchestration under both schedulers and reports
-/// execs-to-full-discovery per policy — the `BENCH_orchestrate.json`
-/// comparison.
-#[derive(Clone, Debug)]
-pub struct OrchBenchReport {
-    /// The Thompson-sampling run.
-    pub thompson: OrchReport,
-    /// The UCB run.
-    pub ucb: OrchReport,
-}
-
-impl OrchBenchReport {
-    /// Serializes the comparison as `nodefz-orchbench-v1`.
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.field_str("schema", "nodefz-orchbench-v1");
-        w.field_u64("shards", self.thompson.shards as u64);
-        w.field_u64("rounds", u64::from(self.thompson.rounds));
-        w.field_u64("slice_budget", self.thompson.slice_budget);
-        w.key("schedulers");
-        w.begin_array();
-        for report in [&self.thompson, &self.ucb] {
-            w.begin_object();
-            w.field_str("scheduler", report.scheduler.label());
-            w.field_u64("unique_bugs", report.unique_bugs() as u64);
-            w.field_u64("total_runs", report.total_runs);
-            w.key("execs_to_full_discovery");
-            match report.execs_to_full_discovery() {
-                Some(execs) => w.u64(execs),
-                None => w.null(),
-            }
-            w.key("discovery");
-            w.begin_array();
-            for d in &report.discovery {
-                w.begin_object();
-                w.field_str("signature", &d.signature);
-                w.field_u64("exec", d.exec);
-                w.end_object();
-            }
-            w.end_array();
-            w.end_object();
-        }
-        w.end_array();
-        w.end_object();
-        let mut out = w.finish();
-        out.push('\n');
-        out
-    }
-}
-
-/// Runs the Thompson-vs-UCB scheduler comparison in sibling work dirs.
-///
-/// # Errors
-///
-/// When either orchestration fails.
-pub fn bench_orchestrate(
-    cfg: &OrchConfig,
-    mut progress: impl FnMut(String),
-) -> Result<OrchBenchReport, String> {
-    let mut run = |kind: SchedulerKind| -> Result<OrchReport, String> {
-        let sub = OrchConfig {
-            scheduler: kind,
-            workdir: cfg.workdir.join(format!("bench-{}", kind.label())),
-            merged_corpus: None,
-            orch_out: None,
-            induce_crash: None,
-            ..cfg.clone()
-        };
-        progress(format!("bench: {} scheduler", kind.label()));
-        orchestrate(&sub, &mut progress)
-    };
-    Ok(OrchBenchReport {
-        thompson: run(SchedulerKind::Thompson)?,
-        ucb: run(SchedulerKind::Ucb)?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::SchedulerKind;
     use nodefz_campaign::ArmMode;
 
     #[test]
@@ -835,7 +796,6 @@ mod tests {
     #[test]
     fn rollup_json_parses_and_carries_the_schema() {
         let report = OrchReport {
-            scheduler: SchedulerKind::Thompson,
             shards: 2,
             rounds_done: 1,
             rounds: 3,
@@ -847,9 +807,9 @@ mod tests {
                     preset: "standard".into(),
                     mode: ArmMode::Fuzz,
                 },
-                successes: 1.0,
-                failures: 0.0,
                 pulls: 2,
+                mean_reward: 0.8,
+                ucb_bound: Some(1.2),
                 new_bugs: 1,
                 runs: 80,
                 quarantined: Some("crashed".into()),
@@ -888,11 +848,15 @@ mod tests {
             arm.get("quarantine_reason").and_then(|s| s.as_str()),
             Some("crashed")
         );
+        // The bandit fields carry nodefz-metrics-v1's arm names.
+        assert_eq!(arm.get("pulls").and_then(|v| v.as_u64()), Some(2));
+        assert_eq!(arm.get("mean_reward").and_then(|v| v.as_f64()), Some(0.8));
+        assert_eq!(arm.get("ucb_bound").and_then(|v| v.as_f64()), Some(1.2));
+        assert!(arm.get("successes").is_none() && doc.get("scheduler").is_none());
         assert!(
             arm.get("sa_candidates").and_then(|v| v.as_u64()).unwrap() > 0,
             "KUE's static model must yield race candidates in the rollup"
         );
-        assert_eq!(report.execs_to_full_discovery(), Some(17));
         assert_eq!(report.quarantined().len(), 1);
 
         let totals = report.pruning_totals().unwrap();
@@ -917,7 +881,6 @@ mod tests {
     #[test]
     fn rollup_omits_pruning_when_no_worker_pruned() {
         let report = OrchReport {
-            scheduler: SchedulerKind::Thompson,
             shards: 1,
             rounds_done: 1,
             rounds: 1,
@@ -1002,39 +965,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_json_reports_both_schedulers() {
-        let base = OrchReport {
-            scheduler: SchedulerKind::Thompson,
-            shards: 1,
-            rounds_done: 1,
-            rounds: 1,
-            slice_budget: 10,
-            total_runs: 10,
-            arms: vec![],
-            work: vec![],
-            discovery: vec![],
-            merged_entries: 0,
-            merged_dir: PathBuf::from("x"),
-            finished: true,
-        };
-        let bench = OrchBenchReport {
-            thompson: base.clone(),
-            ucb: OrchReport {
-                scheduler: SchedulerKind::Ucb,
-                ..base
-            },
-        };
-        let doc = JsonValue::parse(&bench.to_json()).unwrap();
-        assert_eq!(
-            doc.get("schema").and_then(|s| s.as_str()),
-            Some("nodefz-orchbench-v1")
-        );
-        let scheds = doc.get("schedulers").and_then(|s| s.as_array()).unwrap();
-        assert_eq!(scheds.len(), 2);
-        assert!(scheds[0].get("execs_to_full_discovery").unwrap().is_null());
-    }
-
-    #[test]
     fn config_validation_names_the_bad_field() {
         let mut cfg = OrchConfig {
             apps: vec!["KUE".into()],
@@ -1047,5 +977,8 @@ mod tests {
         cfg.shards = 2;
         cfg.apps.clear();
         assert!(cfg.validate().unwrap_err().contains("app"));
+        cfg.apps = vec!["KUE".into(), "Kue".into()];
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("Kue") && err.contains("twice"), "{err}");
     }
 }

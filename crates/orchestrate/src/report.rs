@@ -323,7 +323,7 @@ mod tests {
             Some((3, "kue-standard-fuzz".to_string()))
         );
         assert_eq!(parse_work_dir("corpus"), None);
-        assert_eq!(parse_work_dir("bench-thompson"), None);
+        assert_eq!(parse_work_dir("report"), None);
         assert_eq!(parse_work_dir("r1-ix-bad"), None);
     }
 

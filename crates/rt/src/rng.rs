@@ -1,6 +1,6 @@
 //! A small, self-contained deterministic PRNG.
 //!
-//! The runtime embeds xoshiro256++ (seeded through SplitMix64) instead of
+//! The runtime embeds xoshiro256++ (seeded through [`splitmix64`]) instead of
 //! depending on the `rand` crate so that the simulator's determinism can
 //! never be broken by an upstream algorithm change. Every source of modelled
 //! nondeterminism — message latencies, task durations, callback costs, and
