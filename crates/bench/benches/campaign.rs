@@ -1,7 +1,8 @@
 //! Campaign-scaling experiment: the same fuzzing campaign (fig6 bug set,
-//! fixed budget and base seed) at 1, 2 and 4 worker threads. The finding
-//! set is seed-determined, so the unique-bug column must not move; the
-//! wall-clock column shows the parallel speedup.
+//! fixed budget and base seed) at 1, 2 and 4 worker threads. The
+//! wall-clock column shows the parallel speedup. Only the one-thread row
+//! reproduces byte for byte: with more threads, completion order decides
+//! how many seeds each arm probes, so the unique-bug column can move.
 //!
 //! Run with: `cargo bench -p nodefz-bench --bench campaign`
 

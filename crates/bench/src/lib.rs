@@ -229,8 +229,9 @@ pub struct CampaignScalingRow {
 /// apps, budget and base seed) at each thread count, reporting wall-clock
 /// scaling and the deduplicated bug count.
 ///
-/// The finding set is seed-determined, so every row should report the same
-/// `unique_bugs`; only the wall clock should move.
+/// Only the one-thread row reproduces byte for byte from the seed. With
+/// more threads, completion order decides how many seeds each arm probes,
+/// so `unique_bugs` can differ between rows and between runs.
 pub fn campaign_scaling(
     apps: &[&str],
     budget: u64,

@@ -58,11 +58,6 @@ pub struct AnalyzeConfig {
     pub corpus_dir: Option<PathBuf>,
     /// Acceptance replays per confirmed repro.
     pub replay_checks: u32,
-    /// Rank predicted races by static-candidate priority before spending
-    /// directed executions (apps without a static model keep the
-    /// happens-before order). On by default; `--unranked` turns it off
-    /// for A/B comparison.
-    pub ranked: bool,
 }
 
 impl Default for AnalyzeConfig {
@@ -74,7 +69,6 @@ impl Default for AnalyzeConfig {
             races_out: None,
             corpus_dir: None,
             replay_checks: 3,
-            ranked: true,
         }
     }
 }
@@ -109,8 +103,8 @@ pub struct AnalyzeReport {
     /// Apps whose analysis failed, with the error rendered (`--analyze`
     /// keeps going; a corrupt recording should not sink the batch).
     pub failed: Vec<(String, String)>,
-    /// Directed executions spent across every race chased — the
-    /// denominator of the ranked-vs-unranked comparison.
+    /// Directed executions spent across every race chased, in
+    /// happens-before prediction order.
     pub directed_execs: u64,
     /// Static-analysis precision counters over the analyzed apps'
     /// models.
@@ -158,54 +152,18 @@ fn static_candidates(app: &str) -> Option<Vec<Candidate>> {
     Some(nodefz_sa::candidates(&model, &idx))
 }
 
-/// Priority weight of one dynamic prediction under the static
-/// candidates: sites the analyzer flags as AV-capable come first (an
-/// atomicity region to split is the easiest flip to confirm), then
-/// plain ordering violations, then commutative ones, then sites the
-/// analyzer never predicted at all.
-fn static_weight(cands: &[Candidate], race: &RaceInfo) -> u8 {
-    cands
-        .iter()
-        .filter(|c| c.site == race.site)
-        .map(|c| {
-            if c.covers(RaceClass::Av) {
-                0
-            } else if c.covers(RaceClass::Ov) {
-                1
-            } else {
-                2
-            }
-        })
-        .min()
-        .unwrap_or(3)
-}
-
-/// Reorders predicted races by static priority. The sort is stable, so
-/// within one weight tier the happens-before prediction order (site,
-/// earlier event first) is preserved — ranking only ever *promotes*
-/// statically hot sites, it never scrambles ties.
-fn rank_races(races: &mut [RaceInfo], cands: &[Candidate]) {
-    races.sort_by_key(|r| static_weight(cands, r));
-}
-
-/// The directed-arm work list for one app: analysis failures and empty
-/// predictions both yield no specs (the campaign driver then skips the
-/// arm). Races are statically ranked when the app has a model, matching
-/// the default `--analyze` behavior.
+/// The directed-arm work list for one app, in happens-before prediction
+/// order: analysis failures and empty predictions both yield no specs (the
+/// campaign driver then skips the arm).
 pub(crate) fn directed_specs(app: &str, env_seed: u64) -> Vec<DirectedSpec> {
     let Some(case) = crate::driver::resolve_case(app) else {
         return Vec::new();
     };
     match analyze_app(case.as_ref(), env_seed) {
-        Ok(mut analysis) => {
-            if let Some(cands) = static_candidates(app) {
-                rank_races(&mut analysis.races, &cands);
-            }
-            spec_worklist(&analysis)
-                .into_iter()
-                .flat_map(|(_, specs)| specs)
-                .collect()
-        }
+        Ok(analysis) => spec_worklist(&analysis)
+            .into_iter()
+            .flat_map(|(_, specs)| specs)
+            .collect(),
         Err(_) => Vec::new(),
     }
 }
@@ -243,7 +201,7 @@ pub fn analyze_campaign(cfg: &AnalyzeConfig) -> Result<AnalyzeReport, String> {
     let mut sa = SaMetrics::default();
     for app in &cfg.apps {
         let case = crate::driver::resolve_case(app).expect("validated above");
-        let mut analysis = match analyze_app(case.as_ref(), cfg.env_seed) {
+        let analysis = match analyze_app(case.as_ref(), cfg.env_seed) {
             Ok(a) => a,
             Err(e) => {
                 failed.push((app.clone(), e.to_string()));
@@ -258,9 +216,6 @@ pub fn analyze_campaign(cfg: &AnalyzeConfig) -> Result<AnalyzeReport, String> {
                 sa.av += u64::from(c.covers(RaceClass::Av));
                 sa.ov += u64::from(c.covers(RaceClass::Ov));
                 sa.cov += u64::from(c.covers(RaceClass::Cov));
-            }
-            if cfg.ranked {
-                rank_races(&mut analysis.races, cands);
             }
         }
         for (race, specs) in spec_worklist(&analysis) {
@@ -346,26 +301,43 @@ mod tests {
 
     #[test]
     fn predicts_and_confirms_a_planted_race() {
-        let cfg = AnalyzeConfig {
-            apps: vec!["GHO".into()],
-            ..AnalyzeConfig::default()
-        };
-        let report = analyze_campaign(&cfg).expect("pipeline runs");
-        assert!(report.failed.is_empty(), "{:?}", report.failed);
-        assert_eq!(report.analyses.len(), 1);
-        assert!(report.analyses[0]
-            .races
-            .iter()
-            .any(|r| r.site == "gho:user-row"));
-        assert!(
-            report
-                .confirmed
-                .iter()
-                .any(|c| c.app == "GHO" && c.site == "gho:user-row"),
-            "confirmed: {:?}",
-            report.confirmed
-        );
-        assert!(report.races_json.contains("nodefz-races-v1"));
+        // Multi-race analyses included (MGS predicts 6 pairs, SIO 7).
+        for (app, site) in [
+            ("GHO", "gho:user-row"),
+            ("NES", "nes:socket"),
+            ("MGS", "mgs:filled"),
+            ("SIO", "sio:manager"),
+        ] {
+            let cfg = AnalyzeConfig {
+                apps: vec![app.into()],
+                ..AnalyzeConfig::default()
+            };
+            let report = analyze_campaign(&cfg).expect("pipeline runs");
+            assert!(report.failed.is_empty(), "{app}: {:?}", report.failed);
+            assert_eq!(report.analyses.len(), 1);
+            assert!(
+                report.analyses[0].races.iter().any(|r| r.site == site),
+                "{app}: {site} not predicted"
+            );
+            assert!(
+                report
+                    .confirmed
+                    .iter()
+                    .any(|c| c.app == app && c.site == site),
+                "{app}: confirmed: {:?}",
+                report.confirmed
+            );
+            assert!(report.directed_execs >= 1, "{app}: no directed execs");
+            assert!(report.races_json.contains("nodefz-races-v1"));
+            // The precision counters ride along whenever the app has a
+            // static model (all four of these do).
+            assert_eq!(report.sa.models, 1, "{app}: static model not consulted");
+            assert!(report.sa.candidates >= 1, "{app}: no static candidates");
+            assert!(
+                report.sa.confirmed >= 1,
+                "{app}: a confirmed race matched no static candidate"
+            );
+        }
     }
 
     #[test]

@@ -252,7 +252,7 @@ pub struct FuzzExec {
     pub canon: Option<(CanonKey, u64)>,
 }
 
-/// Per-worker reusable execution state: the campaign/bench hot path.
+/// Per-worker reusable execution state: the campaign's hot path.
 ///
 /// One `RunContext` lives for a worker's whole lifetime and executes
 /// thousands of runs, so anything that can be reset-and-reused across runs
@@ -534,8 +534,9 @@ fn arm_base(base: u64, arm: &Arm) -> u64 {
     arm_seed(base, &arm.app, arm.preset)
 }
 
-/// The (app, preset)-folded base seed, shared with the throughput bench so
-/// its seed stream matches a campaign's.
+/// The (app, preset)-folded base seed of an arm's [`derive_seed`] stream:
+/// the fuzz jobs, the directed arm's analysis run, the apicov replay and
+/// the `--trace-out` run all draw from it.
 pub(crate) fn arm_seed(base: u64, app: &str, preset: usize) -> u64 {
     base ^ nodefz_rt::fnv1a(app.as_bytes()) ^ ((preset as u64) << 56)
 }

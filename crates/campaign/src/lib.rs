@@ -23,7 +23,6 @@
 pub mod analyze;
 pub mod arms;
 pub mod bandit;
-pub mod bench;
 pub mod config;
 pub mod corpus;
 pub mod dedup;
@@ -34,10 +33,11 @@ pub mod shrink;
 
 mod chrome;
 mod driver;
+#[cfg(test)]
+mod pinned;
 
 pub use analyze::{analyze_campaign, AnalyzeConfig, AnalyzeReport, ConfirmedRace};
 pub use arms::{arm_space, arms_to_json, ArmMode, ArmSpec};
-pub use bench::{measure, ArmThroughput, BenchConfig, CanonWindow, ThroughputReport};
 pub use config::{
     preset_index, preset_name, preset_params, reject_duplicate_apps, CampaignConfig,
     DIRECTED_PRESET, PRESETS,

@@ -1,12 +1,13 @@
 //! Hot-path allocation budget guard.
 //!
-//! Throughput is executions per second, and the silent way to lose it is
-//! heap traffic creeping back into the per-event hot path. This test
-//! installs [`nodefz_check::CountingAlloc`] as the global allocator, runs
-//! the campaign hot path ([`nodefz_campaign::RunContext::fuzz_once`]) on
-//! the smallest app, and asserts the steady-state allocation cost per
-//! dispatched callback stays under a fixed budget — so a regression fails
-//! CI instead of eroding the throughput trajectory.
+//! Executions per second is what nfzbench's `fuzz` workload times, and
+//! the silent way to lose it is heap traffic creeping back into the
+//! per-event hot path. This test installs [`nodefz_check::CountingAlloc`]
+//! as the global allocator, runs the campaign hot path
+//! ([`nodefz_campaign::RunContext::fuzz_once`]) on the smallest app, and
+//! asserts the steady-state allocation cost per dispatched callback stays
+//! under a fixed budget. It counts allocations rather than timing them,
+//! so a regression fails `cargo test` on any hardware.
 
 use nodefz_campaign::RunContext;
 use nodefz_check::CountingAlloc;

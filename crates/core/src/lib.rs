@@ -51,7 +51,6 @@ mod params;
 mod replay;
 mod scheduler;
 mod shrink;
-mod systematic;
 
 pub use codec::{decode_trace, encode_trace, TraceDecodeError};
 pub use directed::{DirectedScheduler, DirectedSpec};
@@ -63,4 +62,3 @@ pub use replay::{
 };
 pub use scheduler::{FuzzScheduler, FuzzStats};
 pub use shrink::{ddmin, DdminResult};
-pub use systematic::{explore, explore_pruned, OpportunityProbe, PruneStats, SystematicScheduler};

@@ -112,8 +112,8 @@ impl RaceInfo {
     /// chain flip cuts (root-most first), falling back to "just before
     /// `a` dispatches" when the chain offered none. This is the one
     /// shared definition of the cut list — the campaign analyzer, the
-    /// explainers, and the static analyzer's ranking all consume it
-    /// instead of re-deriving the walk.
+    /// explainer and the conform harness all consume it instead of
+    /// re-deriving the walk.
     pub fn ladder(&self, max: usize) -> Vec<u64> {
         let mut cuts = self.flip_cuts.to_vec();
         if cuts.is_empty() {

@@ -14,8 +14,8 @@
 //!   compiles the runtime's loop hooks; a run is profiled only when a
 //!   handle is attached, which the campaign does above [`ObsLevel::Off`].
 //! * [`JsonWriter`] — a dependency-free JSON emitter shared by the
-//!   `nodefz-metrics-v1` snapshot writer, the `nodefz-throughput-v2`
-//!   bench report, and the campaign's chrome-trace exporter.
+//!   `nodefz-metrics-v1` snapshot writer, the races, orchestrator and
+//!   race-report documents, and the campaign's chrome-trace exporter.
 //! * [`JsonValue`] — the matching reader: a strict recursive-descent
 //!   parser for consumers of those documents in *other* processes (the
 //!   campaign orchestrator reading worker snapshots).

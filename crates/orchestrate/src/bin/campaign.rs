@@ -7,21 +7,23 @@
 //!          [--seed N] [--presets LIST] [--verify DIR] [--list [--json]]
 //!          [--directed] [--conform] [--prune] [--analyze] [--races-out PATH]
 //!          [--attempts N] [--metrics-out PATH] [--trace-out PATH]
-//!          [--obs-level LEVEL] [--bench-execs] [--bench-window-ms N]
-//!          [--bench-warmup-ms N] [--bench-out PATH]
-//!          [--orchestrate] [--shards N] [--rounds N] [--round-budget N]
-//!          [--slices N] [--workdir DIR] [--merged-corpus DIR]
-//!          [--orch-out PATH] [--worker-deadline-secs S] [--induce-crash K]
+//!          [--obs-level LEVEL] [--orchestrate] [--shards N] [--rounds N]
+//!          [--round-budget N] [--slices N] [--workdir DIR]
+//!          [--merged-corpus DIR] [--orch-out PATH] [--worker-deadline-secs S]
+//!          [--induce-crash K]
 //! ```
 //!
-//! Plain `std::env::args` parsing — no argument-parsing dependency.
+//! Plain `std::env::args` parsing — no argument-parsing dependency. A
+//! flag that only means something under a mode (`--shards` under
+//! `--orchestrate`, `--attempts` under `--analyze`, `--json` under
+//! `--list`, ...) is an error without it, never silently ignored.
 //! Under `--orchestrate` this binary becomes the parent of N copies of
 //! itself, each running one (app, preset, mode) arm in single-campaign
 //! mode.
 
 use std::process::ExitCode;
 
-use nodefz_campaign::{report, run_with_progress, BenchConfig, CampaignConfig, Corpus, Event};
+use nodefz_campaign::{report, run_with_progress, CampaignConfig, Corpus, Event};
 use nodefz_orchestrate::OrchConfig;
 
 const USAGE: &str = "usage: campaign [options]
@@ -67,9 +69,6 @@ const USAGE: &str = "usage: campaign [options]
                      (default RACES_report.json)
   --attempts N       directed confirmation attempts per predicted flip
                      under --analyze (default 24; 0 = predict only)
-  --unranked         with --analyze: chase predicted races in plain
-                     happens-before order instead of ranking them by
-                     static-candidate priority (the A/B baseline)
   --metrics-out PATH write nodefz-metrics-v1 telemetry snapshots to PATH,
                      refreshed every ~500ms and finalized at drain
   --journal-out PATH write the nodefz-journal-v1 flight recorder (arm
@@ -78,15 +77,11 @@ const USAGE: &str = "usage: campaign [options]
   --trace-out PATH   after the campaign, record one profiled run as a
                      chrome://tracing timeline
   --obs-level LEVEL  worker loop profiling: off | counters (default off)
-  --bench-execs      measure execs/sec per (app, preset) and exit
-  --bench-window-ms N  measurement window per arm (default 400)
-  --bench-warmup-ms N  warmup per arm, excluded from measurement (default 100)
-  --bench-out PATH   where to write the JSON report
-                     (default BENCH_throughput.json)
   --orchestrate      run the multi-process orchestrator: shard budget
                      slices of the full app x preset x mode arm space
                      across child campaign processes and merge their
-                     corpora with cross-shard dedup
+                     corpora with cross-shard dedup (the next nine
+                     flags need it)
   --shards N         concurrent worker processes (default 2)
   --rounds N         budget rounds incl. round 0, which gives every arm
                      one slice (default 3)
@@ -152,7 +147,6 @@ struct AltMode {
     list: bool,
     /// With `list`: emit the machine-readable arm enumeration.
     list_json: bool,
-    bench: Option<BenchOpts>,
     analyze: Option<AnalyzeOpts>,
     /// Append the CONFORM arm to the targeted apps (after the default
     /// set is filled in, so `--conform` alone fuzzes fig6 + CONFORM).
@@ -194,8 +188,6 @@ impl Default for OrchOpts {
 struct AnalyzeOpts {
     races_out: String,
     attempts: u64,
-    /// Keep the happens-before race order instead of static ranking.
-    unranked: bool,
 }
 
 impl Default for AnalyzeOpts {
@@ -203,26 +195,30 @@ impl Default for AnalyzeOpts {
         AnalyzeOpts {
             races_out: "RACES_report.json".into(),
             attempts: 24,
-            unranked: false,
         }
     }
 }
 
-struct BenchOpts {
-    window_ms: u64,
-    warmup_ms: u64,
-    out: String,
-}
-
-impl Default for BenchOpts {
-    fn default() -> BenchOpts {
-        BenchOpts {
-            window_ms: 400,
-            warmup_ms: 100,
-            out: "BENCH_throughput.json".into(),
-        }
-    }
-}
+/// The flags that only mean something under a mode flag, grouped by that
+/// mode. [`parse_args`] rejects any of them given without its mode.
+const MODE_ONLY_FLAGS: [(&str, &[&str]); 3] = [
+    (
+        "--orchestrate",
+        &[
+            "--shards",
+            "--rounds",
+            "--round-budget",
+            "--slices",
+            "--workdir",
+            "--merged-corpus",
+            "--orch-out",
+            "--worker-deadline-secs",
+            "--induce-crash",
+        ],
+    ),
+    ("--analyze", &["--races-out", "--attempts"]),
+    ("--list", &["--json"]),
+];
 
 fn parse_presets(cfg: &mut CampaignConfig, spec: &str) -> Result<(), String> {
     let mut presets = Vec::new();
@@ -251,20 +247,19 @@ fn parse_args(args: &[String]) -> Result<(CampaignConfig, AltMode), String> {
         verify: None,
         list: false,
         list_json: false,
-        bench: None,
         analyze: None,
         conform: false,
         orchestrate: false,
         orch: OrchOpts::default(),
         crash_after_runs: None,
     };
-    let mut bench_opts = BenchOpts::default();
-    let mut bench = false;
     let mut analyze_opts = AnalyzeOpts::default();
     let mut analyze = false;
     let mut conform = false;
+    let mut flags: Vec<&str> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        flags.push(arg);
         let mut value = |name: &str| {
             it.next()
                 .cloned()
@@ -306,7 +301,6 @@ fn parse_args(args: &[String]) -> Result<(CampaignConfig, AltMode), String> {
             "--analyze" => analyze = true,
             "--races-out" => analyze_opts.races_out = value("--races-out")?,
             "--attempts" => analyze_opts.attempts = num("--attempts", value("--attempts")?)?,
-            "--unranked" => analyze_opts.unranked = true,
             "--metrics-out" => cfg.metrics_out = Some(value("--metrics-out")?.into()),
             "--journal-out" => cfg.journal_out = Some(value("--journal-out")?.into()),
             "--trace-out" => cfg.trace_out = Some(value("--trace-out")?.into()),
@@ -315,14 +309,6 @@ fn parse_args(args: &[String]) -> Result<(CampaignConfig, AltMode), String> {
                 cfg.obs_level = nodefz_obs::ObsLevel::parse(&spelled)
                     .ok_or_else(|| format!("--obs-level: unknown level '{spelled}'"))?;
             }
-            "--bench-execs" => bench = true,
-            "--bench-window-ms" => {
-                bench_opts.window_ms = num("--bench-window-ms", value("--bench-window-ms")?)?;
-            }
-            "--bench-warmup-ms" => {
-                bench_opts.warmup_ms = num("--bench-warmup-ms", value("--bench-warmup-ms")?)?;
-            }
-            "--bench-out" => bench_opts.out = value("--bench-out")?,
             "--orchestrate" => alt.orchestrate = true,
             "--shards" => alt.orch.shards = num("--shards", value("--shards")?)?,
             "--rounds" => alt.orch.rounds = num("--rounds", value("--rounds")?)?,
@@ -348,8 +334,13 @@ fn parse_args(args: &[String]) -> Result<(CampaignConfig, AltMode), String> {
             other => return Err(format!("unknown argument '{other}'\n{USAGE}")),
         }
     }
-    if bench {
-        alt.bench = Some(bench_opts);
+    for (mode, mode_flags) in MODE_ONLY_FLAGS {
+        if flags.contains(&mode) {
+            continue;
+        }
+        if let Some(flag) = mode_flags.iter().find(|f| flags.contains(f)) {
+            return Err(format!("{flag} needs {mode}"));
+        }
     }
     if analyze {
         alt.analyze = Some(analyze_opts);
@@ -413,53 +404,6 @@ fn verify_corpus(dir: &str) -> ExitCode {
     }
 }
 
-fn run_bench(cfg: &CampaignConfig, opts: &BenchOpts) -> ExitCode {
-    let bench_cfg = BenchConfig {
-        apps: cfg.apps.clone(),
-        warmup: std::time::Duration::from_millis(opts.warmup_ms),
-        window: std::time::Duration::from_millis(opts.window_ms),
-        base_seed: cfg.base_seed,
-    };
-    println!(
-        "bench: {} apps x {} presets, {}ms warmup + {}ms window per arm",
-        bench_cfg.apps.len(),
-        nodefz_campaign::PRESETS.len(),
-        opts.warmup_ms,
-        opts.window_ms,
-    );
-    let report = match nodefz_campaign::measure(&bench_cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("campaign: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    for arm in &report.arms {
-        println!(
-            "  {:<4} {:<10} {:>8} runs  {:>9.1} execs/s  {:>8.1} distinct/s  {:>5.3} redundancy",
-            arm.app,
-            arm.preset,
-            arm.runs,
-            arm.execs_per_sec(),
-            arm.canon.distinct_per_sec(),
-            arm.canon.redundancy_ratio(),
-        );
-    }
-    println!(
-        "  total: {} runs, {:.1} execs/s, {:.1} distinct/s ({:.3} redundancy)",
-        report.total_runs(),
-        report.total_execs_per_sec(),
-        report.total_distinct_per_sec(),
-        report.total_redundancy_ratio(),
-    );
-    if let Err(e) = std::fs::write(&opts.out, report.to_json()) {
-        eprintln!("campaign: cannot write {}: {e}", opts.out);
-        return ExitCode::FAILURE;
-    }
-    println!("  wrote {}", opts.out);
-    ExitCode::SUCCESS
-}
-
 fn run_analyze(cfg: &CampaignConfig, opts: &AnalyzeOpts) -> ExitCode {
     let analyze_cfg = nodefz_campaign::AnalyzeConfig {
         apps: cfg.apps.clone(),
@@ -468,18 +412,12 @@ fn run_analyze(cfg: &CampaignConfig, opts: &AnalyzeOpts) -> ExitCode {
         races_out: Some(opts.races_out.clone().into()),
         corpus_dir: cfg.corpus_dir.clone(),
         replay_checks: cfg.replay_checks,
-        ranked: !opts.unranked,
     };
     println!(
-        "analyze: {} apps at env seed {}, {} directed attempts per flip ({})",
+        "analyze: {} apps at env seed {}, {} directed attempts per flip",
         analyze_cfg.apps.len(),
         analyze_cfg.env_seed,
         analyze_cfg.attempts,
-        if analyze_cfg.ranked {
-            "static-ranked"
-        } else {
-            "unranked"
-        },
     );
     let started = std::time::Instant::now();
     let report = match nodefz_campaign::analyze_campaign(&analyze_cfg) {
@@ -1170,9 +1108,6 @@ fn main() -> ExitCode {
         let api = nodefz_conform::api_bug_case().info();
         println!("{:<4} {:<16} {}", api.abbr, "API-graph arm", api.bug_ref);
         return ExitCode::SUCCESS;
-    }
-    if let Some(opts) = &alt.bench {
-        return run_bench(&cfg, opts);
     }
     if let Some(opts) = &alt.analyze {
         return run_analyze(&cfg, opts);

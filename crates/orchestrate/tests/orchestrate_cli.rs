@@ -70,6 +70,69 @@ fn list_json_emits_a_parseable_arm_space() {
     assert_eq!(printed, expected);
 }
 
+/// A flag that only means something under a mode is rejected without
+/// that mode, before anything runs. Ignoring it would silently run
+/// something else: `--shards` a one-process campaign, `--races-out` no
+/// analysis at all, `--json` a campaign instead of a listing.
+#[test]
+fn mode_only_flags_are_rejected_without_their_mode() {
+    let dir = scratch("mode-only");
+    let races = dir.join("races.json");
+    let races = races.to_str().unwrap();
+    let cases: [(&[&str], &str); 5] = [
+        (
+            &[
+                "--shards", "4", "--rounds", "9", "--budget", "5", "--apps", "GHO",
+            ],
+            "--shards needs --orchestrate",
+        ),
+        (
+            &["--induce-crash", "0", "--budget", "5", "--apps", "GHO"],
+            "--induce-crash needs --orchestrate",
+        ),
+        (
+            &["--races-out", races, "--attempts", "3", "--apps", "GHO"],
+            "--races-out needs --analyze",
+        ),
+        (
+            &["--attempts", "3", "--budget", "5", "--apps", "GHO"],
+            "--attempts needs --analyze",
+        ),
+        (
+            &["--json", "--budget", "5", "--apps", "GHO"],
+            "--json needs --list",
+        ),
+    ];
+    for (args, error) in cases {
+        let out = run(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(error), "{args:?}: {stderr}");
+        assert!(stdout(&out).is_empty(), "{args:?} ran: {}", stdout(&out));
+    }
+    assert!(
+        !Path::new(races).exists(),
+        "report written without --analyze"
+    );
+    // Under its mode the same flag is accepted.
+    let out = run(&[
+        "--analyze",
+        "--apps",
+        "GHO",
+        "--attempts",
+        "0",
+        "--races-out",
+        races,
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(Path::new(races).exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn presets_flag_restricts_a_worker_to_one_arm() {
     let dir = scratch("presets");
