@@ -48,7 +48,7 @@
 #![warn(missing_docs)]
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use nodefz_rt::{Ctx, Errno, Fd, FdKind, Rng, VDur, VTime};
@@ -81,7 +81,8 @@ impl LatencyModel {
     }
 }
 
-/// Identifier of a simulated connection.
+/// Identifier of a simulated connection: its index in the connection slab.
+/// Ids are sequential and never reused within a [`SimNet`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ConnId(u64);
 
@@ -131,23 +132,53 @@ struct UdpBinding {
     on_datagram: OnDatagram,
 }
 
-#[derive(Default)]
 struct UdpPeer {
     received: Vec<(VTime, Msg)>,
 }
 
 struct NetState {
-    listeners: HashMap<u16, Listener>,
-    udp: HashMap<u16, UdpBinding>,
-    udp_peers: HashMap<u16, UdpPeer>,
+    /// Listeners by port, in registration order (a server has a handful,
+    /// so a scan beats hashing).
+    listeners: Vec<(u16, Listener)>,
+    /// UDP bindings by port, in registration order.
+    udp: Vec<(u16, UdpBinding)>,
+    /// Environment-side datagram mailboxes by port, in first-delivery order.
+    udp_peers: Vec<(u16, UdpPeer)>,
     /// Probability (0..1) that a datagram is dropped in flight.
     udp_loss: f64,
-    conns: HashMap<ConnId, ConnState>,
-    next_conn: u64,
+    /// Connection slab, indexed by [`ConnId`]. A connection dropped at
+    /// accept (EMFILE) leaves `None` in its slot.
+    conns: Vec<Option<ConnState>>,
     latency: LatencyModel,
     rng: Option<Rng>,
     accepted: u64,
-    hosts: HashMap<String, String>,
+    /// The simulated DNS zone.
+    hosts: BTreeMap<String, String>,
+}
+
+/// The entry for `port` in a registration-ordered port table.
+fn by_port<T>(table: &[(u16, T)], port: u16) -> Option<&T> {
+    table.iter().find(|(p, _)| *p == port).map(|(_, t)| t)
+}
+
+fn by_port_mut<T>(table: &mut [(u16, T)], port: u16) -> Option<&mut T> {
+    table.iter_mut().find(|(p, _)| *p == port).map(|(_, t)| t)
+}
+
+/// Removes and returns the entry for `port`, keeping the others in order.
+fn remove_port<T>(table: &mut Vec<(u16, T)>, port: u16) -> Option<T> {
+    let idx = table.iter().position(|(p, _)| *p == port)?;
+    Some(table.remove(idx).1)
+}
+
+impl NetState {
+    fn conn(&self, id: ConnId) -> Option<&ConnState> {
+        self.conns.get(id.0 as usize)?.as_ref()
+    }
+
+    fn conn_mut(&mut self, id: ConnId) -> Option<&mut ConnState> {
+        self.conns.get_mut(id.0 as usize)?.as_mut()
+    }
 }
 
 /// The simulated network fabric. Cheap to clone; all clones share state.
@@ -172,16 +203,15 @@ impl SimNet {
     pub fn with_latency(latency: LatencyModel) -> SimNet {
         SimNet {
             inner: Rc::new(RefCell::new(NetState {
-                listeners: HashMap::new(),
-                udp: HashMap::new(),
-                udp_peers: HashMap::new(),
+                listeners: Vec::new(),
+                udp: Vec::new(),
+                udp_peers: Vec::new(),
                 udp_loss: 0.0,
-                conns: HashMap::new(),
-                next_conn: 0,
+                conns: Vec::new(),
                 latency,
                 rng: None,
                 accepted: 0,
-                hosts: HashMap::new(),
+                hosts: BTreeMap::new(),
             })),
         }
     }
@@ -208,20 +238,20 @@ impl SimNet {
         port: u16,
         on_conn: impl FnMut(&mut Ctx<'_>, Connection) + 'static,
     ) -> Result<Server, Errno> {
-        if self.inner.borrow().listeners.contains_key(&port) {
+        if by_port(&self.inner.borrow().listeners, port).is_some() {
             return Err(Errno::Eaddrinuse);
         }
         let fd = cx.alloc_fd(FdKind::NetListener)?;
         let net = self.clone();
         cx.register_watcher(fd, move |cx, _fd| net.dispatch_accept(cx, port))?;
-        self.inner.borrow_mut().listeners.insert(
+        self.inner.borrow_mut().listeners.push((
             port,
             Listener {
                 fd,
                 on_conn: Rc::new(RefCell::new(on_conn)),
                 pending: VecDeque::new(),
             },
-        );
+        ));
         Ok(Server {
             net: self.clone(),
             port,
@@ -254,7 +284,7 @@ impl SimNet {
         port: u16,
         on_datagram: impl FnMut(&mut Ctx<'_>, u16, &Msg) + 'static,
     ) -> Result<UdpSocket, Errno> {
-        if self.inner.borrow().udp.contains_key(&port) {
+        if by_port(&self.inner.borrow().udp, port).is_some() {
             return Err(Errno::Eaddrinuse);
         }
         let fd = cx.alloc_fd(FdKind::NetConn)?;
@@ -262,22 +292,21 @@ impl SimNet {
         cx.register_watcher(fd, move |cx, _fd| {
             let next = {
                 let mut st = net.inner.borrow_mut();
-                st.udp
-                    .get_mut(&port)
+                by_port_mut(&mut st.udp, port)
                     .and_then(|b| b.inbox.pop_front().map(|d| (d, b.on_datagram.clone())))
             };
             if let Some(((from, msg), cb)) = next {
                 (cb.borrow_mut())(cx, from, &msg);
             }
         })?;
-        self.inner.borrow_mut().udp.insert(
+        self.inner.borrow_mut().udp.push((
             port,
             UdpBinding {
                 fd,
                 inbox: VecDeque::new(),
                 on_datagram: Rc::new(RefCell::new(on_datagram)),
             },
-        );
+        ));
         Ok(UdpSocket {
             net: self.clone(),
             port,
@@ -305,7 +334,7 @@ impl SimNet {
         cx.schedule_env(delay + latency, move |cx| {
             let delivered_to_server = {
                 let mut st = net.inner.borrow_mut();
-                match st.udp.get_mut(&to) {
+                match by_port_mut(&mut st.udp, to) {
                     Some(binding) => {
                         binding.inbox.push_back((from, msg.clone()));
                         Some(binding.fd)
@@ -321,11 +350,16 @@ impl SimNet {
                     // No binding: deliver to an environment-side peer
                     // mailbox (a reply to a client).
                     let mut st = net.inner.borrow_mut();
-                    st.udp_peers
-                        .entry(to)
-                        .or_default()
-                        .received
-                        .push((cx.now(), msg));
+                    let at = cx.now();
+                    match by_port_mut(&mut st.udp_peers, to) {
+                        Some(peer) => peer.received.push((at, msg)),
+                        None => st.udp_peers.push((
+                            to,
+                            UdpPeer {
+                                received: vec![(at, msg)],
+                            },
+                        )),
+                    }
                 }
             }
         });
@@ -339,10 +373,7 @@ impl SimNet {
     /// Datagrams an environment-side peer port has received (oracle
     /// helper).
     pub fn udp_peer_received(&self, port: u16) -> Vec<Msg> {
-        self.inner
-            .borrow()
-            .udp_peers
-            .get(&port)
+        by_port(&self.inner.borrow().udp_peers, port)
             .map(|p| p.received.iter().map(|(_, m)| m.clone()).collect())
             .unwrap_or_default()
     }
@@ -390,7 +421,13 @@ impl SimNet {
     pub fn close_all_listeners_after(&self, cx: &mut Ctx<'_>, delay: VDur) {
         let net = self.clone();
         cx.set_timeout(delay, move |cx| {
-            let ports: Vec<u16> = net.inner.borrow().listeners.keys().copied().collect();
+            let ports: Vec<u16> = net
+                .inner
+                .borrow()
+                .listeners
+                .iter()
+                .map(|(p, _)| *p)
+                .collect();
             for port in ports {
                 Server {
                     net: net.clone(),
@@ -404,18 +441,14 @@ impl SimNet {
     fn dispatch_accept(&self, cx: &mut Ctx<'_>, port: u16) {
         let (id, on_conn) = {
             let mut st = self.inner.borrow_mut();
-            let Some(listener) = st.listeners.get_mut(&port) else {
+            let Some(listener) = by_port_mut(&mut st.listeners, port) else {
                 return;
             };
             let Some(id) = listener.pending.pop_front() else {
                 return;
             };
+            let on_conn = listener.on_conn.clone();
             st.accepted += 1;
-            let on_conn = st
-                .listeners
-                .get(&port)
-                .map(|l| l.on_conn.clone())
-                .expect("listener just seen");
             (id, on_conn)
         };
         // Allocate the connection descriptor and install its watcher.
@@ -423,7 +456,7 @@ impl SimNet {
             Ok(fd) => fd,
             Err(_) => {
                 // Out of descriptors: the connection is dropped.
-                self.inner.borrow_mut().conns.remove(&id);
+                self.inner.borrow_mut().conns[id.0 as usize] = None;
                 return;
             }
         };
@@ -436,7 +469,7 @@ impl SimNet {
         }
         let buffered = {
             let mut st = self.inner.borrow_mut();
-            let Some(conn) = st.conns.get_mut(&id) else {
+            let Some(conn) = st.conn_mut(id) else {
                 return;
             };
             conn.fd = Some(fd);
@@ -456,7 +489,7 @@ impl SimNet {
     fn dispatch_conn_event(&self, cx: &mut Ctx<'_>, id: ConnId) {
         let (delivery, on_data) = {
             let mut st = self.inner.borrow_mut();
-            let Some(conn) = st.conns.get_mut(&id) else {
+            let Some(conn) = st.conn_mut(id) else {
                 return;
             };
             let Some(delivery) = conn.inbox.pop_front() else {
@@ -479,7 +512,7 @@ impl SimNet {
                 // where the fuzzer may defer it.
                 let queued = {
                     let mut st = self.inner.borrow_mut();
-                    match st.conns.get_mut(&id) {
+                    match st.conn_mut(id) {
                         Some(c) if !c.close_queued => {
                             c.close_queued = true;
                             true
@@ -498,7 +531,7 @@ impl SimNet {
     fn finish_close(&self, cx: &mut Ctx<'_>, id: ConnId, notify_client: bool) {
         let (fd, on_close) = {
             let mut st = self.inner.borrow_mut();
-            let Some(conn) = st.conns.get_mut(&id) else {
+            let Some(conn) = st.conn_mut(id) else {
                 return;
             };
             if !conn.server_open {
@@ -519,7 +552,7 @@ impl SimNet {
         }
         if notify_client {
             let mut st = self.inner.borrow_mut();
-            if let Some(conn) = st.conns.get_mut(&id) {
+            if let Some(conn) = st.conn_mut(id) {
                 if conn.client.closed_at.is_none() {
                     conn.client.closed_at = Some(cx.now());
                 }
@@ -530,7 +563,7 @@ impl SimNet {
     fn deliver_c2s(&self, cx: &mut Ctx<'_>, id: ConnId, delivery: Delivery) {
         let fd = {
             let mut st = self.inner.borrow_mut();
-            let Some(conn) = st.conns.get_mut(&id) else {
+            let Some(conn) = st.conn_mut(id) else {
                 return;
             };
             if !conn.server_open {
@@ -561,7 +594,7 @@ impl Server {
 
     /// Stops accepting connections and releases the listener descriptor.
     pub fn close(&self, cx: &mut Ctx<'_>) {
-        let listener = self.net.inner.borrow_mut().listeners.remove(&self.port);
+        let listener = remove_port(&mut self.net.inner.borrow_mut().listeners, self.port);
         if let Some(listener) = listener {
             let _ = cx.close_fd(listener.fd);
         }
@@ -569,7 +602,7 @@ impl Server {
 
     /// Stops the listener from keeping the loop alive (libuv `unref`).
     pub fn unref(&self, cx: &mut Ctx<'_>) {
-        if let Some(listener) = self.net.inner.borrow().listeners.get(&self.port) {
+        if let Some(listener) = by_port(&self.net.inner.borrow().listeners, self.port) {
             let _ = cx.set_fd_refd(listener.fd, false);
         }
     }
@@ -590,7 +623,7 @@ impl Connection {
 
     /// Installs the data callback, invoked once per arriving message.
     pub fn on_data(&self, cb: impl FnMut(&mut Ctx<'_>, Connection, &Msg) + 'static) {
-        if let Some(conn) = self.net.inner.borrow_mut().conns.get_mut(&self.id) {
+        if let Some(conn) = self.net.inner.borrow_mut().conn_mut(self.id) {
             conn.on_data = Some(Rc::new(RefCell::new(cb)));
         }
     }
@@ -598,7 +631,7 @@ impl Connection {
     /// Installs the close callback, invoked from the loop's close phase
     /// when the connection is torn down.
     pub fn on_close(&self, cb: impl FnMut(&mut Ctx<'_>, Connection) + 'static) {
-        if let Some(conn) = self.net.inner.borrow_mut().conns.get_mut(&self.id) {
+        if let Some(conn) = self.net.inner.borrow_mut().conn_mut(self.id) {
             conn.on_close = Some(Rc::new(RefCell::new(cb)));
         }
     }
@@ -608,8 +641,7 @@ impl Connection {
         self.net
             .inner
             .borrow()
-            .conns
-            .get(&self.id)
+            .conn(self.id)
             .is_some_and(|c| c.server_open)
     }
 
@@ -625,7 +657,7 @@ impl Connection {
         let latency = self.net.rng_sample(cx);
         let at = {
             let mut st = self.net.inner.borrow_mut();
-            let conn = st.conns.get_mut(&self.id).ok_or(Errno::Enotconn)?;
+            let conn = st.conn_mut(self.id).ok_or(Errno::Enotconn)?;
             let at = (cx.now() + latency).max(conn.last_s2c + VDur::nanos(1));
             conn.last_s2c = at;
             at
@@ -635,7 +667,7 @@ impl Connection {
         cx.schedule_env_at(at, move |cx| {
             let reply = {
                 let mut st = net.inner.borrow_mut();
-                let Some(conn) = st.conns.get_mut(&id) else {
+                let Some(conn) = st.conn_mut(id) else {
                     return;
                 };
                 conn.client.received.push((cx.now(), msg.clone()));
@@ -655,7 +687,7 @@ impl Connection {
     pub fn end(&self, cx: &mut Ctx<'_>) {
         let queued = {
             let mut st = self.net.inner.borrow_mut();
-            match st.conns.get_mut(&self.id) {
+            match st.conn_mut(self.id) {
                 Some(c) if c.server_open && !c.close_queued => {
                     c.close_queued = true;
                     true
@@ -692,29 +724,25 @@ impl Client {
     pub fn connect_after(cx: &mut Ctx<'_>, net: &SimNet, port: u16, delay: VDur) -> Client {
         let id = {
             let mut st = net.inner.borrow_mut();
-            let id = ConnId(st.next_conn);
-            st.next_conn += 1;
-            st.conns.insert(
-                id,
-                ConnState {
-                    port,
-                    fd: None,
-                    inbox: VecDeque::new(),
-                    on_data: None,
-                    on_close: None,
-                    server_open: true,
-                    close_queued: false,
-                    last_c2s: VTime::ZERO,
-                    last_s2c: VTime::ZERO,
-                    client: ClientSide::default(),
-                },
-            );
+            let id = ConnId(st.conns.len() as u64);
+            st.conns.push(Some(ConnState {
+                port,
+                fd: None,
+                inbox: VecDeque::new(),
+                on_data: None,
+                on_close: None,
+                server_open: true,
+                close_queued: false,
+                last_c2s: VTime::ZERO,
+                last_s2c: VTime::ZERO,
+                client: ClientSide::default(),
+            }));
             id
         };
         let latency = net.rng_sample(cx);
         let at = {
             let mut st = net.inner.borrow_mut();
-            let conn = st.conns.get_mut(&id).expect("just inserted");
+            let conn = st.conn_mut(id).expect("just inserted");
             let at = cx.now() + delay + latency;
             conn.last_c2s = at;
             at
@@ -723,15 +751,15 @@ impl Client {
         cx.schedule_env_at(at, move |cx| {
             let fd = {
                 let mut st = netc.inner.borrow_mut();
-                let port = st.conns.get(&id).map(|c| c.port);
+                let port = st.conn(id).map(|c| c.port);
                 let Some(port) = port else { return };
-                match st.listeners.get_mut(&port) {
+                match by_port_mut(&mut st.listeners, port) {
                     Some(listener) => {
                         listener.pending.push_back(id);
                         Some(listener.fd)
                     }
                     None => {
-                        if let Some(conn) = st.conns.get_mut(&id) {
+                        if let Some(conn) = st.conn_mut(id) {
                             conn.client.refused = true;
                             conn.server_open = false;
                         }
@@ -764,7 +792,7 @@ impl Client {
         let latency = self.net.rng_sample(cx);
         let at = {
             let mut st = self.net.inner.borrow_mut();
-            let Some(conn) = st.conns.get_mut(&self.id) else {
+            let Some(conn) = st.conn_mut(self.id) else {
                 return;
             };
             let at = (cx.now() + delay + latency).max(conn.last_c2s + VDur::nanos(1));
@@ -786,7 +814,7 @@ impl Client {
         let latency = self.net.rng_sample(cx);
         let at = {
             let mut st = self.net.inner.borrow_mut();
-            let Some(conn) = st.conns.get_mut(&self.id) else {
+            let Some(conn) = st.conn_mut(self.id) else {
                 return;
             };
             let at = (cx.now() + delay + latency).max(conn.last_c2s + VDur::nanos(1));
@@ -802,7 +830,7 @@ impl Client {
 
     /// Installs a client-side reply callback (environment-level scripting).
     pub fn on_reply(&self, cb: impl FnMut(&mut Ctx<'_>, &Msg) + 'static) {
-        if let Some(conn) = self.net.inner.borrow_mut().conns.get_mut(&self.id) {
+        if let Some(conn) = self.net.inner.borrow_mut().conn_mut(self.id) {
             conn.client.on_reply = Some(Rc::new(RefCell::new(cb)));
         }
     }
@@ -812,8 +840,7 @@ impl Client {
         self.net
             .inner
             .borrow()
-            .conns
-            .get(&self.id)
+            .conn(self.id)
             .map(|c| c.client.received.iter().map(|(_, m)| m.clone()).collect())
             .unwrap_or_default()
     }
@@ -823,8 +850,7 @@ impl Client {
         self.net
             .inner
             .borrow()
-            .conns
-            .get(&self.id)
+            .conn(self.id)
             .map(|c| c.client.received.clone())
             .unwrap_or_default()
     }
@@ -834,8 +860,7 @@ impl Client {
         self.net
             .inner
             .borrow()
-            .conns
-            .get(&self.id)
+            .conn(self.id)
             .is_some_and(|c| c.client.refused)
     }
 
@@ -844,8 +869,7 @@ impl Client {
         self.net
             .inner
             .borrow()
-            .conns
-            .get(&self.id)
+            .conn(self.id)
             .and_then(|c| c.client.closed_at)
     }
 }
@@ -871,7 +895,7 @@ impl UdpSocket {
 
     /// Closes the socket, releasing its descriptor.
     pub fn close(&self, cx: &mut Ctx<'_>) {
-        let binding = self.net.inner.borrow_mut().udp.remove(&self.port);
+        let binding = remove_port(&mut self.net.inner.borrow_mut().udp, self.port);
         if let Some(binding) = binding {
             let _ = cx.close_fd(binding.fd);
         }
@@ -1112,7 +1136,7 @@ mod tests {
     fn cross_connection_order_varies_with_env_seed() {
         // Two clients each send one message; across seeds, the arrival
         // order differs — the nondeterminism §4.2.1 describes.
-        let mut first_arrivals = std::collections::HashSet::new();
+        let mut first_arrivals = std::collections::BTreeSet::new();
         for seed in 0..20 {
             let mut el = EventLoop::new(LoopConfig::seeded(seed));
             let net = SimNet::new();

@@ -77,7 +77,7 @@ fn replies_reach_the_sender_mailbox() {
 fn datagrams_reorder_even_under_vanilla() {
     // Two datagrams sent 50us apart: across env seeds, arrival order flips
     // — the §4.2.1 UDP nondeterminism, present even without the fuzzer.
-    let mut orders = std::collections::HashSet::new();
+    let mut orders = std::collections::BTreeSet::new();
     for seed in 0..30 {
         let mut el = EventLoop::new(LoopConfig::seeded(seed));
         let net = SimNet::new();

@@ -8,7 +8,6 @@
 //! registration-ordered listener dispatch the fuzzer must preserve (§4.3.1).
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::ctx::Ctx;
@@ -128,8 +127,25 @@ pub struct ListenerId(u64);
 type ListenerEntry<E> = (ListenerId, ListenerCb<E>, bool);
 
 struct EmitterState<E> {
-    listeners: HashMap<&'static str, Vec<ListenerEntry<E>>>,
+    /// Listeners per event name, events in first-registration order.
+    listeners: Vec<(&'static str, Vec<ListenerEntry<E>>)>,
     next: u64,
+}
+
+impl<E> EmitterState<E> {
+    fn listeners_of(&self, event: &str) -> Option<&Vec<ListenerEntry<E>>> {
+        self.listeners
+            .iter()
+            .find(|(name, _)| *name == event)
+            .map(|(_, list)| list)
+    }
+
+    fn listeners_of_mut(&mut self, event: &str) -> Option<&mut Vec<ListenerEntry<E>>> {
+        self.listeners
+            .iter_mut()
+            .find(|(name, _)| *name == event)
+            .map(|(_, list)| list)
+    }
 }
 
 /// A Node.js-style `EventEmitter`.
@@ -160,7 +176,7 @@ impl<E> Emitter<E> {
     pub fn new() -> Emitter<E> {
         Emitter {
             inner: Rc::new(RefCell::new(EmitterState {
-                listeners: HashMap::new(),
+                listeners: Vec::new(),
                 next: 0,
             })),
         }
@@ -193,17 +209,18 @@ impl<E> Emitter<E> {
         let mut st = self.inner.borrow_mut();
         let id = ListenerId(st.next);
         st.next += 1;
-        st.listeners
-            .entry(event)
-            .or_default()
-            .push((id, Rc::new(RefCell::new(cb)), once));
+        let entry: ListenerEntry<E> = (id, Rc::new(RefCell::new(cb)), once);
+        match st.listeners_of_mut(event) {
+            Some(list) => list.push(entry),
+            None => st.listeners.push((event, vec![entry])),
+        }
         id
     }
 
     /// Removes a listener. Returns whether it was registered.
     pub fn remove_listener(&self, event: &'static str, id: ListenerId) -> bool {
         let mut st = self.inner.borrow_mut();
-        if let Some(list) = st.listeners.get_mut(event) {
+        if let Some(list) = st.listeners_of_mut(event) {
             let before = list.len();
             list.retain(|(lid, _, _)| *lid != id);
             return list.len() != before;
@@ -213,11 +230,7 @@ impl<E> Emitter<E> {
 
     /// Number of listeners currently registered for `event`.
     pub fn listener_count(&self, event: &'static str) -> usize {
-        self.inner
-            .borrow()
-            .listeners
-            .get(event)
-            .map_or(0, |l| l.len())
+        self.inner.borrow().listeners_of(event).map_or(0, Vec::len)
     }
 
     /// Invokes all listeners for `event` in registration order.
@@ -226,7 +239,7 @@ impl<E> Emitter<E> {
     pub fn emit(&self, cx: &mut Ctx<'_>, event: &'static str, payload: &E) -> usize {
         let snapshot: Vec<(ListenerId, ListenerCb<E>, bool)> = {
             let st = self.inner.borrow();
-            st.listeners.get(event).cloned().unwrap_or_default()
+            st.listeners_of(event).cloned().unwrap_or_default()
         };
         for (id, cb, once) in &snapshot {
             if *once {

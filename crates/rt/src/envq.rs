@@ -5,8 +5,13 @@
 //! virtual-time priority queue. Substrates schedule entries (with jittered
 //! delays drawn from the environment RNG) and the poll phase drains them,
 //! which is how virtual time advances while the loop would block in epoll.
+//!
+//! The queue is key-only, like the timer heap: the binary heap sifts small
+//! `(time, sequence, slot)` keys, and the boxed actions stay put in a slab
+//! whose freed slots are recycled through a free list. Entries pop in
+//! `(time, sequence)` order — earliest first, FIFO among equal times.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::ctx::Ctx;
@@ -27,33 +32,20 @@ pub(crate) enum EnvAction {
     Custom(Box<dyn FnOnce(&mut Ctx<'_>)>, Option<crate::events::CbId>),
 }
 
+/// A popped entry: its due time and action.
 pub(crate) struct EnvEntry {
     pub at: VTime,
-    pub seq: u64,
     pub action: EnvAction,
-}
-
-impl PartialEq for EnvEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for EnvEntry {}
-impl PartialOrd for EnvEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for EnvEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest-first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
 }
 
 #[derive(Default)]
 pub(crate) struct EnvQueue {
-    heap: BinaryHeap<EnvEntry>,
+    /// `(due time, sequence, slot)`; the sequence makes keys unique, so the
+    /// slot never decides the order.
+    heap: BinaryHeap<Reverse<(VTime, u64, usize)>>,
+    /// Action slab; `None` marks a free slot (listed in `free`).
+    slots: Vec<Option<EnvAction>>,
+    free: Vec<usize>,
     next_seq: u64,
 }
 
@@ -61,21 +53,36 @@ impl EnvQueue {
     pub fn schedule(&mut self, at: VTime, action: EnvAction) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(EnvEntry { at, seq, action });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = Some(action);
+                slot
+            }
+            None => {
+                self.slots.push(Some(action));
+                self.slots.len() - 1
+            }
+        };
+        self.heap.push(Reverse((at, seq, slot)));
     }
 
     /// Earliest scheduled time, if any.
     pub fn next_time(&self) -> Option<VTime> {
-        self.heap.peek().map(|e| e.at)
+        self.heap.peek().map(|Reverse((at, _, _))| *at)
     }
 
     /// Pops the next entry if it is due at or before `now`.
     pub fn pop_due(&mut self, now: VTime) -> Option<EnvEntry> {
-        if self.heap.peek().is_some_and(|e| e.at <= now) {
-            self.heap.pop()
-        } else {
-            None
+        let &Reverse((at, _, slot)) = self.heap.peek()?;
+        if at > now {
+            return None;
         }
+        self.heap.pop();
+        let action = self.slots[slot]
+            .take()
+            .expect("queued slot holds an action");
+        self.free.push(slot);
+        Some(EnvEntry { at, action })
     }
 
     pub fn is_empty(&self) -> bool {
@@ -85,6 +92,8 @@ impl EnvQueue {
     /// Clears all state for a fresh run, keeping allocated capacity.
     pub fn reset(&mut self) {
         self.heap.clear();
+        self.slots.clear();
+        self.free.clear();
         self.next_seq = 0;
     }
 
@@ -134,5 +143,51 @@ mod tests {
         assert!(q.pop_due(VTime(49)).is_none());
         assert_eq!(q.len(), 1);
         assert!(q.pop_due(VTime(50)).is_some());
+    }
+
+    /// Random interleavings of `schedule` and `pop_due` against an ordered
+    /// map keyed by `(time, schedule order)`: the pop order must match it
+    /// exactly, and freed slots must be reused so the slab never outgrows
+    /// the peak number of live entries.
+    #[test]
+    fn matches_ordered_map_model() {
+        nodefz_check::forall("envq_matches_ordered_map_model", 128, |g| {
+            let mut q = EnvQueue::default();
+            let mut model = std::collections::BTreeMap::new();
+            let (mut seq, mut now, mut peak) = (0u64, 0u64, 0usize);
+            for _ in 0..g.range_usize(1, 400) {
+                if g.below(3) < 2 {
+                    // Small time range: plenty of equal-time ties.
+                    let at = VTime(now + g.below(8));
+                    q.schedule(at, EnvAction::TaskFinish(TaskId(seq)));
+                    model.insert((at, seq), seq);
+                    seq += 1;
+                    peak = peak.max(model.len());
+                } else {
+                    now += g.below(4);
+                    let want = match model.first_key_value() {
+                        Some((&(at, _), _)) if at.0 <= now => {
+                            model.pop_first().map(|((at, _), id)| (at, id))
+                        }
+                        _ => None,
+                    };
+                    let got = q.pop_due(VTime(now)).map(|e| match e.action {
+                        EnvAction::TaskFinish(TaskId(id)) => (e.at, id),
+                        _ => panic!("unexpected action"),
+                    });
+                    assert_eq!(got, want, "pop at {now}");
+                }
+                assert_eq!(q.len(), model.len());
+                assert_eq!(q.next_time(), model.keys().next().map(|(at, _)| *at));
+                assert!(
+                    q.slots.len() <= peak,
+                    "slab {} > peak {peak}",
+                    q.slots.len()
+                );
+            }
+            q.reset();
+            assert_eq!(q.len(), 0);
+            assert!(q.is_empty() && q.next_time().is_none());
+        });
     }
 }

@@ -854,16 +854,22 @@ impl EventLoop {
     }
 
     fn repeat_phase(&mut self, kind: CbKind) {
-        // Snapshot into the reusable scratch: callbacks may add or remove
-        // handles mid-phase, and the phase runs the set as of phase entry.
-        let mut handles = std::mem::take(&mut self.st.repeat_scratch);
-        handles.clear();
-        match kind {
-            CbKind::Idle => self.st.idle.snapshot_into(&mut handles),
-            CbKind::Prepare => self.st.prepare.snapshot_into(&mut handles),
-            CbKind::Check => self.st.check.snapshot_into(&mut handles),
+        let set = match kind {
+            CbKind::Idle => &self.st.idle,
+            CbKind::Prepare => &self.st.prepare,
+            CbKind::Check => &self.st.check,
             _ => unreachable!("repeat_phase called with {kind:?}"),
         };
+        // The phase runs the set as of phase entry, so an empty set means
+        // nothing runs: handles added later wait for the next iteration.
+        if set.active() == 0 {
+            return;
+        }
+        // Snapshot into the reusable scratch: callbacks may add or remove
+        // handles mid-phase.
+        let mut handles = std::mem::take(&mut self.st.repeat_scratch);
+        handles.clear();
+        set.snapshot_into(&mut handles);
         for (cb, cause) in handles.drain(..) {
             if self.st.stopped {
                 break;

@@ -7,8 +7,6 @@
 //! (signalfd-style) whose readiness flows through the poll phase — and is
 //! therefore shuffleable and deferrable by the fuzzer like any other event.
 
-use std::collections::HashMap;
-
 use crate::poll::Fd;
 
 /// The simulated signal set.
@@ -29,6 +27,9 @@ pub enum Signal {
 }
 
 impl Signal {
+    /// Number of signals in the set.
+    const COUNT: usize = 6;
+
     /// Conventional name.
     pub fn name(self) -> &'static str {
         match self {
@@ -42,21 +43,22 @@ impl Signal {
     }
 }
 
-/// Registry mapping signals to their watcher descriptors.
+/// Registry mapping signals to their watcher descriptors, indexed by
+/// signal.
 #[derive(Default)]
 pub(crate) struct SignalState {
-    watchers: HashMap<Signal, Vec<Fd>>,
+    watchers: [Vec<Fd>; Signal::COUNT],
     pub delivered: u64,
 }
 
 impl SignalState {
     pub fn register(&mut self, sig: Signal, fd: Fd) {
-        self.watchers.entry(sig).or_default().push(fd);
+        self.watchers[sig as usize].push(fd);
     }
 
     pub fn unregister(&mut self, fd: Fd) -> bool {
         let mut removed = false;
-        for fds in self.watchers.values_mut() {
+        for fds in &mut self.watchers {
             let before = fds.len();
             fds.retain(|&f| f != fd);
             removed |= fds.len() != before;
@@ -65,18 +67,16 @@ impl SignalState {
     }
 
     pub fn watchers_of(&self, sig: Signal) -> Vec<Fd> {
-        self.watchers.get(&sig).cloned().unwrap_or_default()
+        self.watchers[sig as usize].clone()
     }
 
     pub fn watcher_count(&self, sig: Signal) -> usize {
-        self.watchers.get(&sig).map_or(0, Vec::len)
+        self.watchers[sig as usize].len()
     }
 
     /// Clears all state for a fresh run, keeping allocated capacity.
     pub fn reset(&mut self) {
-        // Keep the per-signal buckets (and their Vec capacity); just empty
-        // them.
-        for fds in self.watchers.values_mut() {
+        for fds in &mut self.watchers {
             fds.clear();
         }
         self.delivered = 0;
@@ -105,5 +105,15 @@ mod tests {
         assert!(!st.unregister(Fd(4)));
         assert_eq!(st.watchers_of(Signal::Term), vec![Fd(5)]);
         assert!(st.watchers_of(Signal::Usr1).is_empty());
+    }
+
+    #[test]
+    fn every_signal_has_a_bucket() {
+        use Signal::*;
+        let mut st = SignalState::default();
+        for (i, sig) in [Int, Term, Hup, Usr1, Usr2, Chld].into_iter().enumerate() {
+            st.register(sig, Fd(i as u32));
+            assert_eq!(st.watchers_of(sig), vec![Fd(i as u32)], "{sig:?}");
+        }
     }
 }

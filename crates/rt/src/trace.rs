@@ -254,7 +254,7 @@ mod tests {
 
     #[test]
     fn codes_are_unique() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for k in CbKind::all() {
             assert!(seen.insert(k.code()), "duplicate code for {k:?}");
         }
@@ -262,7 +262,7 @@ mod tests {
 
     #[test]
     fn labels_are_unique() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for k in CbKind::all() {
             assert!(seen.insert(k.label()), "duplicate label for {k:?}");
         }

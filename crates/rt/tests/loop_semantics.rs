@@ -450,6 +450,39 @@ fn idle_prepare_check_handles_run_each_iteration() {
 }
 
 #[test]
+fn repeat_handles_added_by_a_timer_run_in_the_same_iteration() {
+    // The idle and check sets are empty when the iteration starts. A timer
+    // registers one handle in each; both must run in this iteration's idle
+    // and check phases, before its close phase, because a phase takes its
+    // set at phase entry.
+    let order: Log = Rc::new(RefCell::new(Vec::new()));
+    let mut el = EventLoop::new(LoopConfig::seeded(23));
+    let o = order.clone();
+    el.enter(move |cx| {
+        cx.set_timeout(VDur::millis(5), move |cx| {
+            log(&o, "timer");
+            let (oi, oc, ox) = (o.clone(), o.clone(), o.clone());
+            let idle = Rc::new(RefCell::new(None));
+            let idle2 = idle.clone();
+            *idle.borrow_mut() = Some(cx.add_idle(move |cx| {
+                log(&oi, "idle");
+                assert!(cx.remove_idle(idle2.borrow().unwrap()));
+            }));
+            let check = Rc::new(RefCell::new(None));
+            let check2 = check.clone();
+            *check.borrow_mut() = Some(cx.add_check(move |cx| {
+                log(&oc, "check");
+                assert!(cx.remove_check(check2.borrow().unwrap()));
+            }));
+            cx.enqueue_close(move |_| log(&ox, "close"));
+        });
+    });
+    let report = el.run();
+    assert_eq!(report.termination, Termination::Quiescent);
+    assert_eq!(*order.borrow(), vec!["timer", "idle", "check", "close"]);
+}
+
+#[test]
 fn busy_advances_time() {
     let mut el = EventLoop::new(LoopConfig::seeded(21));
     el.enter(|cx| {
