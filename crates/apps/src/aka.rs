@@ -154,12 +154,7 @@ impl BugCase for Aka {
             // leaves the free list empty). A deferred 'timeout' timer
             // re-adds the socket AFTER the close scrub — a stale entry the
             // request then trips over.
-            let c = Client::connect_after(
-                cx,
-                &net,
-                80,
-                VDur::micros(crate::common::tuned_margin_us(8_500)),
-            );
+            let c = Client::connect_after(cx, &net, 80, VDur::micros(8_500));
             c.close_after(cx, VDur::millis(12));
             net.close_all_listeners_after(cx, VDur::millis(25));
         });

@@ -152,11 +152,7 @@ impl BugCase for Clf {
             a.send(cx, b"request A".to_vec());
             a.close_after(cx, VDur::millis(12));
             let b = Client::connect(cx, &net, 80);
-            b.send_after(
-                cx,
-                VDur::micros(crate::common::tuned_margin_us(1_400)),
-                b"request B".to_vec(),
-            );
+            b.send_after(cx, VDur::micros(1_400), b"request B".to_vec());
             b.close_after(cx, VDur::millis(12));
             net.close_all_listeners_after(cx, VDur::millis(25));
         });

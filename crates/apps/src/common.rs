@@ -220,16 +220,6 @@ pub trait BugCase {
     }
 }
 
-/// Returns the workload's racing-event delay in microseconds: the
-/// per-bug default, unless the `NFZ_MARGIN_US` environment variable
-/// overrides it (used by the calibration sweep only).
-pub fn tuned_margin_us(default_us: u64) -> u64 {
-    std::env::var("NFZ_MARGIN_US")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default_us)
-}
-
 /// Spawns a periodic "monitoring" timer that stops itself after `until`.
 ///
 /// Real servers run periodic timers (stats, keep-alives); §5.1.1 notes the

@@ -117,11 +117,7 @@ impl BugCase for Epl {
             editor.close_after(cx, VDur::millis(12));
             // The delete lands normally well after the edit chain finishes.
             let deleter = Client::connect(cx, &net, 80);
-            deleter.send_after(
-                cx,
-                VDur::micros(crate::common::tuned_margin_us(3_800)),
-                b"delete".to_vec(),
-            );
+            deleter.send_after(cx, VDur::micros(3_800), b"delete".to_vec());
             deleter.close_after(cx, VDur::millis(12));
             net.close_all_listeners_after(cx, VDur::millis(30));
         });

@@ -131,11 +131,7 @@ impl BugCase for Fps {
             // The second request normally arrives after the first one's
             // validation round trip has completed.
             let b = Client::connect(cx, &net, 80);
-            b.send_after(
-                cx,
-                VDur::micros(crate::common::tuned_margin_us(3_800)),
-                b"authorize".to_vec(),
-            );
+            b.send_after(cx, VDur::micros(3_800), b"authorize".to_vec());
             b.close_after(cx, VDur::millis(30));
             net.close_all_listeners_after(cx, VDur::millis(40));
             [a, b]

@@ -149,11 +149,7 @@ impl BugCase for Gho {
             // The second registration normally arrives after the first
             // one's insert has been applied.
             let second = Client::connect(cx, &net, 80);
-            second.send_after(
-                cx,
-                VDur::micros(crate::common::tuned_margin_us(3_800)),
-                b"signup:alice".to_vec(),
-            );
+            second.send_after(cx, VDur::micros(3_800), b"signup:alice".to_vec());
             second.close_after(cx, VDur::millis(14));
             net.close_all_listeners_after(cx, VDur::millis(30));
         });

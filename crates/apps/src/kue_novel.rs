@@ -173,11 +173,7 @@ impl BugCase for KueNovel {
             worker.send(cx, b"run-job".to_vec());
             // The pause normally arrives after the job completed and the
             // lock was released.
-            worker.send_after(
-                cx,
-                VDur::micros(crate::common::tuned_margin_us(5_800)),
-                b"pause".to_vec(),
-            );
+            worker.send_after(cx, VDur::micros(5_800), b"pause".to_vec());
             worker.close_after(cx, VDur::millis(22));
             net.close_all_listeners_after(cx, VDur::millis(30));
         });

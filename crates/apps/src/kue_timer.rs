@@ -63,7 +63,7 @@ impl BugCase for KueTimer {
             // normally makes timers late.
             Chatter::spawn(cx, &n, 81, 4, 14, VDur::micros(500), VDur::micros(220));
             let deadline = cx.now() + VDur::millis(5);
-            let tolerance = VDur::micros(crate::common::tuned_margin_us(300));
+            let tolerance = VDur::micros(300);
             cx.set_timeout(VDur::millis(5), move |cx| {
                 let delta = cx.now() - deadline;
                 *delta_out.borrow_mut() = Some(delta);

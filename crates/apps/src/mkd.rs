@@ -165,11 +165,7 @@ impl BugCase for Mkd {
             a.send(cx, b"build/cache/js".to_vec());
             a.close_after(cx, VDur::millis(14));
             let b = Client::connect(cx, &net, 80);
-            b.send_after(
-                cx,
-                VDur::micros(crate::common::tuned_margin_us(2_400)),
-                b"build/cache/css".to_vec(),
-            );
+            b.send_after(cx, VDur::micros(2_400), b"build/cache/css".to_vec());
             b.close_after(cx, VDur::millis(14));
             net.close_all_listeners_after(cx, VDur::millis(28));
         });

@@ -103,7 +103,7 @@ impl BugCase for Nes {
             // fires (heartbeat at ~connect+4ms; EOF reaches the server at
             // ~connect+4ms+margin). A deferred heartbeat (+5 ms) runs
             // after the close handler cleared the slot.
-            client.close_after(cx, VDur::micros(crate::common::tuned_margin_us(4_500)));
+            client.close_after(cx, VDur::micros(4_500));
             net.close_all_listeners_after(cx, VDur::millis(25));
         });
         let report = el.run();

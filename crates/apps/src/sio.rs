@@ -159,11 +159,7 @@ impl BugCase for Sio {
             // Fast connection: opens, completes, and says goodbye.
             let fast = Client::connect(cx, &net, 80);
             fast.send(cx, b"open:fast".to_vec());
-            fast.send_after(
-                cx,
-                VDur::micros(crate::common::tuned_margin_us(3_600)),
-                b"bye".to_vec(),
-            );
+            fast.send_after(cx, VDur::micros(3_600), b"bye".to_vec());
             fast.close_after(cx, VDur::millis(14));
             // Slow connection: its handshake is still in flight when the
             // fast one says goodbye (under an adversarial schedule).

@@ -118,12 +118,7 @@ impl BugCase for SioNovel {
         });
         // --- Test 2 (sensitive): expects to be served promptly.
         let probe = el.enter(|cx| {
-            let probe = Client::connect_after(
-                cx,
-                &net,
-                80,
-                VDur::micros(crate::common::tuned_margin_us(7_750)),
-            );
+            let probe = Client::connect_after(cx, &net, 80, VDur::micros(7_750));
             probe.send(cx, b"probe".to_vec());
             probe.close_after(cx, VDur::millis(16));
             net.close_all_listeners_after(cx, VDur::millis(26));

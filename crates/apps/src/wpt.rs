@@ -115,11 +115,7 @@ impl BugCase for Wpt {
             // The second build normally starts after the first waterfall
             // has drained.
             let b = Client::connect(cx, &net, 80);
-            b.send_after(
-                cx,
-                VDur::micros(crate::common::tuned_margin_us(2_600)),
-                b"build".to_vec(),
-            );
+            b.send_after(cx, VDur::micros(2_600), b"build".to_vec());
             b.close_after(cx, VDur::millis(14));
             net.close_all_listeners_after(cx, VDur::millis(28));
         });

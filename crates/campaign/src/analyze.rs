@@ -1,4 +1,4 @@
-//! The `campaign --analyze` pipeline: predict, then confirm.
+//! The `campaign analyze` pipeline: predict, then confirm.
 //!
 //! Where a fuzzing campaign spends hundreds of runs per app waiting for
 //! an oracle to trip, this pipeline spends *one* recorded vanilla-posture
@@ -40,7 +40,7 @@ const MAX_SPECS_PER_APP: usize = 12;
 /// Flip points tried per predicted race, deepest chain ancestor first.
 const MAX_FLIPS_PER_RACE: usize = 4;
 
-/// Everything `campaign --analyze` needs.
+/// Everything `campaign analyze` needs.
 #[derive(Clone, Debug)]
 pub struct AnalyzeConfig {
     /// Bug abbreviations to analyze.
@@ -100,7 +100,7 @@ pub struct AnalyzeReport {
     pub confirmed: Vec<ConfirmedRace>,
     /// The rendered `nodefz-races-v1` document.
     pub races_json: String,
-    /// Apps whose analysis failed, with the error rendered (`--analyze`
+    /// Apps whose analysis failed, with the error rendered (`analyze`
     /// keeps going; a corrupt recording should not sink the batch).
     pub failed: Vec<(String, String)>,
     /// Directed executions spent across every race chased, in

@@ -10,7 +10,7 @@
 //! * `conform` — the generative conformance arm under a real preset.
 //!
 //! The orchestrator enumerates the space in-process with [`arm_space`].
-//! `campaign --list --json` prints the same enumeration as the
+//! `campaign list --json` prints the same enumeration as the
 //! `nodefz-arms-v1` document, for scripts and people who want the arm
 //! space without scraping human output.
 

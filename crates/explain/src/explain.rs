@@ -23,7 +23,7 @@ use nodefz_rt::{EventLog, EventLogHandle};
 use nodefz_trace::BugSignature;
 
 /// Flip points tried per predicted race during `--check`, deepest chain
-/// ancestor first (mirrors the `--analyze` confirm loop).
+/// ancestor first (mirrors the `campaign analyze` confirm loop).
 const MAX_FLIPS_PER_RACE: usize = 4;
 
 /// Predicted races the check loop will chase before giving up.
@@ -222,7 +222,7 @@ pub fn explain_entry(entry: &CorpusEntry, cfg: &ExplainConfig) -> Result<RaceRep
     // Minimized repro traces are *prefixes*: past the trace's end the
     // run continues on default decisions, which the replay status counts
     // as divergence. Fidelity here is the signature match below, not a
-    // clean verdict — exactly `campaign --verify`'s contract.
+    // clean verdict — exactly `campaign verify`'s contract.
     let status = ReplayStatusHandle::fresh();
     let events = EventLogHandle::fresh();
     let run_cfg = RunCfg::new(

@@ -292,7 +292,8 @@ impl Journal {
     ///
     /// The reconstructed journal preserves capacity, dropped count,
     /// sequence numbers, and timestamps; pushing into it continues the
-    /// sequence.
+    /// sequence. A document holding fewer or more events than its header
+    /// records (a truncated copy) is an error.
     pub fn decode(text: &str) -> Result<Journal, JournalDecodeError> {
         let mut lines = text.lines().enumerate();
         let (_, header) = lines.next().ok_or(JournalDecodeError {
@@ -309,6 +310,7 @@ impl Journal {
         })?;
         let cap = field_u64(&header, "cap", 1)? as usize;
         let dropped = field_u64(&header, "dropped", 1)?;
+        let events = field_u64(&header, "events", 1)?;
         let mut journal = Journal::new(cap);
         journal.dropped = dropped;
         journal.next_seq = dropped;
@@ -334,6 +336,17 @@ impl Journal {
                 message: format!("seq {} overflows", entry.seq),
             })?;
             journal.buf.push_back(entry);
+        }
+        // A journal cut at a line boundary parses line by line; only the
+        // header's count tells it from a shorter journal.
+        if journal.buf.len() as u64 != events {
+            return Err(JournalDecodeError {
+                line: 1,
+                message: format!(
+                    "header records {events} events, the document holds {}",
+                    journal.buf.len()
+                ),
+            });
         }
         Ok(journal)
     }
@@ -595,6 +608,7 @@ mod tests {
         assert_eq!(err.line, 2, "{err}");
         assert!(err.message.contains("seq"), "{err}");
         // The largest in-range seq still decodes and continues the sequence.
+        let header = header.replace("\"events\": 0", "\"events\": 1");
         let top = format!("{header}{}\n", line("18446744073709549568"));
         let j = Journal::decode(&top).expect("in-range seq decodes");
         assert_eq!(

@@ -1,7 +1,7 @@
 //! A dependency-free JSON reader, the counterpart of [`JsonWriter`].
 //!
 //! The orchestrator consumes documents other processes wrote — worker
-//! `nodefz-metrics-v1` snapshots, `--list --json` arm enumerations — and
+//! `nodefz-metrics-v1` snapshots, `campaign list --json` arm enumerations — and
 //! the workspace cannot pull serde in an offline build, so this module
 //! provides the minimal recursive-descent parser those consumers need:
 //! every value becomes a [`JsonValue`] tree with path-style accessors.

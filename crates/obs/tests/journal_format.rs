@@ -4,6 +4,8 @@
 //! and a document frozen from the first build that shipped the schema
 //! must keep parsing forever.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use nodefz_check::{forall, Gen};
 use nodefz_obs::{Journal, JournalEvent, PruneOutcome, WorkerState};
 
@@ -137,4 +139,27 @@ fn legacy_journal_document_round_trips_byte_identically() {
     );
 
     assert_eq!(j.encode(), LEGACY_JOURNAL);
+}
+
+/// A journal cut off at any byte (a torn copy, a full disk) is a typed
+/// error, never a shorter journal: a cut at a line boundary parses, so
+/// only the header's `events` count catches it. The one prefix allowed to
+/// decode is the document minus its trailing newline, which gives the
+/// original.
+#[test]
+fn every_journal_prefix_is_a_typed_error() {
+    let doc = LEGACY_JOURNAL;
+    assert!(doc.is_ascii(), "every byte prefix must be a str");
+    for cut in 0..doc.len() {
+        let prefix = &doc[..cut];
+        let result = catch_unwind(AssertUnwindSafe(|| Journal::decode(prefix)))
+            .unwrap_or_else(|_| panic!("decoding the {cut}-byte prefix panicked"));
+        match result {
+            Ok(journal) => {
+                assert!(doc[cut..].trim().is_empty(), "prefix {prefix:?} decoded");
+                assert_eq!(journal.encode(), doc);
+            }
+            Err(e) => assert!(!doc[cut..].trim().is_empty(), "{e}"),
+        }
+    }
 }

@@ -20,7 +20,7 @@
 //! * [`worker`] — child-process lifecycle: spawn the same binary in
 //!   single-campaign mode, poll, kill past the deadline, classify exits.
 //! * [`merge`] — cross-shard corpus merge with [`BugSignature`] dedup;
-//!   the merged corpus is canonical and passes `campaign --verify`.
+//!   the merged corpus is canonical and passes `campaign verify`.
 //! * [`orch`] — the round loop tying it together, plus the
 //!   `nodefz-orch-v1` rollup.
 //! * [`report`] — merges the orchestrator's and every worker's

@@ -87,7 +87,7 @@ pub fn merge_report(workdir: &Path, out: &Path) -> Result<ReportSummary, String>
     let orch_path = workdir.join("journal.jsonl");
     let orch_text = std::fs::read_to_string(&orch_path).map_err(|e| {
         format!(
-            "{}: {e} (not an orchestrated workdir? run campaign --orchestrate --workdir {} first)",
+            "{}: {e} (not an orchestrated workdir? run campaign orchestrate --workdir {} first)",
             orch_path.display(),
             workdir.display()
         )

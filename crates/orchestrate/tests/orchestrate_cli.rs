@@ -42,7 +42,7 @@ fn corpus_files(dir: &Path) -> Vec<String> {
 
 #[test]
 fn list_json_emits_a_parseable_arm_space() {
-    let out = run(&["--list", "--json", "--apps", "KUE,GHO", "--conform"]);
+    let out = run(&["list", "--json", "--apps", "KUE,GHO,CONFORM,CONFORM-API"]);
     assert!(
         out.status.success(),
         "{}",
@@ -60,7 +60,6 @@ fn list_json_emits_a_parseable_arm_space() {
             (field("app"), field("preset"), field("mode"))
         })
         .collect();
-    // --conform appends both conform pseudo-apps to the listed apps.
     let apps = ["KUE", "GHO", "CONFORM", "CONFORM-API"].map(String::from);
     let space = nodefz_campaign::arm_space(&apps);
     let expected: Vec<(&str, &str, &str)> = space
@@ -70,53 +69,187 @@ fn list_json_emits_a_parseable_arm_space() {
     assert_eq!(printed, expected);
 }
 
-/// A flag that only means something under a mode is rejected without
-/// that mode, before anything runs. Ignoring it would silently run
-/// something else: `--shards` a one-process campaign, `--races-out` no
-/// analysis at all, `--json` a campaign instead of a listing.
+/// The usage block headers on `text`: lines opening a command's block.
+fn block_headers(text: &str) -> Vec<&str> {
+    text.lines()
+        .filter(|l| l.starts_with("campaign") && l.contains(" — "))
+        .collect()
+}
+
+/// Every command takes only the flags it honours. Any other flag is
+/// rejected before anything runs — exit 1, nothing on stdout, no file
+/// written — by a message naming the flag and the commands that take it,
+/// followed by the failing command's usage block alone. Ignoring the flag
+/// would silently run something else: `--shards` a one-process campaign,
+/// `--races-out` no analysis at all, `--budget` an orchestration whose
+/// slices are sized by `--round-budget`.
 #[test]
-fn mode_only_flags_are_rejected_without_their_mode() {
-    let dir = scratch("mode-only");
+fn no_command_silently_ignores_a_flag() {
+    let dir = scratch("foreign-flags");
     let races = dir.join("races.json");
     let races = races.to_str().unwrap();
-    let cases: [(&[&str], &str); 5] = [
+    let corpus = dir.to_str().unwrap();
+    // (arguments, the rejected flag, every command that takes it).
+    let orch = "`campaign orchestrate`";
+    let foreign: [(&[&str], &str, &str); 13] = [
         (
             &[
                 "--shards", "4", "--rounds", "9", "--budget", "5", "--apps", "GHO",
             ],
-            "--shards needs --orchestrate",
+            "--shards",
+            orch,
         ),
         (
             &["--induce-crash", "0", "--budget", "5", "--apps", "GHO"],
-            "--induce-crash needs --orchestrate",
+            "--induce-crash",
+            orch,
         ),
         (
             &["--races-out", races, "--attempts", "3", "--apps", "GHO"],
-            "--races-out needs --analyze",
+            "--races-out",
+            "`campaign analyze`",
         ),
         (
             &["--attempts", "3", "--budget", "5", "--apps", "GHO"],
-            "--attempts needs --analyze",
+            "--attempts",
+            "`campaign analyze`, `campaign explain`",
         ),
         (
             &["--json", "--budget", "5", "--apps", "GHO"],
-            "--json needs --list",
+            "--json",
+            "`campaign list`",
+        ),
+        (&["list", "--threads", "0"], "--threads", "`campaign`"),
+        (
+            &["verify", corpus, "--budget", "5"],
+            "--budget",
+            "`campaign`",
+        ),
+        (
+            &[
+                "analyze",
+                "--threads",
+                "0",
+                "--apps",
+                "GHO",
+                "--races-out",
+                races,
+            ],
+            "--threads",
+            "`campaign`",
+        ),
+        (
+            &["orchestrate", "--budget", "400", "--apps", "GHO"],
+            "--budget",
+            "`campaign`",
+        ),
+        (&["report", "--orch-out", races], "--orch-out", orch),
+        (
+            &["explain", "x.repro", "--seed", "5"],
+            "--seed",
+            "`campaign`, `campaign analyze`, `campaign orchestrate`",
+        ),
+        (
+            &["sa", "--prune", "--out", races],
+            "--prune",
+            "`campaign`, `campaign orchestrate`",
+        ),
+        (
+            &["lint", "--out", races],
+            "--out",
+            "`campaign report`, `campaign sa`",
         ),
     ];
-    for (args, error) in cases {
+    for (args, flag, owners) in foreign {
         let out = run(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
-        assert!(stderr.contains(error), "{args:?}: {stderr}");
         assert!(stdout(&out).is_empty(), "{args:?} ran: {}", stdout(&out));
+        let this = match args[0] {
+            row if !row.starts_with('-') => format!("campaign {row}"),
+            _ => "campaign".to_string(),
+        };
+        let error = format!("{this}: {flag} belongs to {owners}, not to `{this}`");
+        assert_eq!(stderr.lines().next(), Some(error.as_str()), "{args:?}");
+        let headers = block_headers(&stderr);
+        assert_eq!(headers.len(), 1, "{args:?}: {stderr}");
+        assert!(
+            headers[0].starts_with(&format!("{this} ")),
+            "{args:?}: {stderr}"
+        );
     }
     assert!(
         !Path::new(races).exists(),
-        "report written without --analyze"
+        "a rejected command wrote a file"
     );
-    // Under its mode the same flag is accepted.
+
+    // The old spellings of the modes are gone, as are the bad values the
+    // verify skill probes by hand; each fails before anything runs.
+    let rejected: [&[&str]; 12] = [
+        &["--verify", corpus],
+        &["--list"],
+        &["--analyze", "--apps", "GHO"],
+        &["--orchestrate", "--apps", "GHO"],
+        &["--directed", "--apps", "GHO"],
+        &["--conform", "--apps", "GHO"],
+        &["--bogus"],
+        &["--budget", "xyz"],
+        &["--seed"],
+        &["--apps", "NOPE"],
+        &["--threads", "0"],
+        &["verify"],
+    ];
+    for args in rejected {
+        let out = run(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stdout(&out).is_empty(), "{args:?} ran: {}", stdout(&out));
+        assert!(!stderr.is_empty(), "{args:?} failed without a word");
+    }
+
+    // `--help` prints the requested command's block to stdout and exits 0;
+    // bare `campaign --help` prints the overview of every command.
+    let rows = [
+        "verify",
+        "list",
+        "analyze",
+        "orchestrate",
+        "report",
+        "explain",
+        "sa",
+        "lint",
+    ];
+    for row in rows {
+        let out = run(&[row, "--help"]);
+        assert_eq!(out.status.code(), Some(0), "{row}");
+        assert!(out.stderr.is_empty(), "{row}");
+        let text = stdout(&out);
+        assert_eq!(block_headers(&text).len(), 1, "{row}: {text}");
+        assert!(
+            text.starts_with(&format!("campaign {row} ")),
+            "{row}: {text}"
+        );
+    }
+    let out = run(&["--help"]);
+    assert_eq!(out.status.code(), Some(0));
+    let overview = stdout(&out);
+    for row in rows {
+        assert!(
+            overview.contains(&format!("\n  campaign {row} ")),
+            "{row}: {overview}"
+        );
+    }
+    for hook in [
+        "campaign --crash-after-runs N",
+        "campaign orchestrate --induce-crash K",
+        "campaign sa --canary",
+    ] {
+        assert!(overview.contains(hook), "{hook}: {overview}");
+    }
+
+    // Under the command that takes it, the same flag is honoured.
     let out = run(&[
-        "--analyze",
+        "analyze",
         "--apps",
         "GHO",
         "--attempts",
@@ -178,7 +311,7 @@ fn presets_flag_restricts_a_worker_to_one_arm() {
 
 /// The acceptance-criteria core: the same orchestration at 1, 2, and 4
 /// shards finds the identical deduplicated bug set, and the merged
-/// corpus passes `--verify`.
+/// corpus passes `campaign verify`.
 #[test]
 fn found_bug_set_is_invariant_to_shard_count() {
     let mut sets = Vec::new();
@@ -187,7 +320,7 @@ fn found_bug_set_is_invariant_to_shard_count() {
         let workdir = dir.join("work");
         let orch_out = dir.join("orch.json");
         let out = run(&[
-            "--orchestrate",
+            "orchestrate",
             "--apps",
             "KUE,GHO",
             "--shards",
@@ -216,7 +349,7 @@ fn found_bug_set_is_invariant_to_shard_count() {
             stdout(&out)
         );
 
-        let verify = run(&["--verify", merged.to_str().unwrap()]);
+        let verify = run(&["verify", merged.to_str().unwrap()]);
         assert!(
             verify.status.success(),
             "merged corpus must verify: {}",
@@ -254,7 +387,7 @@ fn induced_worker_crash_quarantines_the_arm_without_failing_the_run() {
     let workdir = dir.join("work");
     let orch_out = dir.join("orch.json");
     let out = run(&[
-        "--orchestrate",
+        "orchestrate",
         "--apps",
         "KUE",
         "--shards",
