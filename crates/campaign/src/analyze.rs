@@ -30,7 +30,7 @@ use nodefz_trace::BugSignature;
 use crate::config::DIRECTED_PRESET;
 use crate::corpus::Corpus;
 use crate::dedup::{Deduper, Finding};
-use crate::driver::{record_to_entry, replays_to, RunContext};
+use crate::driver::{record_to_entry, RunContext};
 
 /// How many predicted flips per app the pipelines keep (first pair per
 /// distinct (site, class), a few flip points each). Bounds the directed
@@ -268,7 +268,7 @@ pub fn analyze_campaign(cfg: &AnalyzeConfig) -> Result<AnalyzeReport, String> {
             let mut entry = record_to_entry(record);
             entry.replays_ok = (0..cfg.replay_checks)
                 .filter(|_| {
-                    replays_to(
+                    ctx.replays_to(
                         &entry.app,
                         entry.env_seed,
                         &entry.trace,

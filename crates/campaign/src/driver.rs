@@ -260,11 +260,14 @@ pub struct FuzzExec {
 /// loop's heap buffers (timer wheel, poll set, pool queues, scratch
 /// vectors), and the [`TraceHandle`] recycles the decision buffer — its
 /// contents are only snapshotted when a run actually manifests a bug.
+/// Replays ([`RunContext::replays_to`]) recycle the same pool and one
+/// [`ReplayStatusHandle`].
 ///
 /// [`LoopPool`]: nodefz_rt::LoopPool
 pub struct RunContext {
     pool: nodefz_rt::LoopPool,
     handle: TraceHandle,
+    status: ReplayStatusHandle,
     /// HB-canonicalization kit attached when pruning is on: the event-log
     /// handle every run records into plus the reusable canon builder and
     /// its scratch buffer — allocation-free at steady state, and purely
@@ -295,6 +298,7 @@ impl RunContext {
         RunContext {
             pool: nodefz_rt::LoopPool::new(),
             handle: TraceHandle::fresh(),
+            status: ReplayStatusHandle::fresh(),
             prune: None,
             obs: None,
         }
@@ -396,43 +400,62 @@ impl RunContext {
             canon,
         }
     }
-}
 
-/// Replays `trace` against `app` under `env_seed`; returns whether the run
-/// manifested with signature `expected`.
-pub(crate) fn replays_to(
-    app: &str,
-    env_seed: u64,
-    trace: &DecisionTrace,
-    expected: &BugSignature,
-) -> bool {
-    let case = match resolve_case(app) {
-        Some(c) => c,
-        None => return false,
-    };
-    let mode = Mode::Replay(trace.clone(), ReplayStatusHandle::fresh());
-    let out = case.run(&RunCfg::new(mode, env_seed), Variant::Buggy);
-    out.manifested && &BugSignature::new(app, &out.detail, &out.report.schedule) == expected
+    /// Replays `trace` against `app` under `env_seed` on this context's
+    /// pooled loop; returns whether the run manifested with signature
+    /// `expected`. Unknown apps never manifest.
+    ///
+    /// The one replay path: shrink candidates, acceptance replays,
+    /// `campaign analyze`'s replay checks and corpus verification all
+    /// run here. A replay is neither profiled nor event-logged: telemetry
+    /// and pruning count fuzz runs only.
+    pub fn replays_to(
+        &mut self,
+        app: &str,
+        env_seed: u64,
+        trace: &DecisionTrace,
+        expected: &BugSignature,
+    ) -> bool {
+        let Some(case) = resolve_case(app) else {
+            return false;
+        };
+        let mode = Mode::Replay(trace.clone(), self.status.clone());
+        let out = case.run(
+            &RunCfg::new(mode, env_seed).pooled(&self.pool),
+            Variant::Buggy,
+        );
+        out.manifested && &BugSignature::new(app, &out.detail, &out.report.schedule) == expected
+    }
+
+    /// Replays a corpus entry on this context (see [`verify_entry`]).
+    ///
+    /// # Errors
+    ///
+    /// Describes the mismatch (no manifestation, or a different signature).
+    pub fn verify(&mut self, entry: &CorpusEntry) -> Result<(), String> {
+        let expected = entry.signature();
+        if self.replays_to(&entry.app, entry.env_seed, &entry.trace, &expected) {
+            Ok(())
+        } else {
+            Err(format!(
+                "corpus entry {} did not re-manifest {expected}",
+                entry.file_name()
+            ))
+        }
+    }
 }
 
 /// Replays a corpus entry and checks it still manifests its recorded bug.
 ///
 /// This is the regression path: a corpus saved by one campaign can be
-/// verified by any later build.
+/// verified by any later build. A fresh [`RunContext`] runs the replay;
+/// to verify many entries, reuse one through [`RunContext::verify`].
 ///
 /// # Errors
 ///
 /// Describes the mismatch (no manifestation, or a different signature).
 pub fn verify_entry(entry: &CorpusEntry) -> Result<(), String> {
-    let expected = entry.signature();
-    if replays_to(&entry.app, entry.env_seed, &entry.trace, &expected) {
-        Ok(())
-    } else {
-        Err(format!(
-            "corpus entry {} did not re-manifest {expected}",
-            entry.file_name()
-        ))
-    }
+    RunContext::new().verify(entry)
 }
 
 fn worker_loop(
@@ -490,12 +513,12 @@ fn worker_loop(
             }) => {
                 let original_len = trace.decisions.len();
                 let shrunk = if do_shrink {
-                    shrink(&trace, |t| replays_to(&app, env_seed, t, &signature)).trace
+                    shrink(&trace, |t| ctx.replays_to(&app, env_seed, t, &signature)).trace
                 } else {
                     trace
                 };
                 let replays_ok = (0..replay_checks)
-                    .filter(|_| replays_to(&app, env_seed, &shrunk, &signature))
+                    .filter(|_| ctx.replays_to(&app, env_seed, &shrunk, &signature))
                     .count() as u32;
                 if tx
                     .send(Msg::ShrinkDone {

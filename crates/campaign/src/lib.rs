@@ -35,6 +35,8 @@ mod chrome;
 mod driver;
 #[cfg(test)]
 mod pinned;
+#[cfg(test)]
+mod pinned_shrink;
 
 pub use analyze::{analyze_campaign, AnalyzeConfig, AnalyzeReport, ConfirmedRace};
 pub use arms::{arm_space, arms_to_json, ArmMode, ArmSpec};

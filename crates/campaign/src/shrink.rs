@@ -13,6 +13,11 @@
 //! replayer's documented fallback (inert choices past the end or on kind
 //! mismatch) is what makes such candidates runnable at all. The oracle
 //! judges only "does the same bug still manifest".
+//!
+//! In a campaign the oracle and the acceptance replays that follow run on
+//! the worker's pooled loop ([`crate::RunContext::replays_to`] on the
+//! worker's own context), and ddmin never replays a candidate equal to
+//! one it already rejected.
 
 use nodefz::{ddmin, Decision, DecisionTrace};
 

@@ -1,12 +1,14 @@
 //! Property tests for the campaign pipeline: whatever manifesting run the
 //! fuzzer stumbles on, the shrinker's output must replay to the *same* bug
-//! signature — and never grow the trace.
+//! signature — and never grow the trace. The campaign shrinks on a
+//! worker's pooled loop ([`RunContext::replays_to`]); the fresh-loop
+//! replay below is the reference it must agree with.
 
 use nodefz_check::forall;
 
 use nodefz::{Mode, ReplayStatusHandle, TraceHandle};
 use nodefz_apps::common::{RunCfg, Variant};
-use nodefz_campaign::shrink;
+use nodefz_campaign::{shrink, RunContext};
 use nodefz_trace::BugSignature;
 
 /// Apps with a healthy manifestation rate, so random seeds find bugs fast.
@@ -55,7 +57,14 @@ fn shrunk_traces_replay_to_the_same_signature() {
             replays_to(app, env_seed, &trace, &signature),
             "{app} seed {env_seed}: recorded trace must replay to its signature"
         );
-        let result = shrink(&trace, |t| replays_to(app, env_seed, t, &signature));
+        let mut ctx = RunContext::new();
+        let result = shrink(&trace, |t| ctx.replays_to(app, env_seed, t, &signature));
+        let fresh = shrink(&trace, |t| replays_to(app, env_seed, t, &signature));
+        assert_eq!(
+            (&result.trace, result.runs),
+            (&fresh.trace, fresh.runs),
+            "{app} seed {env_seed}: pooled and fresh replays shrank differently"
+        );
         assert!(
             result.trace.decisions.len() <= trace.decisions.len(),
             "{app} seed {env_seed}: shrink grew the trace"

@@ -103,6 +103,15 @@ impl PartialEq for Perm {
 
 impl Eq for Perm {}
 
+impl std::hash::Hash for Perm {
+    /// Hashes the live entries only, agreeing with `PartialEq`: the inline
+    /// array is unused past `len`, and after a spill the entries live in
+    /// `spill`, so a field-wise hash would split equal permutations.
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
 impl fmt::Debug for Perm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.as_slice()).finish()
@@ -134,7 +143,7 @@ impl<'a> IntoIterator for &'a Perm {
 }
 
 /// One recorded scheduling decision.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Decision {
     /// Timer verdict: `None` = run, `Some(delay_ns)` = defer with delay.
     Timer(Option<u64>),

@@ -60,3 +60,25 @@ fn decoder_never_panics_on_garbage() {
         let _ = decode_response(&bytes);
     });
 }
+
+#[test]
+fn truncated_requests_decode_to_a_body_prefix() {
+    forall("truncated_requests_decode_to_a_body_prefix", 32, |g| {
+        let method = gen_method(g);
+        let path = gen_path(g);
+        let body = g.bytes(1, 64);
+        let wire = encode_request(method, &path, &body);
+        let newline = wire.iter().position(|&b| b == b'\n').expect("head ends");
+        for cut in 0..=wire.len() {
+            let decoded = decode_request(&wire[..cut]);
+            if cut <= newline {
+                assert_eq!(decoded, None, "cut {cut} of {wire:?}");
+                continue;
+            }
+            let (m, p, b) = decoded.unwrap_or_else(|| panic!("cut {cut} of {wire:?}"));
+            assert_eq!(m, method);
+            assert_eq!(p, path);
+            assert_eq!(b, &body[..cut - newline - 1], "cut {cut}");
+        }
+    });
+}

@@ -479,9 +479,10 @@ fn verify(args: &mut Args) -> Result<ExitCode, CliError> {
     let entries = corpus
         .load_all()
         .map_err(|e| failed(format!("cannot load corpus {}: {e}", dir.display())))?;
+    let mut ctx = nodefz_campaign::RunContext::new();
     let mut failures = 0;
     for entry in &entries {
-        match nodefz_campaign::verify_entry(entry) {
+        match ctx.verify(entry) {
             Ok(()) => println!("ok   {}", entry.file_name()),
             Err(e) => {
                 failures += 1;
