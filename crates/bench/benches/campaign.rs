@@ -1,8 +1,8 @@
 //! Campaign-scaling experiment: the same fuzzing campaign (fig6 bug set,
 //! fixed budget and base seed) at 1, 2 and 4 worker threads. The
-//! wall-clock column shows the parallel speedup. Only the one-thread row
-//! reproduces byte for byte: with more threads, completion order decides
-//! how many seeds each arm probes, so the unique-bug column can move.
+//! wall-clock column shows the parallel speedup. Every row runs the same
+//! runs in the same order (the controller applies results in dispatch
+//! order), so the unique-bug column is the same on every row.
 //!
 //! Run with: `cargo bench -p nodefz-bench --bench campaign`
 

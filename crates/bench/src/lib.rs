@@ -229,9 +229,8 @@ pub struct CampaignScalingRow {
 /// apps, budget and base seed) at each thread count, reporting wall-clock
 /// scaling and the deduplicated bug count.
 ///
-/// Only the one-thread row reproduces byte for byte from the seed. With
-/// more threads, completion order decides how many seeds each arm probes,
-/// so `unique_bugs` can differ between rows and between runs.
+/// Every row runs the same runs and applies their results in the same
+/// (dispatch) order, so `unique_bugs` is equal on every row.
 pub fn campaign_scaling(
     apps: &[&str],
     budget: u64,

@@ -40,7 +40,9 @@ pub fn preset_params(preset: usize) -> nodefz::FuzzParams {
 /// Everything a campaign needs to run.
 #[derive(Clone, Debug)]
 pub struct CampaignConfig {
-    /// Worker threads running fuzz and shrink jobs.
+    /// Worker threads running fuzz and shrink jobs. Changes speed, not
+    /// results: the controller applies results in dispatch order, so what
+    /// a campaign finds and writes is the same at any thread count.
     pub threads: usize,
     /// Total fuzz runs to spend across all arms.
     pub budget: u64,
@@ -84,8 +86,9 @@ pub struct CampaignConfig {
     /// bandit state, prune verdicts, discoveries). `None` = no journal.
     pub journal_out: Option<PathBuf>,
     /// Runtime telemetry dial for worker runs. Above [`ObsLevel::Off`]
-    /// the workers profile loop phases and per-kind dispatches into the
-    /// metrics registry.
+    /// the workers profile loop phases and per-kind dispatches, and each
+    /// run's profile travels back with its result to be summed into the
+    /// metrics.
     pub obs_level: ObsLevel,
     /// Whether to classify every run by its happens-before canonical key
     /// ([`crate::prune`]): the controller counts distinct vs redundant

@@ -117,6 +117,11 @@ impl CorpusEntry {
 
     /// Decodes a `nodefz-repro v1` document.
     ///
+    /// The `app` must be a non-empty run of ASCII letters, digits, `*` and
+    /// `-` (every abbreviation `campaign list` prints): it becomes part of
+    /// [`CorpusEntry::file_name`], so a path separator or `..` would let a
+    /// re-save land outside the corpus directory.
+    ///
     /// # Errors
     ///
     /// Returns a [`CorpusDecodeError`] naming the offending part.
@@ -148,7 +153,17 @@ impl CorpusEntry {
             let bad = || CorpusDecodeError::BadField(line.to_string());
             let (key, value) = line.split_once(' ').ok_or_else(bad)?;
             match key {
-                "app" => app = Some(value.trim().to_string()),
+                "app" => {
+                    let value = value.trim();
+                    if value.is_empty()
+                        || !value
+                            .bytes()
+                            .all(|b| b.is_ascii_alphanumeric() || b == b'*' || b == b'-')
+                    {
+                        return Err(bad());
+                    }
+                    app = Some(value.to_string());
+                }
                 "env_seed" => env_seed = Some(value.trim().parse().map_err(|_| bad())?),
                 "site" => site = Some(value.trim().to_string()),
                 "kinds" => kinds = Some(value.trim().parse().map_err(|_| bad())?),
@@ -327,6 +342,31 @@ mod tests {
             CorpusEntry::decode(bad_trace),
             Err(CorpusDecodeError::BadTrace(_))
         ));
+    }
+
+    #[test]
+    fn app_names_that_could_leave_the_corpus_are_rejected() {
+        let doc = entry().encode();
+        for app in ["../x", "a/b", "..", "KUE X", "\0", ""] {
+            let hostile = doc.replacen("app KUE\n", &format!("app {app}\n"), 1);
+            assert!(
+                matches!(
+                    CorpusEntry::decode(&hostile),
+                    Err(CorpusDecodeError::BadField(_))
+                ),
+                "app {app:?} decoded"
+            );
+        }
+        let listed = nodefz_apps::abbrs()
+            .into_iter()
+            .chain([nodefz_conform::ABBR, nodefz_conform::API_ABBR]);
+        for app in listed {
+            let doc = doc.replacen("app KUE\n", &format!("app {app}\n"), 1);
+            assert_eq!(
+                CorpusEntry::decode(&doc).map(|e| e.app),
+                Ok(app.to_string())
+            );
+        }
     }
 
     #[test]

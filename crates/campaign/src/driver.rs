@@ -2,25 +2,32 @@
 //!
 //! The event-loop simulator is single-threaded by design (`Rc` handles,
 //! deterministic virtual time), so a campaign parallelizes across *runs*:
-//! worker OS threads pull jobs from a work-stealing queue, instantiate the
-//! bug case locally (via [`resolve_case`] — `Box<dyn BugCase>` is not
-//! `Send`), and report results back over a channel. The controller
-//! thread owns the bandit, the deduplicator, and the corpus:
+//! worker OS threads block on one job queue, instantiate the bug case
+//! locally (via [`resolve_case`] — `Box<dyn BugCase>` is not `Send`), and
+//! report results back over a channel. The controller thread owns the
+//! bandit, the deduplicator, the run tally, and the corpus:
 //!
 //! ```text
-//! controller ── bandit picks (app, preset) ──► seed queue ──► workers
-//!      ▲                                                        │
-//!      └──── findings / shrink results ◄───── channel ◄─────────┘
+//! controller ── bandit picks (app, preset) ──► job queue ──► workers
+//!      ▲                                                       │
+//!      └── results, applied in slot order ◄──── channel ◄──────┘
 //! ```
 //!
+//! Every fuzz job carries its slot, the index it was dispatched at, and
+//! the controller applies results strictly in slot order, holding back
+//! any that arrive early: prune verdict, dedup, reward, journal, metrics
+//! and the next pick all see the same sequence however many threads ran
+//! the jobs. Findings, corpora, the journal and the metrics' counters are
+//! therefore a function of the seed, budget, apps and presets alone; only
+//! a wall-clock deadline can cut two runs of the same flags differently.
+//!
 //! A new signature triggers a shrink job (delta debugging + acceptance
-//! replays) routed back through the same queue; the shrunk repro is then
-//! persisted. The campaign drains gracefully when the run budget is spent
-//! or the wall-clock deadline passes.
+//! replays) at the front of the queue; the shrunk repro is then persisted.
+//! The campaign drains gracefully when the run budget is spent or the
+//! wall-clock deadline passes.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use nodefz::{DecisionTrace, DirectedSpec, Mode, ReplayStatusHandle, TraceHandle};
@@ -34,15 +41,22 @@ use crate::bandit::Bandit;
 use crate::config::{preset_name, preset_params, CampaignConfig, DIRECTED_PRESET};
 use crate::corpus::{Corpus, CorpusEntry};
 use crate::dedup::{BugRecord, Deduper, Finding};
-use crate::metrics::{self, Discovery, WorkerTelemetry};
+use crate::metrics::{self, Discovery, LoopProfile, Tally};
 use crate::prune::{ClassVerdict, Pruner, SEEN_CAP};
 use crate::shrink::shrink;
-use nodefz_obs::{Journal, JournalEvent, PruneOutcome, JOURNAL_CAP};
+use nodefz_obs::{Journal, JournalEvent, ObsLevel, PruneOutcome, JOURNAL_CAP};
 
 /// How many early runs of each arm have their type schedule sampled for
 /// the per-arm diversity summary in `--metrics-out` snapshots. Pairwise
 /// Levenshtein is quadratic in samples, so the curve stays cheap.
 const SCHEDULE_SAMPLES: u64 = 8;
+
+/// Fuzz runs in flight at once. Deep enough that sub-millisecond runs
+/// never starve a worker while a result round-trips through the controller
+/// (with 8, four threads ran the campaign bench 15% slower on a 2-CPU
+/// host), shallow enough that the bandit still steers most of the budget.
+/// A constant, so the picks do not depend on the thread count.
+const WINDOW: u64 = 32;
 
 /// How often the controller rewrites the `--metrics-out` snapshot while
 /// the campaign runs (a final snapshot is always written at the end).
@@ -79,6 +93,8 @@ enum Job {
     /// directed spec is attached, under a race-directed scheduler that
     /// replays the spec's prefix and forces the predicted flip.
     Fuzz {
+        /// The job's dispatch index; results are applied in slot order.
+        slot: u64,
         /// Index of the arm in the campaign's arm list.
         arm: usize,
         app: String,
@@ -100,18 +116,27 @@ enum Job {
     },
 }
 
+/// A finished fuzz run, as its worker reports it.
+struct FuzzDone {
+    /// The job's dispatch index.
+    slot: u64,
+    /// Index of the arm the run was dispatched for.
+    arm: usize,
+    finding: Option<Finding>,
+    /// Callbacks the run dispatched.
+    dispatched: u64,
+    /// The run's type schedule, when the job asked for it.
+    schedule: Option<TypeSchedule>,
+    /// The run's HB canonical key plus its environment scope (see
+    /// [`crate::prune::env_scope`]), when pruning is on.
+    canon: Option<(CanonKey, u64)>,
+    /// The run's loop profile, above `--obs-level off`.
+    profile: Option<Box<LoopProfile>>,
+}
+
 /// Worker → controller messages.
 enum Msg {
-    FuzzDone {
-        /// Index of the arm the run was dispatched for.
-        arm: usize,
-        finding: Option<Finding>,
-        /// The run's type schedule, when the job asked for it.
-        schedule: Option<TypeSchedule>,
-        /// The run's HB canonical key plus its environment scope (see
-        /// [`crate::prune::env_scope`]), when pruning is on.
-        canon: Option<(CanonKey, u64)>,
-    },
+    FuzzDone(FuzzDone),
     ShrinkDone {
         signature: BugSignature,
         shrunk: DecisionTrace,
@@ -120,48 +145,46 @@ enum Msg {
     },
 }
 
-/// Per-worker deques with stealing: a worker pops its own queue front and,
-/// when empty, steals the back half of the first non-empty peer queue.
-struct SeedQueue {
-    queues: Vec<Mutex<VecDeque<Job>>>,
+/// The campaign's one job queue. Fuzz jobs join at the back; a shrink job
+/// goes to the front, so a new bug's repro never waits behind the fuzz
+/// window. Workers block in [`JobQueue::pop`] until a job arrives or the
+/// controller closes the queue.
+#[derive(Default)]
+struct JobQueue {
+    /// Pending jobs, and whether the queue is closed.
+    jobs: Mutex<(VecDeque<Job>, bool)>,
+    ready: Condvar,
 }
 
-impl SeedQueue {
-    fn new(workers: usize) -> SeedQueue {
-        SeedQueue {
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+impl JobQueue {
+    fn push(&self, job: Job) {
+        let mut jobs = self.jobs.lock().expect("queue lock");
+        match job {
+            Job::Shrink { .. } => jobs.0.push_front(job),
+            Job::Fuzz { .. } => jobs.0.push_back(job),
         }
+        drop(jobs);
+        self.ready.notify_one();
     }
 
-    fn push(&self, slot: usize, job: Job) {
-        self.queues[slot % self.queues.len()]
-            .lock()
-            .expect("queue lock")
-            .push_back(job);
+    /// Ends the workers: every later [`JobQueue::pop`] returns `None`.
+    fn close(&self) {
+        self.jobs.lock().expect("queue lock").1 = true;
+        self.ready.notify_all();
     }
 
-    fn pop(&self, me: usize) -> Option<Job> {
-        if let Some(job) = self.queues[me].lock().expect("queue lock").pop_front() {
-            return Some(job);
+    /// The next job, waiting while there is none; `None` once closed.
+    fn pop(&self) -> Option<Job> {
+        let jobs = self.jobs.lock().expect("queue lock");
+        let mut jobs = self
+            .ready
+            .wait_while(jobs, |(queued, closed)| queued.is_empty() && !*closed)
+            .expect("queue lock");
+        if jobs.1 {
+            None
+        } else {
+            jobs.0.pop_front()
         }
-        let n = self.queues.len();
-        for offset in 1..n {
-            let victim = (me + offset) % n;
-            let mut stolen = {
-                let mut v = self.queues[victim].lock().expect("queue lock");
-                let len = v.len();
-                if len == 0 {
-                    continue;
-                }
-                v.split_off(len - len.div_ceil(2))
-            };
-            let job = stolen.pop_front();
-            if !stolen.is_empty() {
-                self.queues[me].lock().expect("queue lock").extend(stolen);
-            }
-            return job;
-        }
-        None
     }
 }
 
@@ -458,59 +481,51 @@ pub fn verify_entry(entry: &CorpusEntry) -> Result<(), String> {
     RunContext::new().verify(entry)
 }
 
-fn worker_loop(
-    queue: Arc<SeedQueue>,
-    me: usize,
-    stop: Arc<AtomicBool>,
-    tx: mpsc::Sender<Msg>,
-    telemetry: WorkerTelemetry,
-    prune: bool,
-) {
+fn worker_loop(queue: &JobQueue, tx: mpsc::Sender<Msg>, level: ObsLevel, prune: bool) {
     let mut ctx = RunContext::new();
     if prune {
         ctx.enable_prune();
     }
     // Above `off`, every fuzz run on this worker is profiled through a
     // thread-local handle (`Rc`-based, so it is created here, not shipped
-    // across the spawn) and flushed into the shard.
-    if let Some(obs) = telemetry.obs() {
+    // across the spawn); each run's profile travels back with its result.
+    let obs = (!level.is_off()).then(nodefz_rt::ObsHandle::new);
+    if let Some(obs) = &obs {
         ctx.set_obs(obs.clone());
     }
-    loop {
-        match queue.pop(me) {
-            Some(Job::Fuzz {
+    while let Some(job) = queue.pop() {
+        let msg = match job {
+            Job::Fuzz {
+                slot,
                 arm,
                 app,
                 preset,
                 env_seed,
                 directed,
                 want_schedule,
-            }) => {
+            } => {
                 let exec = match directed {
                     Some(spec) => ctx.fuzz_directed(&app, spec, env_seed),
                     None => ctx.fuzz_once_sampled(&app, preset, env_seed, want_schedule),
                 };
-                telemetry.record_exec(exec.dispatched, exec.finding.is_some());
-                if tx
-                    .send(Msg::FuzzDone {
-                        arm,
-                        finding: exec.finding,
-                        schedule: exec.schedule,
-                        canon: exec.canon,
-                    })
-                    .is_err()
-                {
-                    return;
-                }
+                Msg::FuzzDone(FuzzDone {
+                    slot,
+                    arm,
+                    finding: exec.finding,
+                    dispatched: exec.dispatched,
+                    schedule: exec.schedule,
+                    canon: exec.canon,
+                    profile: obs.as_ref().map(|obs| Box::new(LoopProfile::take(obs))),
+                })
             }
-            Some(Job::Shrink {
+            Job::Shrink {
                 app,
                 env_seed,
                 trace,
                 signature,
                 do_shrink,
                 replay_checks,
-            }) => {
+            } => {
                 let original_len = trace.decisions.len();
                 let shrunk = if do_shrink {
                     shrink(&trace, |t| ctx.replays_to(&app, env_seed, t, &signature)).trace
@@ -520,24 +535,16 @@ fn worker_loop(
                 let replays_ok = (0..replay_checks)
                     .filter(|_| ctx.replays_to(&app, env_seed, &shrunk, &signature))
                     .count() as u32;
-                if tx
-                    .send(Msg::ShrinkDone {
-                        signature,
-                        shrunk,
-                        original_len,
-                        replays_ok,
-                    })
-                    .is_err()
-                {
-                    return;
+                Msg::ShrinkDone {
+                    signature,
+                    shrunk,
+                    original_len,
+                    replays_ok,
                 }
             }
-            None => {
-                if stop.load(Ordering::Acquire) {
-                    return;
-                }
-                std::thread::sleep(Duration::from_micros(100));
-            }
+        };
+        if tx.send(msg).is_err() {
+            return;
         }
     }
 }
@@ -549,10 +556,10 @@ pub(crate) fn derive_seed(base: u64, i: u64) -> u64 {
 }
 
 /// Folds an arm into the campaign base seed so each arm probes its own
-/// deterministic seed sequence. Worker completion order then only decides
-/// *how many* seeds of each arm's sequence get probed, not which ones: a
-/// one-thread campaign reproduces byte for byte, and with more threads
-/// hit counts (and which run first trips a bug) can vary.
+/// deterministic seed sequence. The bandit decides how many seeds of each
+/// sequence get probed, and it sees results in slot order, so that count
+/// too depends only on the flags that choose work (seed, budget, apps,
+/// presets), not on the thread count (a deadline cut aside).
 fn arm_base(base: u64, arm: &Arm) -> u64 {
     arm_seed(base, &arm.app, arm.preset)
 }
@@ -630,29 +637,20 @@ pub fn run_with_progress(
     // persisted atomically at drain. Owned by the controller thread only.
     let mut journal = cfg.journal_out.as_ref().map(|_| Journal::new(JOURNAL_CAP));
 
-    // One registry shard per worker: fuzz executions record into their
-    // own shard with relaxed atomic adds; snapshots fold them here.
-    let (registry, metric_ids) = metrics::build_registry(cfg.threads, cfg.obs_level);
+    // The run counters, summed as results are applied.
+    let mut tally = Tally::new(cfg.obs_level);
     let telemetry_on = cfg.metrics_out.is_some();
 
-    let queue = Arc::new(SeedQueue::new(cfg.threads));
-    let stop = Arc::new(AtomicBool::new(false));
+    let queue = Arc::new(JobQueue::default());
     let (tx, rx) = mpsc::channel::<Msg>();
     let workers: Vec<_> = (0..cfg.threads)
         .map(|me| {
             let queue = queue.clone();
-            let stop = stop.clone();
             let tx = tx.clone();
-            let shard = registry.shard(me);
-            let ids = metric_ids.clone();
-            let level = cfg.obs_level;
-            let prune = cfg.prune;
+            let (level, prune) = (cfg.obs_level, cfg.prune);
             std::thread::Builder::new()
                 .name(format!("campaign-{me}"))
-                .spawn(move || {
-                    let telemetry = WorkerTelemetry::new(shard, ids, level);
-                    worker_loop(queue, me, stop, tx, telemetry, prune)
-                })
+                .spawn(move || worker_loop(&queue, tx, level, prune))
                 .expect("spawn worker")
         })
         .collect();
@@ -660,10 +658,12 @@ pub fn run_with_progress(
 
     let start = Instant::now();
     let mut hit_deadline = false;
-    let mut dispatched = 0u64;
-    let mut completed = 0u64;
+    // Fuzz jobs dispatched (the next job's slot) and results applied.
+    let mut next_slot = 0u64;
+    let mut applied = 0u64;
+    // Results that arrived before an earlier slot's, held until their turn.
+    let mut held: BTreeMap<u64, FuzzDone> = BTreeMap::new();
     let mut shrinks_pending = 0u64;
-    let mut next_slot = 0usize;
     // (original trace length, for the final summary) keyed by signature.
     let mut originals: Vec<(BugSignature, usize)> = Vec::new();
     // Telemetry series the controller owns: the discovery curve and the
@@ -672,85 +672,67 @@ pub fn run_with_progress(
     let mut arm_schedules: Vec<Vec<TypeSchedule>> = vec![Vec::new(); arms.len()];
     let mut last_metrics = Instant::now();
 
-    // Deep enough that sub-millisecond runs never starve a worker while a
-    // completion round-trips through the controller; shallow enough that
-    // the bandit still steers most of the budget.
-    let max_inflight = (cfg.threads as u64) * 8;
-    let dispatch = |bandit: &mut Bandit,
-                    dispatched: &mut u64,
-                    next_slot: &mut usize,
-                    journal: &mut Option<Journal>,
-                    exec: u64| {
-        // Snapshot *before* the pick so the journal records the bandit
-        // state the decision was actually made from.
-        let decision_state = journal.is_some().then(|| bandit.snapshot());
-        let i = bandit.pick().expect("campaign arms are never retired");
-        let arm = &arms[i];
-        if let (Some(j), Some(snap)) = (journal.as_mut(), decision_state) {
-            let s = &snap[i];
-            j.push(JournalEvent::ArmPull {
-                exec,
-                arm: format!("{}/{}", arm.app, preset_name(arm.preset)),
-                pulls: s.pulls + 1,
-                mean_reward: s.mean_reward,
-                ucb: s.ucb_bound,
-                successes: None,
-                failures: None,
-            });
-        }
-        // Pulls before this one: the arm's position in its seed stream.
-        let pull = bandit.pulls(i) - 1;
-        // The directed arm cycles predicted flips and bumps the retry
-        // attempt each full cycle; its env seed is pinned to the analyzed
-        // run's, because the replayed prefix only makes sense against the
-        // same modelled environment. Ordinary arms scan derived seeds.
-        let (env_seed, directed) = if arm.preset == DIRECTED_PRESET {
-            let (analysis_seed, app_specs) =
-                specs.get(&arm.app).expect("directed arm implies specs");
-            let spec = app_specs[(pull as usize) % app_specs.len()].clone();
-            let attempt = pull / app_specs.len() as u64;
-            (*analysis_seed, Some(spec.with_attempt(attempt)))
-        } else {
-            (derive_seed(arm_base(cfg.base_seed, arm), pull), None)
-        };
-        // Sample the first few runs of each arm for diversity. Decided by
-        // pull index, so sampling is as deterministic as the seed stream.
-        let want_schedule = telemetry_on && pull < SCHEDULE_SAMPLES;
-        queue.push(
-            *next_slot,
-            Job::Fuzz {
+    let dispatch =
+        |bandit: &mut Bandit, next_slot: &mut u64, journal: &mut Option<Journal>, exec: u64| {
+            // Snapshot *before* the pick so the journal records the bandit
+            // state the decision was actually made from.
+            let decision_state = journal.is_some().then(|| bandit.snapshot());
+            let i = bandit.pick().expect("campaign arms are never retired");
+            let arm = &arms[i];
+            if let (Some(j), Some(snap)) = (journal.as_mut(), decision_state) {
+                let s = &snap[i];
+                j.push(JournalEvent::ArmPull {
+                    exec,
+                    arm: format!("{}/{}", arm.app, preset_name(arm.preset)),
+                    pulls: s.pulls + 1,
+                    mean_reward: s.mean_reward,
+                    ucb: s.ucb_bound,
+                    successes: None,
+                    failures: None,
+                });
+            }
+            // Pulls before this one: the arm's position in its seed stream.
+            let pull = bandit.pulls(i) - 1;
+            // The directed arm cycles predicted flips and bumps the retry
+            // attempt each full cycle; its env seed is pinned to the analyzed
+            // run's, because the replayed prefix only makes sense against the
+            // same modelled environment. Ordinary arms scan derived seeds.
+            let (env_seed, directed) = if arm.preset == DIRECTED_PRESET {
+                let (analysis_seed, app_specs) =
+                    specs.get(&arm.app).expect("directed arm implies specs");
+                let spec = app_specs[(pull as usize) % app_specs.len()].clone();
+                let attempt = pull / app_specs.len() as u64;
+                (*analysis_seed, Some(spec.with_attempt(attempt)))
+            } else {
+                (derive_seed(arm_base(cfg.base_seed, arm), pull), None)
+            };
+            // Sample the first few runs of each arm for diversity. Decided by
+            // pull index, so sampling is as deterministic as the seed stream.
+            let want_schedule = telemetry_on && pull < SCHEDULE_SAMPLES;
+            queue.push(Job::Fuzz {
+                slot: *next_slot,
                 arm: i,
                 app: arm.app.clone(),
                 preset: arm.preset,
                 env_seed,
                 directed,
                 want_schedule,
-            },
-        );
-        *next_slot += 1;
-        *dispatched += 1;
-    };
+            });
+            *next_slot += 1;
+        };
 
-    while dispatched < cfg.budget.min(max_inflight) {
-        dispatch(
-            &mut bandit,
-            &mut dispatched,
-            &mut next_slot,
-            &mut journal,
-            0,
-        );
+    while next_slot < cfg.budget.min(WINDOW) {
+        dispatch(&mut bandit, &mut next_slot, &mut journal, 0);
     }
 
+    let mut failure = None;
     loop {
         let deadline_passed = cfg.deadline.is_some_and(|d| start.elapsed() >= d);
         if deadline_passed && !hit_deadline {
             hit_deadline = true;
             on_event(&Event::DeadlineHit);
         }
-        if completed >= dispatched
-            && shrinks_pending == 0
-            && (completed >= cfg.budget || hit_deadline)
-        {
+        if applied >= next_slot && shrinks_pending == 0 && (applied >= cfg.budget || hit_deadline) {
             break;
         }
         let msg = match rx.recv_timeout(Duration::from_millis(50)) {
@@ -759,88 +741,78 @@ pub fn run_with_progress(
             Err(mpsc::RecvTimeoutError::Disconnected) => break,
         };
         match msg {
-            Msg::FuzzDone {
-                arm: i,
-                finding,
-                schedule,
-                canon,
-            } => {
-                completed += 1;
-                let arm = &arms[i];
-                if let (Some(pruner), Some((key, scope))) = (pruner.as_mut(), canon) {
-                    let verdict =
-                        pruner.observe(key, scope, finding.as_ref().map(|f| &f.signature));
-                    if let Some(j) = journal.as_mut() {
-                        j.push(JournalEvent::Prune {
-                            exec: completed,
-                            verdict: match verdict {
-                                ClassVerdict::Fresh => PruneOutcome::Distinct,
-                                ClassVerdict::Redundant => PruneOutcome::Redundant,
-                                ClassVerdict::Mismatch => PruneOutcome::Mismatch,
-                            },
-                        });
-                    }
-                }
-                if let Some(schedule) = schedule {
-                    arm_schedules[i].push(schedule);
-                }
-                let mut new_bugs = 0;
-                if let Some(finding) = finding {
-                    let env_seed = finding.env_seed;
-                    let signature = finding.signature.clone();
-                    let trace = finding.trace.clone();
-                    if deduper.insert(finding) {
-                        new_bugs = 1;
-                        on_event(&Event::NewBug {
-                            signature: signature.clone(),
-                            env_seed,
-                        });
+            Msg::FuzzDone(done) => {
+                held.insert(done.slot, done);
+                while let Some(done) = held.remove(&applied) {
+                    applied += 1;
+                    let (i, finding) = (done.arm, done.finding);
+                    let arm = &arms[i];
+                    tally.add(done.dispatched, finding.is_some(), done.profile.as_deref());
+                    if let (Some(pruner), Some((key, scope))) = (pruner.as_mut(), done.canon) {
+                        let verdict =
+                            pruner.observe(key, scope, finding.as_ref().map(|f| &f.signature));
                         if let Some(j) = journal.as_mut() {
-                            j.push(JournalEvent::Discovery {
-                                exec: completed,
-                                app: arm.app.clone(),
-                                site: signature.site.clone(),
+                            j.push(JournalEvent::Prune {
+                                exec: applied,
+                                verdict: match verdict {
+                                    ClassVerdict::Fresh => PruneOutcome::Distinct,
+                                    ClassVerdict::Redundant => PruneOutcome::Redundant,
+                                    ClassVerdict::Mismatch => PruneOutcome::Mismatch,
+                                },
                             });
                         }
-                        discovery.push(Discovery {
-                            signature: signature.to_string(),
-                            app: arm.app.clone(),
-                            site: signature.site.clone(),
-                            // `completed` only moves forward and at most
-                            // one signature is new per run, so the curve
-                            // is monotone by construction.
-                            first_exec: completed,
-                            first_ms: start.elapsed().as_millis() as u64,
-                        });
-                        originals.push((signature.clone(), trace.decisions.len()));
-                        queue.push(
-                            next_slot,
-                            Job::Shrink {
+                    }
+                    if let Some(schedule) = done.schedule {
+                        arm_schedules[i].push(schedule);
+                    }
+                    let mut new_bugs = 0;
+                    if let Some(finding) = finding {
+                        let env_seed = finding.env_seed;
+                        let signature = finding.signature.clone();
+                        let trace = finding.trace.clone();
+                        if deduper.insert(finding) {
+                            new_bugs = 1;
+                            on_event(&Event::NewBug {
+                                signature: signature.clone(),
+                                env_seed,
+                            });
+                            if let Some(j) = journal.as_mut() {
+                                j.push(JournalEvent::Discovery {
+                                    exec: applied,
+                                    app: arm.app.clone(),
+                                    site: signature.site.clone(),
+                                });
+                            }
+                            discovery.push(Discovery {
+                                signature: signature.to_string(),
+                                app: arm.app.clone(),
+                                site: signature.site.clone(),
+                                // `applied` only moves forward and at most
+                                // one signature is new per run, so the
+                                // curve is monotone by construction.
+                                first_exec: applied,
+                                first_ms: start.elapsed().as_millis() as u64,
+                            });
+                            originals.push((signature.clone(), trace.decisions.len()));
+                            queue.push(Job::Shrink {
                                 app: arm.app.clone(),
                                 env_seed,
                                 trace,
                                 signature,
                                 do_shrink: cfg.shrink,
                                 replay_checks: cfg.replay_checks,
-                            },
-                        );
-                        next_slot += 1;
-                        shrinks_pending += 1;
+                            });
+                            shrinks_pending += 1;
+                        }
                     }
-                }
-                bandit.reward(i, new_bugs);
-                on_event(&Event::Run {
-                    completed,
-                    budget: cfg.budget,
-                });
-                if !hit_deadline && dispatched < cfg.budget {
-                    dispatch(
-                        &mut bandit,
-                        &mut dispatched,
-                        &mut next_slot,
-                        &mut journal,
-                        completed,
-                    );
+                    bandit.reward(i, new_bugs);
+                    on_event(&Event::Run {
+                        completed: applied,
+                        budget: cfg.budget,
+                    });
+                    if !hit_deadline && next_slot < cfg.budget {
+                        dispatch(&mut bandit, &mut next_slot, &mut journal, applied);
+                    }
                 }
             }
             Msg::ShrinkDone {
@@ -862,11 +834,10 @@ pub fn run_with_progress(
                 // shard reaped by the orchestrator), the corpus on disk is
                 // a valid partial result. The drain-time pass below
                 // re-saves every record with final hit counts.
-                if let Some(corpus) = &corpus {
-                    if let Some(record) = deduper.record_for(&signature) {
-                        corpus
-                            .save(&record_to_entry(record))
-                            .map_err(|e| format!("corpus: {e}"))?;
+                if let (Some(corpus), Some(record)) = (&corpus, deduper.record_for(&signature)) {
+                    if let Err(e) = corpus.save(&record_to_entry(record)) {
+                        failure = Some(format!("corpus: {e}"));
+                        break;
                     }
                 }
             }
@@ -874,7 +845,7 @@ pub fn run_with_progress(
         if let Some(path) = &cfg.metrics_out {
             if last_metrics.elapsed() >= METRICS_INTERVAL {
                 last_metrics = Instant::now();
-                write_metrics(
+                if let Err(e) = write_metrics(
                     path,
                     cfg,
                     start,
@@ -883,20 +854,25 @@ pub fn run_with_progress(
                     &bandit,
                     &arm_schedules,
                     &discovery,
-                    &registry,
+                    &tally,
                     deduper.records().len() as u64,
                     pruner.as_ref(),
-                )?;
+                ) {
+                    failure = Some(e);
+                    break;
+                }
             }
         }
     }
 
-    stop.store(true, Ordering::Release);
+    queue.close();
     for w in workers {
         let _ = w.join();
     }
+    if let Some(e) = failure {
+        return Err(e);
+    }
 
-    // Workers are quiescent: the final snapshot is exact, not sampled.
     if let Some(path) = &cfg.metrics_out {
         write_metrics(
             path,
@@ -907,7 +883,7 @@ pub fn run_with_progress(
             &bandit,
             &arm_schedules,
             &discovery,
-            &registry,
+            &tally,
             deduper.records().len() as u64,
             pruner.as_ref(),
         )?;
@@ -962,7 +938,7 @@ pub fn run_with_progress(
         })
         .collect();
     Ok(CampaignReport {
-        runs: completed,
+        runs: applied,
         elapsed: start.elapsed(),
         bugs,
         arms,
@@ -979,7 +955,8 @@ pub fn run(cfg: &CampaignConfig) -> Result<CampaignReport, String> {
     run_with_progress(cfg, |_| {})
 }
 
-/// Scrapes the registry and writes one `nodefz-metrics-v1` document.
+/// Writes one `nodefz-metrics-v1` document: the tally and controller
+/// state as of the last applied result.
 #[allow(clippy::too_many_arguments)]
 fn write_metrics(
     path: &std::path::Path,
@@ -990,7 +967,7 @@ fn write_metrics(
     bandit: &Bandit,
     arm_schedules: &[Vec<TypeSchedule>],
     discovery: &[Discovery],
-    registry: &nodefz_obs::Registry,
+    tally: &Tally,
     unique_bugs: u64,
     pruner: Option<&Pruner>,
 ) -> Result<(), String> {
@@ -1003,7 +980,7 @@ fn write_metrics(
         &bandit.snapshot(),
         arm_schedules,
         discovery,
-        &registry.snapshot(),
+        tally,
         pruner.map(Pruner::counters),
         pruner.map(Pruner::health),
     );
@@ -1110,41 +1087,5 @@ mod tests {
         assert_eq!(unique.len(), seeds.len());
         assert_eq!(derive_seed(1, 5), derive_seed(1, 5));
         assert_ne!(derive_seed(1, 5), derive_seed(2, 5));
-    }
-
-    #[test]
-    fn seed_queue_pops_own_work_first_then_steals() {
-        let q = SeedQueue::new(2);
-        for i in 0..4 {
-            q.push(
-                0,
-                Job::Fuzz {
-                    arm: 0,
-                    app: "KUE".into(),
-                    preset: 0,
-                    env_seed: i,
-                    directed: None,
-                    want_schedule: false,
-                },
-            );
-        }
-        // Worker 1 has nothing: it steals from worker 0.
-        let stolen = q.pop(1).expect("steals from the loaded peer");
-        match stolen {
-            Job::Fuzz { env_seed, .. } => assert_eq!(env_seed, 2, "steals the back half"),
-            Job::Shrink { .. } => panic!("unexpected job kind"),
-        }
-        // Worker 0 still pops its own front.
-        match q.pop(0).expect("own work remains") {
-            Job::Fuzz { env_seed, .. } => assert_eq!(env_seed, 0),
-            Job::Shrink { .. } => panic!("unexpected job kind"),
-        }
-    }
-
-    #[test]
-    fn empty_queues_pop_none() {
-        let q = SeedQueue::new(3);
-        assert!(q.pop(0).is_none());
-        assert!(q.pop(2).is_none());
     }
 }

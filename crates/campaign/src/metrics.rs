@@ -1,29 +1,25 @@
-//! Campaign telemetry: registry layout, worker-side recording, and the
-//! `nodefz-metrics-v1` snapshot document.
+//! Campaign telemetry: the run tally and the `nodefz-metrics-v1`
+//! snapshot document.
 //!
-//! The controller owns a [`nodefz_obs::Registry`] with one shard per
-//! worker thread. Workers record into their private shard after every
-//! fuzz execution (a handful of relaxed atomic adds — no locks, no
-//! allocation), and the controller folds the shards into a point-in-time
-//! [`MetricsSnapshot`] whenever it writes `--metrics-out`. Controller-side
-//! series — the bandit's per-arm state, per-arm schedule diversity, and
-//! the bug-discovery curve — ride along in the same document, so a single
+//! The controller applies fuzz results in dispatch order and sums each one
+//! into a [`Tally`]: runs, manifestations, dispatched callbacks and their
+//! per-run histogram, and, above [`ObsLevel::Off`], the loop profile the
+//! result carries back from its worker. Controller-side series — the
+//! bandit's per-arm state, per-arm schedule diversity, and the
+//! bug-discovery curve — ride along in the same [`MetricsSnapshot`], and
+//! every part of it describes the same prefix of applied runs. A single
 //! JSON file answers the paper's evaluation questions (Fig. 6's discovery
 //! behavior, Fig. 7's diversity, §5.4's where-does-the-time-go) for a live
 //! campaign.
 //!
 //! Loop-phase timings and per-kind dispatch counts are collected only
-//! above [`ObsLevel::Off`]; at `off` the registry still carries the
-//! campaign-level counters and the document's `phases`/`callbacks` arrays
-//! are empty.
+//! above [`ObsLevel::Off`]; at `off` the document's `phases`/`callbacks`
+//! arrays are empty.
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use nodefz_obs::{
-    CounterId, HistogramId, HistogramSnapshot, JsonWriter, ObsLevel, Registry, RegistryBuilder,
-    RegistrySnapshot, ShardHandle,
-};
+use nodefz_obs::{JsonWriter, ObsLevel};
+use nodefz_rt::{CbKind, ObsHandle, Phase, PhaseProfile};
 use nodefz_trace::{DiversitySummary, PAPER_TRUNCATION};
 
 use crate::bandit::ArmSnapshot;
@@ -35,100 +31,109 @@ use crate::prune::{PruneCounters, PruneHealth};
 /// catches pathological schedules.
 const DISPATCH_BOUNDS: [u64; 8] = [64, 128, 256, 512, 1024, 2048, 4096, 8192];
 
-/// Identifiers of every metric the campaign registers, shared by the
-/// controller and all worker shards.
-pub(crate) struct MetricIds {
-    /// Fuzz executions completed.
-    runs: CounterId,
-    /// Executions whose oracle tripped (pre-dedup manifestations).
-    manifested: CounterId,
-    /// Callbacks dispatched across all executions.
-    dispatched: CounterId,
-    /// Per-run dispatched-callback distribution.
-    run_dispatched: HistogramId,
-    /// Per-phase (entries, vtime_ns, wall_ns) counters, by `Phase::index()`.
-    phases: Vec<[CounterId; 3]>,
-    /// Per-kind dispatch counters, by `CbKind::index()`.
-    kinds: Vec<CounterId>,
+/// The per-run dispatched-callback distribution: bucket `i` counts runs
+/// that dispatched at most `DISPATCH_BOUNDS[i]` callbacks (and more than
+/// the bound before it); the last bucket counts the overflow.
+#[derive(Clone, Debug, Default)]
+pub struct DispatchHistogram {
+    /// One count per bound, then the overflow bucket.
+    pub buckets: [u64; DISPATCH_BOUNDS.len() + 1],
+    /// Total observations.
+    pub count: u64,
+    /// Sum of all observed values.
+    pub sum: u64,
 }
 
-/// Builds the campaign's frozen metric layout with `shards` worker shards.
-/// The loop-profile counters (per phase, per callback kind) are
-/// registered only above [`ObsLevel::Off`], so a snapshot at `off` carries
-/// empty `phases`/`callbacks` arrays.
-pub(crate) fn build_registry(shards: usize, level: ObsLevel) -> (Registry, Arc<MetricIds>) {
-    let mut b = RegistryBuilder::new();
-    let profiled = !level.is_off();
-    let ids = MetricIds {
-        runs: b.counter("campaign.runs"),
-        manifested: b.counter("campaign.manifested"),
-        dispatched: b.counter("campaign.dispatched"),
-        run_dispatched: b.histogram("run.dispatched", &DISPATCH_BOUNDS),
-        phases: nodefz_rt::Phase::all()
-            .iter()
-            .filter(|_| profiled)
-            .map(|p| {
-                [
-                    b.counter(&format!("phase.{}.entries", p.label())),
-                    b.counter(&format!("phase.{}.vtime_ns", p.label())),
-                    b.counter(&format!("phase.{}.wall_ns", p.label())),
-                ]
-            })
-            .collect(),
-        kinds: nodefz_rt::CbKind::all()
-            .iter()
-            .filter(|_| profiled)
-            .map(|k| b.counter(&format!("callback.{}", k.label())))
-            .collect(),
-    };
-    (b.build(shards), Arc::new(ids))
+impl DispatchHistogram {
+    fn observe(&mut self, v: u64) {
+        self.buckets[DISPATCH_BOUNDS.partition_point(|b| v > *b)] += 1;
+        self.count += 1;
+        self.sum += v;
+    }
+
+    /// Mean observed value, or 0.0 with no observations.
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.count as f64
+        }
+    }
 }
 
-/// A worker's telemetry kit: its registry shard plus, above
-/// [`ObsLevel::Off`], a loop-observability handle the worker attaches to
-/// every run and flushes into the shard afterwards.
-///
-/// Constructed *on* the worker thread — the loop handle is `Rc`-based and
-/// must not cross threads; only the shard handle and ids travel.
-pub(crate) struct WorkerTelemetry {
-    shard: ShardHandle,
-    ids: Arc<MetricIds>,
-    obs: Option<nodefz_rt::ObsHandle>,
+/// One fuzz run's loop profile, copied off the worker's [`ObsHandle`]
+/// (which is `Rc`-based and stays on its thread) to travel to the
+/// controller with the run's result.
+pub(crate) struct LoopProfile {
+    phases: [PhaseProfile; 8],
+    kinds: Vec<(CbKind, u64)>,
 }
 
-impl WorkerTelemetry {
-    pub(crate) fn new(shard: ShardHandle, ids: Arc<MetricIds>, level: ObsLevel) -> WorkerTelemetry {
-        WorkerTelemetry {
-            shard,
-            ids,
-            obs: (!level.is_off()).then(nodefz_rt::ObsHandle::new),
+impl LoopProfile {
+    /// Copies out the profile of the run just finished and resets the
+    /// handle for the next one.
+    pub(crate) fn take(obs: &ObsHandle) -> LoopProfile {
+        let profile = LoopProfile {
+            phases: obs.phase_profiles(),
+            kinds: obs.kind_counts(),
+        };
+        obs.reset();
+        profile
+    }
+}
+
+/// The run counters of the metrics document, summed by the controller as
+/// it applies each fuzz result.
+#[derive(Default)]
+pub(crate) struct Tally {
+    runs: u64,
+    manifested: u64,
+    dispatched: u64,
+    run_dispatched: DispatchHistogram,
+    phases: Vec<PhaseMetrics>,
+    callbacks: Vec<(&'static str, u64)>,
+}
+
+impl Tally {
+    /// An empty tally. Above [`ObsLevel::Off`] it holds a zeroed row per
+    /// loop phase and per callback kind; at `off` it holds none.
+    pub(crate) fn new(level: ObsLevel) -> Tally {
+        let profiled = !level.is_off();
+        Tally {
+            phases: Phase::all()
+                .iter()
+                .filter(|_| profiled)
+                .map(|p| PhaseMetrics {
+                    phase: p.label(),
+                    entries: 0,
+                    vtime_ns: 0,
+                    wall_ns: 0,
+                })
+                .collect(),
+            callbacks: CbKind::all()
+                .iter()
+                .filter(|_| profiled)
+                .map(|k| (k.label(), 0))
+                .collect(),
+            ..Tally::default()
         }
     }
 
-    /// The loop handle to attach to runs, when profiling is on.
-    pub(crate) fn obs(&self) -> Option<&nodefz_rt::ObsHandle> {
-        self.obs.as_ref()
-    }
-
-    /// Records one finished fuzz execution, folding any loop profile the
-    /// run accumulated into the shard and resetting it for the next run.
-    pub(crate) fn record_exec(&self, dispatched: u64, manifested: bool) {
-        self.shard.inc(self.ids.runs);
-        self.shard.add(self.ids.dispatched, dispatched);
-        self.shard.observe(self.ids.run_dispatched, dispatched);
-        if manifested {
-            self.shard.inc(self.ids.manifested);
-        }
-        if let Some(obs) = &self.obs {
-            for (profile, ids) in obs.phase_profiles().iter().zip(&self.ids.phases) {
-                self.shard.add(ids[0], profile.entries);
-                self.shard.add(ids[1], profile.vtime.as_nanos());
-                self.shard.add(ids[2], profile.wall_ns);
+    /// Counts one applied fuzz run and folds in its loop profile, if any.
+    pub(crate) fn add(&mut self, dispatched: u64, manifested: bool, profile: Option<&LoopProfile>) {
+        self.runs += 1;
+        self.manifested += u64::from(manifested);
+        self.dispatched += dispatched;
+        self.run_dispatched.observe(dispatched);
+        if let Some(profile) = profile {
+            for (row, p) in self.phases.iter_mut().zip(&profile.phases) {
+                row.entries += p.entries;
+                row.vtime_ns += p.vtime.as_nanos();
+                row.wall_ns += p.wall_ns;
             }
-            for ((_, count), id) in obs.kind_counts().into_iter().zip(&self.ids.kinds) {
-                self.shard.add(*id, count);
+            for ((_, sum), (_, count)) in self.callbacks.iter_mut().zip(&profile.kinds) {
+                *sum += count;
             }
-            obs.reset();
         }
     }
 }
@@ -202,13 +207,13 @@ pub struct MetricsSnapshot {
     pub arms: Vec<ArmMetrics>,
     /// The bug-discovery curve, in first-seen order.
     pub discovery: Vec<Discovery>,
-    /// Loop-phase timings (empty without the `obs` build or above-`off`
-    /// level).
+    /// Loop-phase timings (empty at [`ObsLevel::Off`]).
     pub phases: Vec<PhaseMetrics>,
     /// Per-kind dispatch counts (same availability as `phases`).
     pub callbacks: Vec<(&'static str, u64)>,
-    /// Per-run dispatched-callback distribution.
-    pub run_dispatched: Option<HistogramSnapshot>,
+    /// Per-run dispatched-callback distribution (`None` in documents that
+    /// count no fuzz runs, such as `campaign analyze`'s).
+    pub run_dispatched: Option<DispatchHistogram>,
     /// Schedule-space pruning counters (`None` unless the campaign ran
     /// with pruning on). Additive to the `nodefz-metrics-v1` schema:
     /// existing readers that ignore unknown fields keep working.
@@ -319,8 +324,8 @@ impl MetricsSnapshot {
                 w.begin_object();
                 w.key("bounds");
                 w.begin_array();
-                for b in &h.bounds {
-                    w.u64(*b);
+                for b in DISPATCH_BOUNDS {
+                    w.u64(b);
                 }
                 w.end_array();
                 w.key("buckets");
@@ -379,8 +384,8 @@ impl MetricsSnapshot {
     }
 }
 
-/// Assembles a [`MetricsSnapshot`] from the controller's state and a
-/// registry scrape. `arms`, `bandit` and `schedules` are parallel, one
+/// Assembles a [`MetricsSnapshot`] from the controller's state and its
+/// run tally. `arms`, `bandit` and `schedules` are parallel, one
 /// entry per arm: the arm, its bandit state, and its sampled
 /// [`TypeSchedule`]s for the diversity summary (empty = not sampled yet).
 ///
@@ -395,7 +400,7 @@ pub(crate) fn collect(
     bandit: &[ArmSnapshot],
     schedules: &[Vec<nodefz_rt::TypeSchedule>],
     discovery: &[Discovery],
-    registry: &RegistrySnapshot,
+    tally: &Tally,
     pruning: Option<&PruneCounters>,
     prune_health: Option<PruneHealth>,
 ) -> MetricsSnapshot {
@@ -416,51 +421,21 @@ pub(crate) fn collect(
     MetricsSnapshot {
         elapsed,
         budget,
-        runs: registry.counter("campaign.runs").unwrap_or(0),
-        dispatched: registry.counter("campaign.dispatched").unwrap_or(0),
-        manifested: registry.counter("campaign.manifested").unwrap_or(0),
+        runs: tally.runs,
+        dispatched: tally.dispatched,
+        manifested: tally.manifested,
         unique_bugs,
         finished,
         arms,
         discovery: discovery.to_vec(),
-        phases: collect_phases(registry),
-        callbacks: collect_callbacks(registry),
-        run_dispatched: registry.histogram("run.dispatched").cloned(),
+        phases: tally.phases.clone(),
+        callbacks: tally.callbacks.clone(),
+        run_dispatched: Some(tally.run_dispatched.clone()),
         pruning: pruning.copied(),
         prune_health,
         sa: None,
         apicov: None,
     }
-}
-
-/// One row per profiled phase; empty when the layout registered none
-/// ([`build_registry`] at [`ObsLevel::Off`]).
-fn collect_phases(registry: &RegistrySnapshot) -> Vec<PhaseMetrics> {
-    nodefz_rt::Phase::all()
-        .iter()
-        .filter_map(|p| {
-            let counter = |field: &str| registry.counter(&format!("phase.{}.{field}", p.label()));
-            Some(PhaseMetrics {
-                phase: p.label(),
-                entries: counter("entries")?,
-                vtime_ns: counter("vtime_ns")?,
-                wall_ns: counter("wall_ns")?,
-            })
-        })
-        .collect()
-}
-
-/// One row per profiled callback kind; empty like [`collect_phases`].
-fn collect_callbacks(registry: &RegistrySnapshot) -> Vec<(&'static str, u64)> {
-    nodefz_rt::CbKind::all()
-        .iter()
-        .filter_map(|k| {
-            Some((
-                k.label(),
-                registry.counter(&format!("callback.{}", k.label()))?,
-            ))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -495,7 +470,6 @@ mod tests {
         // Fig. 7's metric truncates schedules at the first 20 K callbacks;
         // the snapshot must pin that constant, not invent its own.
         assert_eq!(PAPER_TRUNCATION, 20_000);
-        let (reg, _) = build_registry(1, ObsLevel::Off);
         let snap = collect(
             Duration::from_millis(100),
             10,
@@ -508,7 +482,7 @@ mod tests {
                 schedule(&[nodefz_rt::CbKind::Check, nodefz_rt::CbKind::Timer]),
             ]],
             &[],
-            &reg.snapshot(),
+            &Tally::new(ObsLevel::Off),
             None,
             None,
         );
@@ -524,7 +498,6 @@ mod tests {
 
     #[test]
     fn unsampled_arms_serialize_null_diversity_and_bounds() {
-        let (reg, _) = build_registry(1, ObsLevel::Off);
         let snap = collect(
             Duration::from_millis(50),
             10,
@@ -534,7 +507,7 @@ mod tests {
             &arm_snap(0),
             &[Vec::new()],
             &[],
-            &reg.snapshot(),
+            &Tally::new(ObsLevel::Off),
             None,
             None,
         );
@@ -546,12 +519,11 @@ mod tests {
 
     #[test]
     fn worker_recording_lands_in_the_document() {
-        let (reg, ids) = build_registry(2, ObsLevel::Off);
-        let w0 = WorkerTelemetry::new(reg.shard(0), ids.clone(), ObsLevel::Off);
-        let w1 = WorkerTelemetry::new(reg.shard(1), ids, ObsLevel::Off);
-        w0.record_exec(100, false);
-        w0.record_exec(300, true);
-        w1.record_exec(700, false);
+        let mut tally = Tally::new(ObsLevel::Off);
+        // Bounds are inclusive: 64 and 128 land in the buckets they bound.
+        for (dispatched, manifested) in [(64, false), (65, true), (128, false), (9000, false)] {
+            tally.add(dispatched, manifested, None);
+        }
         let snap = collect(
             Duration::from_secs(1),
             10,
@@ -561,19 +533,25 @@ mod tests {
             &[],
             &[],
             &[],
-            &reg.snapshot(),
+            &tally,
             None,
             None,
         );
-        assert_eq!(snap.runs, 3);
-        assert_eq!(snap.dispatched, 1100);
+        assert_eq!(snap.runs, 4);
+        assert_eq!(snap.dispatched, 9257);
         assert_eq!(snap.manifested, 1);
-        let hist = snap.run_dispatched.as_ref().expect("histogram registered");
-        assert_eq!(hist.count, 3);
-        assert_eq!(hist.sum, 1100);
+        assert!(snap.phases.is_empty() && snap.callbacks.is_empty());
+        let hist = snap.run_dispatched.as_ref().expect("campaigns count runs");
+        assert_eq!(hist.buckets, [1, 2, 0, 0, 0, 0, 0, 0, 1]);
+        assert_eq!(hist.count, 4);
+        assert_eq!(hist.sum, 9257);
         let json = snap.to_json();
         assert!(json.contains("\"schema\": \"nodefz-metrics-v1\""));
         assert!(json.contains("\"finished\": true"));
+        assert!(
+            json.contains("\"buckets\": [1, 2, 0, 0, 0, 0, 0, 0, 1]"),
+            "{json}"
+        );
     }
 
     #[test]
@@ -594,7 +572,6 @@ mod tests {
                 first_ms: 48,
             },
         ];
-        let (reg, _) = build_registry(1, ObsLevel::Off);
         let snap = collect(
             Duration::from_secs(1),
             20,
@@ -604,7 +581,7 @@ mod tests {
             &[],
             &[],
             &discovery,
-            &reg.snapshot(),
+            &Tally::new(ObsLevel::Off),
             None,
             None,
         );

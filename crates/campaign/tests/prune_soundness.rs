@@ -38,11 +38,7 @@ fn campaign(prune: bool, tag: &str) -> (BTreeMap<String, Vec<u8>>, PathBuf) {
     let cfg = CampaignConfig {
         apps: vec!["GHO".into(), "AKA".into(), "KUE".into()],
         budget: 120,
-        // One worker thread: with more, the bandit's dispatch stream (and
-        // so per-bug hit counts) depends on completion timing, which
-        // would make the byte-for-byte diff flaky for reasons unrelated
-        // to pruning.
-        threads: 1,
+        threads: 4,
         base_seed: 7,
         shrink: true,
         corpus_dir: Some(corpus_dir.clone()),

@@ -1,12 +1,15 @@
-//! Truncated files: a trace or repro cut off at any byte (a torn write, a
+//! Damaged files: a trace or repro cut off at any byte (a torn write, a
 //! full disk, a partial copy) must decode to a typed error, never panic and
 //! never decode to a different trace. The one prefix allowed to decode is
 //! the document minus its trailing newline, which must give the original.
+//! A repro with a hostile payload spliced into any token must decode to a
+//! typed error or to an entry that round-trips, never panic.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use nodefz::{decode_trace, encode_trace, Decision, DecisionTrace, Perm};
 use nodefz_campaign::CorpusEntry;
+use nodefz_check::{mutants, payload_classes};
 use nodefz_rt::{PoolMode, VDur};
 
 /// A trace holding all five decision kinds, with one shuffle wider than
@@ -58,9 +61,8 @@ fn every_trace_prefix_is_a_typed_error() {
     check_prefixes(&doc, &trace, decode_trace);
 }
 
-#[test]
-fn every_repro_prefix_is_a_typed_error() {
-    let entry = CorpusEntry {
+fn sample_entry() -> CorpusEntry {
+    CorpusEntry {
         app: "KUE".into(),
         env_seed: 12_345,
         site: "lost # of # jobs".into(),
@@ -68,8 +70,40 @@ fn every_repro_prefix_is_a_typed_error() {
         hits: 17,
         replays_ok: 10,
         trace: sample_trace(),
-    };
+    }
+}
+
+#[test]
+fn every_repro_prefix_is_a_typed_error() {
+    let entry = sample_entry();
     let doc = entry.encode();
     assert_eq!(CorpusEntry::decode(&doc).as_ref(), Ok(&entry));
     check_prefixes(&doc, &entry, CorpusEntry::decode);
+}
+
+#[test]
+fn hostile_repros_are_errors_or_round_trip_never_panics() {
+    let doc = sample_entry().encode();
+    let (mut decoded, mut accepted) = (0usize, 0usize);
+    for (class, payloads) in payload_classes() {
+        for payload in &payloads {
+            for m in mutants(&doc, payload) {
+                let result = catch_unwind(AssertUnwindSafe(|| CorpusEntry::decode(&m.text)))
+                    .unwrap_or_else(|_| panic!("{class}: decode panicked on {:?}", m.text));
+                decoded += 1;
+                let Ok(entry) = result else { continue };
+                accepted += 1;
+                assert_eq!(
+                    CorpusEntry::decode(&entry.encode()).as_ref(),
+                    Ok(&entry),
+                    "{class}: accepted entry does not round-trip"
+                );
+            }
+        }
+    }
+    assert!(decoded > 4_000, "only {decoded} mutants");
+    assert!(
+        accepted > 0,
+        "no mutant was accepted, so the round trip went unchecked"
+    );
 }

@@ -32,8 +32,10 @@
 #![warn(missing_docs)]
 
 pub mod alloc;
+pub mod hostile;
 
 pub use alloc::{AllocStats, CountingAlloc};
+pub use hostile::{mutants, payload_classes, Mutant};
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 

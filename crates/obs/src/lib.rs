@@ -6,13 +6,12 @@
 //! continuously, not just in a post-mortem summary. This crate provides
 //! the shared substrate:
 //!
-//! * [`Registry`] / [`ShardHandle`] — a lock-free metrics registry of
-//!   per-worker sharded counters and fixed-bucket histograms. All hot-path
-//!   operations are relaxed `AtomicU64` adds on pre-allocated slots; the
-//!   sharded values are only folded together at scrape time.
 //! * [`ObsLevel`] — the run-time dial for loop profiling. Every build
 //!   compiles the runtime's loop hooks; a run is profiled only when a
 //!   handle is attached, which the campaign does above [`ObsLevel::Off`].
+//!   The campaign's counters themselves need no shared registry: each
+//!   fuzz result carries its own counts back to the controller, which
+//!   sums them as it applies results in dispatch order.
 //! * [`JsonWriter`] — a dependency-free JSON emitter shared by the
 //!   `nodefz-metrics-v1` snapshot writer, the races, orchestrator and
 //!   race-report documents, and the campaign's chrome-trace exporter.
@@ -37,7 +36,6 @@ mod fsio;
 mod journal;
 mod json;
 mod parse;
-mod registry;
 mod schema;
 
 pub use fsio::write_atomic;
@@ -47,10 +45,6 @@ pub use journal::{
 };
 pub use json::JsonWriter;
 pub use parse::{JsonParseError, JsonValue};
-pub use registry::{
-    CounterId, CounterSnapshot, HistogramId, HistogramSnapshot, Registry, RegistryBuilder,
-    RegistrySnapshot, ShardHandle,
-};
 pub use schema::{expect_header, expect_schema, SchemaError};
 
 /// How much loop telemetry a campaign's worker runs collect.
@@ -62,8 +56,9 @@ pub enum ObsLevel {
     /// No loop profiling: no handle attached, no phase timing.
     #[default]
     Off,
-    /// Per-phase timings and per-kind dispatch counts, folded into the
-    /// metrics registry after every run.
+    /// Per-phase timings and per-kind dispatch counts: each fuzz run's
+    /// profile travels back with its result and is summed into the
+    /// campaign's metrics.
     Counters,
 }
 

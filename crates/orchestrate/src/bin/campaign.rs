@@ -81,7 +81,8 @@ static COMMANDS: [Command; 9] = [
     Command {
         name: "",
         usage: "campaign [flags] — fuzz the targeted apps under the Node.fz scheduler
-  --threads N        worker threads (default 4)
+  --threads N        worker threads (default 4); changes speed, not
+                     results
   --budget N         total fuzz runs (default 400)
   --apps A,B,C       bug abbreviations to target (default: the fig6 set);
                      CONFORM and CONFORM-API are the generated-program
@@ -96,7 +97,9 @@ static COMMANDS: [Command; 9] = [
                      analysis of one recorded run, and alone means a
                      directed-only campaign
   --corpus DIR       persist minimized repros into DIR
-  --deadline-secs S  wall-clock budget; drain gracefully when exceeded
+  --deadline-secs S  wall-clock budget; drain gracefully when exceeded.
+                     A wall-clock cut: the one setting under which the
+                     same flags can give different corpora
   --no-shrink        skip delta-debugging of new findings
   --replay-checks N  acceptance replays per repro (default 10)
   --seed N           base environment seed (default 1)

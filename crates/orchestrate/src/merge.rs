@@ -175,4 +175,31 @@ mod tests {
         assert_eq!(merged.load_all().unwrap().len(), 2);
         let _ = std::fs::remove_dir_all(&base);
     }
+
+    #[test]
+    fn a_shard_file_naming_a_path_as_its_app_is_skipped_not_saved_outside() {
+        let base = std::env::temp_dir().join(format!("nodefz-merge-escape-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let shard = Corpus::open(&base.join("shard")).unwrap();
+        let good = entry("KUE", "lost N jobs", 3, 4);
+        shard.save(&good).unwrap();
+        let hostile = good
+            .encode()
+            .replacen("app KUE\n", "app ../../escaped\n", 1);
+        std::fs::write(base.join("shard").join("evil.repro"), hostile).unwrap();
+
+        let mut m = MergedCorpus::new();
+        let (new, skipped) = m.fold_shard(&base.join("shard")).unwrap();
+        assert_eq!((new.len(), skipped), (1, vec!["evil.repro".to_string()]));
+        m.write_to(&base.join("a").join("corpus")).unwrap();
+        let mut top: Vec<String> = std::fs::read_dir(&base)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        top.sort();
+        assert_eq!(top, ["a", "shard"], "a save escaped the merged corpus");
+        let merged = std::fs::read_dir(base.join("a")).unwrap().count();
+        assert_eq!(merged, 1, "only the corpus directory lives under a/");
+        let _ = std::fs::remove_dir_all(&base);
+    }
 }
