@@ -4,8 +4,8 @@
 //! pairs will keep yielding bugs, so it treats allocation as a multi-armed
 //! bandit: each arm's *recent* yield (new unique bugs per pull) is tracked
 //! with an exponential moving average, and arms are chosen by an upper
-//! confidence bound so unexplored arms still get pulled. The same bandit
-//! allocates a campaign's runs and an orchestrator's budget slices.
+//! confidence bound so unexplored arms still get pulled. An arm whose run
+//! panicked is retired: no later pick returns it.
 //!
 //! The bandit knows arms only by position: callers keep their own arm list
 //! and pass indices. Everything is deterministic — among equal scores the
@@ -92,9 +92,10 @@ impl Bandit {
         a.yield_ema = (1.0 - self.alpha) * a.yield_ema + self.alpha * observed;
     }
 
-    /// Removes `arm` from every future [`Bandit::pick`].
-    pub fn retire(&mut self, arm: usize) {
-        self.arms[arm].retired = true;
+    /// Removes `arm` from every future [`Bandit::pick`]; returns whether
+    /// it was still in play.
+    pub fn retire(&mut self, arm: usize) -> bool {
+        !std::mem::replace(&mut self.arms[arm].retired, true)
     }
 
     /// The allocator's full decision state, one entry per arm in order.
@@ -233,11 +234,12 @@ mod tests {
     #[test]
     fn retired_arms_are_never_picked() {
         let mut b = Bandit::new(2);
-        b.retire(1);
+        assert!(b.retire(1));
+        assert!(!b.retire(1), "an arm retires once");
         for _ in 0..20 {
             assert_eq!(b.pick(), Some(0));
         }
-        b.retire(0);
+        assert!(b.retire(0));
         assert_eq!(b.pick(), None, "all retired means no pick");
         assert_eq!(b.snapshot()[0].pulls, 20, "a refused pick is not counted");
     }

@@ -49,11 +49,9 @@ pub struct CampaignConfig {
     /// Bug abbreviations to target (Table 2 names, e.g. `["KUE", "MKD"]`).
     pub apps: Vec<String>,
     /// Which fuzz presets each app gets an arm for, as indices into
-    /// [`PRESETS`] (default: all of them). An orchestrator scheduling
-    /// (app, preset, mode) arms across worker processes restricts each
-    /// worker to exactly one preset; an empty list is only valid together
-    /// with [`CampaignConfig::directed`], yielding a directed-only
-    /// campaign.
+    /// [`PRESETS`] (default: all of them). One preset restricts every app
+    /// to one fuzz arm; an empty list is only valid together with
+    /// [`CampaignConfig::directed`], yielding a directed-only campaign.
     pub presets: Vec<usize>,
     /// Wall-clock deadline; the campaign drains gracefully when it passes.
     pub deadline: Option<Duration>,

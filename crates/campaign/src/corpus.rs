@@ -208,7 +208,7 @@ impl Corpus {
     ///
     /// The write is atomic (temp file + rename), so a corpus directory
     /// never contains a torn entry even if the writing process is killed
-    /// mid-save — the orchestrator salvages corpora of reaped workers.
+    /// mid-save: what a killed campaign leaves is a valid partial corpus.
     ///
     /// # Errors
     ///

@@ -23,15 +23,25 @@
 //!
 //! A new signature triggers a shrink job (delta debugging + acceptance
 //! replays) at the front of the queue; the shrunk repro is then persisted.
-//! The campaign drains gracefully when the run budget is spent or the
-//! wall-clock deadline passes.
+//! The campaign drains gracefully when the run budget is spent, the
+//! wall-clock deadline passes, or every arm is quarantined.
+//!
+//! A case that panics does not end the campaign. [`RunContext`] catches
+//! the panic and rebuilds its pooled state, a panicking fuzz run reaches
+//! the controller as a crash, and the controller retires that run's arm
+//! in slot order, journals the quarantine and names it in the summary. A
+//! replay that panics counts as not reproducing. Only an `abort()`, a
+//! stack overflow or running out of memory still ends the process, and
+//! the runtime's caps on loop iterations and virtual time bound every run
+//! whose callbacks return.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use nodefz::{DecisionTrace, DirectedSpec, Mode, ReplayStatusHandle, TraceHandle};
-use nodefz_apps::common::{RunCfg, Variant};
+use nodefz_apps::common::{BugCase, Outcome, RunCfg, Variant};
 use nodefz_hb::{CanonBuilder, CanonKey};
 use nodefz_rt::{EventLogHandle, TypeSchedule};
 use nodefz_trace::BugSignature;
@@ -44,7 +54,7 @@ use crate::dedup::{BugRecord, Deduper, Finding};
 use crate::metrics::{self, Discovery, LoopProfile, Tally};
 use crate::prune::{ClassVerdict, Pruner, SEEN_CAP};
 use crate::shrink::shrink;
-use nodefz_obs::{Journal, JournalEvent, ObsLevel, PruneOutcome, JOURNAL_CAP};
+use nodefz_obs::{Journal, JournalEvent, ObsLevel, PruneOutcome, WorkerState, JOURNAL_CAP};
 
 /// How many early runs of each arm have their type schedule sampled for
 /// the per-arm diversity summary in `--metrics-out` snapshots. Pairwise
@@ -67,7 +77,11 @@ const METRICS_INTERVAL: Duration = Duration::from_millis(500);
 /// the conformance arms — generated programs judged against the
 /// runtime's ordering oracle — under the `CONFORM` (independent
 /// sampling) and `CONFORM-API` (API-graph traversal) abbreviations.
-pub fn resolve_case(app: &str) -> Option<Box<dyn nodefz_apps::common::BugCase>> {
+pub fn resolve_case(app: &str) -> Option<Box<dyn BugCase>> {
+    #[cfg(test)]
+    if app.eq_ignore_ascii_case(tests::PANICKY) {
+        return Some(Box::new(tests::Panicky));
+    }
     if app.eq_ignore_ascii_case(nodefz_conform::ABBR) {
         return Some(nodefz_conform::bug_case());
     }
@@ -85,6 +99,13 @@ pub(crate) struct Arm {
     pub app: String,
     /// Index into [`crate::config::PRESETS`], or [`DIRECTED_PRESET`].
     pub preset: usize,
+}
+
+impl Arm {
+    /// How journals and reports name the arm (`"GHO/aggressive"`).
+    fn label(&self) -> String {
+        format!("{}/{}", self.app, preset_name(self.preset))
+    }
 }
 
 /// One unit of worker work.
@@ -122,6 +143,8 @@ struct FuzzDone {
     slot: u64,
     /// Index of the arm the run was dispatched for.
     arm: usize,
+    /// The run's environment seed, reported if the run panicked.
+    env_seed: u64,
     finding: Option<Finding>,
     /// Callbacks the run dispatched.
     dispatched: u64,
@@ -132,6 +155,8 @@ struct FuzzDone {
     canon: Option<(CanonKey, u64)>,
     /// The run's loop profile, above `--obs-level off`.
     profile: Option<Box<LoopProfile>>,
+    /// The panic message, when the run panicked.
+    crash: Option<String>,
 }
 
 /// Worker → controller messages.
@@ -252,6 +277,21 @@ pub struct CampaignReport {
     pub arms: Vec<(String, &'static str, u64, f64)>,
     /// Whether the deadline cut the campaign short.
     pub hit_deadline: bool,
+    /// The arms retired because a run panicked, in the order they were.
+    pub quarantined: Vec<Quarantine>,
+}
+
+/// An arm retired because one of its runs panicked.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Quarantine {
+    /// Bug abbreviation.
+    pub app: String,
+    /// Preset name.
+    pub preset: &'static str,
+    /// Environment seed of the run that panicked.
+    pub env_seed: u64,
+    /// The panic message.
+    pub message: String,
 }
 
 impl CampaignReport {
@@ -273,6 +313,22 @@ pub struct FuzzExec {
     /// ([`crate::prune::env_scope`]), when the context prunes
     /// ([`RunContext::enable_prune`]).
     pub canon: Option<(CanonKey, u64)>,
+    /// The panic message, when the case panicked; the run then has no
+    /// finding, schedule or canonical key.
+    pub crash: Option<String>,
+}
+
+impl FuzzExec {
+    /// A run with nothing to show: an unknown app, or a panic.
+    fn empty(crash: Option<String>) -> FuzzExec {
+        FuzzExec {
+            finding: None,
+            dispatched: 0,
+            schedule: None,
+            canon: None,
+            crash,
+        }
+    }
 }
 
 /// Per-worker reusable execution state: the campaign's hot path.
@@ -285,6 +341,10 @@ pub struct FuzzExec {
 /// contents are only snapshotted when a run actually manifests a bug.
 /// Replays ([`RunContext::replays_to`]) recycle the same pool and one
 /// [`ReplayStatusHandle`].
+///
+/// Every case runs under `catch_unwind`. After a panic the context
+/// rebuilds its pool and handles, so nothing of the panicked run carries
+/// into the next one.
 ///
 /// [`LoopPool`]: nodefz_rt::LoopPool
 pub struct RunContext {
@@ -309,6 +369,16 @@ struct PruneKit {
     scratch: Vec<u64>,
 }
 
+impl PruneKit {
+    fn new() -> PruneKit {
+        PruneKit {
+            events: EventLogHandle::fresh(),
+            canon: CanonBuilder::new(),
+            scratch: Vec::new(),
+        }
+    }
+}
+
 impl Default for RunContext {
     fn default() -> RunContext {
         RunContext::new()
@@ -331,11 +401,7 @@ impl RunContext {
     /// event log and reports its HB canonical key in
     /// [`FuzzExec::canon`].
     pub fn enable_prune(&mut self) {
-        self.prune = Some(PruneKit {
-            events: EventLogHandle::fresh(),
-            canon: CanonBuilder::new(),
-            scratch: Vec::new(),
-        });
+        self.prune = Some(PruneKit::new());
     }
 
     /// Attaches a loop-observability handle to every subsequent fuzz run.
@@ -344,7 +410,8 @@ impl RunContext {
     }
 
     /// Runs one fuzz job: the buggy variant under a recording fuzz
-    /// scheduler. Unknown apps count as a non-manifesting run.
+    /// scheduler. Unknown apps count as a non-manifesting run; a case that
+    /// panics reports its message in [`FuzzExec::crash`].
     pub fn fuzz_once(&mut self, app: &str, preset: usize, env_seed: u64) -> FuzzExec {
         self.fuzz_once_sampled(app, preset, env_seed, false)
     }
@@ -379,12 +446,7 @@ impl RunContext {
         want_schedule: bool,
     ) -> FuzzExec {
         let Some(case) = resolve_case(app) else {
-            return FuzzExec {
-                finding: None,
-                dispatched: 0,
-                schedule: None,
-                canon: None,
-            };
+            return FuzzExec::empty(None);
         };
         // The recording scheduler resets the shared handle in place, so
         // reusing it across runs keeps the decision buffer's capacity.
@@ -399,7 +461,10 @@ impl RunContext {
         if let Some(obs) = &self.obs {
             run_cfg = run_cfg.observed(obs);
         }
-        let out = case.run(&run_cfg, Variant::Buggy);
+        let out = match self.run_caught(&*case, &run_cfg) {
+            Ok(out) => out,
+            Err(message) => return FuzzExec::empty(Some(message)),
+        };
         let dispatched = out.report.dispatched;
         let schedule = want_schedule.then(|| out.report.schedule.clone());
         let finding = out.manifested.then(|| Finding {
@@ -421,12 +486,35 @@ impl RunContext {
             dispatched,
             schedule,
             canon,
+            crash: None,
         }
+    }
+
+    /// Runs the buggy variant of `case`, catching a panic: its message
+    /// comes back as the error, after the pooled loop, the trace, replay
+    /// and event-log handles are rebuilt and the run's loop profile is
+    /// dropped.
+    fn run_caught(&mut self, case: &dyn BugCase, run_cfg: &RunCfg) -> Result<Outcome, String> {
+        let payload = match catch_unwind(AssertUnwindSafe(|| case.run(run_cfg, Variant::Buggy))) {
+            Ok(out) => return Ok(out),
+            Err(payload) => payload,
+        };
+        self.pool = nodefz_rt::LoopPool::new();
+        self.handle = TraceHandle::fresh();
+        self.status = ReplayStatusHandle::fresh();
+        if let Some(kit) = &mut self.prune {
+            *kit = PruneKit::new();
+        }
+        if let Some(obs) = &self.obs {
+            obs.reset();
+        }
+        Err(panic_message(&*payload))
     }
 
     /// Replays `trace` against `app` under `env_seed` on this context's
     /// pooled loop; returns whether the run manifested with signature
-    /// `expected`. Unknown apps never manifest.
+    /// `expected`. Unknown apps never manifest, and a replay that panics
+    /// does not reproduce.
     ///
     /// The one replay path: shrink candidates, acceptance replays,
     /// `campaign analyze`'s replay checks and corpus verification all
@@ -443,11 +531,10 @@ impl RunContext {
             return false;
         };
         let mode = Mode::Replay(trace.clone(), self.status.clone());
-        let out = case.run(
-            &RunCfg::new(mode, env_seed).pooled(&self.pool),
-            Variant::Buggy,
-        );
-        out.manifested && &BugSignature::new(app, &out.detail, &out.report.schedule) == expected
+        let run_cfg = RunCfg::new(mode, env_seed).pooled(&self.pool);
+        self.run_caught(&*case, &run_cfg).is_ok_and(|out| {
+            out.manifested && &BugSignature::new(app, &out.detail, &out.report.schedule) == expected
+        })
     }
 
     /// Replays a corpus entry on this context (see [`verify_entry`]).
@@ -481,6 +568,17 @@ pub fn verify_entry(entry: &CorpusEntry) -> Result<(), String> {
     RunContext::new().verify(entry)
 }
 
+/// The text of a caught panic.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(text) = payload.downcast_ref::<&str>() {
+        return (*text).to_string();
+    }
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_else(|| "a panic with a non-string payload".into())
+}
+
 fn worker_loop(queue: &JobQueue, tx: mpsc::Sender<Msg>, level: ObsLevel, prune: bool) {
     let mut ctx = RunContext::new();
     if prune {
@@ -511,11 +609,13 @@ fn worker_loop(queue: &JobQueue, tx: mpsc::Sender<Msg>, level: ObsLevel, prune: 
                 Msg::FuzzDone(FuzzDone {
                     slot,
                     arm,
+                    env_seed,
                     finding: exec.finding,
                     dispatched: exec.dispatched,
                     schedule: exec.schedule,
                     canon: exec.canon,
                     profile: obs.as_ref().map(|obs| Box::new(LoopProfile::take(obs))),
+                    crash: exec.crash,
                 })
             }
             Job::Shrink {
@@ -671,19 +771,25 @@ pub fn run_with_progress(
     let mut discovery: Vec<Discovery> = Vec::new();
     let mut arm_schedules: Vec<Vec<TypeSchedule>> = vec![Vec::new(); arms.len()];
     let mut last_metrics = Instant::now();
+    let mut quarantined: Vec<Quarantine> = Vec::new();
+    // Set once every arm is quarantined: nothing is left to dispatch.
+    let mut exhausted = false;
 
+    // Dispatches the next fuzz job; false when every arm is retired.
     let dispatch =
         |bandit: &mut Bandit, next_slot: &mut u64, journal: &mut Option<Journal>, exec: u64| {
             // Snapshot *before* the pick so the journal records the bandit
             // state the decision was actually made from.
             let decision_state = journal.is_some().then(|| bandit.snapshot());
-            let i = bandit.pick().expect("campaign arms are never retired");
+            let Some(i) = bandit.pick() else {
+                return false;
+            };
             let arm = &arms[i];
             if let (Some(j), Some(snap)) = (journal.as_mut(), decision_state) {
                 let s = &snap[i];
                 j.push(JournalEvent::ArmPull {
                     exec,
-                    arm: format!("{}/{}", arm.app, preset_name(arm.preset)),
+                    arm: arm.label(),
                     pulls: s.pulls + 1,
                     mean_reward: s.mean_reward,
                     ucb: s.ucb_bound,
@@ -719,6 +825,7 @@ pub fn run_with_progress(
                 want_schedule,
             });
             *next_slot += 1;
+            true
         };
 
     while next_slot < cfg.budget.min(WINDOW) {
@@ -732,13 +839,22 @@ pub fn run_with_progress(
             hit_deadline = true;
             on_event(&Event::DeadlineHit);
         }
-        if applied >= next_slot && shrinks_pending == 0 && (applied >= cfg.budget || hit_deadline) {
+        if applied >= next_slot
+            && shrinks_pending == 0
+            && (applied >= cfg.budget || hit_deadline || exhausted)
+        {
             break;
         }
         let msg = match rx.recv_timeout(Duration::from_millis(50)) {
             Ok(msg) => msg,
-            Err(mpsc::RecvTimeoutError::Timeout) => continue,
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            Err(mpsc::RecvTimeoutError::Timeout) if !workers.iter().any(|w| w.is_finished()) => {
+                continue
+            }
+            // Workers end only once the queue closes, so a finished one
+            // died outside a case run (`RunContext` catches those panics)
+            // and the results it held will never come. Its join error,
+            // below, fails the campaign.
+            Err(_) => break,
         };
         match msg {
             Msg::FuzzDone(done) => {
@@ -764,6 +880,26 @@ pub fn run_with_progress(
                     }
                     if let Some(schedule) = done.schedule {
                         arm_schedules[i].push(schedule);
+                    }
+                    // A run that panicked retires its arm; the arm's runs
+                    // already in flight still apply.
+                    if let Some(message) = done.crash {
+                        if bandit.retire(i) {
+                            if let Some(j) = journal.as_mut() {
+                                j.push(JournalEvent::Worker {
+                                    index: done.slot,
+                                    arm: arm.label(),
+                                    state: WorkerState::Quarantined,
+                                    reason: Some(message.clone()),
+                                });
+                            }
+                            quarantined.push(Quarantine {
+                                app: arm.app.clone(),
+                                preset: preset_name(arm.preset),
+                                env_seed: done.env_seed,
+                                message,
+                            });
+                        }
                     }
                     let mut new_bugs = 0;
                     if let Some(finding) = finding {
@@ -810,8 +946,8 @@ pub fn run_with_progress(
                         completed: applied,
                         budget: cfg.budget,
                     });
-                    if !hit_deadline && next_slot < cfg.budget {
-                        dispatch(&mut bandit, &mut next_slot, &mut journal, applied);
+                    if !hit_deadline && !exhausted && next_slot < cfg.budget {
+                        exhausted = !dispatch(&mut bandit, &mut next_slot, &mut journal, applied);
                     }
                 }
             }
@@ -830,10 +966,10 @@ pub fn run_with_progress(
                 });
                 deduper.attach_shrunk(&signature, shrunk, replays_ok);
                 // Persist the repro the moment it is ready instead of only
-                // at drain: if this process dies mid-campaign (a worker
-                // shard reaped by the orchestrator), the corpus on disk is
-                // a valid partial result. The drain-time pass below
-                // re-saves every record with final hit counts.
+                // at drain: if this process dies mid-campaign (killed, or
+                // a case that aborts), the corpus on disk is a valid
+                // partial result. The drain-time pass below re-saves every
+                // record with final hit counts.
                 if let (Some(corpus), Some(record)) = (&corpus, deduper.record_for(&signature)) {
                     if let Err(e) = corpus.save(&record_to_entry(record)) {
                         failure = Some(format!("corpus: {e}"));
@@ -867,7 +1003,11 @@ pub fn run_with_progress(
 
     queue.close();
     for w in workers {
-        let _ = w.join();
+        if let Err(payload) = w.join() {
+            failure.get_or_insert_with(|| {
+                format!("a campaign worker died: {}", panic_message(&*payload))
+            });
+        }
     }
     if let Some(e) = failure {
         return Err(e);
@@ -943,6 +1083,7 @@ pub fn run_with_progress(
         bugs,
         arms,
         hit_deadline,
+        quarantined,
     })
 }
 
@@ -987,9 +1128,9 @@ fn write_metrics(
     if finished {
         snapshot.apicov = conform_apicov(cfg, arms, bandit);
     }
-    // Atomic (temp file + rename): an orchestrator polls these snapshots
-    // from another process while the campaign runs, and must never read a
-    // torn document.
+    // Atomic (temp file + rename): the snapshot is rewritten while the
+    // campaign runs, so a reader polling it must never see a torn
+    // document, and a campaign killed mid-write must never leave one.
     nodefz_obs::write_atomic(path, &snapshot.to_json())
         .map_err(|e| format!("metrics: cannot write {}: {e}", path.display()))
 }
@@ -1079,6 +1220,210 @@ pub(crate) fn record_to_entry(record: &BugRecord) -> CorpusEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nodefz_apps::common::{BugInfo, RaceType};
+
+    /// The abbreviation [`resolve_case`] resolves to [`Panicky`], in test
+    /// builds only.
+    pub(super) const PANICKY: &str = "PANICKY";
+
+    /// A test-only app: four timers, the third of which panics mid-run on
+    /// every env seed [`panics`] picks. Nothing else ever manifests.
+    pub(super) struct Panicky;
+
+    fn panics(env_seed: u64) -> bool {
+        env_seed.is_multiple_of(4)
+    }
+
+    impl BugCase for Panicky {
+        fn info(&self) -> BugInfo {
+            BugInfo {
+                abbr: PANICKY,
+                name: "panicking test app",
+                bug_ref: "-",
+                race: RaceType::TimeRace,
+                racing_events: "Timer",
+                race_on: "-",
+                impact: "the case panics",
+                fix: "-",
+                in_fig6: false,
+                novel: false,
+            }
+        }
+
+        fn run(&self, cfg: &RunCfg, _variant: Variant) -> Outcome {
+            let mut el = cfg.build_loop();
+            let env_seed = cfg.env_seed;
+            el.enter(move |cx| {
+                for i in 0..4 {
+                    cx.set_timeout(nodefz_rt::VDur::millis(i), move |_| {
+                        if i == 2 && panics(env_seed) {
+                            panic!("panicky app: env seed {env_seed}");
+                        }
+                    });
+                }
+            });
+            Outcome {
+                manifested: false,
+                detail: String::new(),
+                report: el.run(),
+            }
+        }
+    }
+
+    /// What a campaign over GHO and [`Panicky`] returned and wrote: its
+    /// report, its corpus files and its journal without wall-clock stamps.
+    type Written = (
+        CampaignReport,
+        Vec<(String, Vec<u8>)>,
+        Vec<(u64, JournalEvent)>,
+    );
+
+    /// Runs a campaign on a helper thread, so a hang fails the test
+    /// instead of stalling the suite.
+    fn run_or_hang(cfg: CampaignConfig) -> CampaignReport {
+        let threads = cfg.threads;
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || tx.send(run(&cfg)));
+        rx.recv_timeout(Duration::from_secs(120))
+            .unwrap_or_else(|_| panic!("the campaign hung at {threads} threads"))
+            .unwrap_or_else(|e| panic!("the campaign failed at {threads} threads: {e}"))
+    }
+
+    fn panicky_campaign(threads: usize) -> Written {
+        let dir =
+            std::env::temp_dir().join(format!("nodefz-panicky-{threads}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let report = run_or_hang(CampaignConfig {
+            threads,
+            budget: 200,
+            apps: vec!["GHO".into(), PANICKY.into()],
+            base_seed: 5,
+            replay_checks: 2,
+            corpus_dir: Some(dir.join("corpus")),
+            journal_out: Some(dir.join("journal.jsonl")),
+            ..CampaignConfig::default()
+        });
+        let mut corpus: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir.join("corpus"))
+            .unwrap()
+            .map(|entry| {
+                let entry = entry.unwrap();
+                let name = entry.file_name().to_string_lossy().into_owned();
+                (name, std::fs::read(entry.path()).unwrap())
+            })
+            .collect();
+        corpus.sort();
+        let text = std::fs::read_to_string(dir.join("journal.jsonl")).unwrap();
+        let journal = Journal::decode(&text)
+            .unwrap()
+            .entries()
+            .map(|e| (e.seq, e.event.clone()))
+            .collect();
+        let _ = std::fs::remove_dir_all(&dir);
+        (report, corpus, journal)
+    }
+
+    #[test]
+    fn a_panicking_run_quarantines_its_arm_at_any_thread_count() {
+        let (report, corpus, journal) = panicky_campaign(1);
+        assert_eq!(report.runs, 200, "the GHO arms spend the whole budget");
+        assert!(
+            report.bugs.iter().any(|b| b.app == "GHO"),
+            "GHO's planted bug is found: {:?}",
+            report.bugs
+        );
+        let mut presets: Vec<&str> = report.quarantined.iter().map(|q| q.preset).collect();
+        presets.sort_unstable();
+        assert_eq!(presets, ["aggressive", "guided", "standard"]);
+        for q in &report.quarantined {
+            assert_eq!(q.app, PANICKY);
+            assert!(panics(q.env_seed), "{q:?}");
+            assert_eq!(q.message, format!("panicky app: env seed {}", q.env_seed));
+        }
+        let journaled: Vec<(String, Option<String>)> = journal
+            .iter()
+            .filter_map(|(_, event)| match event {
+                JournalEvent::Worker {
+                    arm,
+                    state: WorkerState::Quarantined,
+                    reason,
+                    ..
+                } => Some((arm.clone(), reason.clone())),
+                _ => None,
+            })
+            .collect();
+        let reported: Vec<(String, Option<String>)> = report
+            .quarantined
+            .iter()
+            .map(|q| (format!("{PANICKY}/{}", q.preset), Some(q.message.clone())))
+            .collect();
+        assert_eq!(journaled, reported);
+        assert!(!corpus.is_empty());
+        assert!(corpus.iter().all(|(name, _)| name.starts_with("gho-")));
+
+        for threads in [2, 4] {
+            let (other, other_corpus, other_journal) = panicky_campaign(threads);
+            assert_eq!(other.runs, report.runs, "{threads} threads");
+            assert_eq!(other.quarantined, report.quarantined, "{threads} threads");
+            assert!(
+                other_corpus == corpus,
+                "corpus differs at {threads} threads"
+            );
+            assert!(
+                other_journal == journal,
+                "journal differs at {threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn a_campaign_stops_dispatching_once_every_arm_is_quarantined() {
+        let report = run_or_hang(CampaignConfig {
+            threads: 2,
+            budget: 200,
+            apps: vec![PANICKY.into()],
+            base_seed: 5,
+            ..CampaignConfig::default()
+        });
+        assert_eq!(report.quarantined.len(), 3);
+        assert!(report.runs < 200, "{} runs", report.runs);
+        assert!(report.bugs.is_empty());
+    }
+
+    #[test]
+    fn a_caught_panic_leaves_nothing_for_the_next_run() {
+        let gho_seed = (0..64)
+            .find(|&seed| {
+                RunContext::new()
+                    .fuzz_once("GHO", 0, seed)
+                    .finding
+                    .is_some()
+            })
+            .expect("GHO manifests");
+        let mut fresh = RunContext::new();
+        fresh.enable_prune();
+        let clean = fresh.fuzz_once("GHO", 0, gho_seed);
+
+        let mut ctx = RunContext::new();
+        ctx.enable_prune();
+        let obs = nodefz_rt::ObsHandle::new();
+        ctx.set_obs(obs.clone());
+        let crashed = ctx.fuzz_once(PANICKY, 0, 8);
+        assert_eq!(crashed.crash.as_deref(), Some("panicky app: env seed 8"));
+        assert!(crashed.finding.is_none() && crashed.canon.is_none());
+        assert_eq!(obs.dispatched(), 0, "the panicked run's profile is dropped");
+
+        let after = ctx.fuzz_once("GHO", 0, gho_seed);
+        assert!(after.crash.is_none());
+        assert_eq!(after.dispatched, clean.dispatched);
+        assert_eq!(after.canon, clean.canon);
+        let (a, b) = (after.finding.unwrap(), clean.finding.unwrap());
+        assert_eq!(a.signature, b.signature);
+        assert_eq!(a.trace, b.trace);
+        assert_eq!(a.detail, b.detail);
+
+        assert!(!ctx.replays_to(PANICKY, 8, &a.trace, &a.signature));
+        assert!(ctx.replays_to("GHO", gho_seed, &a.trace, &a.signature));
+    }
 
     #[test]
     fn derived_seeds_are_distinct_and_deterministic() {

@@ -1,4 +1,4 @@
-//! # nodefz-campaign — parallel fuzzing-campaign orchestration
+//! # nodefz-campaign — the fuzzing-campaign engine
 //!
 //! The paper runs each bug's test case hundreds of times under `nodeFZ`
 //! and counts manifestations (§5.1). This crate turns that loop into a
@@ -7,6 +7,8 @@
 //! manifestations are deduplicated by failure signature, each new bug's
 //! decision trace is minimized by delta debugging, and the minimized repro
 //! is persisted to a text corpus whose entries replay deterministically.
+//! One process runs it all; a case that panics retires its arm instead of
+//! ending the campaign.
 //!
 //! ```text
 //! seeds ──► driver (N threads) ──► dedup ──► shrink ──► corpus
@@ -21,7 +23,6 @@
 #![warn(missing_docs)]
 
 pub mod analyze;
-pub mod arms;
 pub mod bandit;
 pub mod config;
 pub mod corpus;
@@ -39,7 +40,6 @@ mod pinned;
 mod pinned_shrink;
 
 pub use analyze::{analyze_campaign, AnalyzeConfig, AnalyzeReport, ConfirmedRace};
-pub use arms::{arm_space, arms_to_json, ArmMode, ArmSpec};
 pub use config::{
     preset_index, preset_name, preset_params, reject_duplicate_apps, CampaignConfig,
     DIRECTED_PRESET, PRESETS,
@@ -48,7 +48,7 @@ pub use corpus::{Corpus, CorpusDecodeError, CorpusEntry};
 pub use dedup::{BugRecord, Deduper, Finding};
 pub use driver::{
     resolve_case, run, run_with_progress, verify_entry, BugSummary, CampaignReport, Event,
-    FuzzExec, RunContext,
+    FuzzExec, Quarantine, RunContext,
 };
 pub use metrics::{ArmMetrics, Discovery, MetricsSnapshot, PhaseMetrics};
 pub use prune::{env_scope, ClassVerdict, PruneCounters, PruneHealth, Pruner};

@@ -51,13 +51,26 @@ pub fn render_summary(report: &CampaignReport) -> String {
     for (app, preset, pulls, ema) in &report.arms {
         out.push_str(&format!("  {app:<4} {preset:<10} {pulls:>5}  {ema:.3}\n"));
     }
+    if !report.quarantined.is_empty() {
+        out.push_str(&format!(
+            "quarantined arms ({} of {}; a run panicked):\n",
+            report.quarantined.len(),
+            report.arms.len()
+        ));
+    }
+    for q in &report.quarantined {
+        out.push_str(&format!(
+            "  {:<4} {:<10} env seed {}: {}\n",
+            q.app, q.preset, q.env_seed, q.message
+        ));
+    }
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::BugSummary;
+    use crate::driver::{BugSummary, Quarantine};
     use std::time::Duration;
 
     #[test]
@@ -74,8 +87,17 @@ mod tests {
                 shrunk_len: 3,
                 replays_ok: 10,
             }],
-            arms: vec![("KUE".into(), "standard", 60, 0.4)],
+            arms: vec![
+                ("KUE".into(), "standard", 60, 0.4),
+                ("KUE".into(), "guided", 40, 0.2),
+            ],
             hit_deadline: false,
+            quarantined: vec![Quarantine {
+                app: "KUE".into(),
+                preset: "guided",
+                env_seed: 77,
+                message: "index out of bounds".into(),
+            }],
         };
         let text = render_summary(&report);
         assert!(text.contains("unique bugs: 1"));
@@ -83,6 +105,11 @@ mod tests {
         assert!(text.contains("120"));
         assert!(text.contains("lost # jobs"));
         assert!(text.contains("standard"));
+        assert!(text.contains("quarantined arms (1 of 2"), "{text}");
+        assert!(
+            text.contains("KUE  guided     env seed 77: index out of bounds"),
+            "{text}"
+        );
     }
 
     #[test]

@@ -1,15 +1,17 @@
-//! Damaged files: a trace or repro cut off at any byte (a torn write, a
-//! full disk, a partial copy) must decode to a typed error, never panic and
-//! never decode to a different trace. The one prefix allowed to decode is
-//! the document minus its trailing newline, which must give the original.
-//! A repro with a hostile payload spliced into any token must decode to a
-//! typed error or to an entry that round-trips, never panic.
+//! Damaged files: a trace, repro or JSON document cut off at any byte (a
+//! torn write, a full disk, a partial copy) must decode to a typed error,
+//! never panic and never decode to a different value. The one prefix
+//! allowed to decode is the document minus its trailing newline, which must
+//! give the original. A repro with a hostile payload spliced into any token
+//! must decode to a typed error or to an entry that round-trips, never
+//! panic.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use nodefz::{decode_trace, encode_trace, Decision, DecisionTrace, Perm};
-use nodefz_campaign::CorpusEntry;
-use nodefz_check::{mutants, payload_classes};
+use nodefz_campaign::{run, CampaignConfig, CorpusEntry};
+use nodefz_check::{check_prefixes, mutants, payload_classes};
+use nodefz_obs::{JsonValue, ObsLevel};
 use nodefz_rt::{PoolMode, VDur};
 
 /// A trace holding all five decision kinds, with one shuffle wider than
@@ -31,25 +33,6 @@ fn sample_trace() -> DecisionTrace {
             Decision::DeferClose(false),
             Decision::PickTask(3),
         ],
-    }
-}
-
-/// Decodes every byte prefix of `doc` and checks each outcome.
-fn check_prefixes<T: PartialEq + std::fmt::Debug, E: std::fmt::Debug>(
-    doc: &str,
-    original: &T,
-    decode: impl Fn(&str) -> Result<T, E>,
-) {
-    assert!(doc.is_ascii(), "every byte prefix must be a str");
-    for cut in 0..doc.len() {
-        let prefix = &doc[..cut];
-        let result = catch_unwind(AssertUnwindSafe(|| decode(prefix)))
-            .unwrap_or_else(|_| panic!("decoding the {cut}-byte prefix panicked"));
-        if doc[cut..].trim().is_empty() {
-            assert_eq!(result.as_ref().ok(), Some(original), "prefix {prefix:?}");
-        } else {
-            assert!(result.is_err(), "prefix {prefix:?} decoded to {result:?}");
-        }
     }
 }
 
@@ -79,6 +62,48 @@ fn every_repro_prefix_is_a_typed_error() {
     let doc = entry.encode();
     assert_eq!(CorpusEntry::decode(&doc).as_ref(), Ok(&entry));
     check_prefixes(&doc, &entry, CorpusEntry::decode);
+}
+
+/// A `nodefz-metrics-v1` snapshot as a campaign writes it, with every
+/// block filled: arms with schedule diversity, the discovery curve, loop
+/// phases and callbacks, and pruning.
+fn metrics_document() -> String {
+    let dir = std::env::temp_dir().join(format!("nodefz-truncated-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("metrics.json");
+    run(&CampaignConfig {
+        threads: 1,
+        budget: 24,
+        apps: vec!["GHO".into(), "KUE".into()],
+        shrink: false,
+        replay_checks: 1,
+        prune: true,
+        obs_level: ObsLevel::Counters,
+        metrics_out: Some(path.clone()),
+        ..CampaignConfig::default()
+    })
+    .unwrap();
+    let doc = std::fs::read_to_string(&path).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    doc
+}
+
+/// Every JSON value kind, nested: empty and non-empty arrays and objects,
+/// escapes, and numbers in every spelling the grammar allows.
+const EVERY_JSON_KIND: &str = r#"{"null": null, "bools": [true, false], "nums": [0, -7, 2.5, -0.125, 1e-3, 6.02E+23], "str": "tab\t \"quoted\" \\ \u00e9 \/", "empty": [{}, [], ""], "nested": {"a": [[1, [2, [3, {"deep": null}]]]], "b": {"c": {"d": false}}}}
+"#;
+
+#[test]
+fn every_json_prefix_is_a_typed_error() {
+    let metrics = metrics_document();
+    let parsed = JsonValue::parse(&metrics).unwrap();
+    assert!(
+        parsed.get("pruning").is_some() && parsed.get("discovery").is_some(),
+        "{metrics}"
+    );
+    for doc in [metrics.as_str(), EVERY_JSON_KIND] {
+        check_prefixes(doc, &JsonValue::parse(doc).unwrap(), JsonValue::parse);
+    }
 }
 
 #[test]

@@ -3,7 +3,36 @@
 //! The payload classes follow a middleware fuzzer's taxonomy of edge-case
 //! inputs (deep nesting, oversized input, NUL bytes, Unicode edge cases,
 //! integer overflow, empty input); [`mutants`] splices one payload into
-//! every token of a valid document.
+//! every token of a valid document. [`check_prefixes`] is the damaged-file
+//! property: a document cut off at any byte.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+/// Decodes every byte prefix of `doc`, as a torn write, a full disk or a
+/// partial copy would leave it, and checks each outcome: no prefix may
+/// panic, and every prefix must be an error except `doc` minus trailing
+/// whitespace, which must decode to `original`.
+///
+/// # Panics
+///
+/// Names the first prefix that breaks the property; `doc` must be ASCII.
+pub fn check_prefixes<T: PartialEq + std::fmt::Debug, E: std::fmt::Debug>(
+    doc: &str,
+    original: &T,
+    decode: impl Fn(&str) -> Result<T, E>,
+) {
+    assert!(doc.is_ascii(), "every byte prefix must be a str");
+    for cut in 0..doc.len() {
+        let prefix = &doc[..cut];
+        let result = catch_unwind(AssertUnwindSafe(|| decode(prefix)))
+            .unwrap_or_else(|_| panic!("decoding the {cut}-byte prefix panicked"));
+        if doc[cut..].trim().is_empty() {
+            assert_eq!(result.as_ref().ok(), Some(original), "prefix {prefix:?}");
+        } else {
+            assert!(result.is_err(), "prefix {prefix:?} decoded to {result:?}");
+        }
+    }
+}
 
 /// Payloads per class, as (class, payloads).
 pub fn payload_classes() -> Vec<(&'static str, Vec<String>)> {

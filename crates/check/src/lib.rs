@@ -35,7 +35,7 @@ pub mod alloc;
 pub mod hostile;
 
 pub use alloc::{AllocStats, CountingAlloc};
-pub use hostile::{mutants, payload_classes, Mutant};
+pub use hostile::{check_prefixes, mutants, payload_classes, Mutant};
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 

@@ -1,19 +1,14 @@
-//! Command-line front end for fuzzing campaigns — single-process and
-//! orchestrated.
+//! Command-line front end for fuzzing campaigns.
 //!
 //! Every command is one row of [`COMMANDS`]: its name, its usage block
 //! and its entry point. The fuzz campaign is the unnamed default row
 //! (`campaign [flags]`); the rest are subcommands (`campaign verify DIR`,
-//! `campaign orchestrate`, ...). A row takes exactly the flags its usage
+//! `campaign analyze`, ...). A row takes exactly the flags its usage
 //! block lists, plus its test hooks, and fills its library config from
 //! that config's `Default`. [`Args`], the one argument cursor, rejects
 //! any other flag before anything runs and names the rows that take it,
 //! so no command silently ignores a flag. Plain `std::env::args` parsing
 //! — no argument-parsing dependency.
-//!
-//! Under `orchestrate` this binary becomes the parent of N copies of
-//! itself, each running one (app, preset, mode) arm as the default
-//! command.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -21,7 +16,6 @@ use std::time::Duration;
 
 use nodefz_campaign::{report, run_with_progress, AnalyzeConfig, CampaignConfig, Corpus, Event};
 use nodefz_explain::ExplainConfig;
-use nodefz_orchestrate::OrchConfig;
 
 /// One row of the command table.
 struct Command {
@@ -77,7 +71,7 @@ impl Command {
 
 /// The commands. The first row is the default: it runs when the first
 /// argument names no other row.
-static COMMANDS: [Command; 9] = [
+static COMMANDS: [Command; 7] = [
     Command {
         name: "",
         usage: "campaign [flags] — fuzz the targeted apps under the Node.fz scheduler
@@ -112,12 +106,12 @@ static COMMANDS: [Command; 9] = [
   --metrics-out PATH write nodefz-metrics-v1 telemetry snapshots to PATH,
                      refreshed every ~500ms and finalized at drain
   --journal-out PATH write the nodefz-journal-v1 flight recorder (arm
-                     pulls with bandit state, prune verdicts, bug
-                     discoveries) to PATH at drain
+                     pulls with bandit state, prune verdicts, arm
+                     quarantines, bug discoveries) to PATH at drain
   --trace-out PATH   after the campaign, record one profiled run as a
                      chrome://tracing timeline
   --obs-level LEVEL  worker loop profiling: off | counters (default off)",
-        hooks: &["--crash-after-runs"],
+        hooks: &[],
         run: fuzz,
     },
     Command {
@@ -132,10 +126,7 @@ static COMMANDS: [Command; 9] = [
         name: "list",
         usage: "campaign list [flags] — list the apps a campaign can target
   --apps A,B,C       list only these apps (default: every app, then
-                     CONFORM and CONFORM-API; with --json, the fig6 set)
-  --json             print the nodefz-arms-v1 (app, preset, mode) arm
-                     space of the apps, the one orchestrate allocates
-                     over, instead of the human listing",
+                     CONFORM and CONFORM-API)",
         hooks: &[],
         run: list,
     },
@@ -154,43 +145,6 @@ static COMMANDS: [Command; 9] = [
                      candidate counters to PATH",
         hooks: &[],
         run: analyze,
-    },
-    Command {
-        name: "orchestrate",
-        usage: "campaign orchestrate [flags] — shard a campaign across worker processes
-                     (budget slices of the (app, preset, mode) arm space;
-                     their corpora merge with cross-shard dedup)
-  --apps A,B,C       apps whose arm space to allocate over (default: the
-                     fig6 set)
-  --seed N           base environment seed; work-item seeds derive from
-                     it (default 1)
-  --replay-checks N  acceptance replays per repro in each worker
-                     (default 10)
-  --prune            forward --prune to every worker and aggregate its
-                     pruning counters per arm in the rollup
-  --shards N         concurrent worker processes (default 2)
-  --rounds N         budget rounds incl. round 0, which gives every arm
-                     one slice (default 3)
-  --round-budget N   fuzz runs per budget slice (default 40)
-  --slices N         slices per round after round 0 (default: arm count)
-  --workdir DIR      orchestrator scratch dir (default nodefz-orch)
-  --merged-corpus DIR
-                     canonical merged corpus (default WORKDIR/corpus)
-  --orch-out PATH    nodefz-orch-v1 rollup, refreshed per round
-                     (default ORCH_report.json)
-  --worker-deadline-secs S
-                     kill-and-quarantine deadline per worker (default 120)",
-        hooks: &["--induce-crash"],
-        run: orchestrate,
-    },
-    Command {
-        name: "report",
-        usage: "campaign report [flags] — merge an orchestrated workdir's flight recorders
-  --workdir DIR      the orchestrator workdir to read (default nodefz-orch)
-  --out DIR          where to write the merged journal.jsonl and
-                     timeline.json (default WORKDIR/report)",
-        hooks: &[],
-        run: report_workdir,
     },
     Command {
         name: "explain",
@@ -247,13 +201,6 @@ static COMMANDS: [Command; 9] = [
 /// failure path works; each belongs to one row's `hooks`.
 const TEST_HOOKS: &str =
     "test hooks — deliberate sabotage that proves a failure path works; not for normal use
-  campaign --crash-after-runs N
-                     abort the process after N fuzz runs, with no exit
-                     code and no drain, like a worker dying on a signal
-  campaign orchestrate --induce-crash K
-                     crash the K-th work item's worker (it runs with
-                     --crash-after-runs); its arm must be quarantined
-                     while the orchestration still exits zero
   campaign sa --canary
                      sabotage the analyzer (drop one candidate per
                      program) and exit zero only if the soundness gate
@@ -393,7 +340,6 @@ fn or_registered(apps: Vec<String>, fig6: bool) -> Vec<String> {
 /// `campaign [flags]`: one fuzzing campaign.
 fn fuzz(args: &mut Args) -> Result<ExitCode, CliError> {
     let mut cfg = CampaignConfig::default();
-    let mut crash_after_runs: Option<u64> = None;
     while let Some(arg) = args.next()? {
         match arg.as_str() {
             "--threads" => cfg.threads = args.value(&arg)?,
@@ -415,7 +361,6 @@ fn fuzz(args: &mut Args) -> Result<ExitCode, CliError> {
                     CliError::Usage(format!("--obs-level: unknown level '{spelled}'"))
                 })?;
             }
-            "--crash-after-runs" => crash_after_runs = Some(args.value(&arg)?),
             other => return Err(unexpected(other)),
         }
     }
@@ -434,12 +379,6 @@ fn fuzz(args: &mut Args) -> Result<ExitCode, CliError> {
     );
     let report_data = run_with_progress(&cfg, |event| {
         if let Event::Run { completed, budget } = event {
-            // Deliberate mid-campaign death for orchestrator
-            // crash-robustness tests: die hard (no exit code, no drain),
-            // exactly like a segfaulting worker would.
-            if crash_after_runs.is_some_and(|n| *completed >= n) {
-                std::process::abort();
-            }
             // Sample run ticks so a large budget does not flood the console.
             let step = (budget / 20).max(1);
             if completed % step == 0 || completed == budget {
@@ -505,14 +444,12 @@ fn verify(args: &mut Args) -> Result<ExitCode, CliError> {
     })
 }
 
-/// `campaign list`: the targetable apps, or their arm space as JSON.
+/// `campaign list`: the targetable apps.
 fn list(args: &mut Args) -> Result<ExitCode, CliError> {
     let mut apps = Vec::new();
-    let mut json = false;
     while let Some(arg) = args.next()? {
         match arg.as_str() {
             "--apps" => apps = args.list(&arg)?,
-            "--json" => json = true,
             other => return Err(unexpected(other)),
         }
     }
@@ -521,12 +458,6 @@ fn list(args: &mut Args) -> Result<ExitCode, CliError> {
         .find(|a| nodefz_campaign::resolve_case(a).is_none())
     {
         return Err(failed(format!("unknown app '{app}'")));
-    }
-    if json {
-        // The same enumeration `campaign orchestrate` allocates over.
-        let space = nodefz_campaign::arm_space(&or_registered(apps, true));
-        print!("{}", nodefz_campaign::arms_to_json(&space));
-        return Ok(ExitCode::SUCCESS);
     }
     let mut rows: Vec<(&str, &str, &str)> = nodefz_apps::registry()
         .iter()
@@ -651,103 +582,6 @@ fn analyze(args: &mut Args) -> Result<ExitCode, CliError> {
     } else {
         ExitCode::FAILURE
     })
-}
-
-/// `campaign orchestrate`: the multi-process campaign of campaigns.
-fn orchestrate(args: &mut Args) -> Result<ExitCode, CliError> {
-    let mut cfg = OrchConfig {
-        orch_out: Some("ORCH_report.json".into()),
-        ..OrchConfig::default()
-    };
-    while let Some(arg) = args.next()? {
-        match arg.as_str() {
-            "--apps" => cfg.apps = args.list(&arg)?,
-            "--seed" => cfg.base_seed = args.value(&arg)?,
-            "--replay-checks" => cfg.replay_checks = args.value(&arg)?,
-            "--prune" => cfg.prune = true,
-            "--shards" => cfg.shards = args.value(&arg)?,
-            "--rounds" => cfg.rounds = args.value(&arg)?,
-            "--round-budget" => cfg.slice_budget = args.value(&arg)?,
-            "--slices" => cfg.slices_per_round = Some(args.value(&arg)?),
-            "--workdir" => cfg.workdir = args.value(&arg)?,
-            "--merged-corpus" => cfg.merged_corpus = Some(args.value(&arg)?),
-            "--orch-out" => cfg.orch_out = Some(args.value(&arg)?),
-            "--worker-deadline-secs" => {
-                cfg.worker_deadline = Duration::from_secs(args.value(&arg)?);
-            }
-            "--induce-crash" => cfg.induce_crash = Some(args.value(&arg)?),
-            other => return Err(unexpected(other)),
-        }
-    }
-    cfg.apps = or_registered(cfg.apps, true);
-    cfg.worker_bin = std::env::current_exe()
-        .map_err(|e| failed(format!("cannot resolve own binary for worker spawns: {e}")))?;
-    cfg.validate().map_err(failed)?;
-    println!(
-        "orchestrate: {} apps, {} rounds x {} runs/slice on {} shard(s)",
-        cfg.apps.len(),
-        cfg.rounds,
-        cfg.slice_budget,
-        cfg.shards,
-    );
-    let report =
-        nodefz_orchestrate::orchestrate(&cfg, |line| println!("{line}")).map_err(failed)?;
-    let arm_pruning = report.arm_pruning();
-    for (arm, pruning) in report.arms.iter().zip(&arm_pruning) {
-        println!(
-            "  {:<28} {:>3} slice(s)  {:>3} new bug(s)  {:>6} runs{}{}",
-            arm.spec.label(),
-            arm.pulls,
-            arm.new_bugs,
-            arm.runs,
-            pruning
-                .map(|p| format!("  {} distinct / {} redundant", p.distinct, p.redundant))
-                .unwrap_or_default(),
-            arm.quarantined
-                .as_ref()
-                .map(|r| format!("  QUARANTINED ({r})"))
-                .unwrap_or_default(),
-        );
-    }
-    if let Some(p) = report.pruning_totals() {
-        println!(
-            "orchestrate: pruning saw {} runs, {} distinct class(es), {} redundant",
-            p.runs, p.distinct, p.redundant,
-        );
-    }
-    println!(
-        "orchestrate: {} unique bug(s) in merged corpus {} after {} runs",
-        report.unique_bugs(),
-        report.merged_dir.display(),
-        report.total_runs,
-    );
-    if let Some(path) = &cfg.orch_out {
-        println!("wrote {}", path.display());
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-/// `campaign report`: merge an orchestrated workdir's journals and
-/// worker traces into one tagged journal plus a unified timeline.
-fn report_workdir(args: &mut Args) -> Result<ExitCode, CliError> {
-    let mut workdir = PathBuf::from("nodefz-orch");
-    let mut out: Option<PathBuf> = None;
-    while let Some(arg) = args.next()? {
-        match arg.as_str() {
-            "--workdir" => workdir = args.value(&arg)?,
-            "--out" => out = Some(args.value(&arg)?),
-            other => return Err(unexpected(other)),
-        }
-    }
-    let out = out.unwrap_or_else(|| workdir.join("report"));
-    let summary = nodefz_orchestrate::merge_report(&workdir, &out).map_err(failed)?;
-    println!(
-        "report: merged {} worker journal(s) + orchestrator ({} events), {} timeline span(s) from {} traced worker(s)",
-        summary.workers, summary.events, summary.spans, summary.traced,
-    );
-    println!("wrote {}", summary.journal_out.display());
-    println!("wrote {}", summary.timeline_out.display());
-    Ok(ExitCode::SUCCESS)
 }
 
 /// `campaign explain REPRO`: render one corpus entry's causal race

@@ -7,8 +7,8 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use nodefz_check::{mutants, payload_classes};
-use nodefz_conform::Prog;
+use nodefz_check::{check_prefixes, mutants, payload_classes};
+use nodefz_conform::{generate_family, Prog, API_FAMILY};
 
 /// A valid literal exercising every op and every touch kind.
 const EVERY_OP: &str = "nodefz-prog v1
@@ -57,4 +57,17 @@ fn hostile_literals_are_errors_never_panics() {
         }
     }
     assert!(parsed > 5_000, "only {parsed} mutants");
+}
+
+/// A literal cut off at any byte (a torn write, a partial copy) is a
+/// `ProgError`, never a panic and never a smaller program. The one prefix
+/// allowed to parse is the literal minus its trailing newline.
+#[test]
+fn every_prog_prefix_is_a_typed_error() {
+    for family in [0, API_FAMILY] {
+        for seed in 0..8 {
+            let prog = generate_family(family, seed);
+            check_prefixes(&prog.encode(), &prog, Prog::parse);
+        }
+    }
 }

@@ -1,8 +1,9 @@
 //! Atomic snapshot persistence.
 //!
 //! Telemetry snapshots are rewritten in place every few hundred
-//! milliseconds while *other processes* read them — the orchestrator polls
-//! worker `--metrics-out` files live. A plain `fs::write` truncates then
+//! milliseconds while a campaign runs, and anything may read them then —
+//! a script polling `--metrics-out`, or the file left behind when the
+//! campaign is killed mid-write. A plain `fs::write` truncates then
 //! fills, so a reader can observe a torn document. [`write_atomic`] gives
 //! writers the standard fix: write a sibling temp file, then `rename` it
 //! over the destination. On POSIX the rename is atomic, so readers see

@@ -5,8 +5,8 @@
 //! A long campaign produces far more decisions than anyone can keep —
 //! the journal keeps the most recent `cap` of them, counting what it
 //! sheds, so a post-mortem always has the tail that led to the outcome.
-//! The writer is the single owning thread (the campaign driver or the
-//! orchestrator main loop); there is no interior locking or shared
+//! The writer is the single owning thread (the campaign driver's
+//! controller); there is no interior locking or shared
 //! mutability anywhere on the push path, and every push is O(1) with no
 //! allocation beyond the event payload itself.
 //!
@@ -15,8 +15,7 @@
 //! retained event. Sequence numbers are global and monotone, so a gap
 //! after the header's `dropped` count is visible evidence of shedding,
 //! not corruption. Documents are persisted with [`crate::write_atomic`]
-//! so a concurrent reader (the orchestrator scraping worker journals)
-//! never sees a torn file.
+//! so a concurrent reader never sees a torn file.
 
 use std::collections::VecDeque;
 use std::io;
@@ -28,7 +27,7 @@ use crate::{write_atomic, JsonValue, JsonWriter};
 /// Schema identifier written in the journal header line.
 pub const JOURNAL_SCHEMA: &str = "nodefz-journal-v1";
 
-/// Default ring capacity used by campaign and orchestrator journals.
+/// Default ring capacity of a campaign journal.
 pub const JOURNAL_CAP: usize = 4096;
 
 /// Outcome of classifying one completed run against the seen-class set.
@@ -70,14 +69,19 @@ impl PruneOutcome {
     }
 }
 
-/// A worker process lifecycle transition, recorded by the orchestrator.
+/// The transition a [`JournalEvent::Worker`] records.
+///
+/// A campaign writes only [`WorkerState::Quarantined`]. The other two were
+/// written by the multi-process orchestrator of older builds, and still
+/// decode so their journals stay readable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WorkerState {
-    /// The worker process was spawned.
+    /// An older build's orchestrator spawned a worker process.
     Spawned,
-    /// The worker exited and was reaped (reason carries the outcome).
+    /// An older build's orchestrator reaped a worker (reason carries the
+    /// outcome).
     Reaped,
-    /// The worker's arm was quarantined (reason carries why).
+    /// The arm was quarantined (reason carries why).
     Quarantined,
 }
 
@@ -111,10 +115,10 @@ impl WorkerState {
 pub enum JournalEvent {
     /// A bandit arm selection, with the decision-time bandit state.
     ///
-    /// The campaign driver and the orchestrator both fill `mean_reward` and
-    /// `ucb` from the UCB bandit and write `successes`/`failures` as null.
-    /// Only older builds, whose orchestrator ran a Thompson scheduler,
-    /// wrote those two; the decoder still reads them.
+    /// The campaign driver fills `mean_reward` and `ucb` from the UCB
+    /// bandit and writes `successes`/`failures` as null. Only older
+    /// builds, whose orchestrator ran a Thompson scheduler, wrote those
+    /// two; the decoder still reads them.
     ArmPull {
         /// Completed executions when the pull was made.
         exec: u64,
@@ -139,15 +143,19 @@ pub enum JournalEvent {
         /// The verdict.
         verdict: PruneOutcome,
     },
-    /// A worker process lifecycle transition (orchestrator journals).
+    /// An arm's quarantine: a campaign retired the arm because one of its
+    /// runs panicked. Older builds' orchestrators also wrote worker
+    /// process transitions here.
     Worker {
-        /// Global work-item index.
+        /// The slot (dispatch index) of the run that panicked; in older
+        /// orchestrator journals, the global work-item index.
         index: u64,
-        /// Arm label the worker is running.
+        /// Arm label (`"GHO/aggressive"`, ...).
         arm: String,
         /// The transition.
         state: WorkerState,
-        /// Outcome or quarantine reason (`"ok"`, `"crashed"`, ...).
+        /// The panic message; in older journals, the worker's outcome or
+        /// quarantine reason (`"ok"`, `"crashed"`, ...).
         reason: Option<String>,
     },
     /// A unique-bug discovery, keyed by completed-execution index.
@@ -358,7 +366,7 @@ impl Journal {
 }
 
 /// Renders one entry as its JSON line (no trailing newline).
-pub fn encode_entry(entry: &JournalEntry) -> String {
+fn encode_entry(entry: &JournalEntry) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
     w.field_u64("seq", entry.seq);
@@ -414,7 +422,7 @@ pub fn encode_entry(entry: &JournalEntry) -> String {
 }
 
 /// Parses one event line (1-based `line` for error reporting).
-pub fn decode_entry(text: &str, line: usize) -> Result<JournalEntry, JournalDecodeError> {
+fn decode_entry(text: &str, line: usize) -> Result<JournalEntry, JournalDecodeError> {
     let err = |message: String| JournalDecodeError { line, message };
     let v = JsonValue::parse(text).map_err(|e| err(e.to_string()))?;
     let seq = field_u64(&v, "seq", line)?;

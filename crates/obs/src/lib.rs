@@ -13,11 +13,11 @@
 //!   fuzz result carries its own counts back to the controller, which
 //!   sums them as it applies results in dispatch order.
 //! * [`JsonWriter`] — a dependency-free JSON emitter shared by the
-//!   `nodefz-metrics-v1` snapshot writer, the races, orchestrator and
-//!   race-report documents, and the campaign's chrome-trace exporter.
+//!   `nodefz-metrics-v1` snapshot writer, the races and race-report
+//!   documents, and the campaign's chrome-trace exporter.
 //! * [`JsonValue`] — the matching reader: a strict recursive-descent
-//!   parser for consumers of those documents in *other* processes (the
-//!   campaign orchestrator reading worker snapshots).
+//!   parser for whatever reads those documents back (the benchmark's
+//!   result comparison, the format and thread-invariance tests).
 //! * [`expect_schema`] / [`expect_header`] — the shared schema-version
 //!   gate every persisted-document reader goes through, with a typed
 //!   [`SchemaError`] that distinguishes a missing version marker from a
@@ -26,7 +26,7 @@
 //!   concurrent reader never observes a torn document.
 //! * [`Journal`] — the campaign flight recorder: a bounded single-writer
 //!   ring of structured events (arm pulls with bandit state, prune
-//!   verdicts, worker lifecycle, discoveries) with the
+//!   verdicts, arm quarantines, discoveries) with the
 //!   `nodefz-journal-v1` JSON-lines codec.
 
 #![forbid(unsafe_code)]
@@ -40,8 +40,8 @@ mod schema;
 
 pub use fsio::write_atomic;
 pub use journal::{
-    decode_entry, encode_entry, Journal, JournalDecodeError, JournalEntry, JournalEvent,
-    PruneOutcome, WorkerState, JOURNAL_CAP, JOURNAL_SCHEMA,
+    Journal, JournalDecodeError, JournalEntry, JournalEvent, PruneOutcome, WorkerState,
+    JOURNAL_CAP, JOURNAL_SCHEMA,
 };
 pub use json::JsonWriter;
 pub use parse::{JsonParseError, JsonValue};

@@ -1,10 +1,11 @@
 //! A dependency-free JSON reader, the counterpart of [`JsonWriter`].
 //!
-//! The orchestrator consumes documents other processes wrote — worker
-//! `nodefz-metrics-v1` snapshots, `campaign list --json` arm enumerations — and
-//! the workspace cannot pull serde in an offline build, so this module
-//! provides the minimal recursive-descent parser those consumers need:
-//! every value becomes a [`JsonValue`] tree with path-style accessors.
+//! The benchmark's result comparison and the format tests read back
+//! documents this workspace wrote — `nodefz-metrics-v1` snapshots,
+//! benchmark results — and the workspace cannot pull serde in an offline
+//! build, so this module provides the minimal recursive-descent parser
+//! those consumers need: every value becomes a [`JsonValue`] tree with
+//! path-style accessors.
 //!
 //! Numbers are held as `f64` (every producer in this workspace emits
 //! either small integers or fixed-point floats, both exact in a double's

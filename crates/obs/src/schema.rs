@@ -2,7 +2,7 @@
 //!
 //! Every persisted artifact in this workspace is versioned — JSON
 //! documents carry a `"schema"` field (`nodefz-metrics-v1`,
-//! `nodefz-orch-v1`, …), text formats a first-line header
+//! `nodefz-races-v1`, …), text formats a first-line header
 //! (`nodefz-trace v1`, `nodefz-repro v1`). Before this module each
 //! reader hand-rolled the check, and the hand-rolled copies drifted:
 //! some returned strings, some typed errors, and some silently treated a

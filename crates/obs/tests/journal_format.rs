@@ -4,9 +4,7 @@
 //! and a document frozen from the first build that shipped the schema
 //! must keep parsing forever.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
-use nodefz_check::{forall, Gen};
+use nodefz_check::{check_prefixes, forall, Gen};
 use nodefz_obs::{Journal, JournalEvent, PruneOutcome, WorkerState};
 
 fn arbitrary_event(g: &mut Gen) -> JournalEvent {
@@ -148,18 +146,7 @@ fn legacy_journal_document_round_trips_byte_identically() {
 /// original.
 #[test]
 fn every_journal_prefix_is_a_typed_error() {
-    let doc = LEGACY_JOURNAL;
-    assert!(doc.is_ascii(), "every byte prefix must be a str");
-    for cut in 0..doc.len() {
-        let prefix = &doc[..cut];
-        let result = catch_unwind(AssertUnwindSafe(|| Journal::decode(prefix)))
-            .unwrap_or_else(|_| panic!("decoding the {cut}-byte prefix panicked"));
-        match result {
-            Ok(journal) => {
-                assert!(doc[cut..].trim().is_empty(), "prefix {prefix:?} decoded");
-                assert_eq!(journal.encode(), doc);
-            }
-            Err(e) => assert!(!doc[cut..].trim().is_empty(), "{e}"),
-        }
-    }
+    check_prefixes(LEGACY_JOURNAL, &LEGACY_JOURNAL.to_string(), |text| {
+        Journal::decode(text).map(|journal| journal.encode())
+    });
 }

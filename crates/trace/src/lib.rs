@@ -14,12 +14,10 @@ mod diff;
 mod intern;
 mod levenshtein;
 mod signature;
-mod sigset;
 mod stats;
 
 pub use diff::{render_divergence, schedule_diff, ScheduleDiff};
 pub use intern::{SigKey, SiteId, SiteInterner};
 pub use levenshtein::{levenshtein, levenshtein_banded, normalized_levenshtein};
 pub use signature::{kind_fingerprint, normalize_site, normalize_site_into, BugSignature};
-pub use sigset::SigSet;
 pub use stats::{kind_histogram, pairwise_normalized_ld, DiversitySummary, PAPER_TRUNCATION};
