@@ -19,10 +19,11 @@
 //! like any fuzz-found repro — confirmed races land in the same corpus
 //! format, deduplicated by the same [`BugSignature`]s.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
 use nodefz::DirectedSpec;
-use nodefz_apps::common::Variant;
+use nodefz_apps::common::{BugCase, Variant};
 use nodefz_hb::{analyze_app, AppAnalysis, RaceClass, RaceInfo};
 use nodefz_sa::{Candidate, MhpIndex, SaMetrics};
 use nodefz_trace::BugSignature;
@@ -30,7 +31,7 @@ use nodefz_trace::BugSignature;
 use crate::config::DIRECTED_PRESET;
 use crate::corpus::Corpus;
 use crate::dedup::{Deduper, Finding};
-use crate::driver::{record_to_entry, RunContext};
+use crate::driver::{panic_message, record_to_entry, RunContext};
 
 /// How many predicted flips per app the pipelines keep (first pair per
 /// distinct (site, class), a few flip points each). Bounds the directed
@@ -100,8 +101,8 @@ pub struct AnalyzeReport {
     pub confirmed: Vec<ConfirmedRace>,
     /// The rendered `nodefz-races-v1` document.
     pub races_json: String,
-    /// Apps whose analysis failed, with the error rendered (`analyze`
-    /// keeps going; a corrupt recording should not sink the batch).
+    /// Apps whose analysis failed or panicked, with the error rendered
+    /// (`analyze` keeps going; one bad app should not sink the batch).
     pub failed: Vec<(String, String)>,
     /// Directed executions spent across every race chased, in
     /// happens-before prediction order.
@@ -152,20 +153,33 @@ fn static_candidates(app: &str) -> Option<Vec<Candidate>> {
     Some(nodefz_sa::candidates(&model, &idx))
 }
 
-/// The directed-arm work list for one app, in happens-before prediction
-/// order: analysis failures and empty predictions both yield no specs (the
-/// campaign driver then skips the arm).
-pub(crate) fn directed_specs(app: &str, env_seed: u64) -> Vec<DirectedSpec> {
-    let Some(case) = crate::driver::resolve_case(app) else {
-        return Vec::new();
-    };
-    match analyze_app(case.as_ref(), env_seed) {
-        Ok(analysis) => spec_worklist(&analysis)
-            .into_iter()
-            .flat_map(|(_, specs)| specs)
-            .collect(),
-        Err(_) => Vec::new(),
+/// Records and analyzes one run of `case` ([`analyze_app`]). Both runs
+/// happen outside [`RunContext`], so a panic in either is caught here and
+/// comes back as the error, with the panic's message.
+fn analyze_caught(case: &dyn BugCase, env_seed: u64) -> Result<AppAnalysis, String> {
+    match catch_unwind(AssertUnwindSafe(|| analyze_app(case, env_seed))) {
+        Ok(analysis) => analysis.map_err(|e| e.to_string()),
+        Err(payload) => Err(panic_message(&*payload)),
     }
+}
+
+/// The directed-arm work list for one app, in happens-before prediction
+/// order. Unknown apps and empty predictions yield no specs (the campaign
+/// driver then skips the arm).
+///
+/// # Errors
+///
+/// The analysis failed or panicked; the campaign driver quarantines the
+/// app's directed arm with this message.
+pub(crate) fn directed_specs(app: &str, env_seed: u64) -> Result<Vec<DirectedSpec>, String> {
+    let Some(case) = crate::driver::resolve_case(app) else {
+        return Ok(Vec::new());
+    };
+    let analysis = analyze_caught(case.as_ref(), env_seed)?;
+    Ok(spec_worklist(&analysis)
+        .into_iter()
+        .flat_map(|(_, specs)| specs)
+        .collect())
 }
 
 /// Runs the predict-then-confirm pipeline over `cfg.apps`.
@@ -173,8 +187,8 @@ pub(crate) fn directed_specs(app: &str, env_seed: u64) -> Vec<DirectedSpec> {
 /// # Errors
 ///
 /// Fails on an unknown app, an invalid configuration, or a corpus/report
-/// I/O error. Per-app *analysis* errors are collected in
-/// [`AnalyzeReport::failed`] instead.
+/// I/O error. Per-app *analysis* errors, panics included, are collected
+/// in [`AnalyzeReport::failed`] instead.
 pub fn analyze_campaign(cfg: &AnalyzeConfig) -> Result<AnalyzeReport, String> {
     if cfg.apps.is_empty() {
         return Err("at least one app must be analyzed".into());
@@ -201,10 +215,10 @@ pub fn analyze_campaign(cfg: &AnalyzeConfig) -> Result<AnalyzeReport, String> {
     let mut sa = SaMetrics::default();
     for app in &cfg.apps {
         let case = crate::driver::resolve_case(app).expect("validated above");
-        let analysis = match analyze_app(case.as_ref(), cfg.env_seed) {
+        let analysis = match analyze_caught(case.as_ref(), cfg.env_seed) {
             Ok(a) => a,
             Err(e) => {
-                failed.push((app.clone(), e.to_string()));
+                failed.push((app.clone(), e));
                 continue;
             }
         };
@@ -351,7 +365,28 @@ mod tests {
 
     #[test]
     fn directed_specs_are_empty_for_unknown_apps() {
-        assert!(directed_specs("NOPE", 1).is_empty());
+        assert_eq!(directed_specs("NOPE", 1), Ok(Vec::new()));
+    }
+
+    #[test]
+    fn an_analysis_that_panics_fails_its_app_and_the_batch_goes_on() {
+        let panicky = crate::driver::tests::PANICKY;
+        let cfg = AnalyzeConfig {
+            apps: vec!["GHO".into(), panicky.into()],
+            env_seed: 8,
+            ..AnalyzeConfig::default()
+        };
+        let report = analyze_campaign(&cfg).expect("a panic fails one app, not the batch");
+        assert_eq!(
+            report.failed,
+            [(panicky.to_string(), "panicky app: env seed 8".to_string())]
+        );
+        assert_eq!(report.analyses.len(), 1);
+        assert!(
+            report.confirmed.iter().any(|c| c.app == "GHO"),
+            "{:?}",
+            report.confirmed
+        );
     }
 
     #[test]

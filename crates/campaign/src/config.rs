@@ -7,8 +7,8 @@ use nodefz_obs::ObsLevel;
 
 /// The fuzz parameterizations a campaign cycles through, by preset index.
 ///
-/// Each (app, preset) pair is one bandit arm; the allocator shifts budget
-/// toward the arms that keep yielding new bugs.
+/// Each (app, preset) pair is one arm; the campaign gives its live arms
+/// their runs round-robin.
 pub const PRESETS: [&str; 3] = ["standard", "aggressive", "guided"];
 
 /// The virtual preset index of the race-directed arm (one past the real
@@ -80,8 +80,9 @@ pub struct CampaignConfig {
     /// profiled run after the campaign drains (`None` = no trace).
     pub trace_out: Option<PathBuf>,
     /// Where to write the campaign flight-recorder journal
-    /// (`nodefz-journal-v1` JSON lines: arm pulls with decision-time
-    /// bandit state, prune verdicts, discoveries). `None` = no journal.
+    /// (`nodefz-journal-v1` JSON lines: arm pulls with each arm's pull
+    /// count, prune verdicts, quarantines, discoveries). `None` = no
+    /// journal.
     pub journal_out: Option<PathBuf>,
     /// Runtime telemetry dial for worker runs. Above [`ObsLevel::Off`]
     /// the workers profile loop phases and per-kind dispatches, and each

@@ -5,21 +5,22 @@
 //! worker OS threads block on one job queue, instantiate the bug case
 //! locally (via [`resolve_case`] — `Box<dyn BugCase>` is not `Send`), and
 //! report results back over a channel. The controller thread owns the
-//! bandit, the deduplicator, the run tally, and the corpus:
+//! arms, the deduplicator, the run tally, and the corpus:
 //!
 //! ```text
-//! controller ── bandit picks (app, preset) ──► job queue ──► workers
-//!      ▲                                                       │
-//!      └── results, applied in slot order ◄──── channel ◄──────┘
+//! controller ── round-robin picks (app, preset) ──► job queue ──► workers
+//!      ▲                                                             │
+//!      └── results, applied in slot order ◄──── channel ◄────────────┘
 //! ```
 //!
 //! Every fuzz job carries its slot, the index it was dispatched at, and
 //! the controller applies results strictly in slot order, holding back
-//! any that arrive early: prune verdict, dedup, reward, journal, metrics
-//! and the next pick all see the same sequence however many threads ran
-//! the jobs. Findings, corpora, the journal and the metrics' counters are
-//! therefore a function of the seed, budget, apps and presets alone; only
-//! a wall-clock deadline can cut two runs of the same flags differently.
+//! any that arrive early: prune verdict, dedup, quarantine, journal,
+//! metrics and the next pick all see the same sequence however many
+//! threads ran the jobs. Findings, corpora, the journal and the metrics'
+//! counters are therefore a function of the seed, budget, apps and
+//! presets alone; only a wall-clock deadline can cut two runs of the same
+//! flags differently.
 //!
 //! A new signature triggers a shrink job (delta debugging + acceptance
 //! replays) at the front of the queue; the shrunk repro is then persisted.
@@ -30,10 +31,11 @@
 //! the panic and rebuilds its pooled state, a panicking fuzz run reaches
 //! the controller as a crash, and the controller retires that run's arm
 //! in slot order, journals the quarantine and names it in the summary. A
-//! replay that panics counts as not reproducing. Only an `abort()`, a
-//! stack overflow or running out of memory still ends the process, and
-//! the runtime's caps on loop iterations and virtual time bound every run
-//! whose callbacks return.
+//! replay that panics counts as not reproducing, and a directed arm whose
+//! up-front analysis run panics is retired before its first pull. Only an
+//! `abort()`, a stack overflow or running out of memory still ends the
+//! process, and the runtime's caps on loop iterations and virtual time
+//! bound every run whose callbacks return.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -47,7 +49,6 @@ use nodefz_rt::{EventLogHandle, TypeSchedule};
 use nodefz_trace::BugSignature;
 
 use crate::analyze::directed_specs;
-use crate::bandit::Bandit;
 use crate::config::{preset_name, preset_params, CampaignConfig, DIRECTED_PRESET};
 use crate::corpus::{Corpus, CorpusEntry};
 use crate::dedup::{BugRecord, Deduper, Finding};
@@ -64,8 +65,9 @@ const SCHEDULE_SAMPLES: u64 = 8;
 /// Fuzz runs in flight at once. Deep enough that sub-millisecond runs
 /// never starve a worker while a result round-trips through the controller
 /// (with 8, four threads ran the campaign bench 15% slower on a 2-CPU
-/// host), shallow enough that the bandit still steers most of the budget.
-/// A constant, so the picks do not depend on the thread count.
+/// host). It bounds the queued work, and so how many runs of an arm are
+/// already dispatched when its panic is applied and the arm retires. A
+/// constant, so the picks do not depend on the thread count.
 const WINDOW: u64 = 32;
 
 /// How often the controller rewrites the `--metrics-out` snapshot while
@@ -91,21 +93,53 @@ pub fn resolve_case(app: &str) -> Option<Box<dyn BugCase>> {
     nodefz_apps::by_abbr(app)
 }
 
-/// One (app, preset) pair the campaign can spend runs on; the bandit
-/// knows it by its index in the campaign's arm list.
+/// One (app, preset) pair the campaign can spend runs on, known by its
+/// index in the campaign's arm list.
 #[derive(Clone, Debug)]
 pub(crate) struct Arm {
     /// Bug abbreviation ("KUE", …).
     pub app: String,
     /// Index into [`crate::config::PRESETS`], or [`DIRECTED_PRESET`].
     pub preset: usize,
+    /// Runs dispatched to the arm so far: its position in its seed stream.
+    pub pulls: u64,
+    /// Set once a run of the arm panicked; [`pick`] skips a retired arm.
+    pub retired: bool,
 }
 
 impl Arm {
+    fn new(app: String, preset: usize) -> Arm {
+        Arm {
+            app,
+            preset,
+            pulls: 0,
+            retired: false,
+        }
+    }
+
     /// How journals and reports name the arm (`"GHO/aggressive"`).
     fn label(&self) -> String {
         format!("{}/{}", self.app, preset_name(self.preset))
     }
+
+    /// Retires the arm; returns whether it was still live.
+    fn retire(&mut self) -> bool {
+        !std::mem::replace(&mut self.retired, true)
+    }
+}
+
+/// Picks the arm for the next run and counts the pull: the live arm with
+/// the fewest pulls, ties to the later arm, so the campaign cycles its live
+/// arms from the last to the first. `None` once every arm is retired.
+fn pick(arms: &mut [Arm]) -> Option<usize> {
+    let (i, arm) = arms
+        .iter_mut()
+        .enumerate()
+        .rev()
+        .filter(|(_, arm)| !arm.retired)
+        .min_by_key(|(_, arm)| arm.pulls)?;
+    arm.pulls += 1;
+    Some(i)
 }
 
 /// One unit of worker work.
@@ -273,15 +307,18 @@ pub struct CampaignReport {
     pub elapsed: Duration,
     /// One summary per deduplicated bug, in stable signature order.
     pub bugs: Vec<BugSummary>,
-    /// (app, preset name, pulls, recent-yield EMA) per bandit arm.
-    pub arms: Vec<(String, &'static str, u64, f64)>,
+    /// (app, preset name, pulls) per arm.
+    pub arms: Vec<(String, &'static str, u64)>,
     /// Whether the deadline cut the campaign short.
     pub hit_deadline: bool,
     /// The arms retired because a run panicked, in the order they were.
     pub quarantined: Vec<Quarantine>,
 }
 
-/// An arm retired because one of its runs panicked.
+/// An arm retired because one of its runs panicked: a fuzz run, or a
+/// directed arm's up-front analysis run. An analysis that fails without
+/// panicking retires the directed arm the same way, with its error as the
+/// message.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Quarantine {
     /// Bug abbreviation.
@@ -569,7 +606,7 @@ pub fn verify_entry(entry: &CorpusEntry) -> Result<(), String> {
 }
 
 /// The text of a caught panic.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(text) = payload.downcast_ref::<&str>() {
         return (*text).to_string();
     }
@@ -656,10 +693,11 @@ pub(crate) fn derive_seed(base: u64, i: u64) -> u64 {
 }
 
 /// Folds an arm into the campaign base seed so each arm probes its own
-/// deterministic seed sequence. The bandit decides how many seeds of each
-/// sequence get probed, and it sees results in slot order, so that count
-/// too depends only on the flags that choose work (seed, budget, apps,
-/// presets), not on the thread count (a deadline cut aside).
+/// deterministic seed sequence. How many seeds of each sequence get probed
+/// follows from the round-robin pick and the quarantines, which are
+/// applied in slot order, so that count too depends only on the flags that
+/// choose work (seed, budget, apps, presets), not on the thread count (a
+/// deadline cut aside).
 fn arm_base(base: u64, arm: &Arm) -> u64 {
     arm_seed(base, &arm.app, arm.preset)
 }
@@ -688,36 +726,40 @@ pub fn run_with_progress(
 
     // When the directed arm is on, analyze one recorded vanilla-posture
     // run per app up front (controller-side; two runs per app) and keep
-    // the predicted flips. Apps with no predictions get no directed arm.
-    let specs: std::collections::HashMap<String, (u64, Vec<DirectedSpec>)> = if cfg.directed {
-        cfg.apps
-            .iter()
-            .map(|app| {
-                let analysis_seed = derive_seed(arm_seed(cfg.base_seed, app, DIRECTED_PRESET), 0);
-                (
-                    app.clone(),
-                    (analysis_seed, directed_specs(app, analysis_seed)),
-                )
-            })
-            .collect()
-    } else {
-        Default::default()
-    };
-    let arms: Vec<Arm> = cfg
-        .apps
-        .iter()
-        .flat_map(|app| {
-            let directed = specs.get(app).is_some_and(|(_, s)| !s.is_empty());
+    // the predicted flips. Apps with no predictions get no directed arm; an
+    // app whose analysis run panicked gets one that is retired before its
+    // first pull, and a quarantine that names it.
+    let mut quarantined: Vec<Quarantine> = Vec::new();
+    let mut specs: std::collections::HashMap<String, (u64, Vec<DirectedSpec>)> = Default::default();
+    let mut arms: Vec<Arm> = Vec::new();
+    for app in &cfg.apps {
+        arms.extend(
             cfg.presets
                 .iter()
-                .copied()
-                .chain(directed.then_some(DIRECTED_PRESET))
-                .map(move |preset| Arm {
+                .map(|&preset| Arm::new(app.clone(), preset)),
+        );
+        if !cfg.directed {
+            continue;
+        }
+        let analysis_seed = derive_seed(arm_seed(cfg.base_seed, app, DIRECTED_PRESET), 0);
+        let mut arm = Arm::new(app.clone(), DIRECTED_PRESET);
+        match directed_specs(app, analysis_seed) {
+            Ok(app_specs) if app_specs.is_empty() => continue,
+            Ok(app_specs) => {
+                specs.insert(app.clone(), (analysis_seed, app_specs));
+            }
+            Err(message) => {
+                arm.retire();
+                quarantined.push(Quarantine {
                     app: app.clone(),
-                    preset,
-                })
-        })
-        .collect();
+                    preset: preset_name(DIRECTED_PRESET),
+                    env_seed: analysis_seed,
+                    message,
+                });
+            }
+        }
+        arms.push(arm);
+    }
     if arms.is_empty() {
         // Only reachable in a directed-only campaign (empty preset list)
         // where no targeted app's analysis predicted a race.
@@ -726,15 +768,14 @@ pub fn run_with_progress(
             cfg.apps.join(", ")
         ));
     }
-    let mut bandit = Bandit::new(arms.len());
     let mut deduper = Deduper::new();
     // Controller-side pruning: classify every run's canonical key and
     // cross-check class outcomes. Accounting only — the dispatched run
     // stream is identical with pruning on or off (corpora match bytewise).
     let mut pruner = cfg.prune.then(|| Pruner::new(SEEN_CAP));
-    // Flight recorder: a bounded ring of structured decisions (arm pulls
-    // with the bandit state that made them, prune verdicts, discoveries),
-    // persisted atomically at drain. Owned by the controller thread only.
+    // Flight recorder: a bounded ring of structured decisions (arm pulls,
+    // prune verdicts, quarantines, discoveries), persisted atomically at
+    // drain. Owned by the controller thread only.
     let mut journal = cfg.journal_out.as_ref().map(|_| Journal::new(JOURNAL_CAP));
 
     // The run counters, summed as results are applied.
@@ -771,34 +812,25 @@ pub fn run_with_progress(
     let mut discovery: Vec<Discovery> = Vec::new();
     let mut arm_schedules: Vec<Vec<TypeSchedule>> = vec![Vec::new(); arms.len()];
     let mut last_metrics = Instant::now();
-    let mut quarantined: Vec<Quarantine> = Vec::new();
     // Set once every arm is quarantined: nothing is left to dispatch.
     let mut exhausted = false;
 
     // Dispatches the next fuzz job; false when every arm is retired.
     let dispatch =
-        |bandit: &mut Bandit, next_slot: &mut u64, journal: &mut Option<Journal>, exec: u64| {
-            // Snapshot *before* the pick so the journal records the bandit
-            // state the decision was actually made from.
-            let decision_state = journal.is_some().then(|| bandit.snapshot());
-            let Some(i) = bandit.pick() else {
+        |arms: &mut [Arm], next_slot: &mut u64, journal: &mut Option<Journal>, exec: u64| {
+            let Some(i) = pick(arms) else {
                 return false;
             };
             let arm = &arms[i];
-            if let (Some(j), Some(snap)) = (journal.as_mut(), decision_state) {
-                let s = &snap[i];
+            if let Some(j) = journal.as_mut() {
                 j.push(JournalEvent::ArmPull {
                     exec,
                     arm: arm.label(),
-                    pulls: s.pulls + 1,
-                    mean_reward: s.mean_reward,
-                    ucb: s.ucb_bound,
-                    successes: None,
-                    failures: None,
+                    pulls: arm.pulls,
                 });
             }
             // Pulls before this one: the arm's position in its seed stream.
-            let pull = bandit.pulls(i) - 1;
+            let pull = arm.pulls - 1;
             // The directed arm cycles predicted flips and bumps the retry
             // attempt each full cycle; its env seed is pinned to the analyzed
             // run's, because the replayed prefix only makes sense against the
@@ -828,8 +860,8 @@ pub fn run_with_progress(
             true
         };
 
-    while next_slot < cfg.budget.min(WINDOW) {
-        dispatch(&mut bandit, &mut next_slot, &mut journal, 0);
+    while !exhausted && next_slot < cfg.budget.min(WINDOW) {
+        exhausted = !dispatch(&mut arms, &mut next_slot, &mut journal, 0);
     }
 
     let mut failure = None;
@@ -862,7 +894,6 @@ pub fn run_with_progress(
                 while let Some(done) = held.remove(&applied) {
                     applied += 1;
                     let (i, finding) = (done.arm, done.finding);
-                    let arm = &arms[i];
                     tally.add(done.dispatched, finding.is_some(), done.profile.as_deref());
                     if let (Some(pruner), Some((key, scope))) = (pruner.as_mut(), done.canon) {
                         let verdict =
@@ -884,7 +915,8 @@ pub fn run_with_progress(
                     // A run that panicked retires its arm; the arm's runs
                     // already in flight still apply.
                     if let Some(message) = done.crash {
-                        if bandit.retire(i) {
+                        if arms[i].retire() {
+                            let arm = &arms[i];
                             if let Some(j) = journal.as_mut() {
                                 j.push(JournalEvent::Worker {
                                     index: done.slot,
@@ -901,13 +933,12 @@ pub fn run_with_progress(
                             });
                         }
                     }
-                    let mut new_bugs = 0;
+                    let arm = &arms[i];
                     if let Some(finding) = finding {
                         let env_seed = finding.env_seed;
                         let signature = finding.signature.clone();
                         let trace = finding.trace.clone();
                         if deduper.insert(finding) {
-                            new_bugs = 1;
                             on_event(&Event::NewBug {
                                 signature: signature.clone(),
                                 env_seed,
@@ -941,13 +972,12 @@ pub fn run_with_progress(
                             shrinks_pending += 1;
                         }
                     }
-                    bandit.reward(i, new_bugs);
                     on_event(&Event::Run {
                         completed: applied,
                         budget: cfg.budget,
                     });
                     if !hit_deadline && !exhausted && next_slot < cfg.budget {
-                        exhausted = !dispatch(&mut bandit, &mut next_slot, &mut journal, applied);
+                        exhausted = !dispatch(&mut arms, &mut next_slot, &mut journal, applied);
                     }
                 }
             }
@@ -987,7 +1017,6 @@ pub fn run_with_progress(
                     start,
                     false,
                     &arms,
-                    &bandit,
                     &arm_schedules,
                     &discovery,
                     &tally,
@@ -1020,7 +1049,6 @@ pub fn run_with_progress(
             start,
             true,
             &arms,
-            &bandit,
             &arm_schedules,
             &discovery,
             &tally,
@@ -1067,15 +1095,7 @@ pub fn run_with_progress(
         .collect();
     let arms = arms
         .iter()
-        .zip(bandit.snapshot())
-        .map(|(arm, s)| {
-            (
-                arm.app.clone(),
-                preset_name(arm.preset),
-                s.pulls,
-                s.mean_reward,
-            )
-        })
+        .map(|arm| (arm.app.clone(), preset_name(arm.preset), arm.pulls))
         .collect();
     Ok(CampaignReport {
         runs: applied,
@@ -1105,7 +1125,6 @@ fn write_metrics(
     start: Instant,
     finished: bool,
     arms: &[Arm],
-    bandit: &Bandit,
     arm_schedules: &[Vec<TypeSchedule>],
     discovery: &[Discovery],
     tally: &Tally,
@@ -1118,7 +1137,6 @@ fn write_metrics(
         unique_bugs,
         finished,
         arms,
-        &bandit.snapshot(),
         arm_schedules,
         discovery,
         tally,
@@ -1126,7 +1144,7 @@ fn write_metrics(
         pruner.map(Pruner::health),
     );
     if finished {
-        snapshot.apicov = conform_apicov(cfg, arms, bandit);
+        snapshot.apicov = conform_apicov(cfg, arms);
     }
     // Atomic (temp file + rename): the snapshot is rewritten while the
     // campaign runs, so a reader polling it must never see a torn
@@ -1151,21 +1169,17 @@ const APICOV_REPLAY_CAP: u64 = 500;
 /// programs the campaign exercised and folds them into one
 /// `nodefz-apicov-v1` snapshot. Runs on the controller at the final
 /// metrics write only.
-fn conform_apicov(
-    cfg: &CampaignConfig,
-    arms: &[Arm],
-    bandit: &Bandit,
-) -> Option<nodefz_conform::ApiCovSnapshot> {
+fn conform_apicov(cfg: &CampaignConfig, arms: &[Arm]) -> Option<nodefz_conform::ApiCovSnapshot> {
     use nodefz_conform::{ApiCoverage, OracleCtx};
     let mut cov = ApiCoverage::default();
     let mut pulled = false;
-    for (arm, state) in arms.iter().zip(bandit.snapshot()) {
-        if !arm.app.eq_ignore_ascii_case(nodefz_conform::API_ABBR) || state.pulls == 0 {
+    for arm in arms {
+        if !arm.app.eq_ignore_ascii_case(nodefz_conform::API_ABBR) || arm.pulls == 0 {
             continue;
         }
         pulled = true;
         let base = arm_base(cfg.base_seed, arm);
-        for pull in 0..state.pulls.min(APICOV_REPLAY_CAP) {
+        for pull in 0..arm.pulls.min(APICOV_REPLAY_CAP) {
             let seed = derive_seed(base, pull);
             let prog = std::rc::Rc::new(nodefz_conform::generate_api(seed));
             let (report, log) = nodefz_conform::run_logged(&prog, seed, Mode::Vanilla, &None);
@@ -1218,13 +1232,13 @@ pub(crate) fn record_to_entry(record: &BugRecord) -> CorpusEntry {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use nodefz_apps::common::{BugInfo, RaceType};
 
     /// The abbreviation [`resolve_case`] resolves to [`Panicky`], in test
     /// builds only.
-    pub(super) const PANICKY: &str = "PANICKY";
+    pub(crate) const PANICKY: &str = "PANICKY";
 
     /// A test-only app: four timers, the third of which panics mid-run on
     /// every env seed [`panics`] picks. Nothing else ever manifests.
@@ -1284,20 +1298,31 @@ mod tests {
         let threads = cfg.threads;
         let (tx, rx) = mpsc::channel();
         std::thread::spawn(move || tx.send(run(&cfg)));
-        rx.recv_timeout(Duration::from_secs(120))
-            .unwrap_or_else(|_| panic!("the campaign hung at {threads} threads"))
-            .unwrap_or_else(|e| panic!("the campaign failed at {threads} threads: {e}"))
+        match rx.recv_timeout(Duration::from_secs(120)) {
+            Ok(result) => {
+                result.unwrap_or_else(|e| panic!("the campaign failed at {threads} threads: {e}"))
+            }
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                panic!("the campaign hung at {threads} threads")
+            }
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                panic!("the campaign panicked at {threads} threads")
+            }
+        }
     }
 
-    fn panicky_campaign(threads: usize) -> Written {
-        let dir =
-            std::env::temp_dir().join(format!("nodefz-panicky-{threads}-{}", std::process::id()));
+    fn panicky_campaign(threads: usize, base_seed: u64, directed: bool) -> Written {
+        let dir = std::env::temp_dir().join(format!(
+            "nodefz-panicky-{threads}-{base_seed}-{directed}-{}",
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         let report = run_or_hang(CampaignConfig {
             threads,
             budget: 200,
             apps: vec!["GHO".into(), PANICKY.into()],
-            base_seed: 5,
+            base_seed,
+            directed,
             replay_checks: 2,
             corpus_dir: Some(dir.join("corpus")),
             journal_out: Some(dir.join("journal.jsonl")),
@@ -1324,7 +1349,7 @@ mod tests {
 
     #[test]
     fn a_panicking_run_quarantines_its_arm_at_any_thread_count() {
-        let (report, corpus, journal) = panicky_campaign(1);
+        let (report, corpus, journal) = panicky_campaign(1, 5, false);
         assert_eq!(report.runs, 200, "the GHO arms spend the whole budget");
         assert!(
             report.bugs.iter().any(|b| b.app == "GHO"),
@@ -1361,7 +1386,7 @@ mod tests {
         assert!(corpus.iter().all(|(name, _)| name.starts_with("gho-")));
 
         for threads in [2, 4] {
-            let (other, other_corpus, other_journal) = panicky_campaign(threads);
+            let (other, other_corpus, other_journal) = panicky_campaign(threads, 5, false);
             assert_eq!(other.runs, report.runs, "{threads} threads");
             assert_eq!(other.quarantined, report.quarantined, "{threads} threads");
             assert!(
@@ -1371,6 +1396,41 @@ mod tests {
             assert!(
                 other_journal == journal,
                 "journal differs at {threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn a_directed_analysis_that_panics_quarantines_the_directed_arm() {
+        // At base seed 1, PANICKY's analysis seed is one that panics.
+        let (report, corpus, _) = panicky_campaign(1, 1, true);
+        assert!(
+            report.bugs.iter().any(|b| b.app == "GHO"),
+            "GHO's planted bug is found: {:?}",
+            report.bugs
+        );
+        let q = report
+            .quarantined
+            .iter()
+            .find(|q| q.app == PANICKY && q.preset == "directed")
+            .unwrap_or_else(|| panic!("no directed quarantine: {:?}", report.quarantined));
+        assert!(panics(q.env_seed), "{q:?}");
+        assert_eq!(q.message, format!("panicky app: env seed {}", q.env_seed));
+        assert!(
+            report.arms.contains(&(PANICKY.into(), "directed", 0)),
+            "the directed arm gets no runs: {:?}",
+            report.arms
+        );
+        assert!(report
+            .arms
+            .iter()
+            .any(|(app, preset, pulls)| app == "GHO" && *preset == "directed" && *pulls > 0));
+        for threads in [2, 4] {
+            let (other, other_corpus, _) = panicky_campaign(threads, 1, true);
+            assert_eq!(other.quarantined, report.quarantined, "{threads} threads");
+            assert!(
+                other_corpus == corpus,
+                "corpus differs at {threads} threads"
             );
         }
     }
@@ -1423,6 +1483,60 @@ mod tests {
 
         assert!(!ctx.replays_to(PANICKY, 8, &a.trace, &a.signature));
         assert!(ctx.replays_to("GHO", gho_seed, &a.trace, &a.signature));
+    }
+
+    fn numbered_arms(n: usize) -> Vec<Arm> {
+        (0..n).map(|i| Arm::new(format!("A{i}"), 0)).collect()
+    }
+
+    #[test]
+    fn every_arm_is_tried_before_any_repeats() {
+        let mut arms = numbered_arms(4);
+        let firsts: Vec<usize> = (0..4).map(|_| pick(&mut arms).unwrap()).collect();
+        assert_eq!(firsts, [3, 2, 1, 0], "ties go to the later arm");
+    }
+
+    #[test]
+    fn live_arms_stay_within_one_pull_of_each_other() {
+        let mut arms = numbered_arms(5);
+        for n in 0..1000 {
+            if n == 337 {
+                assert!(arms[1].retire());
+            }
+            let i = pick(&mut arms).unwrap();
+            assert!(!arms[i].retired);
+            let live: Vec<u64> = arms
+                .iter()
+                .filter(|a| !a.retired)
+                .map(|a| a.pulls)
+                .collect();
+            let (lo, hi) = (live.iter().min().unwrap(), live.iter().max().unwrap());
+            assert!(hi - lo <= 1, "after {} picks: {live:?}", n + 1);
+        }
+    }
+
+    #[test]
+    fn a_retired_arms_turn_passes_to_the_next_live_arm() {
+        let mut arms = numbered_arms(4);
+        assert_eq!(pick(&mut arms), Some(3));
+        assert_eq!(pick(&mut arms), Some(2));
+        assert!(arms[1].retire());
+        let picks: Vec<usize> = (0..7).map(|_| pick(&mut arms).unwrap()).collect();
+        assert_eq!(picks, [0, 3, 2, 0, 3, 2, 0]);
+        assert_eq!(arms[1].pulls, 0);
+    }
+
+    #[test]
+    fn retired_arms_are_never_picked() {
+        let mut arms = numbered_arms(2);
+        assert!(arms[1].retire());
+        assert!(!arms[1].retire(), "an arm retires once");
+        for _ in 0..20 {
+            assert_eq!(pick(&mut arms), Some(0));
+        }
+        assert!(arms[0].retire());
+        assert_eq!(pick(&mut arms), None, "all retired means no pick");
+        assert_eq!(arms[0].pulls, 20, "a refused pick is not counted");
     }
 
     #[test]

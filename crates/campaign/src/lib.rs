@@ -1,19 +1,19 @@
 //! # nodefz-campaign — the fuzzing-campaign engine
 //!
 //! The paper runs each bug's test case hundreds of times under `nodeFZ`
-//! and counts manifestations (§5.1). This crate turns that loop into a
-//! campaign: worker threads fan seeds across (app, parameterization) arms,
-//! a bandit shifts budget toward the arms that keep yielding new bugs,
-//! manifestations are deduplicated by failure signature, each new bug's
-//! decision trace is minimized by delta debugging, and the minimized repro
-//! is persisted to a text corpus whose entries replay deterministically.
-//! One process runs it all; a case that panics retires its arm instead of
-//! ending the campaign.
+//! and counts manifestations (§5.1), giving every bug the same budget.
+//! This crate turns that loop into a campaign: worker threads fan seeds
+//! across (app, parameterization) arms, which take their turns
+//! round-robin, manifestations are deduplicated by failure signature, each
+//! new bug's decision trace is minimized by delta debugging, and the
+//! minimized repro is persisted to a text corpus whose entries replay
+//! deterministically. One process runs it all; a case that panics retires
+//! its arm instead of ending the campaign.
 //!
 //! ```text
-//! seeds ──► driver (N threads) ──► dedup ──► shrink ──► corpus
-//!              ▲                                           │
-//!              └───── bandit budget reallocation ◄─────────┘
+//! round-robin arms ──► driver (N threads) ──► dedup ──► shrink ──► corpus
+//!        ▲                    │
+//!        └── quarantine ◄─────┘ (a run panicked)
 //! ```
 //!
 //! See [`run`] / [`run_with_progress`] for the entry points and the
@@ -23,7 +23,6 @@
 #![warn(missing_docs)]
 
 pub mod analyze;
-pub mod bandit;
 pub mod config;
 pub mod corpus;
 pub mod dedup;

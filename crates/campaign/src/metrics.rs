@@ -4,13 +4,12 @@
 //! The controller applies fuzz results in dispatch order and sums each one
 //! into a [`Tally`]: runs, manifestations, dispatched callbacks and their
 //! per-run histogram, and, above [`ObsLevel::Off`], the loop profile the
-//! result carries back from its worker. Controller-side series — the
-//! bandit's per-arm state, per-arm schedule diversity, and the
-//! bug-discovery curve — ride along in the same [`MetricsSnapshot`], and
-//! every part of it describes the same prefix of applied runs. A single
-//! JSON file answers the paper's evaluation questions (Fig. 6's discovery
-//! behavior, Fig. 7's diversity, §5.4's where-does-the-time-go) for a live
-//! campaign.
+//! result carries back from its worker. Controller-side series — per-arm
+//! pulls and schedule diversity, and the bug-discovery curve — ride along
+//! in the same [`MetricsSnapshot`], and every part of it describes the
+//! same prefix of applied runs. A single JSON file answers the paper's
+//! evaluation questions (Fig. 6's discovery behavior, Fig. 7's diversity,
+//! §5.4's where-does-the-time-go) for a live campaign.
 //!
 //! Loop-phase timings and per-kind dispatch counts are collected only
 //! above [`ObsLevel::Off`]; at `off` the document's `phases`/`callbacks`
@@ -22,7 +21,6 @@ use nodefz_obs::{JsonWriter, ObsLevel};
 use nodefz_rt::{CbKind, ObsHandle, Phase, PhaseProfile};
 use nodefz_trace::{DiversitySummary, PAPER_TRUNCATION};
 
-use crate::bandit::ArmSnapshot;
 use crate::driver::Arm;
 use crate::prune::{PruneCounters, PruneHealth};
 
@@ -138,19 +136,16 @@ impl Tally {
     }
 }
 
-/// One bandit arm's telemetry row.
+/// One arm's telemetry row.
 #[derive(Clone, Debug)]
 pub struct ArmMetrics {
     /// Bug abbreviation.
     pub app: String,
     /// Preset name.
     pub preset: &'static str,
-    /// Runs spent on the arm.
+    /// Runs dispatched to the arm. Arms take turns, so live arms differ
+    /// by at most one.
     pub pulls: u64,
-    /// Recent-yield EMA.
-    pub mean_reward: f64,
-    /// The allocator's current UCB score (`None` while unpulled).
-    pub ucb_bound: Option<f64>,
     /// Schedule diversity over this arm's sampled runs, truncated at the
     /// paper's 20 K-callback mark (`None` until a schedule is sampled).
     pub diversity: Option<DiversitySummary>,
@@ -203,7 +198,7 @@ pub struct MetricsSnapshot {
     pub unique_bugs: u64,
     /// Whether this is the campaign's final snapshot.
     pub finished: bool,
-    /// Per-arm bandit state and diversity.
+    /// Per-arm pulls and diversity.
     pub arms: Vec<ArmMetrics>,
     /// The bug-discovery curve, in first-seen order.
     pub discovery: Vec<Discovery>,
@@ -257,12 +252,6 @@ impl MetricsSnapshot {
             w.field_str("app", &arm.app);
             w.field_str("preset", arm.preset);
             w.field_u64("pulls", arm.pulls);
-            w.field_f64("mean_reward", arm.mean_reward, 6);
-            w.key("ucb_bound");
-            match arm.ucb_bound {
-                Some(b) => w.f64(b, 6),
-                None => w.null(),
-            }
             w.key("diversity");
             match &arm.diversity {
                 Some(d) => {
@@ -385,9 +374,9 @@ impl MetricsSnapshot {
 }
 
 /// Assembles a [`MetricsSnapshot`] from the controller's state and its
-/// run tally. `arms`, `bandit` and `schedules` are parallel, one
-/// entry per arm: the arm, its bandit state, and its sampled
-/// [`TypeSchedule`]s for the diversity summary (empty = not sampled yet).
+/// run tally. `arms` and `schedules` are parallel, one entry per arm: the
+/// arm, and its sampled [`TypeSchedule`]s for the diversity summary
+/// (empty = not sampled yet).
 ///
 /// [`TypeSchedule`]: nodefz_rt::TypeSchedule
 #[allow(clippy::too_many_arguments)]
@@ -397,7 +386,6 @@ pub(crate) fn collect(
     unique_bugs: u64,
     finished: bool,
     arms: &[Arm],
-    bandit: &[ArmSnapshot],
     schedules: &[Vec<nodefz_rt::TypeSchedule>],
     discovery: &[Discovery],
     tally: &Tally,
@@ -406,14 +394,11 @@ pub(crate) fn collect(
 ) -> MetricsSnapshot {
     let arms = arms
         .iter()
-        .zip(bandit)
         .zip(schedules)
-        .map(|((arm, state), samples)| ArmMetrics {
+        .map(|(arm, samples)| ArmMetrics {
             app: arm.app.clone(),
             preset: crate::config::preset_name(arm.preset),
-            pulls: state.pulls,
-            mean_reward: state.mean_reward,
-            ucb_bound: state.ucb_bound,
+            pulls: arm.pulls,
             diversity: (!samples.is_empty())
                 .then(|| DiversitySummary::compute(samples, PAPER_TRUNCATION)),
         })
@@ -442,18 +427,12 @@ pub(crate) fn collect(
 mod tests {
     use super::*;
 
-    fn kue() -> [Arm; 1] {
+    fn kue(pulls: u64) -> [Arm; 1] {
         [Arm {
             app: "KUE".into(),
             preset: 0,
-        }]
-    }
-
-    fn arm_snap(pulls: u64) -> [ArmSnapshot; 1] {
-        [ArmSnapshot {
             pulls,
-            mean_reward: 0.25,
-            ucb_bound: (pulls > 0).then_some(0.75),
+            retired: false,
         }]
     }
 
@@ -475,8 +454,7 @@ mod tests {
             10,
             0,
             false,
-            &kue(),
-            &arm_snap(2),
+            &kue(2),
             &[vec![
                 schedule(&[nodefz_rt::CbKind::Timer, nodefz_rt::CbKind::Check]),
                 schedule(&[nodefz_rt::CbKind::Check, nodefz_rt::CbKind::Timer]),
@@ -503,8 +481,7 @@ mod tests {
             10,
             0,
             false,
-            &kue(),
-            &arm_snap(0),
+            &kue(0),
             &[Vec::new()],
             &[],
             &Tally::new(ObsLevel::Off),
@@ -514,7 +491,11 @@ mod tests {
         assert!(snap.arms[0].diversity.is_none());
         let json = snap.to_json();
         assert!(json.contains("\"diversity\": null"), "{json}");
-        assert!(json.contains("\"ucb_bound\": null"), "{json}");
+        assert!(json.contains("\"pulls\": 0"), "{json}");
+        assert!(
+            !json.contains("mean_reward") && !json.contains("ucb_bound"),
+            "{json}"
+        );
     }
 
     #[test]
@@ -529,7 +510,6 @@ mod tests {
             10,
             1,
             true,
-            &[],
             &[],
             &[],
             &[],
@@ -577,7 +557,6 @@ mod tests {
             20,
             2,
             true,
-            &[],
             &[],
             &[],
             &discovery,

@@ -47,9 +47,9 @@ pub fn render_summary(report: &CampaignReport) -> String {
             bug.app, bug.hits, bug.original_len, bug.shrunk_len, bug.replays_ok, bug.site
         ));
     }
-    out.push_str("arms (pulls, recent yield):\n");
-    for (app, preset, pulls, ema) in &report.arms {
-        out.push_str(&format!("  {app:<4} {preset:<10} {pulls:>5}  {ema:.3}\n"));
+    out.push_str("arms (pulls):\n");
+    for (app, preset, pulls) in &report.arms {
+        out.push_str(&format!("  {app:<4} {preset:<10} {pulls:>5}\n"));
     }
     if !report.quarantined.is_empty() {
         out.push_str(&format!(
@@ -87,10 +87,7 @@ mod tests {
                 shrunk_len: 3,
                 replays_ok: 10,
             }],
-            arms: vec![
-                ("KUE".into(), "standard", 60, 0.4),
-                ("KUE".into(), "guided", 40, 0.2),
-            ],
+            arms: vec![("KUE".into(), "standard", 60), ("KUE".into(), "guided", 40)],
             hit_deadline: false,
             quarantined: vec![Quarantine {
                 app: "KUE".into(),
@@ -104,7 +101,10 @@ mod tests {
         assert!(text.contains("KUE"));
         assert!(text.contains("120"));
         assert!(text.contains("lost # jobs"));
-        assert!(text.contains("standard"));
+        assert!(
+            text.contains("arms (pulls):\n  KUE  standard      60\n"),
+            "{text}"
+        );
         assert!(text.contains("quarantined arms (1 of 2"), "{text}");
         assert!(
             text.contains("KUE  guided     env seed 77: index out of bounds"),

@@ -77,7 +77,7 @@ fn directed_campaign_arm_runs_end_to_end() {
         report
             .arms
             .iter()
-            .any(|(_, preset, _, _)| *preset == "directed"),
+            .any(|(_, preset, _)| *preset == "directed"),
         "arms: {:?}",
         report.arms
     );

@@ -106,7 +106,7 @@ static COMMANDS: [Command; 7] = [
   --metrics-out PATH write nodefz-metrics-v1 telemetry snapshots to PATH,
                      refreshed every ~500ms and finalized at drain
   --journal-out PATH write the nodefz-journal-v1 flight recorder (arm
-                     pulls with bandit state, prune verdicts, arm
+                     pulls with each arm's pull count, prune verdicts, arm
                      quarantines, bug discoveries) to PATH at drain
   --trace-out PATH   after the campaign, record one profiled run as a
                      chrome://tracing timeline

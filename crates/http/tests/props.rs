@@ -1,6 +1,8 @@
 //! Property tests for the HTTP wire codec.
 
-use nodefz_check::{forall, Gen};
+use std::panic::catch_unwind;
+
+use nodefz_check::{forall, mutants, payload_classes, Gen};
 
 use nodefz_http::{
     decode_request, decode_response, encode_request, encode_response, Method, Response,
@@ -81,4 +83,49 @@ fn truncated_requests_decode_to_a_body_prefix() {
             assert_eq!(b, &body[..cut - newline - 1], "cut {cut}");
         }
     });
+}
+
+/// Every hostile payload class spliced into every token of a valid
+/// request and a valid response. No input may panic a decoder. A request
+/// that decodes must re-encode to exactly its input: the method matched
+/// exactly and the path and body were kept verbatim, so a decoded request
+/// is never larger than the message it came from. Responses need only not
+/// panic, since `"+200"` and `"0200"` both parse as 200.
+#[test]
+fn hostile_messages_never_panic_and_decoded_requests_reencode_exactly() {
+    let request = encode_request(Method::Post, "/jobs/7", b"key=value");
+    let response = encode_response(&Response::ok("done"));
+    let (request, response) = (
+        String::from_utf8(request).expect("ascii"),
+        String::from_utf8(response).expect("ascii"),
+    );
+    let mut decoded = 0;
+    for (class, payloads) in payload_classes() {
+        for payload in &payloads {
+            for m in mutants(&request, payload) {
+                let wire = m.text.as_bytes();
+                let result = catch_unwind(|| decode_request(wire))
+                    .unwrap_or_else(|_| panic!("{class}: decode_request panicked on {:?}", m.text));
+                if let Some((method, path, body)) = result {
+                    decoded += 1;
+                    assert_eq!(
+                        encode_request(method, &path, &body),
+                        wire,
+                        "{class}: {:?}",
+                        m.text
+                    );
+                }
+            }
+            for m in mutants(&response, payload) {
+                let wire = m.text.as_bytes();
+                catch_unwind(|| decode_response(wire)).unwrap_or_else(|_| {
+                    panic!("{class}: decode_response panicked on {:?}", m.text)
+                });
+            }
+        }
+    }
+    assert!(
+        decoded > 0,
+        "no hostile request decoded, so none re-encoded"
+    );
 }

@@ -113,12 +113,12 @@ impl WorkerState {
 /// discovery curve in the matching `nodefz-metrics-v1` snapshot.
 #[derive(Clone, Debug, PartialEq)]
 pub enum JournalEvent {
-    /// A bandit arm selection, with the decision-time bandit state.
+    /// An arm selection. Arms take turns round-robin, so `pulls` says why
+    /// this arm was picked: it was its turn.
     ///
-    /// The campaign driver fills `mean_reward` and `ucb` from the UCB
-    /// bandit and writes `successes`/`failures` as null. Only older
-    /// builds, whose orchestrator ran a Thompson scheduler, wrote those
-    /// two; the decoder still reads them.
+    /// Older builds, which allocated runs with a bandit, also wrote
+    /// `mean_reward`, `ucb`, `successes` and `failures` on this line; the
+    /// decoder ignores them.
     ArmPull {
         /// Completed executions when the pull was made.
         exec: u64,
@@ -126,15 +126,6 @@ pub enum JournalEvent {
         arm: String,
         /// Pulls of this arm so far, including this one.
         pulls: u64,
-        /// Mean observed reward of the arm at decision time.
-        mean_reward: f64,
-        /// UCB score the pick ranked the arm by (None while the arm was
-        /// unpulled: its score was infinite).
-        ucb: Option<f64>,
-        /// Beta-posterior success pseudo-count (older builds only).
-        successes: Option<f64>,
-        /// Beta-posterior failure pseudo-count (older builds only).
-        failures: Option<f64>,
     },
     /// The Pruner's verdict for one classified run.
     Prune {
@@ -373,22 +364,10 @@ fn encode_entry(entry: &JournalEntry) -> String {
     w.field_u64("t_ms", entry.t_ms);
     w.field_str("kind", entry.event.kind());
     match &entry.event {
-        JournalEvent::ArmPull {
-            exec,
-            arm,
-            pulls,
-            mean_reward,
-            ucb,
-            successes,
-            failures,
-        } => {
+        JournalEvent::ArmPull { exec, arm, pulls } => {
             w.field_u64("exec", *exec);
             w.field_str("arm", arm);
             w.field_u64("pulls", *pulls);
-            w.field_f64("mean_reward", *mean_reward, 6);
-            opt_f64(&mut w, "ucb", *ucb);
-            opt_f64(&mut w, "successes", *successes);
-            opt_f64(&mut w, "failures", *failures);
         }
         JournalEvent::Prune { exec, verdict } => {
             w.field_u64("exec", *exec);
@@ -436,10 +415,6 @@ fn decode_entry(text: &str, line: usize) -> Result<JournalEntry, JournalDecodeEr
             exec: field_u64(&v, "exec", line)?,
             arm: field_str(&v, "arm", line)?,
             pulls: field_u64(&v, "pulls", line)?,
-            mean_reward: field_f64(&v, "mean_reward", line)?,
-            ucb: opt_field_f64(&v, "ucb"),
-            successes: opt_field_f64(&v, "successes"),
-            failures: opt_field_f64(&v, "failures"),
         },
         "prune" => {
             let verdict = field_str(&v, "verdict", line)?;
@@ -472,31 +447,12 @@ fn decode_entry(text: &str, line: usize) -> Result<JournalEntry, JournalDecodeEr
     Ok(JournalEntry { seq, t_ms, event })
 }
 
-fn opt_f64(w: &mut JsonWriter, key: &str, v: Option<f64>) {
-    match v {
-        Some(x) => w.field_f64(key, x, 6),
-        None => {
-            w.key(key);
-            w.null();
-        }
-    }
-}
-
 fn field_u64(v: &JsonValue, key: &str, line: usize) -> Result<u64, JournalDecodeError> {
     v.get(key)
         .and_then(|x| x.as_u64())
         .ok_or_else(|| JournalDecodeError {
             line,
             message: format!("missing or non-integer field {key:?}"),
-        })
-}
-
-fn field_f64(v: &JsonValue, key: &str, line: usize) -> Result<f64, JournalDecodeError> {
-    v.get(key)
-        .and_then(|x| x.as_f64())
-        .ok_or_else(|| JournalDecodeError {
-            line,
-            message: format!("missing or non-number field {key:?}"),
         })
 }
 
@@ -510,10 +466,6 @@ fn field_str(v: &JsonValue, key: &str, line: usize) -> Result<String, JournalDec
         })
 }
 
-fn opt_field_f64(v: &JsonValue, key: &str) -> Option<f64> {
-    v.get(key).and_then(|x| x.as_f64())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,10 +475,6 @@ mod tests {
             exec,
             arm: "GHO/aggressive".into(),
             pulls: exec + 1,
-            mean_reward: 0.25,
-            ucb: Some(1.5),
-            successes: None,
-            failures: None,
         }
     }
 

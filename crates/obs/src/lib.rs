@@ -25,8 +25,8 @@
 //! * [`write_atomic`] — temp-file-plus-rename snapshot persistence, so a
 //!   concurrent reader never observes a torn document.
 //! * [`Journal`] — the campaign flight recorder: a bounded single-writer
-//!   ring of structured events (arm pulls with bandit state, prune
-//!   verdicts, arm quarantines, discoveries) with the
+//!   ring of structured events (arm pulls with each arm's pull count,
+//!   prune verdicts, arm quarantines, discoveries) with the
 //!   `nodefz-journal-v1` JSON-lines codec.
 
 #![forbid(unsafe_code)]
