@@ -149,10 +149,10 @@ impl BugCase for Clf {
             // Two requests log in quick succession; in a calm schedule the
             // first create completes before the second log() call.
             let a = Client::connect(cx, &net, 80);
-            a.send(cx, b"request A".to_vec());
+            a.send(cx, b"request A");
             a.close_after(cx, VDur::millis(12));
             let b = Client::connect(cx, &net, 80);
-            b.send_after(cx, VDur::micros(1_400), b"request B".to_vec());
+            b.send_after(cx, VDur::micros(1_400), b"request B");
             b.close_after(cx, VDur::millis(12));
             net.close_all_listeners_after(cx, VDur::millis(25));
         });

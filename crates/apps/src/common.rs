@@ -350,7 +350,7 @@ impl Chatter {
             let client =
                 nodefz_net::Client::connect_after(cx, net, port, VDur::micros(50 * c as u64));
             for m in 0..msgs {
-                client.send_after(cx, spacing * m as u64, b"noise".to_vec());
+                client.send_after(cx, spacing * m as u64, b"noise");
             }
             client.close_after(cx, horizon);
         }

@@ -71,7 +71,7 @@ impl BugCase for Epl {
                 let kv = kv.clone();
                 conn.on_data(move |cx, _conn, msg| {
                     cx.busy(VDur::micros(300));
-                    match msg.as_slice() {
+                    match msg {
                         b"edit" => {
                             // Callback chain link 1: fetch author metadata.
                             let p = p.clone();
@@ -113,11 +113,11 @@ impl BugCase for Epl {
         });
         el.enter(|cx| {
             let editor = Client::connect(cx, &net, 80);
-            editor.send(cx, b"edit".to_vec());
+            editor.send(cx, b"edit");
             editor.close_after(cx, VDur::millis(12));
             // The delete lands normally well after the edit chain finishes.
             let deleter = Client::connect(cx, &net, 80);
-            deleter.send_after(cx, VDur::micros(3_800), b"delete".to_vec());
+            deleter.send_after(cx, VDur::micros(3_800), b"delete");
             deleter.close_after(cx, VDur::millis(12));
             net.close_all_listeners_after(cx, VDur::millis(30));
         });

@@ -83,7 +83,7 @@ impl BugCase for Fps {
                 let kv = kv.clone();
                 let slot = slot.clone();
                 conn.on_data(move |cx, conn, msg| {
-                    if msg.as_slice() != b"authorize" {
+                    if msg != b"authorize" {
                         return;
                     }
                     cx.busy(VDur::micros(300));
@@ -126,12 +126,12 @@ impl BugCase for Fps {
         });
         let clients = el.enter(|cx| {
             let a = Client::connect(cx, &net, 80);
-            a.send(cx, b"authorize".to_vec());
+            a.send(cx, b"authorize");
             a.close_after(cx, VDur::millis(30));
             // The second request normally arrives after the first one's
             // validation round trip has completed.
             let b = Client::connect(cx, &net, 80);
-            b.send_after(cx, VDur::micros(3_800), b"authorize".to_vec());
+            b.send_after(cx, VDur::micros(3_800), b"authorize");
             b.close_after(cx, VDur::millis(30));
             net.close_all_listeners_after(cx, VDur::millis(40));
             [a, b]

@@ -144,12 +144,12 @@ impl BugCase for Gho {
         });
         el.enter(|cx| {
             let first = Client::connect(cx, &net, 80);
-            first.send(cx, b"signup:alice".to_vec());
+            first.send(cx, b"signup:alice");
             first.close_after(cx, VDur::millis(14));
             // The second registration normally arrives after the first
             // one's insert has been applied.
             let second = Client::connect(cx, &net, 80);
-            second.send_after(cx, VDur::micros(3_800), b"signup:alice".to_vec());
+            second.send_after(cx, VDur::micros(3_800), b"signup:alice");
             second.close_after(cx, VDur::millis(14));
             net.close_all_listeners_after(cx, VDur::millis(30));
         });

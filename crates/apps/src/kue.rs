@@ -82,7 +82,7 @@ impl BugCase for Kue {
             n.listen(cx, 80, move |_cx, conn| {
                 let kv = kv_handler.clone();
                 conn.on_data(move |cx, _conn, msg| {
-                    if msg.as_slice() != b"job-failed" {
+                    if msg != b"job-failed" {
                         return;
                     }
                     cx.busy(VDur::micros(150));
@@ -138,7 +138,7 @@ impl BugCase for Kue {
         });
         el.enter(|cx| {
             let worker = Client::connect(cx, &net, 80);
-            worker.send(cx, b"job-failed".to_vec());
+            worker.send(cx, b"job-failed");
             worker.close_after(cx, VDur::millis(12));
             net.close_all_listeners_after(cx, VDur::millis(25));
         });

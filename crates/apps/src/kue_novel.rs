@@ -86,7 +86,7 @@ impl BugCase for KueNovel {
                 let active = active.clone();
                 conn.on_data(move |cx, _conn, msg| {
                     cx.busy(VDur::micros(150));
-                    match msg.as_slice() {
+                    match msg {
                         b"run-job" => {
                             let kv2 = kv.clone();
                             let active = active.clone();
@@ -170,10 +170,10 @@ impl BugCase for KueNovel {
         });
         el.enter(|cx| {
             let worker = Client::connect(cx, &net, 80);
-            worker.send(cx, b"run-job".to_vec());
+            worker.send(cx, b"run-job");
             // The pause normally arrives after the job completed and the
             // lock was released.
-            worker.send_after(cx, VDur::micros(5_800), b"pause".to_vec());
+            worker.send_after(cx, VDur::micros(5_800), b"pause");
             worker.close_after(cx, VDur::millis(22));
             net.close_all_listeners_after(cx, VDur::millis(30));
         });

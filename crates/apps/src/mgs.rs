@@ -139,7 +139,7 @@ impl BugCase for Mgs {
         });
         el.enter(|cx| {
             let c = Client::connect(cx, &net, 80);
-            c.send(cx, b"populate".to_vec());
+            c.send(cx, b"populate");
             c.close_after(cx, VDur::millis(14));
             net.close_all_listeners_after(cx, VDur::millis(25));
         });

@@ -137,7 +137,7 @@ impl BugCase for Mkd {
                 let fs = fs_srv.clone();
                 let res = res.clone();
                 conn.on_data(move |cx, _conn, msg| {
-                    let Ok(path) = String::from_utf8(msg.clone()) else {
+                    let Ok(path) = String::from_utf8(msg.to_vec()) else {
                         return;
                     };
                     cx.busy(VDur::micros(150));
@@ -162,10 +162,10 @@ impl BugCase for Mkd {
             // Two mkdirp calls sharing the "build/cache" prefix; the second
             // normally starts after the first finished its recursion.
             let a = Client::connect(cx, &net, 80);
-            a.send(cx, b"build/cache/js".to_vec());
+            a.send(cx, b"build/cache/js");
             a.close_after(cx, VDur::millis(14));
             let b = Client::connect(cx, &net, 80);
-            b.send_after(cx, VDur::micros(2_400), b"build/cache/css".to_vec());
+            b.send_after(cx, VDur::micros(2_400), b"build/cache/css");
             b.close_after(cx, VDur::millis(14));
             net.close_all_listeners_after(cx, VDur::millis(28));
         });

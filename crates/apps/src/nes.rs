@@ -74,7 +74,7 @@ impl BugCase for Nes {
                             let slot = s_timer.borrow();
                             match slot.as_ref() {
                                 Some(sock) => {
-                                    let _ = sock.write(cx, b"ping".to_vec());
+                                    let _ = sock.write(cx, b"ping");
                                 }
                                 None => {
                                     cx.crash("null-deref", "heartbeat fired after socket teardown")
@@ -83,7 +83,7 @@ impl BugCase for Nes {
                         }
                         Variant::Fixed => {
                             if let Some(sock) = s_timer.borrow().as_ref() {
-                                let _ = sock.write(cx, b"ping".to_vec());
+                                let _ = sock.write(cx, b"ping");
                             }
                         }
                     }

@@ -125,7 +125,7 @@ impl BugCase for Rst {
         });
         el.enter(|cx| {
             let c = Client::connect(cx, &net, 80);
-            c.send(cx, b"GET /bundle".to_vec());
+            c.send(cx, b"GET /bundle");
             c.close_after(cx, VDur::millis(14));
             net.close_all_listeners_after(cx, VDur::millis(25));
         });

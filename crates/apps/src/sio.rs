@@ -86,11 +86,11 @@ impl BugCase for Sio {
                 let prem = prem.clone();
                 conn.on_data(move |cx, conn, msg| {
                     cx.busy(VDur::micros(150));
-                    match msg.as_slice() {
+                    match msg {
                         b"open:fast" | b"open:slow" => {
                             cx.touch_read("sio:manager");
                             if m.borrow().closed {
-                                let _ = conn.write(cx, b"rejected".to_vec());
+                                let _ = conn.write(cx, b"rejected");
                                 return;
                             }
                             let slow = msg.ends_with(b"slow");
@@ -132,7 +132,7 @@ impl BugCase for Sio {
                                         mgr.sockets.push(me.id());
                                     }
                                     drop(mgr);
-                                    let _ = me.write(cx, b"connected".to_vec());
+                                    let _ = me.write(cx, b"connected");
                                 },
                             );
                         }
@@ -158,13 +158,13 @@ impl BugCase for Sio {
         let slow_client = el.enter(|cx| {
             // Fast connection: opens, completes, and says goodbye.
             let fast = Client::connect(cx, &net, 80);
-            fast.send(cx, b"open:fast".to_vec());
-            fast.send_after(cx, VDur::micros(3_600), b"bye".to_vec());
+            fast.send(cx, b"open:fast");
+            fast.send_after(cx, VDur::micros(3_600), b"bye");
             fast.close_after(cx, VDur::millis(14));
             // Slow connection: its handshake is still in flight when the
             // fast one says goodbye (under an adversarial schedule).
             let slow = Client::connect_after(cx, &net, 80, VDur::micros(200));
-            slow.send(cx, b"open:slow".to_vec());
+            slow.send(cx, b"open:slow");
             slow.close_after(cx, VDur::millis(14));
             net.close_all_listeners_after(cx, VDur::millis(28));
             slow
@@ -173,7 +173,7 @@ impl BugCase for Sio {
         let connected = slow_client
             .received()
             .iter()
-            .any(|m| m.as_slice() == b"connected");
+            .any(|m| m[..] == b"connected"[..]);
         let manifested = *premature.borrow() && !connected;
         Outcome {
             manifested,

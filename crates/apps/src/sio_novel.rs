@@ -84,7 +84,7 @@ impl BugCase for SioNovel {
                     }
                     *slot = true;
                     drop(slot);
-                    let _ = conn.write(cx, [b"served:", msg.as_slice()].concat());
+                    let _ = conn.write(cx, [&b"served:"[..], msg].concat());
                     // The slot frees once this exchange's session expires.
                     let occ2 = occ.clone();
                     cx.set_timeout(VDur::micros(1_500), move |cx| {
@@ -104,7 +104,7 @@ impl BugCase for SioNovel {
                     // The leftover client reconnects and briefly occupies
                     // the shared server.
                     let c = Client::connect(cx, &net2, 80);
-                    c.send(cx, b"stray".to_vec());
+                    c.send(cx, b"stray");
                     c.close_after(cx, VDur::millis(3));
                 });
                 // The whole suite ends at 14 ms; the stray timer dies with
@@ -119,7 +119,7 @@ impl BugCase for SioNovel {
         // --- Test 2 (sensitive): expects to be served promptly.
         let probe = el.enter(|cx| {
             let probe = Client::connect_after(cx, &net, 80, VDur::micros(7_750));
-            probe.send(cx, b"probe".to_vec());
+            probe.send(cx, b"probe");
             probe.close_after(cx, VDur::millis(16));
             net.close_all_listeners_after(cx, VDur::millis(26));
             probe

@@ -93,7 +93,7 @@ impl BugCase for Wpt {
                     let me = conn.clone();
                     let done: DoneFn = Rc::new(move |cx: &mut Ctx<'_>, ok: bool| {
                         if ok {
-                            let _ = me.write(cx, b"built".to_vec());
+                            let _ = me.write(cx, b"built");
                         } else {
                             cx.report_error(
                                 "waterfall-corrupt",
@@ -110,12 +110,12 @@ impl BugCase for Wpt {
         });
         el.enter(|cx| {
             let a = Client::connect(cx, &net, 80);
-            a.send(cx, b"build".to_vec());
+            a.send(cx, b"build");
             a.close_after(cx, VDur::millis(14));
             // The second build normally starts after the first waterfall
             // has drained.
             let b = Client::connect(cx, &net, 80);
-            b.send_after(cx, VDur::micros(2_600), b"build".to_vec());
+            b.send_after(cx, VDur::micros(2_600), b"build");
             b.close_after(cx, VDur::millis(14));
             net.close_all_listeners_after(cx, VDur::millis(28));
         });

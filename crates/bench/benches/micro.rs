@@ -75,7 +75,7 @@ fn bench_net_echo() {
             el.enter(move |cx| {
                 n.listen(cx, 80, |_cx, conn| {
                     conn.on_data(|cx, conn, msg| {
-                        let _ = conn.write(cx, msg.clone());
+                        let _ = conn.write(cx, msg.to_vec());
                     });
                 })
                 .unwrap();

@@ -171,6 +171,31 @@ impl Decision {
     }
 }
 
+/// The kind and the value: `timer run`, `timer defer 5000000 ns`,
+/// `shuffle [1 0]`, `defer-ready yes`, `defer-close no`, `pick-task 2`.
+impl fmt::Display for Decision {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let yes_no = |b: bool| if b { "yes" } else { "no" };
+        write!(f, "{} ", self.kind())?;
+        match self {
+            Decision::Timer(None) => f.write_str("run"),
+            Decision::Timer(Some(ns)) => write!(f, "defer {ns} ns"),
+            Decision::Shuffle(perm) => {
+                f.write_str("[")?;
+                for (i, idx) in perm.into_iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(" ")?;
+                    }
+                    write!(f, "{idx}")?;
+                }
+                f.write_str("]")
+            }
+            Decision::DeferReady(d) | Decision::DeferClose(d) => f.write_str(yes_no(*d)),
+            Decision::PickTask(i) => write!(f, "{i}"),
+        }
+    }
+}
+
 /// A complete record of one run's scheduling decisions.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DecisionTrace {
@@ -750,6 +775,34 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn decisions_display_kind_and_value() {
+        let shown: Vec<String> = [
+            Decision::Timer(None),
+            Decision::Timer(Some(5_000_000)),
+            Decision::Shuffle(vec![1, 0].into()),
+            Decision::Shuffle(Perm::new()),
+            Decision::DeferReady(true),
+            Decision::DeferClose(false),
+            Decision::PickTask(2),
+        ]
+        .iter()
+        .map(Decision::to_string)
+        .collect();
+        assert_eq!(
+            shown,
+            [
+                "timer run",
+                "timer defer 5000000 ns",
+                "shuffle [1 0]",
+                "shuffle []",
+                "defer-ready yes",
+                "defer-close no",
+                "pick-task 2",
+            ]
+        );
     }
 
     #[test]

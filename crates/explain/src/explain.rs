@@ -15,7 +15,9 @@
 //! against the same modelled environment — the *only* difference between
 //! them is scheduling, which is exactly the claim a race report makes.
 
-use nodefz::{DecisionTrace, DirectedSpec, FuzzParams, Mode, ReplayStatusHandle, TraceHandle};
+use nodefz::{
+    Decision, DecisionTrace, DirectedSpec, FuzzParams, Mode, ReplayStatusHandle, TraceHandle,
+};
 use nodefz_apps::common::{RunCfg, Variant};
 use nodefz_campaign::{preset_params, resolve_case, CorpusEntry};
 use nodefz_hb::{canon_key, causal_chain, races_with_cuts, EventRef, RaceInfo, SeenSet};
@@ -79,14 +81,14 @@ pub struct PassingSummary {
 }
 
 /// The first decision where failing and passing schedules part ways.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Divergence {
     /// Index into both decision sequences.
     pub index: usize,
-    /// Decision kind the failing schedule took there.
-    pub failing: &'static str,
-    /// Decision kind the passing schedule took there.
-    pub passing: &'static str,
+    /// The decision, kind and value, the failing schedule took there.
+    pub failing: Decision,
+    /// The decision, kind and value, the passing schedule took there.
+    pub passing: Decision,
 }
 
 /// The directed flip this report proposes (and `--check` replays): cut
@@ -194,6 +196,20 @@ fn common_prefix(a: &DecisionTrace, b: &DecisionTrace) -> usize {
         .count()
 }
 
+/// The first decision where `failing` and `passing` differ, when both
+/// still have one there.
+fn divergence(failing: &DecisionTrace, passing: &DecisionTrace) -> Option<Divergence> {
+    let index = common_prefix(failing, passing);
+    match (failing.decisions.get(index), passing.decisions.get(index)) {
+        (Some(f), Some(p)) => Some(Divergence {
+            index,
+            failing: f.clone(),
+            passing: p.clone(),
+        }),
+        _ => None,
+    }
+}
+
 /// The flip-cut ladder actually tried for a race (bounded, with the
 /// pre-dispatch fallback when the chain walk found nothing) — the shared
 /// [`RaceInfo::ladder`] definition, bounded by this crate's flip budget.
@@ -290,26 +306,14 @@ pub fn explain_entry(entry: &CorpusEntry, cfg: &ExplainConfig) -> Result<RaceRep
         .iter()
         .max_by_key(|p| common_prefix(&entry.trace, &p.trace))
         .expect("non-empty");
-    let prefix_len = common_prefix(&entry.trace, &nearest.trace);
-    let divergence = match (
-        entry.trace.decisions.get(prefix_len),
-        nearest.trace.decisions.get(prefix_len),
-    ) {
-        (Some(f), Some(p)) => Some(Divergence {
-            index: prefix_len,
-            failing: f.kind(),
-            passing: p.kind(),
-        }),
-        _ => None,
-    };
     let passing_summary = PassingSummary {
         key: canon_key(&nearest.log).to_hex(),
         sampled,
         distinct: passing.len() as u64,
-        common_prefix: prefix_len,
+        common_prefix: common_prefix(&entry.trace, &nearest.trace),
         failing_len: entry.trace.len(),
         passing_len: nearest.trace.len(),
-        divergence,
+        divergence: divergence(&entry.trace, &nearest.trace),
     };
 
     // 3. The directed flip plan: races predicted *in the nearest passing
@@ -431,6 +435,27 @@ mod tests {
         let before = keys.len();
         keys.dedup();
         assert_eq!(keys.len(), before, "no duplicate (site, class) pairs");
+    }
+
+    #[test]
+    fn divergence_names_the_values_of_one_decision_kind() {
+        let trace = |defer: bool| DecisionTrace {
+            pool_mode: nodefz_rt::PoolMode::Concurrent { workers: 4 },
+            demux_done: false,
+            decisions: vec![
+                Decision::Timer(None),
+                Decision::DeferReady(false),
+                Decision::DeferReady(defer),
+                Decision::PickTask(0),
+            ],
+        };
+        let d = divergence(&trace(true), &trace(false)).expect("the traces differ");
+        assert_eq!(d.index, 2);
+        assert_eq!(d.failing, Decision::DeferReady(true));
+        assert_eq!(d.passing, Decision::DeferReady(false));
+        assert_eq!(d.failing.to_string(), "defer-ready yes");
+        assert_eq!(d.passing.to_string(), "defer-ready no");
+        assert_eq!(divergence(&trace(true), &trace(true)), None);
     }
 
     #[test]

@@ -102,8 +102,8 @@ pub fn to_json(r: &RaceReport) -> String {
         Some(d) => {
             w.begin_object();
             w.field_u64("index", d.index as u64);
-            w.field_str("failing", d.failing);
-            w.field_str("passing", d.passing);
+            w.field_str("failing", &d.failing.to_string());
+            w.field_str("passing", &d.passing.to_string());
             w.end_object();
         }
         None => w.null(),
@@ -401,8 +401,8 @@ pub fn render_html(r: &RaceReport) -> String {
             Some(d) => format!(
                 " Diverges at decision {}: failing took <b>{}</b>, passing took <b>{}</b>.",
                 d.index,
-                esc(d.failing),
-                esc(d.passing)
+                esc(&d.failing.to_string()),
+                esc(&d.passing.to_string())
             ),
             None => " One schedule is a prefix of the other.".to_string(),
         },

@@ -79,6 +79,13 @@ fn golden(app: &str, class: &str, site: &str) {
     let html = render_html(&explained);
     assert!(html.starts_with("<!doctype html>"));
     assert!(html.contains(&explained.passing.key));
+    if let Some(d) = &explained.passing.divergence {
+        // Whole decisions: the two sides of a divergence always differ.
+        assert_ne!(d.failing, d.passing, "divergence at {}", d.index);
+        let took = format!("failing took {}, passing took {}", d.failing, d.passing);
+        assert!(ansi.contains(&took), "text report names both decisions");
+        assert!(json.contains(&format!("\"failing\": \"{}\"", d.failing)));
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -16,6 +16,10 @@
 //!   *across* connections are unordered.
 //! * Keys may carry a TTL (`setnx_ttl`), supporting Redis-style locks.
 //!
+//! A request and its reply are typed environment wakeups ([`EnvTarget`]):
+//! the request waits in the store's own in-flight queue, so the round trip
+//! boxes nothing but the caller's reply callback.
+//!
 //! ## Example
 //!
 //! ```
@@ -44,9 +48,10 @@ pub use lock::{KvLock, LockConfig, LockResult};
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Deref;
 use std::rc::Rc;
 
-use nodefz_rt::{Ctx, Errno, Fd, FdKind, Rng, VDur, VTime};
+use nodefz_rt::{Ctx, EnvTarget, Errno, Fd, FdKind, Rng, VDur, VTime};
 
 /// Round-trip timing model for the store.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -116,9 +121,23 @@ struct ConnSlot {
     last_reply: VTime,
 }
 
+/// A request on its way to the server.
+struct Request {
+    op: Op,
+    cb: ReplyCb,
+    /// The pooled connection it travels on.
+    slot: usize,
+    /// Earliest time its reply can reach the client.
+    reply_base: VTime,
+}
+
 struct KvState {
     data: BTreeMap<String, Entry>,
     conns: Vec<ConnSlot>,
+    /// Requests on their way to the server. The server starts each one
+    /// no earlier than it finished the one before, so they arrive in
+    /// submission order (ties keep their scheduling order).
+    flight: VecDeque<Request>,
     next_conn: usize,
     timing: KvTiming,
     rng: Option<Rng>,
@@ -127,11 +146,41 @@ struct KvState {
     requests: u64,
 }
 
+/// A wakeup's token: the next request in flight reaches the server, or
+/// (odd tokens) a reply reaches the client on connection `token >> 1`.
+const ARRIVE: u64 = 0;
+const REPLY: u64 = 1;
+
+/// The state every [`Kv`] clone shares, and the target of the store's
+/// environment wakeups. A local newtype, so that it may implement the
+/// runtime's [`EnvTarget`].
+struct Shared(RefCell<KvState>);
+
+impl Deref for Shared {
+    type Target = RefCell<KvState>;
+
+    fn deref(&self) -> &RefCell<KvState> {
+        &self.0
+    }
+}
+
+impl EnvTarget for Shared {
+    fn wake(self: Rc<Self>, cx: &mut Ctx<'_>, token: u64) {
+        let kv = Kv { inner: self };
+        if token & 1 == REPLY {
+            let fd = kv.inner.borrow().conns[(token >> 1) as usize].fd;
+            let _ = cx.mark_ready(fd);
+        } else {
+            kv.arrive(cx);
+        }
+    }
+}
+
 /// Client handle to the simulated store. Cheap to clone; clones share the
 /// pool and data.
 #[derive(Clone)]
 pub struct Kv {
-    inner: Rc<RefCell<KvState>>,
+    inner: Rc<Shared>,
 }
 
 impl Kv {
@@ -154,15 +203,16 @@ impl Kv {
             return Err(Errno::Einval);
         }
         let kv = Kv {
-            inner: Rc::new(RefCell::new(KvState {
+            inner: Rc::new(Shared(RefCell::new(KvState {
                 data: BTreeMap::new(),
                 conns: Vec::new(),
+                flight: VecDeque::new(),
                 next_conn: 0,
                 timing,
                 rng: None,
                 server_free_at: VTime::ZERO,
                 requests: 0,
-            })),
+            }))),
         };
         for _ in 0..pool_size {
             let fd = cx.alloc_fd(FdKind::KvConn)?;
@@ -195,7 +245,7 @@ impl Kv {
     }
 
     fn submit(&self, cx: &mut Ctx<'_>, op: Op, cb: ReplyCb) {
-        let (slot, arrive_at, reply_base) = {
+        let arrive_at = {
             let mut st = self.inner.borrow_mut();
             if st.rng.is_none() {
                 st.rng = Some(cx.env_rng().fork());
@@ -213,24 +263,42 @@ impl Kv {
             let start = arrive.max(st.server_free_at);
             let done = start + proc;
             st.server_free_at = done;
-            (slot, done, done + lat_back)
-        };
-        let kv = self.clone();
-        // The operation applies atomically on the server at `arrive_at`.
-        cx.schedule_env_at(arrive_at, move |cx| {
-            let reply = kv.apply(op, cx.now());
-            let (fd, reply_at) = {
-                let mut st = kv.inner.borrow_mut();
-                let conn = &mut st.conns[slot];
-                let at = reply_base.max(conn.last_reply + VDur::nanos(1));
-                conn.last_reply = at;
-                conn.done.push_back((reply, cb));
-                (conn.fd, at)
-            };
-            cx.schedule_env_at(reply_at, move |cx| {
-                let _ = cx.mark_ready(fd);
+            st.flight.push_back(Request {
+                op,
+                cb,
+                slot,
+                reply_base: done + lat_back,
             });
-        });
+            done
+        };
+        // The operation applies atomically on the server at `arrive_at`.
+        cx.wake_env_at(arrive_at, &self.inner, ARRIVE);
+    }
+
+    /// The next request in flight reaches the server: apply it and send
+    /// the reply back on its connection, FIFO.
+    fn arrive(&self, cx: &mut Ctx<'_>) {
+        let Request {
+            op,
+            cb,
+            slot,
+            reply_base,
+        } = self
+            .inner
+            .borrow_mut()
+            .flight
+            .pop_front()
+            .expect("a request is in flight");
+        let reply = self.apply(op, cx.now());
+        let reply_at = {
+            let mut st = self.inner.borrow_mut();
+            let conn = &mut st.conns[slot];
+            let at = reply_base.max(conn.last_reply + VDur::nanos(1));
+            conn.last_reply = at;
+            conn.done.push_back((reply, cb));
+            at
+        };
+        cx.wake_env_at(reply_at, &self.inner, (slot as u64) << 1 | REPLY);
     }
 
     fn apply(&self, op: Op, now: VTime) -> Reply {

@@ -14,6 +14,11 @@
 //! "closing" stage the paper identifies as racy), so the fuzzer's close
 //! deferral applies to socket disconnects just as in Node.fz.
 //!
+//! Traffic allocates nothing per message: every connect, send, close,
+//! write and datagram is a typed environment wakeup ([`EnvTarget`]) whose
+//! payload waits in the network's own queues, and a [`Msg`] lends a
+//! `'static` literal instead of copying it.
+//!
 //! ## Example
 //!
 //! ```
@@ -35,7 +40,7 @@
 //! });
 //! let client = el.enter(|cx| {
 //!     let c = Client::connect(cx, &net, 80);
-//!     c.send(cx, b"hi".to_vec());
+//!     c.send(cx, b"hi");
 //!     c.close_after(cx, VDur::millis(50));
 //!     c
 //! });
@@ -47,14 +52,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Deref;
 use std::rc::Rc;
 
-use nodefz_rt::{Ctx, Errno, Fd, FdKind, Rng, VDur, VTime};
+use nodefz_rt::{Ctx, EnvTarget, Errno, Fd, FdKind, Rng, VDur, VTime};
 
-/// A network message (opaque bytes).
-pub type Msg = Vec<u8>;
+/// A network message (opaque bytes). A `'static` literal is lent, never
+/// copied; a built message (`format!(…).into_bytes()`) is owned. Senders
+/// take `impl Into<Msg>`, so `b"ping"` and a `Vec<u8>` both pass as is.
+pub type Msg = Cow<'static, [u8]>;
 
 /// Latency distribution for message delivery.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -92,9 +101,9 @@ enum Delivery {
 }
 
 type OnConn = Rc<RefCell<dyn FnMut(&mut Ctx<'_>, Connection)>>;
-type OnData = Rc<RefCell<dyn FnMut(&mut Ctx<'_>, Connection, &Msg)>>;
+type OnData = Rc<RefCell<dyn FnMut(&mut Ctx<'_>, Connection, &[u8])>>;
 type OnClose = Rc<RefCell<dyn FnMut(&mut Ctx<'_>, Connection)>>;
-type OnReply = Rc<RefCell<dyn FnMut(&mut Ctx<'_>, &Msg)>>;
+type OnReply = Rc<RefCell<dyn FnMut(&mut Ctx<'_>, &[u8])>>;
 
 struct Listener {
     fd: Fd,
@@ -113,7 +122,14 @@ struct ClientSide {
 struct ConnState {
     port: u16,
     fd: Option<Fd>,
-    inbox: VecDeque<Delivery>,
+    /// Client-to-server deliveries, from `send`/`close_after` until the
+    /// server dispatches them: the first `arrived` have reached the server,
+    /// the rest are in flight (and arrive in this order, per the FIFO
+    /// clamp).
+    to_server: VecDeque<Delivery>,
+    arrived: usize,
+    /// Server-to-client messages in flight, in arrival order.
+    to_client: VecDeque<Msg>,
     on_data: Option<OnData>,
     on_close: Option<OnClose>,
     server_open: bool,
@@ -124,7 +140,7 @@ struct ConnState {
     client: ClientSide,
 }
 
-type OnDatagram = Rc<RefCell<dyn FnMut(&mut Ctx<'_>, u16, &Msg)>>;
+type OnDatagram = Rc<RefCell<dyn FnMut(&mut Ctx<'_>, u16, &[u8])>>;
 
 struct UdpBinding {
     fd: Fd,
@@ -134,6 +150,13 @@ struct UdpBinding {
 
 struct UdpPeer {
     received: Vec<(VTime, Msg)>,
+}
+
+/// A datagram in flight.
+struct Datagram {
+    from: u16,
+    to: u16,
+    msg: Msg,
 }
 
 struct NetState {
@@ -146,6 +169,10 @@ struct NetState {
     udp_peers: Vec<(u16, UdpPeer)>,
     /// Probability (0..1) that a datagram is dropped in flight.
     udp_loss: f64,
+    /// Datagrams in flight, by the slot their wakeup names; `None` marks a
+    /// free slot (listed in `free_datagrams`).
+    datagrams: Vec<Option<Datagram>>,
+    free_datagrams: Vec<usize>,
     /// Connection slab, indexed by [`ConnId`]. A connection dropped at
     /// accept (EMFILE) leaves `None` in its slot.
     conns: Vec<Option<ConnState>>,
@@ -181,10 +208,51 @@ impl NetState {
     }
 }
 
+// What a network wakeup delivers: the low two bits of its token. The rest
+// of the token is a connection id or a datagram slot.
+/// A connection attempt reaches the listener.
+const CONNECT: u64 = 0;
+/// The next client-to-server delivery (data or EOF) of a connection.
+const TO_SERVER: u64 = 1;
+/// The next server-to-client message of a connection.
+const TO_CLIENT: u64 = 2;
+/// The datagram in a flight slot.
+const DATAGRAM: u64 = 3;
+
+fn token(what: u64, index: u64) -> u64 {
+    index << 2 | what
+}
+
+/// The state every [`SimNet`] clone shares, and the target of the
+/// network's environment wakeups. A local newtype, so that it may
+/// implement the runtime's [`EnvTarget`].
+struct Shared(RefCell<NetState>);
+
+impl Deref for Shared {
+    type Target = RefCell<NetState>;
+
+    fn deref(&self) -> &RefCell<NetState> {
+        &self.0
+    }
+}
+
+impl EnvTarget for Shared {
+    fn wake(self: Rc<Self>, cx: &mut Ctx<'_>, token: u64) {
+        let net = SimNet { inner: self };
+        let index = token >> 2;
+        match token & 3 {
+            CONNECT => net.arrive_connect(cx, ConnId(index)),
+            TO_SERVER => net.deliver_c2s(cx, ConnId(index)),
+            TO_CLIENT => net.deliver_s2c(cx, ConnId(index)),
+            _ => net.deliver_datagram(cx, index as usize),
+        }
+    }
+}
+
 /// The simulated network fabric. Cheap to clone; all clones share state.
 #[derive(Clone)]
 pub struct SimNet {
-    inner: Rc<RefCell<NetState>>,
+    inner: Rc<Shared>,
 }
 
 impl Default for SimNet {
@@ -202,17 +270,19 @@ impl SimNet {
     /// Creates a network with a custom latency model.
     pub fn with_latency(latency: LatencyModel) -> SimNet {
         SimNet {
-            inner: Rc::new(RefCell::new(NetState {
+            inner: Rc::new(Shared(RefCell::new(NetState {
                 listeners: Vec::new(),
                 udp: Vec::new(),
                 udp_peers: Vec::new(),
                 udp_loss: 0.0,
+                datagrams: Vec::new(),
+                free_datagrams: Vec::new(),
                 conns: Vec::new(),
                 latency,
                 rng: None,
                 accepted: 0,
                 hosts: BTreeMap::new(),
-            })),
+            }))),
         }
     }
 
@@ -282,7 +352,7 @@ impl SimNet {
         &self,
         cx: &mut Ctx<'_>,
         port: u16,
-        on_datagram: impl FnMut(&mut Ctx<'_>, u16, &Msg) + 'static,
+        on_datagram: impl FnMut(&mut Ctx<'_>, u16, &[u8]) + 'static,
     ) -> Result<UdpSocket, Errno> {
         if by_port(&self.inner.borrow().udp, port).is_some() {
             return Err(Errno::Eaddrinuse);
@@ -330,26 +400,40 @@ impl SimNet {
             return;
         }
         // NO per-peer FIFO clamp: datagrams reorder freely.
-        let net = self.clone();
-        cx.schedule_env(delay + latency, move |cx| {
-            let delivered_to_server = {
-                let mut st = net.inner.borrow_mut();
-                match by_port_mut(&mut st.udp, to) {
-                    Some(binding) => {
-                        binding.inbox.push_back((from, msg.clone()));
-                        Some(binding.fd)
-                    }
-                    None => None,
+        let slot = {
+            let mut st = self.inner.borrow_mut();
+            let datagram = Some(Datagram { from, to, msg });
+            match st.free_datagrams.pop() {
+                Some(slot) => {
+                    st.datagrams[slot] = datagram;
+                    slot
                 }
-            };
-            match delivered_to_server {
-                Some(fd) => {
-                    let _ = cx.mark_ready(fd);
+                None => {
+                    st.datagrams.push(datagram);
+                    st.datagrams.len() - 1
+                }
+            }
+        };
+        let at = cx.now() + delay + latency;
+        cx.wake_env_at(at, &self.inner, token(DATAGRAM, slot as u64));
+    }
+
+    /// The datagram in flight slot `slot` arrives.
+    fn deliver_datagram(&self, cx: &mut Ctx<'_>, slot: usize) {
+        let delivered_to_server = {
+            let mut st = self.inner.borrow_mut();
+            let Datagram { from, to, msg } = st.datagrams[slot]
+                .take()
+                .expect("a woken datagram slot holds a datagram");
+            st.free_datagrams.push(slot);
+            match by_port_mut(&mut st.udp, to) {
+                Some(binding) => {
+                    binding.inbox.push_back((from, msg));
+                    Some(binding.fd)
                 }
                 None => {
                     // No binding: deliver to an environment-side peer
                     // mailbox (a reply to a client).
-                    let mut st = net.inner.borrow_mut();
                     let at = cx.now();
                     match by_port_mut(&mut st.udp_peers, to) {
                         Some(peer) => peer.received.push((at, msg)),
@@ -360,14 +444,18 @@ impl SimNet {
                             },
                         )),
                     }
+                    None
                 }
             }
-        });
+        };
+        if let Some(fd) = delivered_to_server {
+            let _ = cx.mark_ready(fd);
+        }
     }
 
     /// Sends a datagram from the loop side (a bound socket's port) to `to`.
-    pub fn send_udp(&self, cx: &mut Ctx<'_>, from: u16, to: u16, msg: Msg) {
-        self.send_datagram(cx, from, to, msg, VDur::ZERO);
+    pub fn send_udp(&self, cx: &mut Ctx<'_>, from: u16, to: u16, msg: impl Into<Msg>) {
+        self.send_datagram(cx, from, to, msg.into(), VDur::ZERO);
     }
 
     /// Datagrams an environment-side peer port has received (oracle
@@ -473,7 +561,7 @@ impl SimNet {
                 return;
             };
             conn.fd = Some(fd);
-            conn.inbox.len()
+            conn.arrived
         };
         let conn = Connection {
             net: self.clone(),
@@ -492,9 +580,11 @@ impl SimNet {
             let Some(conn) = st.conn_mut(id) else {
                 return;
             };
-            let Some(delivery) = conn.inbox.pop_front() else {
+            if conn.arrived == 0 {
                 return;
-            };
+            }
+            conn.arrived -= 1;
+            let delivery = conn.to_server.pop_front().expect("an arrived delivery");
             (delivery, conn.on_data.clone())
         };
         let handle = Connection {
@@ -560,16 +650,45 @@ impl SimNet {
         }
     }
 
-    fn deliver_c2s(&self, cx: &mut Ctx<'_>, id: ConnId, delivery: Delivery) {
+    /// A connection attempt reaches the listener, or is refused.
+    fn arrive_connect(&self, cx: &mut Ctx<'_>, id: ConnId) {
+        let fd = {
+            let mut st = self.inner.borrow_mut();
+            let port = st.conn(id).map(|c| c.port);
+            let Some(port) = port else { return };
+            match by_port_mut(&mut st.listeners, port) {
+                Some(listener) => {
+                    listener.pending.push_back(id);
+                    Some(listener.fd)
+                }
+                None => {
+                    if let Some(conn) = st.conn_mut(id) {
+                        conn.client.refused = true;
+                        conn.server_open = false;
+                    }
+                    None
+                }
+            }
+        };
+        if let Some(fd) = fd {
+            let _ = cx.mark_ready(fd);
+        }
+    }
+
+    /// The next in-flight client-to-server delivery of `id` arrives.
+    fn deliver_c2s(&self, cx: &mut Ctx<'_>, id: ConnId) {
         let fd = {
             let mut st = self.inner.borrow_mut();
             let Some(conn) = st.conn_mut(id) else {
                 return;
             };
             if !conn.server_open {
+                // Nobody reads it any more: drop it in flight.
+                let arrived = conn.arrived;
+                conn.to_server.remove(arrived);
                 return;
             }
-            conn.inbox.push_back(delivery);
+            conn.arrived += 1;
             conn.fd
         };
         if let Some(fd) = fd {
@@ -577,6 +696,26 @@ impl SimNet {
         }
         // No fd yet: the connection has not been accepted; the accept path
         // replays buffered events.
+    }
+
+    /// The next in-flight server-to-client message of `id` reaches the
+    /// client.
+    fn deliver_s2c(&self, cx: &mut Ctx<'_>, id: ConnId) {
+        let reply = {
+            let mut st = self.inner.borrow_mut();
+            let Some(conn) = st.conn_mut(id) else {
+                return;
+            };
+            let msg = conn.to_client.pop_front().expect("a write in flight");
+            // A lent literal clones for free; an owned message is copied
+            // only for a scripted reply callback.
+            let reply = conn.client.on_reply.clone().map(|cb| (cb, msg.clone()));
+            conn.client.received.push((cx.now(), msg));
+            reply
+        };
+        if let Some((cb, msg)) = reply {
+            (cb.borrow_mut())(cx, &msg);
+        }
     }
 }
 
@@ -622,7 +761,7 @@ impl Connection {
     }
 
     /// Installs the data callback, invoked once per arriving message.
-    pub fn on_data(&self, cb: impl FnMut(&mut Ctx<'_>, Connection, &Msg) + 'static) {
+    pub fn on_data(&self, cb: impl FnMut(&mut Ctx<'_>, Connection, &[u8]) + 'static) {
         if let Some(conn) = self.net.inner.borrow_mut().conn_mut(self.id) {
             conn.on_data = Some(Rc::new(RefCell::new(cb)));
         }
@@ -650,7 +789,7 @@ impl Connection {
     /// # Errors
     ///
     /// `ENOTCONN` if the connection is closed.
-    pub fn write(&self, cx: &mut Ctx<'_>, msg: Msg) -> Result<(), Errno> {
+    pub fn write(&self, cx: &mut Ctx<'_>, msg: impl Into<Msg>) -> Result<(), Errno> {
         if !self.is_open() {
             return Err(Errno::Enotconn);
         }
@@ -660,23 +799,10 @@ impl Connection {
             let conn = st.conn_mut(self.id).ok_or(Errno::Enotconn)?;
             let at = (cx.now() + latency).max(conn.last_s2c + VDur::nanos(1));
             conn.last_s2c = at;
+            conn.to_client.push_back(msg.into());
             at
         };
-        let net = self.net.clone();
-        let id = self.id;
-        cx.schedule_env_at(at, move |cx| {
-            let reply = {
-                let mut st = net.inner.borrow_mut();
-                let Some(conn) = st.conn_mut(id) else {
-                    return;
-                };
-                conn.client.received.push((cx.now(), msg.clone()));
-                conn.client.on_reply.clone().map(|cb| (cb, msg))
-            };
-            if let Some((cb, msg)) = reply {
-                (cb.borrow_mut())(cx, &msg);
-            }
-        });
+        cx.wake_env_at(at, &self.net.inner, token(TO_CLIENT, self.id.0));
         Ok(())
     }
 
@@ -728,7 +854,9 @@ impl Client {
             st.conns.push(Some(ConnState {
                 port,
                 fd: None,
-                inbox: VecDeque::new(),
+                to_server: VecDeque::new(),
+                arrived: 0,
+                to_client: VecDeque::new(),
                 on_data: None,
                 on_close: None,
                 server_open: true,
@@ -747,30 +875,7 @@ impl Client {
             conn.last_c2s = at;
             at
         };
-        let netc = net.clone();
-        cx.schedule_env_at(at, move |cx| {
-            let fd = {
-                let mut st = netc.inner.borrow_mut();
-                let port = st.conn(id).map(|c| c.port);
-                let Some(port) = port else { return };
-                match by_port_mut(&mut st.listeners, port) {
-                    Some(listener) => {
-                        listener.pending.push_back(id);
-                        Some(listener.fd)
-                    }
-                    None => {
-                        if let Some(conn) = st.conn_mut(id) {
-                            conn.client.refused = true;
-                            conn.server_open = false;
-                        }
-                        None
-                    }
-                }
-            };
-            if let Some(fd) = fd {
-                let _ = cx.mark_ready(fd);
-            }
-        });
+        cx.wake_env_at(at, &net.inner, token(CONNECT, id.0));
         Client {
             net: net.clone(),
             id,
@@ -783,27 +888,13 @@ impl Client {
     }
 
     /// Sends a message now.
-    pub fn send(&self, cx: &mut Ctx<'_>, msg: Msg) {
+    pub fn send(&self, cx: &mut Ctx<'_>, msg: impl Into<Msg>) {
         self.send_after(cx, VDur::ZERO, msg);
     }
 
     /// Sends a message after `delay`.
-    pub fn send_after(&self, cx: &mut Ctx<'_>, delay: VDur, msg: Msg) {
-        let latency = self.net.rng_sample(cx);
-        let at = {
-            let mut st = self.net.inner.borrow_mut();
-            let Some(conn) = st.conn_mut(self.id) else {
-                return;
-            };
-            let at = (cx.now() + delay + latency).max(conn.last_c2s + VDur::nanos(1));
-            conn.last_c2s = at;
-            at
-        };
-        let net = self.net.clone();
-        let id = self.id;
-        cx.schedule_env_at(at, move |cx| {
-            net.deliver_c2s(cx, id, Delivery::Data(msg));
-        });
+    pub fn send_after(&self, cx: &mut Ctx<'_>, delay: VDur, msg: impl Into<Msg>) {
+        self.deliver_after(cx, delay, Delivery::Data(msg.into()));
     }
 
     /// Closes the connection from the client side after `delay`.
@@ -811,6 +902,12 @@ impl Client {
     /// The server observes an EOF and its close callback runs in the close
     /// phase.
     pub fn close_after(&self, cx: &mut Ctx<'_>, delay: VDur) {
+        self.deliver_after(cx, delay, Delivery::Eof);
+    }
+
+    /// Queues `delivery` behind the connection's earlier ones, due after
+    /// `delay` plus a sampled latency.
+    fn deliver_after(&self, cx: &mut Ctx<'_>, delay: VDur, delivery: Delivery) {
         let latency = self.net.rng_sample(cx);
         let at = {
             let mut st = self.net.inner.borrow_mut();
@@ -819,17 +916,14 @@ impl Client {
             };
             let at = (cx.now() + delay + latency).max(conn.last_c2s + VDur::nanos(1));
             conn.last_c2s = at;
+            conn.to_server.push_back(delivery);
             at
         };
-        let net = self.net.clone();
-        let id = self.id;
-        cx.schedule_env_at(at, move |cx| {
-            net.deliver_c2s(cx, id, Delivery::Eof);
-        });
+        cx.wake_env_at(at, &self.net.inner, token(TO_SERVER, self.id.0));
     }
 
     /// Installs a client-side reply callback (environment-level scripting).
-    pub fn on_reply(&self, cb: impl FnMut(&mut Ctx<'_>, &Msg) + 'static) {
+    pub fn on_reply(&self, cb: impl FnMut(&mut Ctx<'_>, &[u8]) + 'static) {
         if let Some(conn) = self.net.inner.borrow_mut().conn_mut(self.id) {
             conn.client.on_reply = Some(Rc::new(RefCell::new(cb)));
         }
@@ -888,9 +982,9 @@ impl UdpSocket {
 
     /// Sends a datagram from this socket to `to` (another binding or an
     /// environment-side peer).
-    pub fn send_to(&self, cx: &mut Ctx<'_>, to: u16, msg: Msg) {
+    pub fn send_to(&self, cx: &mut Ctx<'_>, to: u16, msg: impl Into<Msg>) {
         let port = self.port;
-        self.net.send_datagram(cx, port, to, msg, VDur::ZERO);
+        self.net.send_datagram(cx, port, to, msg.into(), VDur::ZERO);
     }
 
     /// Closes the socket, releasing its descriptor.
@@ -924,8 +1018,8 @@ impl UdpSender {
     }
 
     /// Sends a datagram to `to` after `delay`.
-    pub fn send_after(&self, cx: &mut Ctx<'_>, delay: VDur, to: u16, msg: Msg) {
-        self.net.send_datagram(cx, self.port, to, msg, delay);
+    pub fn send_after(&self, cx: &mut Ctx<'_>, delay: VDur, to: u16, msg: impl Into<Msg>) {
+        self.net.send_datagram(cx, self.port, to, msg.into(), delay);
     }
 
     /// Datagrams this sender's mailbox has received back.
@@ -1147,7 +1241,7 @@ mod tests {
                 n.listen(cx, 80, move |_cx, conn| {
                     let f = f.clone();
                     conn.on_data(move |_cx, _conn, msg| {
-                        f.borrow_mut().get_or_insert(msg.clone());
+                        f.borrow_mut().get_or_insert(msg.to_vec());
                     });
                 })
                 .unwrap();

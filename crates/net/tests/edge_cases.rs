@@ -184,7 +184,7 @@ fn many_clients_many_messages() {
     el.enter(move |cx| {
         n.listen(cx, 80, |_cx, conn| {
             conn.on_data(|cx, conn, msg| {
-                let _ = conn.write(cx, msg.clone());
+                let _ = conn.write(cx, msg.to_vec());
             });
         })
         .unwrap();

@@ -16,7 +16,7 @@ fn datagrams_are_delivered() {
     el.enter(move |cx| {
         let socket = n
             .bind_udp(cx, 5000, move |_cx, from, msg| {
-                g.borrow_mut().push((from, msg.clone()));
+                g.borrow_mut().push((from, msg.to_vec()));
             })
             .unwrap();
         let sender = UdpSender::new(&n, 9001);

@@ -10,6 +10,7 @@ use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use crate::envq::EnvTarget;
 use crate::error::{AppError, Errno};
 use crate::looper::LoopState;
 use crate::poll::{Fd, FdKind, IoCb};
@@ -463,12 +464,30 @@ impl<'a> Ctx<'a> {
     }
 
     /// Schedules an environment effect at an absolute virtual time.
+    ///
+    /// The closure is boxed: fine for a handful of scripted effects per
+    /// run. Per-message substrate traffic uses [`Ctx::wake_env_at`].
     pub fn schedule_env_at(&mut self, at: VTime, f: impl FnOnce(&mut Ctx<'_>) + 'static) {
         let at = at.max(self.st.now);
         let cause = self.st.current;
         self.st
             .env
             .schedule(at, crate::envq::EnvAction::Custom(Box::new(f), cause));
+    }
+
+    /// Schedules a typed wakeup of `target` with `token` at an absolute
+    /// virtual time.
+    ///
+    /// Orders, runs and records exactly like a [`Ctx::schedule_env_at`]
+    /// effect scheduled at the same point, but allocates nothing: the
+    /// entry holds a clone of `target`'s `Rc` and the token.
+    pub fn wake_env_at<T: EnvTarget + 'static>(&mut self, at: VTime, target: &Rc<T>, token: u64) {
+        let at = at.max(self.st.now);
+        let cause = self.st.current;
+        let target: Rc<dyn EnvTarget> = target.clone();
+        self.st
+            .env
+            .schedule(at, crate::envq::EnvAction::Wake(target, token, cause));
     }
 
     // ---- Errors and control ---------------------------------------------------

@@ -7,16 +7,34 @@
 //! which is how virtual time advances while the loop would block in epoll.
 //!
 //! The queue is key-only, like the timer heap: the binary heap sifts small
-//! `(time, sequence, slot)` keys, and the boxed actions stay put in a slab
-//! whose freed slots are recycled through a free list. Entries pop in
+//! `(time, sequence, slot)` keys, and the actions stay put in a slab whose
+//! freed slots are recycled through a free list. Entries pop in
 //! `(time, sequence)` order — earliest first, FIFO among equal times.
+//!
+//! Per-message traffic schedules a typed wakeup ([`EnvTarget`]): the
+//! substrate keeps the payload in its own state under a token, so the
+//! entry costs a reference-count bump instead of a boxed closure.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::rc::Rc;
 
 use crate::ctx::Ctx;
 use crate::pool::TaskId;
 use crate::time::VTime;
+
+/// A substrate the environment timeline wakes with a token.
+///
+/// [`Ctx::wake_env_at`] schedules a wakeup; when it falls due, the poll
+/// phase calls [`EnvTarget::wake`] exactly where it would have run a
+/// [`Ctx::schedule_env_at`] closure: same `(time, sequence)` order, same
+/// `Env` event in the event log, caused by the scheduling callback. The
+/// token tells the target what arrived — typically the index of a payload
+/// the target holds in its own queues.
+pub trait EnvTarget {
+    /// Handles one due wakeup.
+    fn wake(self: Rc<Self>, cx: &mut Ctx<'_>, token: u64);
+}
 
 /// A scheduled environment occurrence.
 pub(crate) enum EnvAction {
@@ -30,6 +48,9 @@ pub(crate) enum EnvAction {
     /// Carries the event that scheduled it (provenance for the event log;
     /// `None` when no log is attached or the scheduling code was untracked).
     Custom(Box<dyn FnOnce(&mut Ctx<'_>)>, Option<crate::events::CbId>),
+    /// A typed wakeup of a substrate ([`EnvTarget`]) with its token. Drained
+    /// exactly like `Custom`, and carries the same provenance.
+    Wake(Rc<dyn EnvTarget>, u64, Option<crate::events::CbId>),
 }
 
 /// A popped entry: its due time and action.
@@ -145,34 +166,50 @@ mod tests {
         assert!(q.pop_due(VTime(50)).is_some());
     }
 
-    /// Random interleavings of `schedule` and `pop_due` against an ordered
-    /// map keyed by `(time, schedule order)`: the pop order must match it
-    /// exactly, and freed slots must be reused so the slab never outgrows
-    /// the peak number of live entries.
+    /// A wake target that never runs: the queue only stores and orders it.
+    struct Inert;
+
+    impl EnvTarget for Inert {
+        fn wake(self: Rc<Self>, _cx: &mut Ctx<'_>, _token: u64) {}
+    }
+
+    /// Random interleavings of `schedule` and `pop_due`, drawing task
+    /// finishes and typed wakeups alike, against an ordered map keyed by
+    /// `(time, schedule order)`: the pop order must match it exactly, a
+    /// wakeup must come back with its token, and freed slots must be
+    /// reused so the slab never outgrows the peak number of live entries.
     #[test]
     fn matches_ordered_map_model() {
         nodefz_check::forall("envq_matches_ordered_map_model", 128, |g| {
             let mut q = EnvQueue::default();
             let mut model = std::collections::BTreeMap::new();
+            let target = Rc::new(Inert);
             let (mut seq, mut now, mut peak) = (0u64, 0u64, 0usize);
             for _ in 0..g.range_usize(1, 400) {
                 if g.below(3) < 2 {
                     // Small time range: plenty of equal-time ties.
                     let at = VTime(now + g.below(8));
-                    q.schedule(at, EnvAction::TaskFinish(TaskId(seq)));
-                    model.insert((at, seq), seq);
+                    let wake = g.below(2) == 0;
+                    let action = if wake {
+                        EnvAction::Wake(target.clone(), seq, None)
+                    } else {
+                        EnvAction::TaskFinish(TaskId(seq))
+                    };
+                    q.schedule(at, action);
+                    model.insert((at, seq), (wake, seq));
                     seq += 1;
                     peak = peak.max(model.len());
                 } else {
                     now += g.below(4);
                     let want = match model.first_key_value() {
                         Some((&(at, _), _)) if at.0 <= now => {
-                            model.pop_first().map(|((at, _), id)| (at, id))
+                            model.pop_first().map(|((at, _), entry)| (at, entry))
                         }
                         _ => None,
                     };
                     let got = q.pop_due(VTime(now)).map(|e| match e.action {
-                        EnvAction::TaskFinish(TaskId(id)) => (e.at, id),
+                        EnvAction::TaskFinish(TaskId(id)) => (e.at, (false, id)),
+                        EnvAction::Wake(_, token, _) => (e.at, (true, token)),
                         _ => panic!("unexpected action"),
                     });
                     assert_eq!(got, want, "pop at {now}");
@@ -188,6 +225,11 @@ mod tests {
             q.reset();
             assert_eq!(q.len(), 0);
             assert!(q.is_empty() && q.next_time().is_none());
+            assert_eq!(
+                Rc::strong_count(&target),
+                1,
+                "reset keeps a wake target alive"
+            );
         });
     }
 }

@@ -13,7 +13,8 @@
 //! * Callbacks receive a [`Ctx`] exposing the Node-style API: `set_timeout`,
 //!   `set_interval`, `next_tick`, `set_immediate`, `submit_work`, and the
 //!   poll-layer primitives substrates (network, file system, key-value
-//!   store) build on.
+//!   store) build on. Substrates schedule their traffic as typed
+//!   [`EnvTarget`] wakeups.
 //! * The worker pool ([`Ctx::submit_work`]) models libuv's threadpool with
 //!   either a multiplexed done queue (vanilla) or a de-multiplexed,
 //!   per-task-descriptor done queue (Node.fz mode).
@@ -75,6 +76,7 @@ mod trace;
 
 pub use combinators::{series, Barrier, Emitter, ListenerId, SeriesNext, SeriesStep};
 pub use ctx::{Ctx, HandleId};
+pub use envq::EnvTarget;
 pub use error::{AppError, Errno};
 pub use events::{
     Access, AccessKind, CbId, EvDetail, EvKind, EventLog, EventLogHandle, EventRecord,

@@ -908,19 +908,23 @@ impl EventLoop {
                 match entry.action {
                     EnvAction::TaskFinish(id) => self.finish_task(id),
                     EnvAction::PoolWakeup => { /* pump below */ }
-                    EnvAction::Custom(job, cause) => {
-                        let prev = self.st.current;
-                        self.begin_event(EvKind::Env, cause, None, EvDetail::None);
-                        {
-                            let mut cx = Ctx { st: &mut self.st };
-                            job(&mut cx);
-                        }
-                        self.st.current = prev;
+                    EnvAction::Custom(job, cause) => self.run_env(cause, job),
+                    EnvAction::Wake(target, token, cause) => {
+                        self.run_env(cause, |cx| target.wake(cx, token));
                     }
                 }
             }
             self.pump_pool();
         });
+    }
+
+    /// Runs one environment effect as an `Env` event caused by the
+    /// callback that scheduled it.
+    fn run_env(&mut self, cause: Option<CbId>, effect: impl FnOnce(&mut Ctx<'_>)) {
+        let prev = self.st.current;
+        self.begin_event(EvKind::Env, cause, None, EvDetail::None);
+        effect(&mut Ctx { st: &mut self.st });
+        self.st.current = prev;
     }
 
     /// Executes a finished task's body and stages its done callback.

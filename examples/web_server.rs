@@ -52,7 +52,7 @@ fn scenario(el: &mut EventLoop) -> Kv {
                 // RACY: async check ...
                 kv.get(cx, &key, move |cx, existing| {
                     if existing.is_some() {
-                        let _ = me.write(cx, b"taken".to_vec());
+                        let _ = me.write(cx, b"taken");
                         return;
                     }
                     let kv3 = kv2.clone();
@@ -61,7 +61,7 @@ fn scenario(el: &mut EventLoop) -> Kv {
                     kv2.set(cx, &key2, "profile", move |cx, ()| {
                         let row = format!("acct:{}", me2.id().to_owned_label());
                         kv3.set(cx, &row, "created", |_cx, ()| {});
-                        let _ = me2.write(cx, b"welcome".to_vec());
+                        let _ = me2.write(cx, b"welcome");
                     });
                 });
             });
@@ -82,7 +82,7 @@ fn scenario(el: &mut EventLoop) -> Kv {
         // insert has been applied.
         for delay_us in [0u64, 3_800] {
             let c = Client::connect(cx, &net, 80);
-            c.send_after(cx, VDur::micros(delay_us), b"signup:alice".to_vec());
+            c.send_after(cx, VDur::micros(delay_us), b"signup:alice");
             c.close_after(cx, VDur::millis(20));
         }
         net.close_all_listeners_after(cx, VDur::millis(30));

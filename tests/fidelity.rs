@@ -32,7 +32,7 @@ fn echo_server_answers_everything_under_every_mode() {
             el.enter(move |cx| {
                 n.listen(cx, 80, |_cx, conn| {
                     conn.on_data(|cx, conn, msg| {
-                        let _ = conn.write(cx, msg.clone());
+                        let _ = conn.write(cx, msg.to_vec());
                     });
                 })
                 .unwrap();
@@ -273,7 +273,7 @@ fn fuzzed_runs_are_reproducible() {
         el.enter(move |cx| {
             n.listen(cx, 80, |_cx, conn| {
                 conn.on_data(|cx, conn, msg| {
-                    let _ = conn.write(cx, msg.clone());
+                    let _ = conn.write(cx, msg.to_vec());
                 });
             })
             .unwrap();
