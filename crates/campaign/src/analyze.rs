@@ -17,7 +17,9 @@
 //!
 //! A confirming directed run was recorded, so its decision trace replays
 //! like any fuzz-found repro — confirmed races land in the same corpus
-//! format, deduplicated by the same [`BugSignature`]s.
+//! format, deduplicated by the same [`BugSignature`]s, and pass the same
+//! acceptance: a repro is written only when every acceptance replay
+//! re-manifested it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -31,7 +33,7 @@ use nodefz_trace::BugSignature;
 use crate::config::DIRECTED_PRESET;
 use crate::corpus::Corpus;
 use crate::dedup::{Deduper, Finding};
-use crate::driver::{panic_message, record_to_entry, RunContext};
+use crate::driver::{accepted, panic_message, record_to_entry, RunContext};
 
 /// How many predicted flips per app the pipelines keep (first pair per
 /// distinct (site, class), a few flip points each). Bounds the directed
@@ -57,7 +59,8 @@ pub struct AnalyzeConfig {
     /// Directory to persist confirmed repros into (`None` = in-memory
     /// only).
     pub corpus_dir: Option<PathBuf>,
-    /// Acceptance replays per confirmed repro.
+    /// Acceptance replays per confirmed repro; a repro is written only when
+    /// all of them re-manifest it (0 gates nothing).
     pub replay_checks: u32,
 }
 
@@ -110,6 +113,10 @@ pub struct AnalyzeReport {
     /// Static-analysis precision counters over the analyzed apps'
     /// models.
     pub sa: SaMetrics,
+    /// Confirmed races whose repro an acceptance replay did not
+    /// re-manifest, so no corpus entry was written, with how many of the
+    /// replays did (empty without a corpus).
+    pub not_persisted: Vec<(BugSignature, u32)>,
 }
 
 /// Deduplicates an analysis' races down to the directed work list: the
@@ -277,20 +284,23 @@ pub fn analyze_campaign(cfg: &AnalyzeConfig) -> Result<AnalyzeReport, String> {
         analyses.push(analysis);
     }
 
+    let mut not_persisted = Vec::new();
     if let Some(corpus) = &corpus {
         for record in deduper.records() {
             let mut entry = record_to_entry(record);
-            entry.replays_ok = (0..cfg.replay_checks)
-                .filter(|_| {
-                    ctx.replays_to(
-                        &entry.app,
-                        entry.env_seed,
-                        &entry.trace,
-                        &record.first.signature,
-                    )
-                })
-                .count() as u32;
-            corpus.save(&entry).map_err(|e| format!("corpus: {e}"))?;
+            let signature = &record.first.signature;
+            entry.replays_ok = ctx.acceptance(
+                &entry.app,
+                entry.env_seed,
+                &entry.trace,
+                signature,
+                cfg.replay_checks,
+            );
+            if accepted(entry.replays_ok, cfg.replay_checks) {
+                corpus.save(&entry).map_err(|e| format!("corpus: {e}"))?;
+            } else {
+                not_persisted.push((signature.clone(), entry.replays_ok));
+            }
         }
     }
 
@@ -306,6 +316,7 @@ pub fn analyze_campaign(cfg: &AnalyzeConfig) -> Result<AnalyzeReport, String> {
         failed,
         directed_execs,
         sa,
+        not_persisted,
     })
 }
 

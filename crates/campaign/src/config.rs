@@ -57,8 +57,9 @@ pub struct CampaignConfig {
     pub deadline: Option<Duration>,
     /// Whether to delta-debug each new finding's decision trace.
     pub shrink: bool,
-    /// How many replays must re-manifest a shrunk repro before it is
-    /// accepted into the corpus.
+    /// Acceptance replays per shrunk repro. A repro is written to the
+    /// corpus only when every one of them re-manifests it (0 gates
+    /// nothing).
     pub replay_checks: u32,
     /// Directory to persist minimized repros into (`None` = in-memory only).
     pub corpus_dir: Option<PathBuf>,

@@ -40,6 +40,10 @@ pub struct BugRecord {
     pub hits: u64,
     /// The minimized trace, once shrinking completes.
     pub shrunk: Option<DecisionTrace>,
+    /// Calls the shrink made to its oracle (0 with shrinking off).
+    pub oracle_calls: u64,
+    /// Those calls that ran a replay.
+    pub shrink_replays: u64,
     /// How many of the acceptance replays re-manifested the bug.
     pub replays_ok: u32,
 }
@@ -72,6 +76,8 @@ impl Deduper {
                         first: finding,
                         hits: 1,
                         shrunk: None,
+                        oracle_calls: 0,
+                        shrink_replays: 0,
                         replays_ok: 0,
                     },
                 );
@@ -80,16 +86,22 @@ impl Deduper {
         }
     }
 
-    /// Attaches a shrink result to an existing record.
+    /// Attaches a shrink result to an existing record: the shrunk trace,
+    /// the oracle calls and replays the shrink spent, and the acceptance
+    /// replays that re-manifested it.
     pub fn attach_shrunk(
         &mut self,
         signature: &BugSignature,
         shrunk: DecisionTrace,
+        oracle_calls: u64,
+        shrink_replays: u64,
         replays_ok: u32,
     ) {
         let key = SigKey::of(signature, &mut self.interner);
         if let Some(record) = self.bugs.get_mut(&key) {
             record.shrunk = Some(shrunk);
+            record.oracle_calls = oracle_calls;
+            record.shrink_replays = shrink_replays;
             record.replays_ok = replays_ok;
         }
     }
@@ -163,9 +175,10 @@ mod tests {
             demux_done: false,
             decisions: vec![],
         };
-        d.attach_shrunk(&sig, mini, 10);
+        d.attach_shrunk(&sig, mini, 12, 5, 10);
         let rec = d.records()[0];
         assert!(rec.shrunk.is_some());
+        assert_eq!((rec.oracle_calls, rec.shrink_replays), (12, 5));
         assert_eq!(rec.replays_ok, 10);
     }
 }

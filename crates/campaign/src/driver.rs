@@ -23,7 +23,9 @@
 //! flags differently.
 //!
 //! A new signature triggers a shrink job (delta debugging + acceptance
-//! replays) at the front of the queue; the shrunk repro is then persisted.
+//! replays) at the front of the queue. The shrunk repro is persisted only
+//! when every acceptance replay re-manifested it; otherwise nothing is
+//! written, and the report and summary name the bug as not persisted.
 //! The campaign drains gracefully when the run budget is spent, the
 //! wall-clock deadline passes, or every arm is quarantined.
 //!
@@ -42,7 +44,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use nodefz::{DecisionTrace, DirectedSpec, Mode, ReplayStatusHandle, TraceHandle};
+use nodefz::{DecisionTrace, DirectedSpec, Mode, ReplayMemo, ReplayStatusHandle, TraceHandle};
 use nodefz_apps::common::{BugCase, Outcome, RunCfg, Variant};
 use nodefz_hb::{CanonBuilder, CanonKey};
 use nodefz_rt::{EventLogHandle, TypeSchedule};
@@ -54,7 +56,7 @@ use crate::corpus::{Corpus, CorpusEntry};
 use crate::dedup::{BugRecord, Deduper, Finding};
 use crate::metrics::{self, Discovery, LoopProfile, Tally};
 use crate::prune::{ClassVerdict, Pruner, SEEN_CAP};
-use crate::shrink::shrink;
+use crate::shrink::{shrink, ShrinkResult};
 use nodefz_obs::{Journal, JournalEvent, ObsLevel, PruneOutcome, WorkerState, JOURNAL_CAP};
 
 /// How many early runs of each arm have their type schedule sampled for
@@ -83,6 +85,10 @@ pub fn resolve_case(app: &str) -> Option<Box<dyn BugCase>> {
     #[cfg(test)]
     if app.eq_ignore_ascii_case(tests::PANICKY) {
         return Some(Box::new(tests::Panicky));
+    }
+    #[cfg(test)]
+    if app.eq_ignore_ascii_case(tests::FLAKY) {
+        return Some(Box::new(tests::Flaky));
     }
     if app.eq_ignore_ascii_case(nodefz_conform::ABBR) {
         return Some(nodefz_conform::bug_case());
@@ -200,6 +206,9 @@ enum Msg {
         signature: BugSignature,
         shrunk: DecisionTrace,
         original_len: usize,
+        /// Shrink oracle calls, and the replays they ran.
+        oracle_calls: u64,
+        shrink_replays: u64,
         replays_ok: u32,
     },
 }
@@ -274,6 +283,14 @@ pub enum Event {
         to: usize,
         /// Acceptance replays that re-manifested it.
         replays_ok: u32,
+        /// Calls the shrink made to its oracle (0 with shrinking off).
+        oracle_calls: u64,
+        /// Those calls that ran a replay; the others were answered from
+        /// runs the same shrink had already replayed.
+        shrink_replays: u64,
+        /// Whether every acceptance replay re-manifested it, so that its
+        /// repro is written to the corpus (when the campaign has one).
+        persisted: bool,
     },
     /// The wall-clock deadline passed; the campaign is draining.
     DeadlineHit,
@@ -296,6 +313,13 @@ pub struct BugSummary {
     pub shrunk_len: usize,
     /// Acceptance replays that re-manifested the bug.
     pub replays_ok: u32,
+    /// Calls the shrink made to its oracle (0 with shrinking off).
+    pub oracle_calls: u64,
+    /// Those calls that ran a replay.
+    pub shrink_replays: u64,
+    /// Whether every acceptance replay re-manifested the bug. A bug that
+    /// failed one stays in the report, but its repro is not written.
+    pub persisted: bool,
 }
 
 /// What a finished campaign reports.
@@ -377,7 +401,8 @@ impl FuzzExec {
 /// vectors), and the [`TraceHandle`] recycles the decision buffer — its
 /// contents are only snapshotted when a run actually manifests a bug.
 /// Replays ([`RunContext::replays_to`]) recycle the same pool and one
-/// [`ReplayStatusHandle`].
+/// [`ReplayStatusHandle`]; shrinks ([`RunContext::shrink`]) replay through
+/// a second handle that logs each replay's consultations.
 ///
 /// Every case runs under `catch_unwind`. After a panic the context
 /// rebuilds its pool and handles, so nothing of the panicked run carries
@@ -388,6 +413,8 @@ pub struct RunContext {
     pool: nodefz_rt::LoopPool,
     handle: TraceHandle,
     status: ReplayStatusHandle,
+    /// The shrink oracle's replay handle: it logs each consultation.
+    logged: ReplayStatusHandle,
     /// HB-canonicalization kit attached when pruning is on: the event-log
     /// handle every run records into plus the reusable canon builder and
     /// its scratch buffer — allocation-free at steady state, and purely
@@ -429,6 +456,7 @@ impl RunContext {
             pool: nodefz_rt::LoopPool::new(),
             handle: TraceHandle::fresh(),
             status: ReplayStatusHandle::fresh(),
+            logged: ReplayStatusHandle::logging(),
             prune: None,
             obs: None,
         }
@@ -539,6 +567,7 @@ impl RunContext {
         self.pool = nodefz_rt::LoopPool::new();
         self.handle = TraceHandle::fresh();
         self.status = ReplayStatusHandle::fresh();
+        self.logged = ReplayStatusHandle::logging();
         if let Some(kit) = &mut self.prune {
             *kit = PruneKit::new();
         }
@@ -553,10 +582,11 @@ impl RunContext {
     /// `expected`. Unknown apps never manifest, and a replay that panics
     /// does not reproduce.
     ///
-    /// The one replay path: shrink candidates, acceptance replays,
-    /// `campaign analyze`'s replay checks and corpus verification all
-    /// run here. A replay is neither profiled nor event-logged: telemetry
-    /// and pruning count fuzz runs only.
+    /// The one replay path: acceptance replays, `campaign analyze`'s
+    /// replay checks and corpus verification run here, and so does every
+    /// replay [`RunContext::shrink`] cannot answer from its memo. A replay
+    /// is neither profiled nor event-logged: telemetry and pruning count
+    /// fuzz runs only.
     pub fn replays_to(
         &mut self,
         app: &str,
@@ -564,14 +594,86 @@ impl RunContext {
         trace: &DecisionTrace,
         expected: &BugSignature,
     ) -> bool {
-        let Some(case) = resolve_case(app) else {
-            return false;
-        };
-        let mode = Mode::Replay(trace.clone(), self.status.clone());
+        self.replay(app, env_seed, trace, expected, false)
+            .unwrap_or(false)
+    }
+
+    /// [`RunContext::replays_to`], through the logging handle when
+    /// `logged`; `None` when no replay ran to its end (an unknown app, or
+    /// a panic), so that there is no log to trust.
+    fn replay(
+        &mut self,
+        app: &str,
+        env_seed: u64,
+        trace: &DecisionTrace,
+        expected: &BugSignature,
+        logged: bool,
+    ) -> Option<bool> {
+        let case = resolve_case(app)?;
+        let status = if logged { &self.logged } else { &self.status };
+        let mode = Mode::Replay(trace.clone(), status.clone());
         let run_cfg = RunCfg::new(mode, env_seed).pooled(&self.pool);
-        self.run_caught(&*case, &run_cfg).is_ok_and(|out| {
-            out.manifested && &BugSignature::new(app, &out.detail, &out.report.schedule) == expected
-        })
+        let out = self.run_caught(&*case, &run_cfg).ok()?;
+        Some(
+            out.manifested
+                && &BugSignature::new(app, &out.detail, &out.report.schedule) == expected,
+        )
+    }
+
+    /// Shrinks `trace`, a run of `app` at `env_seed` that manifested
+    /// `expected`, with [`shrink`]; the oracle asks whether a candidate
+    /// still replays to `expected`. Returns the shrink's result and the
+    /// replays its oracle ran.
+    ///
+    /// The oracle keeps a [`ReplayMemo`] for this shrink alone. A candidate
+    /// on which the replayer would take exactly the decisions of a run
+    /// already replayed gets that run's answer without a replay; any other
+    /// is replayed on the pooled loop with its consultations logged, and
+    /// the log joins the memo. A replay that panics is not stored. The
+    /// result is the one a replay per call gives, as long as replays are a
+    /// function of their decisions; debug builds assert that no two
+    /// replays contradicted each other.
+    pub fn shrink(
+        &mut self,
+        app: &str,
+        env_seed: u64,
+        trace: &DecisionTrace,
+        expected: &BugSignature,
+    ) -> (ShrinkResult, u64) {
+        let mut memo = ReplayMemo::new();
+        let mut replays = 0;
+        let result = shrink(trace, |candidate| {
+            if let Some(answer) = memo.answer(&candidate.decisions) {
+                return answer;
+            }
+            replays += 1;
+            let Some(answer) = self.replay(app, env_seed, candidate, expected, true) else {
+                return false;
+            };
+            self.logged.with_log(|log| memo.insert(log, answer));
+            answer
+        });
+        debug_assert!(
+            !memo.contradicted(),
+            "two replays of {app} at env seed {env_seed} took the same decisions and disagreed"
+        );
+        (result, replays)
+    }
+
+    /// Acceptance: replays `trace` `checks` times on this context and
+    /// returns how many re-manifested `expected`. A repro is persisted
+    /// only when all of them did ([`accepted`]).
+    pub(crate) fn acceptance(
+        &mut self,
+        app: &str,
+        env_seed: u64,
+        trace: &DecisionTrace,
+        expected: &BugSignature,
+        checks: u32,
+    ) -> u32 {
+        (0..checks)
+            .filter(|_| self.replays_to(app, env_seed, trace, expected))
+            .count() as u32
     }
 
     /// Replays a corpus entry on this context (see [`verify_entry`]).
@@ -590,6 +692,13 @@ impl RunContext {
             ))
         }
     }
+}
+
+/// Whether a repro passed acceptance: every one of `checks` acceptance
+/// replays re-manifested it (`replays_ok` of them did). With no checks,
+/// nothing is gated.
+pub(crate) fn accepted(replays_ok: u32, checks: u32) -> bool {
+    replays_ok == checks
 }
 
 /// Replays a corpus entry and checks it still manifests its recorded bug.
@@ -664,18 +773,19 @@ fn worker_loop(queue: &JobQueue, tx: mpsc::Sender<Msg>, level: ObsLevel, prune: 
                 replay_checks,
             } => {
                 let original_len = trace.decisions.len();
-                let shrunk = if do_shrink {
-                    shrink(&trace, |t| ctx.replays_to(&app, env_seed, t, &signature)).trace
+                let (shrunk, oracle_calls, shrink_replays) = if do_shrink {
+                    let (result, replays) = ctx.shrink(&app, env_seed, &trace, &signature);
+                    (result.trace, result.runs, replays)
                 } else {
-                    trace
+                    (trace, 0, 0)
                 };
-                let replays_ok = (0..replay_checks)
-                    .filter(|_| ctx.replays_to(&app, env_seed, &shrunk, &signature))
-                    .count() as u32;
+                let replays_ok = ctx.acceptance(&app, env_seed, &shrunk, &signature, replay_checks);
                 Msg::ShrinkDone {
                     signature,
                     shrunk,
                     original_len,
+                    oracle_calls,
+                    shrink_replays,
                     replays_ok,
                 }
             }
@@ -805,8 +915,6 @@ pub fn run_with_progress(
     // Results that arrived before an earlier slot's, held until their turn.
     let mut held: BTreeMap<u64, FuzzDone> = BTreeMap::new();
     let mut shrinks_pending = 0u64;
-    // (original trace length, for the final summary) keyed by signature.
-    let mut originals: Vec<(BugSignature, usize)> = Vec::new();
     // Telemetry series the controller owns: the discovery curve and the
     // per-arm schedule samples feeding the diversity summary.
     let mut discovery: Vec<Discovery> = Vec::new();
@@ -960,7 +1068,6 @@ pub fn run_with_progress(
                                 first_exec: applied,
                                 first_ms: start.elapsed().as_millis() as u64,
                             });
-                            originals.push((signature.clone(), trace.decisions.len()));
                             queue.push(Job::Shrink {
                                 app: arm.app.clone(),
                                 env_seed,
@@ -985,22 +1092,29 @@ pub fn run_with_progress(
                 signature,
                 shrunk,
                 original_len,
+                oracle_calls,
+                shrink_replays,
                 replays_ok,
             } => {
                 shrinks_pending -= 1;
+                let persisted = accepted(replays_ok, cfg.replay_checks);
                 on_event(&Event::Shrunk {
                     signature: signature.clone(),
                     from: original_len,
                     to: shrunk.decisions.len(),
                     replays_ok,
+                    oracle_calls,
+                    shrink_replays,
+                    persisted,
                 });
-                deduper.attach_shrunk(&signature, shrunk, replays_ok);
+                deduper.attach_shrunk(&signature, shrunk, oracle_calls, shrink_replays, replays_ok);
                 // Persist the repro the moment it is ready instead of only
                 // at drain: if this process dies mid-campaign (killed, or
                 // a case that aborts), the corpus on disk is a valid
                 // partial result. The drain-time pass below re-saves every
-                // record with final hit counts.
-                if let (Some(corpus), Some(record)) = (&corpus, deduper.record_for(&signature)) {
+                // accepted record with final hit counts.
+                let record = deduper.record_for(&signature).filter(|_| persisted);
+                if let (Some(corpus), Some(record)) = (&corpus, record) {
                     if let Err(e) = corpus.save(&record_to_entry(record)) {
                         failure = Some(format!("corpus: {e}"));
                         break;
@@ -1066,8 +1180,10 @@ pub fn run_with_progress(
 
     if let Some(corpus) = &corpus {
         for record in deduper.records() {
-            let entry = record_to_entry(record);
-            corpus.save(&entry).map_err(|e| format!("corpus: {e}"))?;
+            if accepted(record.replays_ok, cfg.replay_checks) {
+                let entry = record_to_entry(record);
+                corpus.save(&entry).map_err(|e| format!("corpus: {e}"))?;
+            }
         }
     }
 
@@ -1075,10 +1191,7 @@ pub fn run_with_progress(
         .records()
         .into_iter()
         .map(|record| {
-            let original_len = originals
-                .iter()
-                .find(|(sig, _)| sig == &record.first.signature)
-                .map_or(record.first.trace.decisions.len(), |(_, len)| *len);
+            let original_len = record.first.trace.decisions.len();
             BugSummary {
                 app: record.first.app.clone(),
                 site: record.first.signature.site.clone(),
@@ -1090,6 +1203,9 @@ pub fn run_with_progress(
                     .as_ref()
                     .map_or(original_len, |t| t.decisions.len()),
                 replays_ok: record.replays_ok,
+                oracle_calls: record.oracle_calls,
+                shrink_replays: record.shrink_replays,
+                persisted: accepted(record.replays_ok, cfg.replay_checks),
             }
         })
         .collect();
@@ -1282,6 +1398,144 @@ pub(crate) mod tests {
                 report: el.run(),
             }
         }
+    }
+
+    /// The abbreviation [`resolve_case`] resolves to [`Flaky`], in test
+    /// builds only.
+    pub(crate) const FLAKY: &str = "FLAKY";
+
+    /// A test-only app that manifests on every run except a replay, so its
+    /// repro never passes acceptance. Its two pool tasks write one site,
+    /// so `campaign analyze` predicts a race between them.
+    pub(crate) struct Flaky;
+
+    impl BugCase for Flaky {
+        fn info(&self) -> BugInfo {
+            BugInfo {
+                abbr: FLAKY,
+                name: "flaky test app",
+                bug_ref: "-",
+                race: RaceType::Cov,
+                racing_events: "Pool",
+                race_on: "-",
+                impact: "manifests unless replayed",
+                fix: "-",
+                in_fig6: false,
+                novel: false,
+            }
+        }
+
+        fn run(&self, cfg: &RunCfg, _variant: Variant) -> Outcome {
+            let mut el = cfg.build_loop();
+            el.enter(|cx| {
+                for cost in [1, 2] {
+                    cx.submit_work(
+                        nodefz_rt::VDur::millis(cost),
+                        |_| (),
+                        |cx, ()| cx.touch_write("flaky:slot"),
+                    )
+                    .unwrap();
+                }
+            });
+            Outcome {
+                manifested: !matches!(cfg.mode, Mode::Replay(..)),
+                detail: "flaky: manifests unless replayed".into(),
+                report: el.run(),
+            }
+        }
+    }
+
+    /// A GHO plus [`Flaky`] campaign with `replay_checks` acceptance
+    /// replays: its report and the names of the repros it wrote.
+    fn flaky_campaign(replay_checks: u32) -> (CampaignReport, Vec<String>) {
+        let dir = std::env::temp_dir().join(format!(
+            "nodefz-flaky-{replay_checks}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let report = run_or_hang(CampaignConfig {
+            threads: 2,
+            budget: 60,
+            apps: vec!["GHO".into(), FLAKY.into()],
+            base_seed: 5,
+            replay_checks,
+            corpus_dir: Some(dir.clone()),
+            ..CampaignConfig::default()
+        });
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        let _ = std::fs::remove_dir_all(&dir);
+        (report, names)
+    }
+
+    #[test]
+    fn a_repro_that_fails_acceptance_is_named_and_not_written() {
+        let (report, corpus) = flaky_campaign(3);
+        let flaky = report.bugs.iter().find(|b| b.app == FLAKY);
+        let flaky = flaky.unwrap_or_else(|| panic!("FLAKY manifests: {:?}", report.bugs));
+        assert_eq!((flaky.replays_ok, flaky.persisted), (0, false));
+        assert_eq!(
+            flaky.shrunk_len, flaky.original_len,
+            "no candidate re-manifests, so nothing shrinks"
+        );
+        assert!(flaky.shrink_replays <= flaky.oracle_calls);
+        let gho = report.bugs.iter().find(|b| b.app == "GHO");
+        let gho = gho.unwrap_or_else(|| panic!("GHO manifests: {:?}", report.bugs));
+        assert_eq!((gho.replays_ok, gho.persisted), (3, true));
+        assert!(
+            corpus.iter().any(|name| name.starts_with("gho-")),
+            "{corpus:?}"
+        );
+        assert!(
+            !corpus.iter().any(|name| name.starts_with("flaky-")),
+            "{corpus:?}"
+        );
+        let summary = crate::report::render_summary(&report);
+        assert!(summary.contains("(1 not persisted"), "{summary}");
+        assert!(
+            summary
+                .lines()
+                .any(|line| line.contains(FLAKY) && line.ends_with("NOT PERSISTED")),
+            "{summary}"
+        );
+
+        // Without acceptance replays nothing is gated.
+        let (report, corpus) = flaky_campaign(0);
+        assert!(report.bugs.iter().all(|b| b.persisted), "{:?}", report.bugs);
+        assert!(
+            corpus.iter().any(|name| name.starts_with("flaky-")),
+            "{corpus:?}"
+        );
+    }
+
+    #[test]
+    fn analyze_writes_no_repro_that_fails_acceptance() {
+        let dir = std::env::temp_dir().join(format!("nodefz-flaky-analyze-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = crate::AnalyzeConfig {
+            apps: vec![FLAKY.into(), "GHO".into()],
+            corpus_dir: Some(dir.clone()),
+            ..crate::AnalyzeConfig::default()
+        };
+        let report = crate::analyze_campaign(&cfg).unwrap();
+        let confirmed: Vec<&str> = report.confirmed.iter().map(|c| c.app.as_str()).collect();
+        assert_eq!(confirmed, [FLAKY, "GHO"], "{:?}", report.confirmed);
+        let dropped: Vec<(&str, u32)> = report
+            .not_persisted
+            .iter()
+            .map(|(sig, ok)| (sig.app.as_str(), *ok))
+            .collect();
+        assert_eq!(dropped, [(FLAKY, 0)]);
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(names.len(), 1, "{names:?}");
+        assert!(names[0].starts_with("gho-"), "{names:?}");
     }
 
     /// What a campaign over GHO and [`Panicky`] returned and wrote: its
@@ -1483,6 +1737,31 @@ pub(crate) mod tests {
 
         assert!(!ctx.replays_to(PANICKY, 8, &a.trace, &a.signature));
         assert!(ctx.replays_to("GHO", gho_seed, &a.trace, &a.signature));
+    }
+
+    #[test]
+    fn a_replay_that_panics_is_not_memoized() {
+        // Every candidate takes the same decisions: run each timer.
+        let trace = DecisionTrace {
+            pool_mode: nodefz_rt::PoolMode::Concurrent { workers: 4 },
+            demux_done: false,
+            decisions: vec![nodefz::Decision::Timer(None); 4],
+        };
+        let signature = BugSignature {
+            app: PANICKY.into(),
+            site: "-".into(),
+            kinds: 0,
+        };
+        let mut ctx = RunContext::new();
+        let (calm, calm_replays) = ctx.shrink(PANICKY, 9, &trace, &signature);
+        assert!(calm.runs > 1, "{calm:?}");
+        assert_eq!(calm_replays, 1, "the memo answers the repeats");
+        let (panicking, panicking_replays) = ctx.shrink(PANICKY, 8, &trace, &signature);
+        assert_eq!(panicking.runs, calm.runs);
+        assert_eq!(
+            panicking_replays, panicking.runs,
+            "a panicked replay is never stored, so every call replays"
+        );
     }
 
     fn numbered_arms(n: usize) -> Vec<Arm> {

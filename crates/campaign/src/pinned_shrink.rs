@@ -2,19 +2,17 @@
 //!
 //! For every fig6 app, the first manifesting run of the standard preset's
 //! campaign seed stream, `derive_seed(arm_seed(SEED, app, 0), i)`, is
-//! shrunk with [`shrink`] through the campaign's replay path,
-//! [`RunContext::replays_to`], on the context that ran the fuzz runs (as
-//! a worker does). Each shrunk trace's length and the FNV-1a of its
-//! `encode_trace` text must equal the frozen table, so a change to ddmin,
-//! the simplification pass or the replay path that moves a persisted
-//! repro fails here. The total oracle calls are pinned too: they are the
-//! shrink layer's cost in replays, and only a deliberate change may move
-//! them.
+//! shrunk with [`RunContext::shrink`], the campaign's memoized oracle, on
+//! the context that ran the fuzz runs (as a worker does). Each shrunk
+//! trace's length and the FNV-1a of its `encode_trace` text must equal the
+//! frozen table, so a change to ddmin, the simplification pass, the
+//! replay path or the memo that moves a persisted repro fails here. The
+//! total oracle calls and the replays they ran are pinned too: they are
+//! the shrink layer's cost, and only a deliberate change may move them.
 
 use nodefz::encode_trace;
 
 use crate::driver::{arm_seed, derive_seed, RunContext};
-use crate::shrink::shrink;
 
 /// Campaign base seed of the pinned streams (the CLI's `--seed` default).
 const SEED: u64 = 1;
@@ -44,11 +42,14 @@ const PINNED: &[(&str, u64, usize, u64)] = &[
 /// Oracle calls over all of [`PINNED`]'s shrinks.
 const ORACLE_CALLS: u64 = 682;
 
+/// The replays those calls ran; the memo answered the others.
+const REPLAYS: u64 = 293;
+
 #[test]
 fn fig6_shrunk_traces_match_the_pinned_table() {
     let mut ctx = RunContext::new();
     let mut actual = Vec::new();
-    let mut oracle_calls = 0;
+    let (mut oracle_calls, mut replays) = (0, 0);
     for case in nodefz_apps::registry() {
         let info = case.info();
         if !info.in_fig6 {
@@ -62,10 +63,14 @@ fn fig6_shrunk_traces_match_the_pinned_table() {
                     .map(|f| (i, f))
             })
             .unwrap_or_else(|| panic!("{} never manifested", info.abbr));
-        let result = shrink(&finding.trace, |t| {
-            ctx.replays_to(info.abbr, finding.env_seed, t, &finding.signature)
-        });
+        let (result, ran) = ctx.shrink(
+            info.abbr,
+            finding.env_seed,
+            &finding.trace,
+            &finding.signature,
+        );
         oracle_calls += result.runs;
+        replays += ran;
         let text = encode_trace(&result.trace);
         actual.push((
             info.abbr,
@@ -74,11 +79,12 @@ fn fig6_shrunk_traces_match_the_pinned_table() {
             nodefz_rt::fnv1a(text.as_bytes()),
         ));
     }
-    if actual != PINNED || oracle_calls != ORACLE_CALLS {
+    if actual != PINNED || oracle_calls != ORACLE_CALLS || replays != REPLAYS {
         panic!(
             "shrink pin drifted ({oracle_calls} oracle calls, pinned \
-             {ORACLE_CALLS}); if the change is intended, re-bless with these \
-             rows and state the reason in CHANGES.md:\n{}",
+             {ORACLE_CALLS}; {replays} replays, pinned {REPLAYS}); if the \
+             change is intended, re-bless with these rows and state the \
+             reason in CHANGES.md:\n{}",
             actual
                 .iter()
                 .map(|(app, i, len, hash)| format!("    ({app:?}, {i}, {len}, {hash:#018x}),"))

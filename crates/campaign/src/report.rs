@@ -19,8 +19,13 @@ pub fn render_event(event: &Event) -> Option<String> {
             from,
             to,
             replays_ok,
+            oracle_calls,
+            shrink_replays,
+            persisted,
         } => Some(format!(
-            "  ~ shrunk {signature}: {from} -> {to} decisions, {replays_ok} replays re-manifest"
+            "  ~ shrunk {signature}: {from} -> {to} decisions in {oracle_calls} oracle calls \
+             ({shrink_replays} replayed), {replays_ok} acceptance replays re-manifest{}",
+            if *persisted { "" } else { ", NOT PERSISTED" }
         )),
         Event::DeadlineHit => Some("  ! deadline hit, draining".into()),
     }
@@ -40,11 +45,27 @@ pub fn render_summary(report: &CampaignReport) -> String {
             ""
         },
     ));
-    out.push_str(&format!("unique bugs: {}\n", report.unique_bugs()));
+    let dropped = report.bugs.iter().filter(|b| !b.persisted).count();
+    out.push_str(&format!("unique bugs: {}", report.unique_bugs()));
+    if dropped > 0 {
+        out.push_str(&format!(
+            " ({dropped} not persisted: an acceptance replay did not re-manifest it)"
+        ));
+    }
+    out.push('\n');
     for bug in &report.bugs {
         out.push_str(&format!(
-            "  {:<4} x{:<4} trace {:>4} -> {:<4} replays {:>2}  \"{}\"\n",
-            bug.app, bug.hits, bug.original_len, bug.shrunk_len, bug.replays_ok, bug.site
+            "  {:<4} x{:<4} trace {:>4} -> {:<4} shrink {:>4} calls {:>4} replays  \
+             accept {:>2}  \"{}\"{}\n",
+            bug.app,
+            bug.hits,
+            bug.original_len,
+            bug.shrunk_len,
+            bug.oracle_calls,
+            bug.shrink_replays,
+            bug.replays_ok,
+            bug.site,
+            if bug.persisted { "" } else { "  NOT PERSISTED" },
         ));
     }
     out.push_str("arms (pulls):\n");
@@ -86,6 +107,9 @@ mod tests {
                 original_len: 120,
                 shrunk_len: 3,
                 replays_ok: 10,
+                oracle_calls: 52,
+                shrink_replays: 21,
+                persisted: true,
             }],
             arms: vec![("KUE".into(), "standard", 60), ("KUE".into(), "guided", 40)],
             hit_deadline: false,
@@ -97,9 +121,13 @@ mod tests {
             }],
         };
         let text = render_summary(&report);
-        assert!(text.contains("unique bugs: 1"));
+        assert!(text.contains("unique bugs: 1\n"), "{text}");
         assert!(text.contains("KUE"));
-        assert!(text.contains("120"));
+        assert!(
+            text.contains("trace  120 -> 3    shrink   52 calls   21 replays  accept 10"),
+            "{text}"
+        );
+        assert!(!text.contains("NOT PERSISTED"), "{text}");
         assert!(text.contains("lost # jobs"));
         assert!(
             text.contains("arms (pulls):\n  KUE  standard      60\n"),
@@ -109,6 +137,62 @@ mod tests {
         assert!(
             text.contains("KUE  guided     env seed 77: index out of bounds"),
             "{text}"
+        );
+    }
+
+    #[test]
+    fn a_bug_that_failed_acceptance_is_named_not_persisted() {
+        let bug = BugSummary {
+            app: "FPS".into(),
+            site: "request(s) [#] never received a response".into(),
+            hits: 2,
+            first_seed: 7,
+            original_len: 40,
+            shrunk_len: 40,
+            replays_ok: 1,
+            oracle_calls: 30,
+            shrink_replays: 30,
+            persisted: false,
+        };
+        let report = CampaignReport {
+            runs: 10,
+            elapsed: Duration::from_secs(1),
+            bugs: vec![bug],
+            arms: vec![("FPS".into(), "standard", 10)],
+            hit_deadline: false,
+            quarantined: Vec::new(),
+        };
+        let text = render_summary(&report);
+        assert!(
+            text.contains(
+                "unique bugs: 1 (1 not persisted: an acceptance replay did not re-manifest it)"
+            ),
+            "{text}"
+        );
+        assert!(
+            text.contains("never received a response\"  NOT PERSISTED\n"),
+            "{text}"
+        );
+        let line = render_event(&Event::Shrunk {
+            signature: nodefz_trace::BugSignature {
+                app: "FPS".into(),
+                site: "s".into(),
+                kinds: 0,
+            },
+            from: 40,
+            to: 40,
+            replays_ok: 1,
+            oracle_calls: 30,
+            shrink_replays: 12,
+            persisted: false,
+        })
+        .unwrap();
+        assert!(
+            line.contains(
+                "40 -> 40 decisions in 30 oracle calls (12 replayed), 1 acceptance replays \
+                 re-manifest, NOT PERSISTED"
+            ),
+            "{line}"
         );
     }
 

@@ -14,12 +14,25 @@
 //! mismatch) is what makes such candidates runnable at all. The oracle
 //! judges only "does the same bug still manifest".
 //!
-//! In a campaign the oracle and the acceptance replays that follow run on
-//! the worker's pooled loop ([`crate::RunContext::replays_to`] on the
-//! worker's own context), and ddmin never replays a candidate equal to
-//! one it already rejected.
+//! In a campaign the oracle is [`RunContext::shrink`]'s. It runs on the
+//! worker's pooled loop, and answers a candidate without replaying it
+//! when the replayer would take exactly the decisions of a run the same
+//! shrink already made: many candidates that differ as lists take the
+//! same decisions, because a shifted decision that meets the wrong kind,
+//! or lies past the end, falls back to the same inert choice
+//! ([`nodefz::replay_choice`]). Each replay it does run logs its
+//! consultations into a per-shrink [`nodefz::ReplayMemo`], freed when the
+//! shrink ends; a replay that panics is not stored. ddmin itself never
+//! asks about a candidate equal to one it already rejected. The acceptance
+//! replays that follow a shrink are real replays
+//! ([`RunContext::replays_to`]), and so are `campaign verify`, `campaign
+//! analyze` and `explain`: they are the determinism checks the memo
+//! relies on.
+//!
+//! [`RunContext::shrink`]: crate::RunContext::shrink
+//! [`RunContext::replays_to`]: crate::RunContext::replays_to
 
-use nodefz::{ddmin, Decision, DecisionTrace};
+use nodefz::{ddmin, is_identity, Decision, DecisionTrace};
 
 /// Outcome of a shrink.
 #[derive(Clone, Debug)]
@@ -89,10 +102,6 @@ where
         original_len,
         runs,
     }
-}
-
-fn is_identity(perm: &[u32]) -> bool {
-    perm.iter().enumerate().all(|(i, &p)| i as u32 == p)
 }
 
 #[cfg(test)]

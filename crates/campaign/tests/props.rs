@@ -1,8 +1,9 @@
 //! Property tests for the campaign pipeline: whatever manifesting run the
 //! fuzzer stumbles on, the shrinker's output must replay to the *same* bug
 //! signature — and never grow the trace. The campaign shrinks on a
-//! worker's pooled loop ([`RunContext::replays_to`]); the fresh-loop
-//! replay below is the reference it must agree with.
+//! worker's pooled loop through a memo of the runs it already replayed
+//! ([`RunContext::shrink`]); the fresh-loop replay below is the reference
+//! both the pooled and the memoized paths must agree with.
 
 use nodefz_check::forall;
 
@@ -64,6 +65,16 @@ fn shrunk_traces_replay_to_the_same_signature() {
             (&result.trace, result.runs),
             (&fresh.trace, fresh.runs),
             "{app} seed {env_seed}: pooled and fresh replays shrank differently"
+        );
+        let (memoized, memo_replays) = ctx.shrink(app, env_seed, &trace, &signature);
+        assert_eq!(
+            (&memoized.trace, memoized.runs),
+            (&fresh.trace, fresh.runs),
+            "{app} seed {env_seed}: memoized and fresh replays shrank differently"
+        );
+        assert!(
+            memo_replays <= memoized.runs,
+            "{app} seed {env_seed}: more replays than oracle calls"
         );
         assert!(
             result.trace.decisions.len() <= trace.decisions.len(),

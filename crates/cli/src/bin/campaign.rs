@@ -95,7 +95,8 @@ static COMMANDS: [Command; 7] = [
                      A wall-clock cut: the one setting under which the
                      same flags can give different corpora
   --no-shrink        skip delta-debugging of new findings
-  --replay-checks N  acceptance replays per repro (default 10)
+  --replay-checks N  acceptance replays per repro (default 10); a repro
+                     is written only if every one re-manifests it
   --seed N           base environment seed (default 1)
   --prune            classify every run into its happens-before
                      equivalence class online and report pruning counters
@@ -140,7 +141,8 @@ static COMMANDS: [Command; 7] = [
   --races-out PATH   where to write the nodefz-races-v1 report
                      (default RACES_report.json)
   --corpus DIR       persist confirmed repros into DIR
-  --replay-checks N  acceptance replays per confirmed repro (default 3)
+  --replay-checks N  acceptance replays per confirmed repro (default 3);
+                     a repro is written only if every one re-manifests it
   --metrics-out PATH write a nodefz-metrics-v1 snapshot with the static
                      candidate counters to PATH",
         hooks: &[],
@@ -534,6 +536,12 @@ fn analyze(args: &mut Args) -> Result<ExitCode, CliError> {
     }
     for (app, error) in &report.failed {
         println!("  FAILED {app}: {error}");
+    }
+    for (signature, replays_ok) in &report.not_persisted {
+        println!(
+            "  NOT PERSISTED {signature} \"{}\": {replays_ok} of {} acceptance replays re-manifested it",
+            signature.site, cfg.replay_checks,
+        );
     }
     println!(
         "analyze: {} predicted, {} confirmed, {} failed in {} directed exec(s); wrote {}",

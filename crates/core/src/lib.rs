@@ -46,6 +46,7 @@
 
 mod codec;
 mod directed;
+mod memo;
 mod mode;
 mod params;
 mod replay;
@@ -54,11 +55,13 @@ mod shrink;
 
 pub use codec::{decode_trace, encode_trace, TraceDecodeError};
 pub use directed::{DirectedScheduler, DirectedSpec};
+pub use memo::{ConsultLog, ReplayMemo};
 pub use mode::Mode;
 pub use params::FuzzParams;
 pub use replay::{
-    Decision, DecisionTrace, Perm, RecordingScheduler, ReplayDivergence, ReplayError,
-    ReplayScheduler, ReplayStatusHandle, TraceFormatError, TraceHandle,
+    is_identity, replay_choice, Consultation, Decision, DecisionTrace, Perm, RecordingScheduler,
+    ReplayDivergence, ReplayError, ReplayScheduler, ReplayStatusHandle, Taken, TraceFormatError,
+    TraceHandle,
 };
 pub use scheduler::{FuzzScheduler, FuzzStats};
 pub use shrink::{ddmin, DdminResult};

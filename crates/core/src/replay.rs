@@ -21,12 +21,20 @@
 //! than a best-effort schedule attach a [`ReplayStatusHandle`] (see
 //! [`ReplayScheduler::with_status`]) and call
 //! [`ReplayStatusHandle::verdict`] after the run.
+//!
+//! [`replay_choice`] is that rule, stated once: the decision taken when a
+//! consultation of a given shape meets the trace's decision at the cursor.
+//! The replayer decides through it, and a
+//! [`ReplayStatusHandle::logging`] handle records what it took at each
+//! consultation, which is what [`crate::ReplayMemo`] keys on.
 
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
 use nodefz_rt::{PoolMode, ReadyEntry, Scheduler, TimerVerdict, VDur};
+
+use crate::memo::ConsultLog;
 
 /// Permutation storage for [`Decision::Shuffle`].
 ///
@@ -193,6 +201,109 @@ impl fmt::Display for Decision {
             Decision::DeferReady(d) | Decision::DeferClose(d) => f.write_str(yes_no(*d)),
             Decision::PickTask(i) => write!(f, "{i}"),
         }
+    }
+}
+
+/// What a replayer is asked at one consultation: the decision kind, plus
+/// what bounds a valid value of it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Consultation {
+    /// An expired timer: run it or defer it.
+    Timer,
+    /// A ready list of `len` entries (always more than one) to permute.
+    Shuffle {
+        /// Entries in the ready list.
+        len: u32,
+    },
+    /// A ready descriptor: defer it or not.
+    DeferReady,
+    /// A close event: defer it or not.
+    DeferClose,
+    /// A task pick among the first `window` queued tasks.
+    PickTask {
+        /// Tasks the pick may choose among (at least one).
+        window: u32,
+    },
+}
+
+impl Consultation {
+    /// The kind's label, as [`Decision::kind`] names it.
+    pub fn kind(self) -> &'static str {
+        match self {
+            Consultation::Timer => "timer",
+            Consultation::Shuffle { .. } => "shuffle",
+            Consultation::DeferReady => "defer-ready",
+            Consultation::DeferClose => "defer-close",
+            Consultation::PickTask { .. } => "pick-task",
+        }
+    }
+
+    /// The inert choice: run / identity / no-defer / head.
+    pub fn inert(self) -> Taken<'static> {
+        match self {
+            Consultation::Timer => Taken::Timer(None),
+            Consultation::Shuffle { .. } => Taken::Shuffle(None),
+            Consultation::DeferReady => Taken::DeferReady(false),
+            Consultation::DeferClose => Taken::DeferClose(false),
+            Consultation::PickTask { .. } => Taken::PickTask(0),
+        }
+    }
+}
+
+/// The decision a replayer took at one consultation (see
+/// [`replay_choice`]). Two consultations that take equal decisions act
+/// alike, so an identity shuffle, recorded or fallen back to, is always
+/// `Shuffle(None)`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Taken<'a> {
+    /// `None` runs the timer, `Some(ns)` defers it by `ns`.
+    Timer(Option<u64>),
+    /// The permutation applied to the ready list (see
+    /// [`Decision::Shuffle`]); `None` leaves the list as it is.
+    Shuffle(Option<&'a [u32]>),
+    /// Whether the ready descriptor is deferred.
+    DeferReady(bool),
+    /// Whether the close event is deferred.
+    DeferClose(bool),
+    /// The queue index picked, below the window.
+    PickTask(u32),
+}
+
+/// The replayer's rule: the decision taken when consultation `at` meets
+/// `candidate`, the trace's decision at the cursor (`None` past the end).
+///
+/// A candidate of the consultation's kind with a valid value is taken as
+/// recorded. Anything else falls back to [`Consultation::inert`]: the
+/// wrong kind, the end of the trace, a shuffle that is not a permutation
+/// of the ready list, a pick outside the window. The second value is then
+/// the consultation as a [`ReplayDivergence`] names it. Either way the
+/// cursor moves past the candidate, so consultation `i` always meets
+/// decision `i`.
+pub fn replay_choice(
+    candidate: Option<&Decision>,
+    at: Consultation,
+) -> (Taken<'_>, Option<&'static str>) {
+    match (candidate, at) {
+        (Some(&Decision::Timer(rec)), Consultation::Timer) => (Taken::Timer(rec), None),
+        (Some(Decision::Shuffle(perm)), Consultation::Shuffle { len }) => {
+            if !is_permutation(perm, len as usize) {
+                (Taken::Shuffle(None), Some("shuffle (non-permutation)"))
+            } else if is_identity(perm) {
+                (Taken::Shuffle(None), None)
+            } else {
+                (Taken::Shuffle(Some(perm)), None)
+            }
+        }
+        (Some(&Decision::DeferReady(d)), Consultation::DeferReady) => (Taken::DeferReady(d), None),
+        (Some(&Decision::DeferClose(d)), Consultation::DeferClose) => (Taken::DeferClose(d), None),
+        (Some(&Decision::PickTask(i)), Consultation::PickTask { window }) => {
+            if i < window {
+                (Taken::PickTask(i), None)
+            } else {
+                (Taken::PickTask(0), Some("pick-task (out of window)"))
+            }
+        }
+        (_, at) => (at.inert(), Some(at.kind())),
     }
 }
 
@@ -470,6 +581,8 @@ impl std::error::Error for ReplayError {}
 struct ReplayStatus {
     mismatches: u64,
     first: Option<ReplayDivergence>,
+    /// The last run's consultations, when the handle logs them.
+    log: Option<ConsultLog>,
 }
 
 /// Shared view of a [`ReplayScheduler`]'s divergence state, readable after
@@ -484,6 +597,24 @@ impl ReplayStatusHandle {
     /// [`ReplayScheduler`] built from it runs).
     pub fn fresh() -> ReplayStatusHandle {
         ReplayStatusHandle::default()
+    }
+
+    /// A fresh handle whose replays also log each consultation's shape and
+    /// the decision taken (read with [`ReplayStatusHandle::with_log`]).
+    /// The log keeps its capacity across runs; a [`fresh`] handle logs
+    /// nothing.
+    ///
+    /// [`fresh`]: ReplayStatusHandle::fresh
+    pub fn logging() -> ReplayStatusHandle {
+        let handle = ReplayStatusHandle::fresh();
+        handle.inner.borrow_mut().log = Some(ConsultLog::default());
+        handle
+    }
+
+    /// Runs `f` on the last run's consultation log; `None` when the handle
+    /// does not log.
+    pub fn with_log<R>(&self, f: impl FnOnce(&ConsultLog) -> R) -> Option<R> {
+        self.inner.borrow().log.as_ref().map(f)
     }
 
     /// How many consultations did not match the recorded decision.
@@ -512,8 +643,37 @@ impl ReplayStatusHandle {
         }
     }
 
-    fn reset(&self) {
-        *self.inner.borrow_mut() = ReplayStatus::default();
+    /// Clears the divergence state and the log (keeping its capacity);
+    /// returns whether the handle logs.
+    fn reset(&self) -> bool {
+        let mut status = self.inner.borrow_mut();
+        status.mismatches = 0;
+        status.first = None;
+        match &mut status.log {
+            Some(log) => {
+                log.clear();
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn diverge(&self, at: usize, recorded: &'static str, consulted: &'static str) {
+        let mut status = self.inner.borrow_mut();
+        status.mismatches += 1;
+        if status.first.is_none() {
+            status.first = Some(ReplayDivergence {
+                at,
+                recorded,
+                consulted,
+            });
+        }
+    }
+
+    fn log(&self, at: Consultation, taken: Taken<'_>) {
+        if let Some(log) = &mut self.inner.borrow_mut().log {
+            log.push(at, taken);
+        }
     }
 }
 
@@ -539,15 +699,44 @@ impl fmt::Debug for ReplayStatusHandle {
 /// Must be used with the same program and environment seed that produced
 /// the trace; consultations beyond the end of the trace, of a mismatched
 /// kind, or against malformed recorded values fall back to the inert choice
-/// (run / identity / no-defer / head) — the documented fallback — and the
-/// divergence is reported through the status handle.
+/// (run / identity / no-defer / head) — the documented fallback, stated by
+/// [`replay_choice`] — and the divergence is reported through the status
+/// handle.
 pub struct ReplayScheduler {
-    trace: DecisionTrace,
-    cursor: usize,
-    status: ReplayStatusHandle,
+    cursor: Cursor,
     /// Scratch for applying recorded permutations without cloning the
     /// ready list.
     scratch: Vec<ReadyEntry>,
+}
+
+/// The trace being replayed, the index of the decision the next
+/// consultation meets, and where the replay reports.
+struct Cursor {
+    trace: DecisionTrace,
+    next: usize,
+    status: ReplayStatusHandle,
+    /// Whether the status handle logs consultations, read once at attach
+    /// so that a handle that does not log costs one test per consultation.
+    logging: bool,
+}
+
+impl Cursor {
+    /// Takes the decision for consultation `at` by [`replay_choice`]:
+    /// reports a fallback, logs the step when asked to, and moves past the
+    /// candidate.
+    fn consult(&mut self, at: Consultation) -> Taken<'_> {
+        let candidate = self.trace.decisions.get(self.next);
+        let (taken, fallback) = replay_choice(candidate, at);
+        if let Some(consulted) = fallback {
+            let recorded = candidate.map_or("end of trace", Decision::kind);
+            self.status.diverge(self.next, recorded, consulted);
+        }
+        if self.logging {
+            self.status.log(at, taken);
+        }
+        self.next += usize::from(candidate.is_some());
+        taken
+    }
 }
 
 impl ReplayScheduler {
@@ -581,11 +770,14 @@ impl ReplayScheduler {
     /// The handle's previous state is cleared, so one handle can be reused
     /// across runs (see [`crate::Mode::Replay`]).
     pub fn attached(trace: DecisionTrace, status: ReplayStatusHandle) -> ReplayScheduler {
-        status.reset();
+        let logging = status.reset();
         ReplayScheduler {
-            trace,
-            cursor: 0,
-            status,
+            cursor: Cursor {
+                trace,
+                next: 0,
+                status,
+                logging,
+            },
             scratch: Vec::new(),
         }
     }
@@ -593,31 +785,7 @@ impl ReplayScheduler {
     /// How many consultations did not match the recorded kind (0 for a
     /// faithful replay).
     pub fn mismatches(&self) -> u64 {
-        self.status.mismatches()
-    }
-
-    fn diverge(&mut self, recorded: &'static str, consulted: &'static str) {
-        let mut status = self.status.inner.borrow_mut();
-        status.mismatches += 1;
-        if status.first.is_none() {
-            status.first = Some(ReplayDivergence {
-                // `next()` advanced the cursor for in-trace divergences;
-                // point at the consultation that diverged either way.
-                at: self
-                    .cursor
-                    .saturating_sub(usize::from(recorded != "end of trace")),
-                recorded,
-                consulted,
-            });
-        }
-    }
-
-    /// Advances past the current decision and returns the recorded kind, or
-    /// `None` at end of trace. Allocation-free (decisions stay in place).
-    fn advance(&mut self) -> Option<&'static str> {
-        let kind = self.trace.decisions.get(self.cursor)?.kind();
-        self.cursor += 1;
-        Some(kind)
+        self.cursor.status.mismatches()
     }
 }
 
@@ -647,109 +815,67 @@ fn is_permutation(perm: &[u32], len: usize) -> bool {
     true
 }
 
+/// Whether `perm` leaves every entry in place: the inert shuffle.
+pub fn is_identity(perm: &[u32]) -> bool {
+    perm.iter().enumerate().all(|(i, &p)| i as u32 == p)
+}
+
 impl Scheduler for ReplayScheduler {
     fn name(&self) -> &'static str {
         "replay"
     }
 
     fn pool_mode(&self) -> PoolMode {
-        self.trace.pool_mode
+        self.cursor.trace.pool_mode
     }
 
     fn demux_done(&self) -> bool {
-        self.trace.demux_done
+        self.cursor.trace.demux_done
     }
 
     fn on_timer(&mut self) -> TimerVerdict {
-        if let Some(&Decision::Timer(rec)) = self.trace.decisions.get(self.cursor) {
-            self.cursor += 1;
-            return match rec {
-                None => TimerVerdict::Run,
-                Some(ns) => TimerVerdict::Defer {
-                    delay: VDur::nanos(ns),
-                },
-            };
+        match self.cursor.consult(Consultation::Timer) {
+            Taken::Timer(Some(ns)) => TimerVerdict::Defer {
+                delay: VDur::nanos(ns),
+            },
+            _ => TimerVerdict::Run,
         }
-        match self.advance() {
-            Some(kind) => self.diverge(kind, "timer"),
-            None => self.diverge("end of trace", "timer"),
-        }
-        TimerVerdict::Run
     }
 
     fn shuffle_ready(&mut self, ready: &mut Vec<ReadyEntry>) {
-        let at = self.cursor;
-        if !matches!(self.trace.decisions.get(at), Some(Decision::Shuffle(_))) {
-            match self.advance() {
-                Some(kind) => self.diverge(kind, "shuffle"),
-                None => self.diverge("end of trace", "shuffle"),
-            }
-            return;
-        }
-        self.cursor += 1;
-        let ok = match &self.trace.decisions[at] {
-            Decision::Shuffle(perm) => is_permutation(perm, ready.len()),
-            _ => unreachable!("checked above"),
+        let at = Consultation::Shuffle {
+            len: ready.len() as u32,
         };
-        if !ok {
-            self.diverge("shuffle", "shuffle (non-permutation)");
+        let Taken::Shuffle(Some(perm)) = self.cursor.consult(at) else {
             return;
-        }
-        // Split-borrow: the permutation stays in the trace while the
-        // scratch buffer holds the pre-shuffle entries.
-        let ReplayScheduler { trace, scratch, .. } = self;
-        let Decision::Shuffle(perm) = &trace.decisions[at] else {
-            unreachable!("checked above")
         };
-        scratch.clear();
-        scratch.extend_from_slice(ready);
+        self.scratch.clear();
+        self.scratch.extend_from_slice(ready);
         for (slot, &src) in perm.iter().enumerate() {
-            ready[slot] = scratch[src as usize];
+            ready[slot] = self.scratch[src as usize];
         }
     }
 
     fn defer_ready(&mut self, _entry: &ReadyEntry) -> bool {
-        if let Some(&Decision::DeferReady(d)) = self.trace.decisions.get(self.cursor) {
-            self.cursor += 1;
-            return d;
-        }
-        match self.advance() {
-            Some(kind) => self.diverge(kind, "defer-ready"),
-            None => self.diverge("end of trace", "defer-ready"),
-        }
-        false
+        self.cursor.consult(Consultation::DeferReady) == Taken::DeferReady(true)
     }
 
     fn defer_close(&mut self) -> bool {
-        if let Some(&Decision::DeferClose(d)) = self.trace.decisions.get(self.cursor) {
-            self.cursor += 1;
-            return d;
-        }
-        match self.advance() {
-            Some(kind) => self.diverge(kind, "defer-close"),
-            None => self.diverge("end of trace", "defer-close"),
-        }
-        false
+        self.cursor.consult(Consultation::DeferClose) == Taken::DeferClose(true)
     }
 
     fn pick_task(&mut self, window: usize) -> usize {
-        if let Some(&Decision::PickTask(i)) = self.trace.decisions.get(self.cursor) {
-            self.cursor += 1;
-            if (i as usize) < window {
-                return i as usize;
-            }
-            self.diverge("pick-task", "pick-task (out of window)");
-            return 0;
+        let at = Consultation::PickTask {
+            window: window as u32,
+        };
+        match self.cursor.consult(at) {
+            Taken::PickTask(i) => i as usize,
+            _ => 0,
         }
-        match self.advance() {
-            Some(kind) => self.diverge(kind, "pick-task"),
-            None => self.diverge("end of trace", "pick-task"),
-        }
-        0
     }
 
     fn decision_count(&self) -> u64 {
-        self.cursor as u64
+        self.cursor.next as u64
     }
 }
 
@@ -921,6 +1047,170 @@ mod tests {
         assert_eq!(replayer.pick_task(2), 0);
         let err = status.verdict().expect_err("pick out of window");
         assert_eq!(err.first.consulted, "pick-task (out of window)");
+    }
+
+    /// What consultation `at` did, read back from the scheduler's effect:
+    /// a shuffle is applied to entries numbered in order.
+    fn consult_effect(r: &mut ReplayScheduler, at: Consultation) -> Decision {
+        match at {
+            Consultation::Timer => Decision::Timer(match r.on_timer() {
+                TimerVerdict::Run => None,
+                TimerVerdict::Defer { delay } => Some(delay.as_nanos()),
+            }),
+            Consultation::Shuffle { len } => {
+                let mut ready: Vec<ReadyEntry> = (0..len)
+                    .map(|i| ReadyEntry {
+                        fd: Fd(i),
+                        at: VTime(u64::from(i)),
+                        seq: u64::from(i),
+                    })
+                    .collect();
+                r.shuffle_ready(&mut ready);
+                Decision::Shuffle(ready.iter().map(|e| e.seq as u32).collect())
+            }
+            Consultation::DeferReady => {
+                let entry = ReadyEntry {
+                    fd: Fd(0),
+                    at: VTime(0),
+                    seq: 0,
+                };
+                Decision::DeferReady(r.defer_ready(&entry))
+            }
+            Consultation::DeferClose => Decision::DeferClose(r.defer_close()),
+            Consultation::PickTask { window } => {
+                Decision::PickTask(r.pick_task(window as usize) as u32)
+            }
+        }
+    }
+
+    /// The same decision as a [`Decision`], a `None` shuffle spelled out.
+    fn spelled(at: Consultation, taken: Taken<'_>) -> Decision {
+        match (taken, at) {
+            (Taken::Timer(t), _) => Decision::Timer(t),
+            (Taken::Shuffle(Some(perm)), _) => Decision::Shuffle(perm.iter().copied().collect()),
+            (Taken::Shuffle(None), Consultation::Shuffle { len }) => {
+                Decision::Shuffle((0..len).collect())
+            }
+            (Taken::Shuffle(None), _) => unreachable!("a shuffle answers a shuffle"),
+            (Taken::DeferReady(d), _) => Decision::DeferReady(d),
+            (Taken::DeferClose(d), _) => Decision::DeferClose(d),
+            (Taken::PickTask(i), _) => Decision::PickTask(i),
+        }
+    }
+
+    #[test]
+    fn hostile_candidates_take_the_rules_decisions() {
+        use Decision::*;
+        let asked = [
+            Consultation::Timer,
+            Consultation::Shuffle { len: 3 },
+            Consultation::DeferReady,
+            Consultation::DeferClose,
+            Consultation::PickTask { window: 2 },
+            Consultation::Shuffle { len: 2 },
+            Consultation::Timer,
+        ];
+        let shuffle = |p: &[u32]| Shuffle(p.iter().copied().collect());
+        let candidates: Vec<(&str, Vec<Decision>)> = vec![
+            ("empty trace", vec![]),
+            (
+                "faithful",
+                vec![
+                    Timer(Some(5)),
+                    shuffle(&[2, 0, 1]),
+                    DeferReady(true),
+                    DeferClose(true),
+                    PickTask(1),
+                    shuffle(&[1, 0]),
+                    Timer(None),
+                ],
+            ),
+            (
+                "wrong kind everywhere",
+                vec![
+                    PickTask(1),
+                    Timer(Some(3)),
+                    shuffle(&[1, 0]),
+                    DeferReady(true),
+                    DeferClose(true),
+                    Timer(None),
+                    shuffle(&[0, 1]),
+                ],
+            ),
+            (
+                "non-permutations",
+                vec![
+                    Timer(None),
+                    shuffle(&[0, 0, 1]),
+                    DeferReady(false),
+                    DeferClose(false),
+                    PickTask(0),
+                    shuffle(&[2, 0]),
+                ],
+            ),
+            (
+                "wrong-length permutations",
+                vec![
+                    Timer(None),
+                    shuffle(&[1, 0]),
+                    DeferReady(true),
+                    DeferClose(true),
+                    PickTask(1),
+                    shuffle(&[2, 0, 1]),
+                ],
+            ),
+            (
+                "out-of-window pick",
+                vec![
+                    Timer(Some(1)),
+                    shuffle(&[0, 1, 2]),
+                    DeferReady(false),
+                    DeferClose(true),
+                    PickTask(2),
+                ],
+            ),
+            ("past the end", vec![Timer(Some(8)), shuffle(&[1, 2, 0])]),
+        ];
+        for (what, decisions) in candidates {
+            let trace = DecisionTrace {
+                pool_mode: PoolMode::Concurrent { workers: 4 },
+                demux_done: false,
+                decisions: decisions.clone(),
+            };
+            let status = ReplayStatusHandle::logging();
+            let mut replayer = ReplayScheduler::attached(trace, status.clone());
+            let mut fallbacks = 0;
+            let mut expected = Vec::new();
+            for (i, &at) in asked.iter().enumerate() {
+                let (taken, fallback) = replay_choice(decisions.get(i), at);
+                fallbacks += u64::from(fallback.is_some());
+                assert_eq!(
+                    consult_effect(&mut replayer, at),
+                    spelled(at, taken),
+                    "{what}: consultation {i}"
+                );
+                expected.push(spelled(at, taken));
+            }
+            assert_eq!(replayer.mismatches(), fallbacks, "{what}");
+            assert_eq!(
+                replayer.decision_count() as usize,
+                decisions.len().min(asked.len()),
+                "{what}: the cursor passes every candidate it met"
+            );
+            let logged = status
+                .with_log(|log| {
+                    log.steps()
+                        .map(|(at, taken)| spelled(at, taken))
+                        .collect::<Vec<_>>()
+                })
+                .expect("a logging handle");
+            assert_eq!(logged, expected, "{what}: the log holds what was taken");
+        }
+        assert_eq!(
+            ReplayStatusHandle::fresh().with_log(|log| log.len()),
+            None,
+            "a fresh handle logs nothing"
+        );
     }
 
     #[test]

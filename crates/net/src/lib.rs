@@ -100,6 +100,14 @@ enum Delivery {
     Eof,
 }
 
+/// A client-to-server delivery, with when the client sent it and when it
+/// falls due at the server.
+struct Outbound {
+    sent: VTime,
+    due: VTime,
+    delivery: Delivery,
+}
+
 type OnConn = Rc<RefCell<dyn FnMut(&mut Ctx<'_>, Connection)>>;
 type OnData = Rc<RefCell<dyn FnMut(&mut Ctx<'_>, Connection, &[u8])>>;
 type OnClose = Rc<RefCell<dyn FnMut(&mut Ctx<'_>, Connection)>>;
@@ -124,18 +132,28 @@ struct ConnState {
     fd: Option<Fd>,
     /// Client-to-server deliveries, from `send`/`close_after` until the
     /// server dispatches them: the first `arrived` have reached the server,
-    /// the rest are in flight (and arrive in this order, per the FIFO
-    /// clamp).
-    to_server: VecDeque<Delivery>,
+    /// the rest are in flight, ordered by send time. Each delivery has one
+    /// wakeup, at its due time, and each wakeup brings in one delivery:
+    /// the first in flight, once it has fallen due. So the server reads
+    /// them in the order the client sent them, and none before its due
+    /// time.
+    to_server: VecDeque<Outbound>,
     arrived: usize,
+    /// Client-to-server wakeups that came while the first delivery in
+    /// flight was not yet due (it was sent earlier than the deliveries
+    /// whose wakeups they are, but falls due later). Each is owed an
+    /// arrival.
+    c2s_owed: usize,
     /// Server-to-client messages in flight, in arrival order.
     to_client: VecDeque<Msg>,
     on_data: Option<OnData>,
     on_close: Option<OnClose>,
     server_open: bool,
     close_queued: bool,
-    /// FIFO clamps per direction.
-    last_c2s: VTime,
+    /// No client-to-server delivery falls due at or before this: the
+    /// connect's due time, then each arrival's.
+    c2s_floor: VTime,
+    /// The server-to-client FIFO clamp.
     last_s2c: VTime,
     client: ClientSide,
 }
@@ -584,7 +602,11 @@ impl SimNet {
                 return;
             }
             conn.arrived -= 1;
-            let delivery = conn.to_server.pop_front().expect("an arrived delivery");
+            let delivery = conn
+                .to_server
+                .pop_front()
+                .expect("an arrived delivery")
+                .delivery;
             (delivery, conn.on_data.clone())
         };
         let handle = Connection {
@@ -675,27 +697,49 @@ impl SimNet {
         }
     }
 
-    /// The next in-flight client-to-server delivery of `id` arrives.
+    /// A client-to-server wakeup of `id`: brings in the first delivery in
+    /// flight, once it has fallen due. A wakeup that comes before then
+    /// (the first in flight was sent earlier than the delivery the wakeup
+    /// is for, but falls due later) is owed an arrival, and the wakeup
+    /// that brings that delivery in also brings in, in send order, one
+    /// more per owed wakeup as far as those behind it have fallen due: as
+    /// with TCP, a segment held back holds back the ones behind it.
     fn deliver_c2s(&self, cx: &mut Ctx<'_>, id: ConnId) {
-        let fd = {
+        let now = cx.now();
+        let (fd, arrivals) = {
             let mut st = self.inner.borrow_mut();
             let Some(conn) = st.conn_mut(id) else {
                 return;
             };
-            if !conn.server_open {
-                // Nobody reads it any more: drop it in flight.
-                let arrived = conn.arrived;
-                conn.to_server.remove(arrived);
-                return;
+            let mut arrivals = 0;
+            let mut owed = conn.c2s_owed + 1;
+            while owed > 0
+                && conn
+                    .to_server
+                    .get(conn.arrived)
+                    .is_some_and(|next| next.due <= now)
+            {
+                owed -= 1;
+                conn.c2s_floor = now;
+                if conn.server_open {
+                    conn.arrived += 1;
+                    arrivals += 1;
+                } else {
+                    // Nobody reads it any more: drop it in flight.
+                    let arrived = conn.arrived;
+                    conn.to_server.remove(arrived);
+                }
             }
-            conn.arrived += 1;
-            conn.fd
+            conn.c2s_owed = owed;
+            (conn.fd, arrivals)
         };
-        if let Some(fd) = fd {
-            let _ = cx.mark_ready(fd);
-        }
         // No fd yet: the connection has not been accepted; the accept path
         // replays buffered events.
+        if let Some(fd) = fd {
+            for _ in 0..arrivals {
+                let _ = cx.mark_ready(fd);
+            }
+        }
     }
 
     /// The next in-flight server-to-client message of `id` reaches the
@@ -856,12 +900,13 @@ impl Client {
                 fd: None,
                 to_server: VecDeque::new(),
                 arrived: 0,
+                c2s_owed: 0,
                 to_client: VecDeque::new(),
                 on_data: None,
                 on_close: None,
                 server_open: true,
                 close_queued: false,
-                last_c2s: VTime::ZERO,
+                c2s_floor: VTime::ZERO,
                 last_s2c: VTime::ZERO,
                 client: ClientSide::default(),
             }));
@@ -872,7 +917,7 @@ impl Client {
             let mut st = net.inner.borrow_mut();
             let conn = st.conn_mut(id).expect("just inserted");
             let at = cx.now() + delay + latency;
-            conn.last_c2s = at;
+            conn.c2s_floor = at;
             at
         };
         cx.wake_env_at(at, &net.inner, token(CONNECT, id.0));
@@ -905,8 +950,18 @@ impl Client {
         self.deliver_after(cx, delay, Delivery::Eof);
     }
 
-    /// Queues `delivery` behind the connection's earlier ones, due after
-    /// `delay` plus a sampled latency.
+    /// Sends `delivery` after `delay`, as TCP would: it reaches the server
+    /// no sooner than a sampled latency after it is sent, and in send order
+    /// with the connection's other deliveries, whatever order they were
+    /// scheduled in.
+    ///
+    /// It goes in flight behind the deliveries sent no later than it, and
+    /// falls due a sampled latency after its send time, but never at or
+    /// before the one it follows (or the connect, or the last arrival).
+    /// One sent earlier but due later holds it back on arrival
+    /// (`SimNet::deliver_c2s`). Traffic scheduled in send-time order
+    /// therefore falls due and arrives exactly as a FIFO clamp behind the
+    /// last scheduled delivery would have it.
     fn deliver_after(&self, cx: &mut Ctx<'_>, delay: VDur, delivery: Delivery) {
         let latency = self.net.rng_sample(cx);
         let at = {
@@ -914,10 +969,27 @@ impl Client {
             let Some(conn) = st.conn_mut(self.id) else {
                 return;
             };
-            let at = (cx.now() + delay + latency).max(conn.last_c2s + VDur::nanos(1));
-            conn.last_c2s = at;
-            conn.to_server.push_back(delivery);
-            at
+            let sent = cx.now() + delay;
+            let flight = &mut conn.to_server;
+            let mut slot = flight.len();
+            while slot > conn.arrived && flight[slot - 1].sent > sent {
+                slot -= 1;
+            }
+            let behind = if slot > conn.arrived {
+                flight[slot - 1].due
+            } else {
+                conn.c2s_floor
+            };
+            let due = (sent + latency).max(behind + VDur::nanos(1));
+            flight.insert(
+                slot,
+                Outbound {
+                    sent,
+                    due,
+                    delivery,
+                },
+            );
+            due
         };
         cx.wake_env_at(at, &self.net.inner, token(TO_SERVER, self.id.0));
     }

@@ -6,7 +6,10 @@
 //! - wakeups due at one virtual time fire in the order they were
 //!   scheduled, interleaved with any closure effect scheduled among them;
 //! - every read the server dispatches is caused by the `Env` event of its
-//!   delivery, and that event by the callback that sent the message.
+//!   delivery, and that event by the callback that sent the message;
+//! - a connection's client-to-server traffic reaches the server in the
+//!   order it was sent, not the order it was scheduled, and no message
+//!   before its sampled latency has passed.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -185,4 +188,104 @@ fn reads_are_caused_by_the_callback_that_sent_them() {
     for read in reads {
         env_cause(&log, read);
     }
+}
+
+#[test]
+fn client_traffic_reaches_the_server_in_send_time_order() {
+    let mut el = EventLoop::new(LoopConfig::seeded(3));
+    let net = SimNet::new();
+    let seen = Rc::new(RefCell::new(Vec::new()));
+    let (n, s) = (net.clone(), seen.clone());
+    el.enter(move |cx| {
+        n.listen(cx, 80, move |_cx, conn| {
+            let (on_data, on_close) = (s.clone(), s.clone());
+            conn.on_data(move |cx, _conn, msg| {
+                let msg = String::from_utf8(msg.to_vec()).unwrap();
+                on_data.borrow_mut().push((msg, cx.now()));
+            });
+            conn.on_close(move |cx, _conn| on_close.borrow_mut().push(("EOF".into(), cx.now())));
+        })
+        .unwrap();
+    });
+    el.enter(|cx| {
+        // Scheduled at setup, in this order: a send at 20 ms and the
+        // client's FIN at 40 ms. The 10 ms timer then sends a message that
+        // TCP delivers before both.
+        let client = Client::connect(cx, &net, 80);
+        client.send_after(cx, VDur::millis(20), b"at 20 ms");
+        client.close_after(cx, VDur::millis(40));
+        cx.set_timeout(VDur::millis(10), move |cx| client.send(cx, b"at 10 ms"));
+        net.close_all_listeners_after(cx, VDur::millis(100));
+    });
+    el.run();
+
+    let seen = seen.borrow();
+    let order: Vec<&str> = seen.iter().map(|(what, _)| what.as_str()).collect();
+    assert_eq!(order, ["at 10 ms", "at 20 ms", "EOF"]);
+    assert!(
+        seen[0].1 < VTime::ZERO + VDur::millis(20),
+        "the 10 ms message waits behind nothing: {seen:?}"
+    );
+    assert!(
+        seen.windows(2).all(|w| w[0].1 < w[1].1),
+        "arrivals keep their order in time: {seen:?}"
+    );
+}
+
+/// When the server reads "A" and "B", for a client that sends "A" 20 ms
+/// into the run, scheduled at setup, and "B" from a 19.5 ms timer. Both go
+/// over the first of two connections, or, with `a_apart`, "A" goes over
+/// the second; the network draws the same latencies in the same order
+/// either way. Callbacks cost no virtual time, so a read happens when its
+/// message arrives.
+fn arrivals(env_seed: u64, a_apart: bool) -> (VTime, VTime) {
+    let mut el = EventLoop::new(LoopConfig {
+        cb_cost_base: VDur::ZERO,
+        ..LoopConfig::seeded(env_seed)
+    });
+    let net = SimNet::new();
+    let seen = Rc::new(RefCell::new(Vec::new()));
+    let (n, s) = (net.clone(), seen.clone());
+    el.enter(move |cx| {
+        n.listen(cx, 80, move |_cx, conn| {
+            let s = s.clone();
+            conn.on_data(move |cx, _conn, msg| s.borrow_mut().push((msg.to_vec(), cx.now())));
+        })
+        .unwrap();
+    });
+    el.enter(|cx| {
+        let (first, second) = (Client::connect(cx, &net, 80), Client::connect(cx, &net, 80));
+        let a_over = if a_apart { &second } else { &first };
+        a_over.send_after(cx, VDur::millis(20), b"A");
+        cx.set_timeout(VDur::micros(19_500), move |cx| first.send(cx, b"B"));
+        net.close_all_listeners_after(cx, VDur::millis(100));
+    });
+    el.run();
+    let seen = seen.borrow();
+    if !a_apart {
+        let order: Vec<&[u8]> = seen.iter().map(|(m, _)| m.as_slice()).collect();
+        assert_eq!(order, [b"B", b"A"], "send order, env seed {env_seed}");
+    }
+    let at = |msg: &[u8]| seen.iter().find(|(m, _)| m == msg).expect("read").1;
+    (at(b"A"), at(b"B"))
+}
+
+#[test]
+fn a_delivery_sent_earlier_but_due_later_holds_back_the_ones_behind_it() {
+    let mut held = 0;
+    for env_seed in 0..16 {
+        // Alone on its connection, each message arrives when it falls due.
+        let (a_due, b_due) = arrivals(env_seed, true);
+        let (a, b) = arrivals(env_seed, false);
+        assert_eq!(b, b_due, "B arrives when due, env seed {env_seed}");
+        assert_eq!(
+            a,
+            a_due.max(b),
+            "A arrives when due, or with B, env seed {env_seed}"
+        );
+        if b_due > a_due {
+            held += 1;
+        }
+    }
+    assert!(held > 0, "no env seed drew B a later due time than A");
 }
