@@ -78,8 +78,6 @@ pub struct RunCfg {
     pub env_seed: u64,
     /// Fuzz-scheduler decision seed.
     pub sched_seed: u64,
-    /// Whether to record the full type schedule.
-    pub trace: bool,
     /// Loop-state pool to recycle heap buffers through (`None` builds a
     /// fresh loop per run). Recycling never changes behavior — a pooled
     /// loop is reset to exactly the state a fresh one would have.
@@ -103,7 +101,6 @@ impl RunCfg {
             mode,
             env_seed,
             sched_seed: env_seed.wrapping_mul(0x9E37_79B9).wrapping_add(17),
-            trace: true,
             pool: None,
             events: None,
             obs: None,
@@ -141,7 +138,6 @@ impl RunCfg {
     pub fn build_loop(&self) -> EventLoop {
         let cfg = LoopConfig {
             max_vtime: VTime::ZERO + VDur::secs(60),
-            trace: self.trace,
             ..LoopConfig::seeded(self.env_seed)
         };
         let mut el = match &self.pool {

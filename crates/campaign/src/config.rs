@@ -80,11 +80,6 @@ pub struct CampaignConfig {
     /// Where to write a chrome://tracing timeline of one dedicated
     /// profiled run after the campaign drains (`None` = no trace).
     pub trace_out: Option<PathBuf>,
-    /// Where to write the campaign flight-recorder journal
-    /// (`nodefz-journal-v1` JSON lines: arm pulls with each arm's pull
-    /// count, prune verdicts, quarantines, discoveries). `None` = no
-    /// journal.
-    pub journal_out: Option<PathBuf>,
     /// Runtime telemetry dial for worker runs. Above [`ObsLevel::Off`]
     /// the workers profile loop phases and per-kind dispatches, and each
     /// run's profile travels back with its result to be summed into the
@@ -114,7 +109,6 @@ impl Default for CampaignConfig {
             directed: false,
             metrics_out: None,
             trace_out: None,
-            journal_out: None,
             obs_level: ObsLevel::Off,
             prune: false,
         }

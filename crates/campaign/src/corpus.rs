@@ -244,41 +244,6 @@ impl Corpus {
         }
         Ok(entries)
     }
-
-    /// Loads every decodable `.repro` entry, skipping (and naming) the
-    /// ones that do not parse — the salvage path for a corpus left behind
-    /// by a crashed or reaped worker process.
-    ///
-    /// Returns the good entries (sorted by file name) and the skipped
-    /// file names.
-    ///
-    /// # Errors
-    ///
-    /// Fails only on directory-level I/O errors; per-entry problems are
-    /// reported in the skip list.
-    pub fn load_salvage(&self) -> io::Result<(Vec<CorpusEntry>, Vec<String>)> {
-        let mut paths: Vec<PathBuf> = std::fs::read_dir(&self.dir)?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|x| x == "repro"))
-            .collect();
-        paths.sort();
-        let mut entries = Vec::with_capacity(paths.len());
-        let mut skipped = Vec::new();
-        for path in paths {
-            let name = path
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_else(|| path.display().to_string());
-            match std::fs::read_to_string(&path) {
-                Ok(text) => match CorpusEntry::decode(&text) {
-                    Ok(entry) => entries.push(entry),
-                    Err(_) => skipped.push(name),
-                },
-                Err(_) => skipped.push(name),
-            }
-        }
-        Ok((entries, skipped))
-    }
 }
 
 #[cfg(test)]
@@ -367,24 +332,6 @@ mod tests {
                 Ok(app.to_string())
             );
         }
-    }
-
-    #[test]
-    fn salvage_skips_torn_entries_and_keeps_good_ones() {
-        let dir = std::env::temp_dir().join(format!("nodefz-salvage-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let corpus = Corpus::open(&dir).unwrap();
-        let e = entry();
-        corpus.save(&e).unwrap();
-        // A torn document, as a killed writer without atomic saves would
-        // leave behind.
-        std::fs::write(dir.join("zz-torn.repro"), "nodefz-repro v1\napp KUE\n").unwrap();
-        // Strict loading fails on the torn entry; salvage recovers.
-        assert!(corpus.load_all().is_err());
-        let (entries, skipped) = corpus.load_salvage().unwrap();
-        assert_eq!(entries, vec![e]);
-        assert_eq!(skipped, vec!["zz-torn.repro".to_string()]);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

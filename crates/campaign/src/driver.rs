@@ -15,12 +15,11 @@
 //!
 //! Every fuzz job carries its slot, the index it was dispatched at, and
 //! the controller applies results strictly in slot order, holding back
-//! any that arrive early: prune verdict, dedup, quarantine, journal,
-//! metrics and the next pick all see the same sequence however many
-//! threads ran the jobs. Findings, corpora, the journal and the metrics'
-//! counters are therefore a function of the seed, budget, apps and
-//! presets alone; only a wall-clock deadline can cut two runs of the same
-//! flags differently.
+//! any that arrive early: prune verdict, dedup, quarantine, metrics and
+//! the next pick all see the same sequence however many threads ran the
+//! jobs. Findings, corpora and the metrics' counters are therefore a
+//! function of the seed, budget, apps and presets alone; only a
+//! wall-clock deadline can cut two runs of the same flags differently.
 //!
 //! A new signature triggers a shrink job (delta debugging + acceptance
 //! replays) at the front of the queue. The shrunk repro is persisted only
@@ -32,9 +31,10 @@
 //! A case that panics does not end the campaign. [`RunContext`] catches
 //! the panic and rebuilds its pooled state, a panicking fuzz run reaches
 //! the controller as a crash, and the controller retires that run's arm
-//! in slot order, journals the quarantine and names it in the summary. A
-//! replay that panics counts as not reproducing, and a directed arm whose
-//! up-front analysis run panics is retired before its first pull. Only an
+//! in slot order: the arm's `nodefz-metrics-v1` row carries the
+//! quarantine, and the summary names it. A replay that panics counts as
+//! not reproducing, and a directed arm whose up-front analysis run panics
+//! is retired before its first pull, with the same record. Only an
 //! `abort()`, a stack overflow or running out of memory still ends the
 //! process, and the runtime's caps on loop iterations and virtual time
 //! bound every run whose callbacks return.
@@ -55,9 +55,9 @@ use crate::config::{preset_name, preset_params, CampaignConfig, DIRECTED_PRESET}
 use crate::corpus::{Corpus, CorpusEntry};
 use crate::dedup::{BugRecord, Deduper, Finding};
 use crate::metrics::{self, Discovery, LoopProfile, Tally};
-use crate::prune::{ClassVerdict, Pruner, SEEN_CAP};
+use crate::prune::{Pruner, SEEN_CAP};
 use crate::shrink::{shrink, ShrinkResult};
-use nodefz_obs::{Journal, JournalEvent, ObsLevel, PruneOutcome, WorkerState, JOURNAL_CAP};
+use nodefz_obs::ObsLevel;
 
 /// How many early runs of each arm have their type schedule sampled for
 /// the per-arm diversity summary in `--metrics-out` snapshots. Pairwise
@@ -109,8 +109,9 @@ pub(crate) struct Arm {
     pub preset: usize,
     /// Runs dispatched to the arm so far: its position in its seed stream.
     pub pulls: u64,
-    /// Set once a run of the arm panicked; [`pick`] skips a retired arm.
-    pub retired: bool,
+    /// Set once a run of the arm panicked: why the arm was retired.
+    /// [`pick`] skips a retired arm.
+    pub quarantine: Option<Quarantine>,
 }
 
 impl Arm {
@@ -119,18 +120,22 @@ impl Arm {
             app,
             preset,
             pulls: 0,
-            retired: false,
+            quarantine: None,
         }
     }
 
-    /// How journals and reports name the arm (`"GHO/aggressive"`).
-    fn label(&self) -> String {
-        format!("{}/{}", self.app, preset_name(self.preset))
-    }
-
-    /// Retires the arm; returns whether it was still live.
-    fn retire(&mut self) -> bool {
-        !std::mem::replace(&mut self.retired, true)
+    /// Retires the arm because its run at `env_seed` failed with
+    /// `message`; returns the quarantine when the arm was still live.
+    fn retire(&mut self, env_seed: u64, message: String) -> Option<&Quarantine> {
+        if self.quarantine.is_some() {
+            return None;
+        }
+        Some(self.quarantine.insert(Quarantine {
+            app: self.app.clone(),
+            preset: preset_name(self.preset),
+            env_seed,
+            message,
+        }))
     }
 }
 
@@ -142,7 +147,7 @@ fn pick(arms: &mut [Arm]) -> Option<usize> {
         .iter_mut()
         .enumerate()
         .rev()
-        .filter(|(_, arm)| !arm.retired)
+        .filter(|(_, arm)| arm.quarantine.is_none())
         .min_by_key(|(_, arm)| arm.pulls)?;
     arm.pulls += 1;
     Some(i)
@@ -859,13 +864,7 @@ pub fn run_with_progress(
                 specs.insert(app.clone(), (analysis_seed, app_specs));
             }
             Err(message) => {
-                arm.retire();
-                quarantined.push(Quarantine {
-                    app: app.clone(),
-                    preset: preset_name(DIRECTED_PRESET),
-                    env_seed: analysis_seed,
-                    message,
-                });
+                quarantined.extend(arm.retire(analysis_seed, message).cloned());
             }
         }
         arms.push(arm);
@@ -883,10 +882,6 @@ pub fn run_with_progress(
     // cross-check class outcomes. Accounting only — the dispatched run
     // stream is identical with pruning on or off (corpora match bytewise).
     let mut pruner = cfg.prune.then(|| Pruner::new(SEEN_CAP));
-    // Flight recorder: a bounded ring of structured decisions (arm pulls,
-    // prune verdicts, quarantines, discoveries), persisted atomically at
-    // drain. Owned by the controller thread only.
-    let mut journal = cfg.journal_out.as_ref().map(|_| Journal::new(JOURNAL_CAP));
 
     // The run counters, summed as results are applied.
     let mut tally = Tally::new(cfg.obs_level);
@@ -924,52 +919,44 @@ pub fn run_with_progress(
     let mut exhausted = false;
 
     // Dispatches the next fuzz job; false when every arm is retired.
-    let dispatch =
-        |arms: &mut [Arm], next_slot: &mut u64, journal: &mut Option<Journal>, exec: u64| {
-            let Some(i) = pick(arms) else {
-                return false;
-            };
-            let arm = &arms[i];
-            if let Some(j) = journal.as_mut() {
-                j.push(JournalEvent::ArmPull {
-                    exec,
-                    arm: arm.label(),
-                    pulls: arm.pulls,
-                });
-            }
-            // Pulls before this one: the arm's position in its seed stream.
-            let pull = arm.pulls - 1;
-            // The directed arm cycles predicted flips and bumps the retry
-            // attempt each full cycle; its env seed is pinned to the analyzed
-            // run's, because the replayed prefix only makes sense against the
-            // same modelled environment. Ordinary arms scan derived seeds.
-            let (env_seed, directed) = if arm.preset == DIRECTED_PRESET {
-                let (analysis_seed, app_specs) =
-                    specs.get(&arm.app).expect("directed arm implies specs");
-                let spec = app_specs[(pull as usize) % app_specs.len()].clone();
-                let attempt = pull / app_specs.len() as u64;
-                (*analysis_seed, Some(spec.with_attempt(attempt)))
-            } else {
-                (derive_seed(arm_base(cfg.base_seed, arm), pull), None)
-            };
-            // Sample the first few runs of each arm for diversity. Decided by
-            // pull index, so sampling is as deterministic as the seed stream.
-            let want_schedule = telemetry_on && pull < SCHEDULE_SAMPLES;
-            queue.push(Job::Fuzz {
-                slot: *next_slot,
-                arm: i,
-                app: arm.app.clone(),
-                preset: arm.preset,
-                env_seed,
-                directed,
-                want_schedule,
-            });
-            *next_slot += 1;
-            true
+    let dispatch = |arms: &mut [Arm], next_slot: &mut u64| {
+        let Some(i) = pick(arms) else {
+            return false;
         };
+        let arm = &arms[i];
+        // Pulls before this one: the arm's position in its seed stream.
+        let pull = arm.pulls - 1;
+        // The directed arm cycles predicted flips and bumps the retry
+        // attempt each full cycle; its env seed is pinned to the analyzed
+        // run's, because the replayed prefix only makes sense against the
+        // same modelled environment. Ordinary arms scan derived seeds.
+        let (env_seed, directed) = if arm.preset == DIRECTED_PRESET {
+            let (analysis_seed, app_specs) =
+                specs.get(&arm.app).expect("directed arm implies specs");
+            let spec = app_specs[(pull as usize) % app_specs.len()].clone();
+            let attempt = pull / app_specs.len() as u64;
+            (*analysis_seed, Some(spec.with_attempt(attempt)))
+        } else {
+            (derive_seed(arm_base(cfg.base_seed, arm), pull), None)
+        };
+        // Sample the first few runs of each arm for diversity. Decided by
+        // pull index, so sampling is as deterministic as the seed stream.
+        let want_schedule = telemetry_on && pull < SCHEDULE_SAMPLES;
+        queue.push(Job::Fuzz {
+            slot: *next_slot,
+            arm: i,
+            app: arm.app.clone(),
+            preset: arm.preset,
+            env_seed,
+            directed,
+            want_schedule,
+        });
+        *next_slot += 1;
+        true
+    };
 
     while !exhausted && next_slot < cfg.budget.min(WINDOW) {
-        exhausted = !dispatch(&mut arms, &mut next_slot, &mut journal, 0);
+        exhausted = !dispatch(&mut arms, &mut next_slot);
     }
 
     let mut failure = None;
@@ -1004,18 +991,7 @@ pub fn run_with_progress(
                     let (i, finding) = (done.arm, done.finding);
                     tally.add(done.dispatched, finding.is_some(), done.profile.as_deref());
                     if let (Some(pruner), Some((key, scope))) = (pruner.as_mut(), done.canon) {
-                        let verdict =
-                            pruner.observe(key, scope, finding.as_ref().map(|f| &f.signature));
-                        if let Some(j) = journal.as_mut() {
-                            j.push(JournalEvent::Prune {
-                                exec: applied,
-                                verdict: match verdict {
-                                    ClassVerdict::Fresh => PruneOutcome::Distinct,
-                                    ClassVerdict::Redundant => PruneOutcome::Redundant,
-                                    ClassVerdict::Mismatch => PruneOutcome::Mismatch,
-                                },
-                            });
-                        }
+                        pruner.observe(key, scope, finding.as_ref().map(|f| &f.signature));
                     }
                     if let Some(schedule) = done.schedule {
                         arm_schedules[i].push(schedule);
@@ -1023,23 +999,7 @@ pub fn run_with_progress(
                     // A run that panicked retires its arm; the arm's runs
                     // already in flight still apply.
                     if let Some(message) = done.crash {
-                        if arms[i].retire() {
-                            let arm = &arms[i];
-                            if let Some(j) = journal.as_mut() {
-                                j.push(JournalEvent::Worker {
-                                    index: done.slot,
-                                    arm: arm.label(),
-                                    state: WorkerState::Quarantined,
-                                    reason: Some(message.clone()),
-                                });
-                            }
-                            quarantined.push(Quarantine {
-                                app: arm.app.clone(),
-                                preset: preset_name(arm.preset),
-                                env_seed: done.env_seed,
-                                message,
-                            });
-                        }
+                        quarantined.extend(arms[i].retire(done.env_seed, message).cloned());
                     }
                     let arm = &arms[i];
                     if let Some(finding) = finding {
@@ -1051,13 +1011,6 @@ pub fn run_with_progress(
                                 signature: signature.clone(),
                                 env_seed,
                             });
-                            if let Some(j) = journal.as_mut() {
-                                j.push(JournalEvent::Discovery {
-                                    exec: applied,
-                                    app: arm.app.clone(),
-                                    site: signature.site.clone(),
-                                });
-                            }
                             discovery.push(Discovery {
                                 signature: signature.to_string(),
                                 app: arm.app.clone(),
@@ -1084,7 +1037,7 @@ pub fn run_with_progress(
                         budget: cfg.budget,
                     });
                     if !hit_deadline && !exhausted && next_slot < cfg.budget {
-                        exhausted = !dispatch(&mut arms, &mut next_slot, &mut journal, applied);
+                        exhausted = !dispatch(&mut arms, &mut next_slot);
                     }
                 }
             }
@@ -1169,10 +1122,6 @@ pub fn run_with_progress(
             deduper.records().len() as u64,
             pruner.as_ref(),
         )?;
-    }
-    if let (Some(path), Some(j)) = (&cfg.journal_out, journal.as_ref()) {
-        j.write(path)
-            .map_err(|e| format!("journal: cannot write {}: {e}", path.display()))?;
     }
     if let Some(path) = &cfg.trace_out {
         write_trace(path, cfg)?;
@@ -1286,8 +1235,7 @@ const APICOV_REPLAY_CAP: u64 = 500;
 /// `nodefz-apicov-v1` snapshot. Runs on the controller at the final
 /// metrics write only.
 fn conform_apicov(cfg: &CampaignConfig, arms: &[Arm]) -> Option<nodefz_conform::ApiCovSnapshot> {
-    use nodefz_conform::{ApiCoverage, OracleCtx};
-    let mut cov = ApiCoverage::default();
+    let mut cov = nodefz_conform::ApiCoverage::default();
     let mut pulled = false;
     for arm in arms {
         if !arm.app.eq_ignore_ascii_case(nodefz_conform::API_ABBR) || arm.pulls == 0 {
@@ -1298,16 +1246,7 @@ fn conform_apicov(cfg: &CampaignConfig, arms: &[Arm]) -> Option<nodefz_conform::
         for pull in 0..arm.pulls.min(APICOV_REPLAY_CAP) {
             let seed = derive_seed(base, pull);
             let prog = std::rc::Rc::new(nodefz_conform::generate_api(seed));
-            let (report, log) = nodefz_conform::run_logged(&prog, seed, Mode::Vanilla, &None);
-            let completed = matches!(report.termination, nodefz_rt::Termination::Quiescent);
-            cov.record(
-                &prog,
-                &log,
-                &OracleCtx {
-                    demux: false,
-                    completed,
-                },
-            );
+            cov.record_vanilla(&prog, seed, &None);
         }
     }
     pulled.then(|| cov.snapshot())
@@ -1351,6 +1290,7 @@ pub(crate) fn record_to_entry(record: &BugRecord) -> CorpusEntry {
 pub(crate) mod tests {
     use super::*;
     use nodefz_apps::common::{BugInfo, RaceType};
+    use nodefz_obs::JsonValue;
 
     /// The abbreviation [`resolve_case`] resolves to [`Panicky`], in test
     /// builds only.
@@ -1539,12 +1479,8 @@ pub(crate) mod tests {
     }
 
     /// What a campaign over GHO and [`Panicky`] returned and wrote: its
-    /// report, its corpus files and its journal without wall-clock stamps.
-    type Written = (
-        CampaignReport,
-        Vec<(String, Vec<u8>)>,
-        Vec<(u64, JournalEvent)>,
-    );
+    /// report, its corpus files and its final metrics document.
+    type Written = (CampaignReport, Vec<(String, Vec<u8>)>, String);
 
     /// Runs a campaign on a helper thread, so a hang fails the test
     /// instead of stalling the suite.
@@ -1579,7 +1515,7 @@ pub(crate) mod tests {
             directed,
             replay_checks: 2,
             corpus_dir: Some(dir.join("corpus")),
-            journal_out: Some(dir.join("journal.jsonl")),
+            metrics_out: Some(dir.join("metrics.json")),
             ..CampaignConfig::default()
         });
         let mut corpus: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir.join("corpus"))
@@ -1591,19 +1527,60 @@ pub(crate) mod tests {
             })
             .collect();
         corpus.sort();
-        let text = std::fs::read_to_string(dir.join("journal.jsonl")).unwrap();
-        let journal = Journal::decode(&text)
-            .unwrap()
-            .entries()
-            .map(|e| (e.seq, e.event.clone()))
-            .collect();
+        let metrics = std::fs::read_to_string(dir.join("metrics.json")).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
-        (report, corpus, journal)
+        (report, corpus, metrics)
+    }
+
+    /// Each `arms[]` row of a metrics document: the arm's label
+    /// (`"GHO/guided"`) and its `quarantine` value.
+    fn quarantine_rows(metrics: &str) -> Vec<(String, JsonValue)> {
+        let doc = JsonValue::parse(metrics).expect("the metrics document parses");
+        let rows = doc
+            .get("arms")
+            .and_then(JsonValue::as_array)
+            .expect("arms[]");
+        rows.iter()
+            .map(|row| {
+                let field = |key| row.get(key).and_then(JsonValue::as_str).expect(key);
+                let quarantine = row.get("quarantine").expect("every row has the key");
+                (
+                    format!("{}/{}", field("app"), field("preset")),
+                    quarantine.clone(),
+                )
+            })
+            .collect()
+    }
+
+    /// Checks that the metrics rows of the report's quarantined arms carry
+    /// each quarantine's env seed and message, and every other row `null`.
+    fn assert_rows_match(report: &CampaignReport, metrics: &str) {
+        let rows = quarantine_rows(metrics);
+        assert_eq!(rows.len(), report.arms.len());
+        for (label, value) in &rows {
+            match report
+                .quarantined
+                .iter()
+                .find(|q| *label == format!("{}/{}", q.app, q.preset))
+            {
+                Some(q) => {
+                    let want = JsonValue::Obj(vec![
+                        ("env_seed".into(), JsonValue::Num(q.env_seed as f64)),
+                        ("message".into(), JsonValue::Str(q.message.clone())),
+                    ]);
+                    assert_eq!(*value, want, "{label}");
+                    // The reader holds numbers as f64; the text is exact.
+                    let seed = format!("\"env_seed\": {},", q.env_seed);
+                    assert!(metrics.contains(&seed), "{label}: no {seed}");
+                }
+                None => assert!(value.is_null(), "{label}: {value:?}"),
+            }
+        }
     }
 
     #[test]
     fn a_panicking_run_quarantines_its_arm_at_any_thread_count() {
-        let (report, corpus, journal) = panicky_campaign(1, 5, false);
+        let (report, corpus, metrics) = panicky_campaign(1, 5, false);
         assert_eq!(report.runs, 200, "the GHO arms spend the whole budget");
         assert!(
             report.bugs.iter().any(|b| b.app == "GHO"),
@@ -1618,46 +1595,26 @@ pub(crate) mod tests {
             assert!(panics(q.env_seed), "{q:?}");
             assert_eq!(q.message, format!("panicky app: env seed {}", q.env_seed));
         }
-        let journaled: Vec<(String, Option<String>)> = journal
-            .iter()
-            .filter_map(|(_, event)| match event {
-                JournalEvent::Worker {
-                    arm,
-                    state: WorkerState::Quarantined,
-                    reason,
-                    ..
-                } => Some((arm.clone(), reason.clone())),
-                _ => None,
-            })
-            .collect();
-        let reported: Vec<(String, Option<String>)> = report
-            .quarantined
-            .iter()
-            .map(|q| (format!("{PANICKY}/{}", q.preset), Some(q.message.clone())))
-            .collect();
-        assert_eq!(journaled, reported);
+        assert_rows_match(&report, &metrics);
         assert!(!corpus.is_empty());
         assert!(corpus.iter().all(|(name, _)| name.starts_with("gho-")));
 
         for threads in [2, 4] {
-            let (other, other_corpus, other_journal) = panicky_campaign(threads, 5, false);
+            let (other, other_corpus, other_metrics) = panicky_campaign(threads, 5, false);
             assert_eq!(other.runs, report.runs, "{threads} threads");
             assert_eq!(other.quarantined, report.quarantined, "{threads} threads");
             assert!(
                 other_corpus == corpus,
                 "corpus differs at {threads} threads"
             );
-            assert!(
-                other_journal == journal,
-                "journal differs at {threads} threads"
-            );
+            assert_rows_match(&other, &other_metrics);
         }
     }
 
     #[test]
     fn a_directed_analysis_that_panics_quarantines_the_directed_arm() {
         // At base seed 1, PANICKY's analysis seed is one that panics.
-        let (report, corpus, _) = panicky_campaign(1, 1, true);
+        let (report, corpus, metrics) = panicky_campaign(1, 1, true);
         assert!(
             report.bugs.iter().any(|b| b.app == "GHO"),
             "GHO's planted bug is found: {:?}",
@@ -1668,8 +1625,20 @@ pub(crate) mod tests {
             .iter()
             .find(|q| q.app == PANICKY && q.preset == "directed")
             .unwrap_or_else(|| panic!("no directed quarantine: {:?}", report.quarantined));
+        let analysis_seed = derive_seed(arm_seed(1, PANICKY, DIRECTED_PRESET), 0);
+        assert_eq!(q.env_seed, analysis_seed);
         assert!(panics(q.env_seed), "{q:?}");
         assert_eq!(q.message, format!("panicky app: env seed {}", q.env_seed));
+        assert_rows_match(&report, &metrics);
+        let directed = quarantine_rows(&metrics)
+            .into_iter()
+            .find(|(label, _)| *label == format!("{PANICKY}/directed"));
+        let seed = directed.and_then(|(_, q)| q.get("env_seed").and_then(JsonValue::as_f64));
+        assert_eq!(
+            seed,
+            Some(analysis_seed as f64),
+            "the analysis seed is on the row"
+        );
         assert!(
             report.arms.contains(&(PANICKY.into(), "directed", 0)),
             "the directed arm gets no runs: {:?}",
@@ -1680,12 +1649,13 @@ pub(crate) mod tests {
             .iter()
             .any(|(app, preset, pulls)| app == "GHO" && *preset == "directed" && *pulls > 0));
         for threads in [2, 4] {
-            let (other, other_corpus, _) = panicky_campaign(threads, 1, true);
+            let (other, other_corpus, other_metrics) = panicky_campaign(threads, 1, true);
             assert_eq!(other.quarantined, report.quarantined, "{threads} threads");
             assert!(
                 other_corpus == corpus,
                 "corpus differs at {threads} threads"
             );
+            assert_rows_match(&other, &other_metrics);
         }
     }
 
@@ -1768,6 +1738,11 @@ pub(crate) mod tests {
         (0..n).map(|i| Arm::new(format!("A{i}"), 0)).collect()
     }
 
+    /// Retires `arm` as a panic would; returns whether it was still live.
+    fn retire(arm: &mut Arm) -> bool {
+        arm.retire(0, "test panic".into()).is_some()
+    }
+
     #[test]
     fn every_arm_is_tried_before_any_repeats() {
         let mut arms = numbered_arms(4);
@@ -1780,13 +1755,13 @@ pub(crate) mod tests {
         let mut arms = numbered_arms(5);
         for n in 0..1000 {
             if n == 337 {
-                assert!(arms[1].retire());
+                assert!(retire(&mut arms[1]));
             }
             let i = pick(&mut arms).unwrap();
-            assert!(!arms[i].retired);
+            assert!(arms[i].quarantine.is_none());
             let live: Vec<u64> = arms
                 .iter()
-                .filter(|a| !a.retired)
+                .filter(|a| a.quarantine.is_none())
                 .map(|a| a.pulls)
                 .collect();
             let (lo, hi) = (live.iter().min().unwrap(), live.iter().max().unwrap());
@@ -1799,7 +1774,7 @@ pub(crate) mod tests {
         let mut arms = numbered_arms(4);
         assert_eq!(pick(&mut arms), Some(3));
         assert_eq!(pick(&mut arms), Some(2));
-        assert!(arms[1].retire());
+        assert!(retire(&mut arms[1]));
         let picks: Vec<usize> = (0..7).map(|_| pick(&mut arms).unwrap()).collect();
         assert_eq!(picks, [0, 3, 2, 0, 3, 2, 0]);
         assert_eq!(arms[1].pulls, 0);
@@ -1808,12 +1783,12 @@ pub(crate) mod tests {
     #[test]
     fn retired_arms_are_never_picked() {
         let mut arms = numbered_arms(2);
-        assert!(arms[1].retire());
-        assert!(!arms[1].retire(), "an arm retires once");
+        assert!(retire(&mut arms[1]));
+        assert!(!retire(&mut arms[1]), "an arm retires once");
         for _ in 0..20 {
             assert_eq!(pick(&mut arms), Some(0));
         }
-        assert!(arms[0].retire());
+        assert!(retire(&mut arms[0]));
         assert_eq!(pick(&mut arms), None, "all retired means no pick");
         assert_eq!(arms[0].pulls, 20, "a refused pick is not counted");
     }

@@ -5,11 +5,11 @@
 //! into a [`Tally`]: runs, manifestations, dispatched callbacks and their
 //! per-run histogram, and, above [`ObsLevel::Off`], the loop profile the
 //! result carries back from its worker. Controller-side series — per-arm
-//! pulls and schedule diversity, and the bug-discovery curve — ride along
-//! in the same [`MetricsSnapshot`], and every part of it describes the
-//! same prefix of applied runs. A single JSON file answers the paper's
-//! evaluation questions (Fig. 6's discovery behavior, Fig. 7's diversity,
-//! §5.4's where-does-the-time-go) for a live campaign.
+//! pulls, quarantine and schedule diversity, and the bug-discovery curve —
+//! ride along in the same [`MetricsSnapshot`], and every part of it
+//! describes the same prefix of applied runs. A single JSON file answers
+//! the paper's evaluation questions (Fig. 6's discovery behavior, Fig. 7's
+//! diversity, §5.4's where-does-the-time-go) for a live campaign.
 //!
 //! Loop-phase timings and per-kind dispatch counts are collected only
 //! above [`ObsLevel::Off`]; at `off` the document's `phases`/`callbacks`
@@ -21,7 +21,7 @@ use nodefz_obs::{JsonWriter, ObsLevel};
 use nodefz_rt::{CbKind, ObsHandle, Phase, PhaseProfile};
 use nodefz_trace::{DiversitySummary, PAPER_TRUNCATION};
 
-use crate::driver::Arm;
+use crate::driver::{Arm, Quarantine};
 use crate::prune::{PruneCounters, PruneHealth};
 
 /// Upper bounds for the per-run dispatched-callback histogram. Bug runs
@@ -146,6 +146,9 @@ pub struct ArmMetrics {
     /// Runs dispatched to the arm. Arms take turns, so live arms differ
     /// by at most one.
     pub pulls: u64,
+    /// Why the arm was retired, once a run of it (or a directed arm's
+    /// analysis run) panicked; the same record as the report's.
+    pub quarantine: Option<Quarantine>,
     /// Schedule diversity over this arm's sampled runs, truncated at the
     /// paper's 20 K-callback mark (`None` until a schedule is sampled).
     pub diversity: Option<DiversitySummary>,
@@ -252,6 +255,16 @@ impl MetricsSnapshot {
             w.field_str("app", &arm.app);
             w.field_str("preset", arm.preset);
             w.field_u64("pulls", arm.pulls);
+            w.key("quarantine");
+            match &arm.quarantine {
+                Some(q) => {
+                    w.begin_object();
+                    w.field_u64("env_seed", q.env_seed);
+                    w.field_str("message", &q.message);
+                    w.end_object();
+                }
+                None => w.null(),
+            }
             w.key("diversity");
             match &arm.diversity {
                 Some(d) => {
@@ -399,6 +412,7 @@ pub(crate) fn collect(
             app: arm.app.clone(),
             preset: crate::config::preset_name(arm.preset),
             pulls: arm.pulls,
+            quarantine: arm.quarantine.clone(),
             diversity: (!samples.is_empty())
                 .then(|| DiversitySummary::compute(samples, PAPER_TRUNCATION)),
         })
@@ -432,7 +446,7 @@ mod tests {
             app: "KUE".into(),
             preset: 0,
             pulls,
-            retired: false,
+            quarantine: None,
         }]
     }
 
@@ -496,6 +510,40 @@ mod tests {
             !json.contains("mean_reward") && !json.contains("ucb_bound"),
             "{json}"
         );
+    }
+
+    #[test]
+    fn a_rows_quarantine_is_null_or_its_seed_and_message() {
+        let json = |arms: &[Arm]| {
+            collect(
+                Duration::ZERO,
+                10,
+                0,
+                false,
+                arms,
+                &[Vec::new()],
+                &[],
+                &Tally::new(ObsLevel::Off),
+                None,
+                None,
+            )
+            .to_json()
+        };
+        let mut arms = kue(3);
+        let live = json(&arms);
+        assert!(
+            live.contains(r#""pulls": 3, "quarantine": null, "diversity""#),
+            "{live}"
+        );
+        arms[0].quarantine = Some(Quarantine {
+            app: "KUE".into(),
+            preset: "standard",
+            env_seed: u64::MAX,
+            message: "panicked at \"job\"".into(),
+        });
+        let retired = json(&arms);
+        let row = r#""pulls": 3, "quarantine": {"env_seed": 18446744073709551615, "message": "panicked at \"job\""}, "diversity""#;
+        assert!(retired.contains(row), "{retired}");
     }
 
     #[test]

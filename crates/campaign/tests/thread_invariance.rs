@@ -1,7 +1,7 @@
 //! Campaign output is a function of the flags that choose work, not of
 //! `--threads`: the controller applies results in slot (dispatch) order,
-//! so corpora, the journal and the metrics' counters must be identical at
-//! 1, 2 and 4 worker threads. Only wall-clock fields may differ.
+//! so corpora and the metrics' counters must be identical at 1, 2 and 4
+//! worker threads. Only wall-clock fields may differ.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -12,7 +12,6 @@ use nodefz_obs::{JsonValue, ObsLevel};
 /// What one campaign wrote, with every wall-clock field dropped.
 struct Output {
     corpus: BTreeMap<String, Vec<u8>>,
-    journal: Vec<JsonValue>,
     metrics: JsonValue,
 }
 
@@ -55,22 +54,12 @@ fn campaign(threads: usize) -> Output {
         prune: true,
         obs_level: ObsLevel::Counters,
         corpus_dir: Some(dir.join("corpus")),
-        journal_out: Some(dir.join("journal.jsonl")),
         metrics_out: Some(dir.join("metrics.json")),
         ..CampaignConfig::default()
     };
     let report = run(&cfg).expect("campaign runs");
     assert_eq!(report.runs, 120);
 
-    let journal = std::fs::read_to_string(dir.join("journal.jsonl"))
-        .unwrap()
-        .lines()
-        .map(|line| {
-            let mut entry = parse(line);
-            drop_keys(&mut entry, &["t_ms"]);
-            entry
-        })
-        .collect();
     let mut metrics = parse(&std::fs::read_to_string(dir.join("metrics.json")).unwrap());
     drop_keys(&mut metrics, &["elapsed_ms", "execs_per_sec"]);
     let JsonValue::Obj(fields) = &mut metrics else {
@@ -91,7 +80,6 @@ fn campaign(threads: usize) -> Output {
     }
     let output = Output {
         corpus: corpus_files(&dir.join("corpus")),
-        journal,
         metrics,
     };
     std::fs::remove_dir_all(&dir).unwrap();
@@ -104,15 +92,18 @@ fn output_is_identical_at_one_two_and_four_threads() {
     assert!(!one.corpus.is_empty(), "the campaign must find a bug");
     let phases = one.metrics.get("phases").and_then(JsonValue::as_array);
     assert!(phases.is_some_and(|p| !p.is_empty()), "profiled runs");
+    let arms = one.metrics.get("arms").and_then(JsonValue::as_array);
+    assert!(
+        arms.is_some_and(|rows| rows
+            .iter()
+            .all(|row| row.get("quarantine").is_some_and(JsonValue::is_null))),
+        "no arm is quarantined"
+    );
     for threads in [2, 4] {
         let other = campaign(threads);
         assert_eq!(
             one.corpus, other.corpus,
             "corpus at {threads} threads differs"
-        );
-        assert_eq!(
-            one.journal, other.journal,
-            "journal at {threads} threads differs"
         );
         assert_eq!(
             one.metrics, other.metrics,

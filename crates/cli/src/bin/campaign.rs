@@ -106,9 +106,6 @@ static COMMANDS: [Command; 7] = [
                      without the flag
   --metrics-out PATH write nodefz-metrics-v1 telemetry snapshots to PATH,
                      refreshed every ~500ms and finalized at drain
-  --journal-out PATH write the nodefz-journal-v1 flight recorder (arm
-                     pulls with each arm's pull count, prune verdicts, arm
-                     quarantines, bug discoveries) to PATH at drain
   --trace-out PATH   after the campaign, record one profiled run as a
                      chrome://tracing timeline
   --obs-level LEVEL  worker loop profiling: off | counters (default off)",
@@ -355,7 +352,6 @@ fn fuzz(args: &mut Args) -> Result<ExitCode, CliError> {
             "--seed" => cfg.base_seed = args.value(&arg)?,
             "--prune" => cfg.prune = true,
             "--metrics-out" => cfg.metrics_out = Some(args.value(&arg)?),
-            "--journal-out" => cfg.journal_out = Some(args.value(&arg)?),
             "--trace-out" => cfg.trace_out = Some(args.value(&arg)?),
             "--obs-level" => {
                 let spelled: String = args.value(&arg)?;
@@ -731,17 +727,7 @@ fn sa(args: &mut Args) -> Result<ExitCode, CliError> {
         for i in 0..sweep_count {
             let seed = nodefz_sa::family_seed(family, i);
             let prog = std::rc::Rc::new(nodefz_conform::generate_family(family, seed));
-            let (report, log) =
-                nodefz_conform::run_logged(&prog, seed, nodefz_conform::Mode::Vanilla, &pool);
-            let completed = matches!(report.termination, nodefz_rt::Termination::Quiescent);
-            cov.record(
-                &prog,
-                &log,
-                &nodefz_conform::OracleCtx {
-                    demux: false,
-                    completed,
-                },
-            );
+            cov.record_vanilla(&prog, seed, &pool);
         }
         let snap = cov.snapshot();
         nodefz_obs::write_atomic(path, &format!("{}\n", snap.to_json()))

@@ -10,10 +10,13 @@
 //! and pinned by the coverage-regression golden.
 
 use std::collections::BTreeSet;
+use std::rc::Rc;
 
-use nodefz_rt::EventLog;
+use nodefz::Mode;
+use nodefz_rt::{EventLog, LoopPool, Termination};
 
 use crate::apigraph::ApiGraph;
+use crate::harness::run_logged;
 use crate::oracle::{phase_label, rules_exercised, OracleCtx, RULES};
 use crate::prog::Prog;
 
@@ -65,6 +68,22 @@ impl ApiCoverage {
                 ));
             }
         }
+    }
+
+    /// Runs `prog` once at `env_seed` under vanilla scheduling and folds
+    /// the run in: the accounting step of `campaign sa --apicov` and of a
+    /// campaign's `CONFORM-API` arms.
+    pub fn record_vanilla(&mut self, prog: &Rc<Prog>, env_seed: u64, pool: &Option<LoopPool>) {
+        let (report, log) = run_logged(prog, env_seed, Mode::Vanilla, pool);
+        let completed = matches!(report.termination, Termination::Quiescent);
+        self.record(
+            prog,
+            &log,
+            &OracleCtx {
+                demux: false,
+                completed,
+            },
+        );
     }
 
     /// Merges another accumulator (e.g. a different arm's batch).
@@ -176,38 +195,14 @@ impl ApiCovSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::rc::Rc;
-
-    use nodefz::Mode;
-    use nodefz_rt::EventLogHandle;
 
     use crate::apigraph::generate_api;
-    use crate::prog::install;
-
-    fn run_vanilla(prog: &Rc<Prog>, seed: u64) -> (EventLog, bool) {
-        let events = EventLogHandle::fresh();
-        let cfg = nodefz_apps::common::RunCfg::new(Mode::Vanilla, seed).events(&events);
-        let mut el = cfg.build_loop();
-        install(prog, &mut el);
-        let report = el.run();
-        let completed = matches!(report.termination, nodefz_rt::Termination::Quiescent);
-        (events.snapshot(), completed)
-    }
 
     #[test]
     fn coverage_accumulates_and_serialises() {
         let mut cov = ApiCoverage::default();
         for seed in 0..30 {
-            let prog = Rc::new(generate_api(seed));
-            let (log, completed) = run_vanilla(&prog, seed);
-            cov.record(
-                &prog,
-                &log,
-                &OracleCtx {
-                    demux: false,
-                    completed,
-                },
-            );
+            cov.record_vanilla(&Rc::new(generate_api(seed)), seed, &None);
         }
         let snap = cov.snapshot();
         assert_eq!(snap.programs, 30);
@@ -221,17 +216,8 @@ mod tests {
     fn merge_is_a_union() {
         let (mut a, mut b) = (ApiCoverage::default(), ApiCoverage::default());
         for seed in 0..5 {
-            let prog = Rc::new(generate_api(seed));
-            let (log, completed) = run_vanilla(&prog, seed);
-            let ctx = OracleCtx {
-                demux: false,
-                completed,
-            };
-            if seed % 2 == 0 {
-                a.record(&prog, &log, &ctx);
-            } else {
-                b.record(&prog, &log, &ctx);
-            }
+            let cov = if seed % 2 == 0 { &mut a } else { &mut b };
+            cov.record_vanilla(&Rc::new(generate_api(seed)), seed, &None);
         }
         let mut merged = a.clone();
         merged.merge(&b);

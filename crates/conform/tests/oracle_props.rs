@@ -55,7 +55,7 @@ fn assert_clean(prog: &Prog, log: &EventLog, seed: u64) {
 fn oracle_accepts_vanilla_logs_for_500_programs_across_3_seed_families() {
     let pool = LoopPool::new();
     for family in 0..3u64 {
-        let base = family.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let base = family.wrapping_mul(nodefz_rt::GOLDEN_GAMMA);
         for i in 0..500u64 {
             let seed = base ^ i;
             let (prog, log) = vanilla_log(&pool, seed);

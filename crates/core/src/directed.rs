@@ -4,21 +4,22 @@
 //! pair from one recorded run and reports the *cut*: the decision-trace
 //! prefix length that reproduces everything up to (but not including) the
 //! dispatch of the earlier racing event. A [`DirectedScheduler`] replays
-//! exactly that prefix, then spends a short *flip window* making the most
-//! order-inverting legal choice at every consultation — defer the timer,
-//! reverse the ready list, defer the close, pick the youngest task — so the
-//! predicted later event overtakes the earlier one. After the window it
-//! degenerates to an ordinary seeded [`FuzzScheduler`] so the run still
-//! terminates under a legal schedule.
+//! exactly that prefix by the replayer's rule ([`replay_choice`]), then
+//! spends a short *flip window* making the most order-inverting legal
+//! choice at every consultation — defer the timer, reverse the ready list,
+//! defer the close, pick the youngest task — so the predicted later event
+//! overtakes the earlier one. After the window it degenerates to an
+//! ordinary seeded [`FuzzScheduler`] so the run still terminates under a
+//! legal schedule.
 //!
 //! Directed runs are deterministic for a fixed ([`DirectedSpec`],
 //! `sched_seed`): retrying a prediction means bumping
 //! [`DirectedSpec::attempt`], which reseeds only the suffix fuzzer.
 
-use nodefz_rt::{PoolMode, ReadyEntry, Scheduler, TimerVerdict, VDur};
+use nodefz_rt::{PoolMode, ReadyEntry, Scheduler, TimerVerdict, VDur, GOLDEN_GAMMA};
 
 use crate::params::FuzzParams;
-use crate::replay::{Decision, DecisionTrace};
+use crate::replay::{permute, replay_choice, Consultation, DecisionTrace, Taken};
 use crate::scheduler::FuzzScheduler;
 
 /// The delay injected when the flip window defers a timer (the standard
@@ -82,7 +83,7 @@ impl DirectedScheduler {
     /// Builds the scheduler for one attempt; `sched_seed` matches the
     /// recorded run's seed so prefix divergences stay rare.
     pub fn new(spec: DirectedSpec, sched_seed: u64) -> DirectedScheduler {
-        let suffix_seed = sched_seed ^ spec.attempt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let suffix_seed = sched_seed ^ spec.attempt.wrapping_mul(GOLDEN_GAMMA);
         DirectedScheduler {
             spec,
             cursor: 0,
@@ -103,6 +104,11 @@ impl DirectedScheduler {
             Phase::Suffix
         }
     }
+
+    /// The decision the prefix takes at its `i`-th consultation, `at`.
+    fn replayed(&self, i: usize, at: Consultation) -> Taken<'_> {
+        replay_choice(self.spec.prefix.decisions.get(i), at).0
+    }
 }
 
 impl Scheduler for DirectedScheduler {
@@ -120,11 +126,10 @@ impl Scheduler for DirectedScheduler {
 
     fn on_timer(&mut self) -> TimerVerdict {
         match self.phase() {
-            Phase::Replay(at) => match self.spec.prefix.decisions.get(at) {
-                Some(&Decision::Timer(Some(ns))) => TimerVerdict::Defer {
+            Phase::Replay(i) => match self.replayed(i, Consultation::Timer) {
+                Taken::Timer(Some(ns)) => TimerVerdict::Defer {
                     delay: VDur::nanos(ns),
                 },
-                // Kind mismatch or past the end: inert, like replay.
                 _ => TimerVerdict::Run,
             },
             Phase::Flip => TimerVerdict::Defer {
@@ -136,17 +141,13 @@ impl Scheduler for DirectedScheduler {
 
     fn shuffle_ready(&mut self, ready: &mut Vec<ReadyEntry>) {
         match self.phase() {
-            Phase::Replay(at) => {
-                if let Some(Decision::Shuffle(perm)) = self.spec.prefix.decisions.get(at) {
-                    if perm.len() == ready.len()
-                        && perm.iter().all(|&src| (src as usize) < ready.len())
-                    {
-                        self.scratch.clear();
-                        self.scratch.extend_from_slice(ready);
-                        for (slot, &src) in perm.iter().enumerate() {
-                            ready[slot] = self.scratch[src as usize];
-                        }
-                    }
+            Phase::Replay(i) => {
+                let at = Consultation::Shuffle {
+                    len: ready.len() as u32,
+                };
+                let candidate = self.spec.prefix.decisions.get(i);
+                if let Taken::Shuffle(Some(perm)) = replay_choice(candidate, at).0 {
+                    permute(ready, perm, &mut self.scratch);
                 }
             }
             Phase::Flip => ready.reverse(),
@@ -156,10 +157,9 @@ impl Scheduler for DirectedScheduler {
 
     fn defer_ready(&mut self, entry: &ReadyEntry) -> bool {
         match self.phase() {
-            Phase::Replay(at) => matches!(
-                self.spec.prefix.decisions.get(at),
-                Some(&Decision::DeferReady(true))
-            ),
+            Phase::Replay(i) => {
+                self.replayed(i, Consultation::DeferReady) == Taken::DeferReady(true)
+            }
             Phase::Flip => true,
             Phase::Suffix => self.suffix.defer_ready(entry),
         }
@@ -167,10 +167,9 @@ impl Scheduler for DirectedScheduler {
 
     fn defer_close(&mut self) -> bool {
         match self.phase() {
-            Phase::Replay(at) => matches!(
-                self.spec.prefix.decisions.get(at),
-                Some(&Decision::DeferClose(true))
-            ),
+            Phase::Replay(i) => {
+                self.replayed(i, Consultation::DeferClose) == Taken::DeferClose(true)
+            }
             Phase::Flip => true,
             Phase::Suffix => self.suffix.defer_close(),
         }
@@ -178,10 +177,15 @@ impl Scheduler for DirectedScheduler {
 
     fn pick_task(&mut self, window: usize) -> usize {
         match self.phase() {
-            Phase::Replay(at) => match self.spec.prefix.decisions.get(at) {
-                Some(&Decision::PickTask(i)) if (i as usize) < window => i as usize,
-                _ => 0,
-            },
+            Phase::Replay(i) => {
+                let at = Consultation::PickTask {
+                    window: window as u32,
+                };
+                match self.replayed(i, at) {
+                    Taken::PickTask(pick) => pick as usize,
+                    _ => 0,
+                }
+            }
             Phase::Flip => window.saturating_sub(1),
             Phase::Suffix => self.suffix.pick_task(window),
         }
@@ -195,7 +199,7 @@ impl Scheduler for DirectedScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replay::{Perm, RecordingScheduler, TraceHandle};
+    use crate::replay::{Decision, Perm, RecordingScheduler, TraceHandle};
     use crate::Mode;
     use nodefz_rt::{EventLoop, LoopConfig};
 
@@ -258,6 +262,24 @@ mod tests {
         assert_eq!(ready.iter().map(|e| e.seq).collect::<Vec<_>>(), [2, 1, 0]);
         assert!(s.defer_ready(&ready[0]));
         assert_eq!(s.pick_task(5), 4);
+    }
+
+    #[test]
+    fn a_prefix_shuffle_that_is_no_permutation_leaves_the_list_alone() {
+        // `[0, 0, 1]` would duplicate entry 0 and drop entry 2; the
+        // replayer's rule falls back to the identity instead.
+        let perm = Perm::from(vec![0, 0, 1]);
+        let spec = DirectedSpec::new(prefix(vec![Decision::Shuffle(perm)]), 1);
+        let mut s = DirectedScheduler::new(spec, 1);
+        let mut ready: Vec<ReadyEntry> = (0..3)
+            .map(|i| ReadyEntry {
+                fd: nodefz_rt::Fd(i),
+                at: nodefz_rt::VTime(i as u64),
+                seq: i as u64,
+            })
+            .collect();
+        s.shuffle_ready(&mut ready);
+        assert_eq!(ready.iter().map(|e| e.seq).collect::<Vec<_>>(), [0, 1, 2]);
     }
 
     #[test]

@@ -63,5 +63,5 @@ pub use replay::{
     ReplayDivergence, ReplayError, ReplayScheduler, ReplayStatusHandle, Taken, TraceFormatError,
     TraceHandle,
 };
-pub use scheduler::{FuzzScheduler, FuzzStats};
+pub use scheduler::FuzzScheduler;
 pub use shrink::{ddmin, DdminResult};

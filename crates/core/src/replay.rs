@@ -815,6 +815,17 @@ fn is_permutation(perm: &[u32], len: usize) -> bool {
     true
 }
 
+/// Reorders `ready` by `perm`, a permutation of its indices taken by
+/// [`replay_choice`]: entry `i` becomes the old entry `perm[i]`. `scratch`
+/// holds the old order, so the list is never cloned.
+pub(crate) fn permute(ready: &mut [ReadyEntry], perm: &[u32], scratch: &mut Vec<ReadyEntry>) {
+    scratch.clear();
+    scratch.extend_from_slice(ready);
+    for (slot, &src) in perm.iter().enumerate() {
+        ready[slot] = scratch[src as usize];
+    }
+}
+
 /// Whether `perm` leaves every entry in place: the inert shuffle.
 pub fn is_identity(perm: &[u32]) -> bool {
     perm.iter().enumerate().all(|(i, &p)| i as u32 == p)
@@ -846,13 +857,8 @@ impl Scheduler for ReplayScheduler {
         let at = Consultation::Shuffle {
             len: ready.len() as u32,
         };
-        let Taken::Shuffle(Some(perm)) = self.cursor.consult(at) else {
-            return;
-        };
-        self.scratch.clear();
-        self.scratch.extend_from_slice(ready);
-        for (slot, &src) in perm.iter().enumerate() {
-            ready[slot] = self.scratch[src as usize];
+        if let Taken::Shuffle(Some(perm)) = self.cursor.consult(at) {
+            permute(ready, perm, &mut self.scratch);
         }
     }
 

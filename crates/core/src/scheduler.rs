@@ -40,26 +40,8 @@ use crate::params::FuzzParams;
 pub struct FuzzScheduler {
     params: FuzzParams,
     rng: Rng,
-    stats: FuzzStats,
     /// Reusable buffers for the bounded shuffle (one per poll iteration).
     scratch: ShuffleScratch,
-}
-
-/// Counters of the decisions a scheduler made during a run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FuzzStats {
-    /// Timers deferred.
-    pub timers_deferred: u64,
-    /// Timers allowed to run.
-    pub timers_run: u64,
-    /// Ready descriptors deferred.
-    pub ready_deferred: u64,
-    /// Ready lists shuffled.
-    pub shuffles: u64,
-    /// Close events deferred.
-    pub closes_deferred: u64,
-    /// Worker-pool picks that chose a non-head task.
-    pub nonfifo_picks: u64,
 }
 
 impl FuzzScheduler {
@@ -76,7 +58,6 @@ impl FuzzScheduler {
         FuzzScheduler {
             params,
             rng: Rng::new(sched_seed ^ 0x6E6F_6465_2E66_7A00), // "node.fz"
-            stats: FuzzStats::default(),
             scratch: ShuffleScratch::new(),
         }
     }
@@ -84,11 +65,6 @@ impl FuzzScheduler {
     /// The parameters in force.
     pub fn params(&self) -> &FuzzParams {
         &self.params
-    }
-
-    /// Decision counters accumulated so far.
-    pub fn stats(&self) -> FuzzStats {
-        self.stats
     }
 }
 
@@ -117,12 +93,10 @@ impl Scheduler for FuzzScheduler {
 
     fn on_timer(&mut self) -> TimerVerdict {
         if self.rng.chance_pct(self.params.timer_defer_pct) {
-            self.stats.timers_deferred += 1;
             TimerVerdict::Defer {
                 delay: self.params.timer_defer_delay,
             }
         } else {
-            self.stats.timers_run += 1;
             TimerVerdict::Run
         }
     }
@@ -132,36 +106,23 @@ impl Scheduler for FuzzScheduler {
         if dist == 0 || ready.len() < 2 {
             return;
         }
-        self.stats.shuffles += 1;
         self.rng
             .shuffle_bounded_with(ready, dist, &mut self.scratch);
     }
 
     fn defer_ready(&mut self, _entry: &ReadyEntry) -> bool {
-        let defer = self.rng.chance_pct(self.params.epoll_defer_pct);
-        if defer {
-            self.stats.ready_deferred += 1;
-        }
-        defer
+        self.rng.chance_pct(self.params.epoll_defer_pct)
     }
 
     fn defer_close(&mut self) -> bool {
-        let defer = self.rng.chance_pct(self.params.close_defer_pct);
-        if defer {
-            self.stats.closes_deferred += 1;
-        }
-        defer
+        self.rng.chance_pct(self.params.close_defer_pct)
     }
 
     fn pick_task(&mut self, window: usize) -> usize {
         if window <= 1 {
             return 0;
         }
-        let idx = self.rng.pick_index(window);
-        if idx != 0 {
-            self.stats.nonfifo_picks += 1;
-        }
-        idx
+        self.rng.pick_index(window)
     }
 }
 
@@ -223,8 +184,6 @@ mod tests {
             // With wp_dof = 1 the loop driver always presents a window of 1.
             assert_eq!(s.pick_task(1), 0);
         }
-        assert_eq!(s.stats().timers_deferred, 0);
-        assert_eq!(s.stats().ready_deferred, 0);
     }
 
     #[test]
@@ -320,20 +279,5 @@ mod tests {
         let mut p = FuzzParams::standard();
         p.timer_defer_pct = 500.0;
         let _ = FuzzScheduler::new(p, 1);
-    }
-
-    #[test]
-    fn stats_accumulate() {
-        let mut s = FuzzScheduler::new(FuzzParams::aggressive(), 10);
-        for _ in 0..100 {
-            let _ = s.on_timer();
-            let _ = s.defer_close();
-            let _ = s.pick_task(4);
-        }
-        let st = s.stats();
-        assert!(st.timers_deferred > 0);
-        assert!(st.timers_run > 0);
-        assert!(st.closes_deferred > 0);
-        assert!(st.nonfifo_picks > 0);
     }
 }

@@ -282,7 +282,7 @@ pub fn explain_entry(entry: &CorpusEntry, cfg: &ExplainConfig) -> Result<RaceRep
                 .events(&pass_events);
         sample_cfg.sched_seed = sample_cfg
             .sched_seed
-            .wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            .wrapping_add(i.wrapping_mul(nodefz_rt::GOLDEN_GAMMA));
         let out = case.run(&sample_cfg, Variant::Buggy);
         sampled += 1;
         if out.manifested {

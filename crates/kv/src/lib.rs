@@ -42,10 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod lock;
-
-pub use lock::{KvLock, LockConfig, LockResult};
-
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Deref;

@@ -24,25 +24,16 @@
 //!   version this build does not understand.
 //! * [`write_atomic`] — temp-file-plus-rename snapshot persistence, so a
 //!   concurrent reader never observes a torn document.
-//! * [`Journal`] — the campaign flight recorder: a bounded single-writer
-//!   ring of structured events (arm pulls with each arm's pull count,
-//!   prune verdicts, arm quarantines, discoveries) with the
-//!   `nodefz-journal-v1` JSON-lines codec.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod fsio;
-mod journal;
 mod json;
 mod parse;
 mod schema;
 
 pub use fsio::write_atomic;
-pub use journal::{
-    Journal, JournalDecodeError, JournalEntry, JournalEvent, PruneOutcome, WorkerState,
-    JOURNAL_CAP, JOURNAL_SCHEMA,
-};
 pub use json::JsonWriter;
 pub use parse::{JsonParseError, JsonValue};
 pub use schema::{expect_header, expect_schema, SchemaError};

@@ -109,8 +109,6 @@ pub struct LoopConfig {
     pub max_vtime: VTime,
     /// Cap on microtasks drained after one callback (storm guard).
     pub microtask_limit: usize,
-    /// Whether to record the full type schedule (counts are always kept).
-    pub trace: bool,
 }
 
 impl Default for LoopConfig {
@@ -124,7 +122,6 @@ impl Default for LoopConfig {
             max_iterations: 10_000_000,
             max_vtime: VTime::ZERO + VDur::secs(3_600),
             microtask_limit: 10_000,
-            trace: true,
         }
     }
 }
@@ -292,7 +289,7 @@ impl LoopState {
             env: EnvQueue::default(),
             signals: SignalState::default(),
             procs: ProcTable::default(),
-            trace: TraceRecorder::new(cfg.trace),
+            trace: TraceRecorder::default(),
             errors: Vec::new(),
             stopped: false,
             hung: false,
@@ -330,7 +327,7 @@ impl LoopState {
         self.env.reset();
         self.signals.reset();
         self.procs.reset();
-        self.trace.reset(cfg.trace);
+        self.trace.reset();
         self.errors.clear();
         self.stopped = false;
         self.hung = false;

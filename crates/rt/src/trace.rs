@@ -192,29 +192,19 @@ impl TypeSchedule {
     }
 }
 
-/// Per-run recorder for type schedules and dispatch counts.
+/// Per-run recorder for type schedules and dispatch counts. Every run
+/// records its whole type schedule: a bug's signature is built from it.
 #[derive(Clone, Debug, Default)]
 pub struct TraceRecorder {
-    enabled: bool,
     schedule: TypeSchedule,
     dispatched: u64,
 }
 
 impl TraceRecorder {
-    /// Creates a recorder; when `enabled` is false only counts are kept.
-    pub fn new(enabled: bool) -> TraceRecorder {
-        TraceRecorder {
-            enabled,
-            ..TraceRecorder::default()
-        }
-    }
-
     /// Records the dispatch of one callback of the given kind.
     pub fn record(&mut self, kind: CbKind) {
         self.dispatched += 1;
-        if self.enabled {
-            self.schedule.push(kind);
-        }
+        self.schedule.push(kind);
     }
 
     /// Returns the total number of dispatched callbacks.
@@ -233,8 +223,7 @@ impl TraceRecorder {
     }
 
     /// Clears all state for a fresh run, keeping allocated capacity.
-    pub fn reset(&mut self, enabled: bool) {
-        self.enabled = enabled;
+    pub fn reset(&mut self) {
         self.schedule.clear();
         self.dispatched = 0;
     }
@@ -302,17 +291,8 @@ mod tests {
     }
 
     #[test]
-    fn recorder_disabled_keeps_counts_only() {
-        let mut r = TraceRecorder::new(false);
-        r.record(CbKind::Timer);
-        r.record(CbKind::Timer);
-        assert_eq!(r.dispatched(), 2);
-        assert!(r.schedule().is_empty());
-    }
-
-    #[test]
     fn recorder_enabled_records_schedule() {
-        let mut r = TraceRecorder::new(true);
+        let mut r = TraceRecorder::default();
         r.record(CbKind::PoolDone);
         assert_eq!(r.dispatched(), 1);
         assert_eq!(r.into_schedule().count(CbKind::PoolDone), 1);

@@ -10,14 +10,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod diff;
 mod intern;
 mod levenshtein;
 mod signature;
 mod stats;
 
-pub use diff::{render_divergence, schedule_diff, ScheduleDiff};
 pub use intern::{SigKey, SiteId, SiteInterner};
 pub use levenshtein::{levenshtein, levenshtein_banded, normalized_levenshtein};
 pub use signature::{kind_fingerprint, normalize_site, normalize_site_into, BugSignature};
-pub use stats::{kind_histogram, pairwise_normalized_ld, DiversitySummary, PAPER_TRUNCATION};
+pub use stats::{pairwise_normalized_ld, DiversitySummary, PAPER_TRUNCATION};

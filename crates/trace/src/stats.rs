@@ -6,7 +6,7 @@
 //! [`DiversitySummary`] adds auxiliary diversity measures used by the
 //! extended analyses.
 
-use nodefz_rt::{CbKind, TypeSchedule};
+use nodefz_rt::TypeSchedule;
 
 use crate::levenshtein::normalized_levenshtein;
 
@@ -137,19 +137,10 @@ fn pooled_kind_entropy(schedules: &[Vec<u8>]) -> f64 {
         .sum()
 }
 
-/// Histogram of callback kinds in a schedule, for reporting.
-pub fn kind_histogram(schedule: &TypeSchedule) -> Vec<(CbKind, usize)> {
-    CbKind::all()
-        .iter()
-        .copied()
-        .map(|k| (k, schedule.count(k)))
-        .filter(|(_, n)| *n > 0)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nodefz_rt::CbKind;
 
     fn sched(kinds: &[CbKind]) -> TypeSchedule {
         let mut s = TypeSchedule::new();
@@ -229,14 +220,5 @@ mod tests {
         kinds.extend(vec![CbKind::NetRead; 5]);
         let d = DiversitySummary::compute(&[sched(&kinds)], 100);
         assert!((d.kind_entropy - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_lists_present_kinds_only() {
-        let s = sched(&[CbKind::Timer, CbKind::Timer, CbKind::Close]);
-        let h = kind_histogram(&s);
-        assert_eq!(h.len(), 2);
-        assert!(h.contains(&(CbKind::Timer, 2)));
-        assert!(h.contains(&(CbKind::Close, 1)));
     }
 }
