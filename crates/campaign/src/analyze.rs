@@ -152,7 +152,7 @@ fn spec_worklist(analysis: &AppAnalysis) -> Vec<(RaceInfo, Vec<DirectedSpec>)> {
 }
 
 /// The analyzed app's static race candidates (buggy variant): `None`
-/// when the app carries no declarative model (CONFORM, non-fig6 cases).
+/// when the app carries no declarative model (CONFORM-API, non-fig6 cases).
 fn static_candidates(app: &str) -> Option<Vec<Candidate>> {
     let case = crate::driver::resolve_case(app)?;
     let model = case.static_model(Variant::Buggy)?;

@@ -13,7 +13,10 @@ pub const PRESETS: [&str; 3] = ["standard", "aggressive", "guided"];
 
 /// The virtual preset index of the race-directed arm (one past the real
 /// presets): its runs replay a recorded prefix and force a predicted
-/// race's flipped order instead of fuzzing from scratch.
+/// race's flipped order instead of fuzzing from scratch. A happens-before
+/// analysis of one recorded vanilla-posture run per app predicts the
+/// racing callback pairs; apps whose analysis predicts nothing get no
+/// directed arm.
 pub const DIRECTED_PRESET: usize = PRESETS.len();
 
 /// Resolves a preset index — real or the virtual directed one — to the
@@ -48,10 +51,10 @@ pub struct CampaignConfig {
     pub budget: u64,
     /// Bug abbreviations to target (Table 2 names, e.g. `["KUE", "MKD"]`).
     pub apps: Vec<String>,
-    /// Which fuzz presets each app gets an arm for, as indices into
-    /// [`PRESETS`] (default: all of them). One preset restricts every app
-    /// to one fuzz arm; an empty list is only valid together with
-    /// [`CampaignConfig::directed`], yielding a directed-only campaign.
+    /// Which presets each app gets an arm for, as indices into
+    /// [`PRESETS`] or [`DIRECTED_PRESET`] (default: every fuzz preset).
+    /// One preset restricts every app to one arm; an app's directed arm
+    /// comes after its fuzz arms, wherever the list names it.
     pub presets: Vec<usize>,
     /// Wall-clock deadline; the campaign drains gracefully when it passes.
     pub deadline: Option<Duration>,
@@ -65,12 +68,6 @@ pub struct CampaignConfig {
     pub corpus_dir: Option<PathBuf>,
     /// Base environment seed; per-run seeds are derived deterministically.
     pub base_seed: u64,
-    /// Whether to add a race-directed arm per app: a happens-before
-    /// analysis of one recorded vanilla-posture run predicts racing
-    /// callback pairs, and the arm's runs replay that run's prefix and
-    /// force each predicted flip ([`DIRECTED_PRESET`]). Apps whose
-    /// analysis predicts nothing get no directed arm.
-    pub directed: bool,
     /// Where to write periodic `nodefz-metrics-v1` telemetry snapshots
     /// (`None` = no snapshots). Controller-side telemetry — arms,
     /// discovery curve, per-arm diversity — is collected whenever this is
@@ -106,7 +103,6 @@ impl Default for CampaignConfig {
             replay_checks: 10,
             corpus_dir: None,
             base_seed: 1,
-            directed: false,
             metrics_out: None,
             trace_out: None,
             obs_level: ObsLevel::Off,
@@ -131,13 +127,13 @@ impl CampaignConfig {
         if self.apps.is_empty() {
             return Err("at least one app must be targeted".into());
         }
-        if self.presets.is_empty() && !self.directed {
-            return Err("presets may only be empty in a directed-only campaign".into());
+        if self.presets.is_empty() {
+            return Err("at least one preset must be armed".into());
         }
         for &preset in &self.presets {
-            if preset >= PRESETS.len() {
+            if preset > DIRECTED_PRESET {
                 return Err(format!(
-                    "preset index {preset} out of range (presets: {})",
+                    "preset index {preset} out of range (presets: {}, directed)",
                     PRESETS.join(", ")
                 ));
             }
@@ -145,7 +141,7 @@ impl CampaignConfig {
         for app in &self.apps {
             if crate::driver::resolve_case(app).is_none() {
                 return Err(format!(
-                    "unknown app '{app}' (known: {}, plus CONFORM and CONFORM-API)",
+                    "unknown app '{app}' (known: {}, plus CONFORM-API)",
                     nodefz_apps::abbrs().join(", ")
                 ));
             }
@@ -245,7 +241,7 @@ mod tests {
         };
         one.validate().unwrap();
         let out_of_range = CampaignConfig {
-            presets: vec![PRESETS.len()],
+            presets: vec![DIRECTED_PRESET + 1],
             ..base.clone()
         };
         assert!(out_of_range
@@ -256,10 +252,12 @@ mod tests {
             presets: vec![],
             ..base.clone()
         };
-        assert!(empty.validate().unwrap_err().contains("directed-only"));
+        assert!(empty
+            .validate()
+            .unwrap_err()
+            .contains("at least one preset"));
         let directed_only = CampaignConfig {
-            presets: vec![],
-            directed: true,
+            presets: vec![DIRECTED_PRESET],
             ..base
         };
         directed_only.validate().unwrap();

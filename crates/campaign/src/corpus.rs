@@ -324,7 +324,7 @@ mod tests {
         }
         let listed = nodefz_apps::abbrs()
             .into_iter()
-            .chain([nodefz_conform::ABBR, nodefz_conform::API_ABBR]);
+            .chain([nodefz_conform::API_ABBR]);
         for app in listed {
             let doc = doc.replacen("app KUE\n", &format!("app {app}\n"), 1);
             assert_eq!(

@@ -3,16 +3,13 @@
 //! A campaign of thousands of runs manifests the same race over and over;
 //! the deduplicator collapses manifestations to one report per underlying
 //! bug, keyed on [`BugSignature`] (app + normalized failure site + callback
-//! kind fingerprint). Internally the table is keyed on the id-based
-//! [`SigKey`] — signature strings are interned once per distinct bug, so a
-//! repeat manifestation costs two hash lookups and no allocation.
-//!
-//! [`SigKey`]: nodefz_trace::SigKey
+//! kind fingerprint). Every [`Finding`] already owns its signature, so the
+//! table keys on it directly.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use nodefz::DecisionTrace;
-use nodefz_trace::{BugSignature, SigKey, SiteInterner};
+use nodefz_trace::BugSignature;
 
 /// One manifestation of a failure, as produced by a fuzz run.
 #[derive(Clone, Debug)]
@@ -51,8 +48,7 @@ pub struct BugRecord {
 /// Collapses findings to one [`BugRecord`] per signature.
 #[derive(Debug, Default)]
 pub struct Deduper {
-    interner: SiteInterner,
-    bugs: HashMap<SigKey, BugRecord>,
+    bugs: BTreeMap<BugSignature, BugRecord>,
 }
 
 impl Deduper {
@@ -63,15 +59,14 @@ impl Deduper {
 
     /// Records a manifestation; returns `true` when its signature is new.
     pub fn insert(&mut self, finding: Finding) -> bool {
-        let key = SigKey::of(&finding.signature, &mut self.interner);
-        match self.bugs.get_mut(&key) {
+        match self.bugs.get_mut(&finding.signature) {
             Some(record) => {
                 record.hits += 1;
                 false
             }
             None => {
                 self.bugs.insert(
-                    key,
+                    finding.signature.clone(),
                     BugRecord {
                         first: finding,
                         hits: 1,
@@ -97,8 +92,7 @@ impl Deduper {
         shrink_replays: u64,
         replays_ok: u32,
     ) {
-        let key = SigKey::of(signature, &mut self.interner);
-        if let Some(record) = self.bugs.get_mut(&key) {
+        if let Some(record) = self.bugs.get_mut(signature) {
             record.shrunk = Some(shrunk);
             record.oracle_calls = oracle_calls;
             record.shrink_replays = shrink_replays;
@@ -107,9 +101,8 @@ impl Deduper {
     }
 
     /// The record a signature deduplicates into, if any.
-    pub fn record_for(&mut self, signature: &BugSignature) -> Option<&BugRecord> {
-        let key = SigKey::of(signature, &mut self.interner);
-        self.bugs.get(&key)
+    pub fn record_for(&self, signature: &BugSignature) -> Option<&BugRecord> {
+        self.bugs.get(signature)
     }
 
     /// Number of distinct bugs seen.
@@ -119,9 +112,7 @@ impl Deduper {
 
     /// All records, sorted by signature for stable output.
     pub fn records(&self) -> Vec<&BugRecord> {
-        let mut out: Vec<_> = self.bugs.values().collect();
-        out.sort_by(|a, b| a.first.signature.cmp(&b.first.signature));
-        out
+        self.bugs.values().collect()
     }
 }
 

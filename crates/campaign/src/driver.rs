@@ -78,9 +78,8 @@ const METRICS_INTERVAL: Duration = Duration::from_millis(500);
 
 /// Resolves a campaign app abbreviation to its bug case. Beyond the
 /// studied application bugs ([`nodefz_apps::by_abbr`]), campaigns can run
-/// the conformance arms — generated programs judged against the
-/// runtime's ordering oracle — under the `CONFORM` (independent
-/// sampling) and `CONFORM-API` (API-graph traversal) abbreviations.
+/// the conformance arm — generated programs judged against the runtime's
+/// ordering oracle — under the `CONFORM-API` abbreviation.
 pub fn resolve_case(app: &str) -> Option<Box<dyn BugCase>> {
     #[cfg(test)]
     if app.eq_ignore_ascii_case(tests::PANICKY) {
@@ -89,9 +88,6 @@ pub fn resolve_case(app: &str) -> Option<Box<dyn BugCase>> {
     #[cfg(test)]
     if app.eq_ignore_ascii_case(tests::FLAKY) {
         return Some(Box::new(tests::Flaky));
-    }
-    if app.eq_ignore_ascii_case(nodefz_conform::ABBR) {
-        return Some(nodefz_conform::bug_case());
     }
     if app.eq_ignore_ascii_case(nodefz_conform::API_ABBR) {
         return Some(nodefz_conform::api_bug_case());
@@ -839,21 +835,24 @@ pub fn run_with_progress(
         None => None,
     };
 
-    // When the directed arm is on, analyze one recorded vanilla-posture
-    // run per app up front (controller-side; two runs per app) and keep
-    // the predicted flips. Apps with no predictions get no directed arm; an
-    // app whose analysis run panicked gets one that is retired before its
+    // When the directed preset is armed, analyze one recorded
+    // vanilla-posture run per app up front (controller-side; two runs per
+    // app) and keep the predicted flips. An app's directed arm follows its
+    // fuzz arms. Apps with no predictions get no directed arm; an app
+    // whose analysis run panicked gets one that is retired before its
     // first pull, and a quarantine that names it.
     let mut quarantined: Vec<Quarantine> = Vec::new();
     let mut specs: std::collections::HashMap<String, (u64, Vec<DirectedSpec>)> = Default::default();
     let mut arms: Vec<Arm> = Vec::new();
+    let directed = cfg.presets.contains(&DIRECTED_PRESET);
     for app in &cfg.apps {
         arms.extend(
             cfg.presets
                 .iter()
+                .filter(|&&preset| preset != DIRECTED_PRESET)
                 .map(|&preset| Arm::new(app.clone(), preset)),
         );
-        if !cfg.directed {
+        if !directed {
             continue;
         }
         let analysis_seed = derive_seed(arm_seed(cfg.base_seed, app, DIRECTED_PRESET), 0);
@@ -870,8 +869,8 @@ pub fn run_with_progress(
         arms.push(arm);
     }
     if arms.is_empty() {
-        // Only reachable in a directed-only campaign (empty preset list)
-        // where no targeted app's analysis predicted a race.
+        // Only reachable in a directed-only campaign where no targeted
+        // app's analysis predicted a race.
         return Err(format!(
             "no arms: directed analysis predicted no races for {}",
             cfg.apps.join(", ")
@@ -1245,7 +1244,7 @@ fn conform_apicov(cfg: &CampaignConfig, arms: &[Arm]) -> Option<nodefz_conform::
         let base = arm_base(cfg.base_seed, arm);
         for pull in 0..arm.pulls.min(APICOV_REPLAY_CAP) {
             let seed = derive_seed(base, pull);
-            let prog = std::rc::Rc::new(nodefz_conform::generate_api(seed));
+            let prog = std::rc::Rc::new(nodefz_conform::generate(seed));
             cov.record_vanilla(&prog, seed, &None);
         }
     }
@@ -1507,12 +1506,16 @@ pub(crate) mod tests {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
+        let mut presets = CampaignConfig::default().presets;
+        if directed {
+            presets.push(DIRECTED_PRESET);
+        }
         let report = run_or_hang(CampaignConfig {
             threads,
             budget: 200,
             apps: vec!["GHO".into(), PANICKY.into()],
+            presets,
             base_seed,
-            directed,
             replay_checks: 2,
             corpus_dir: Some(dir.join("corpus")),
             metrics_out: Some(dir.join("metrics.json")),
@@ -1565,13 +1568,10 @@ pub(crate) mod tests {
             {
                 Some(q) => {
                     let want = JsonValue::Obj(vec![
-                        ("env_seed".into(), JsonValue::Num(q.env_seed as f64)),
+                        ("env_seed".into(), JsonValue::U64(q.env_seed)),
                         ("message".into(), JsonValue::Str(q.message.clone())),
                     ]);
                     assert_eq!(*value, want, "{label}");
-                    // The reader holds numbers as f64; the text is exact.
-                    let seed = format!("\"env_seed\": {},", q.env_seed);
-                    assert!(metrics.contains(&seed), "{label}: no {seed}");
                 }
                 None => assert!(value.is_null(), "{label}: {value:?}"),
             }
@@ -1633,12 +1633,8 @@ pub(crate) mod tests {
         let directed = quarantine_rows(&metrics)
             .into_iter()
             .find(|(label, _)| *label == format!("{PANICKY}/directed"));
-        let seed = directed.and_then(|(_, q)| q.get("env_seed").and_then(JsonValue::as_f64));
-        assert_eq!(
-            seed,
-            Some(analysis_seed as f64),
-            "the analysis seed is on the row"
-        );
+        let seed = directed.and_then(|(_, q)| q.get("env_seed").and_then(JsonValue::as_u64));
+        assert_eq!(seed, Some(analysis_seed), "the analysis seed is on the row");
         assert!(
             report.arms.contains(&(PANICKY.into(), "directed", 0)),
             "the directed arm gets no runs: {:?}",

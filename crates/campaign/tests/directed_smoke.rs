@@ -4,7 +4,7 @@
 
 use nodefz::{FuzzParams, Mode, TraceHandle};
 use nodefz_apps::common::{RunCfg, Variant};
-use nodefz_campaign::{analyze_campaign, run, AnalyzeConfig, CampaignConfig};
+use nodefz_campaign::{analyze_campaign, run, AnalyzeConfig, CampaignConfig, DIRECTED_PRESET};
 
 /// Executions a plain seeded fuzzing sweep needs before `app`'s bug first
 /// manifests at `env_seed` — the §5-style baseline the directed mode is
@@ -62,16 +62,19 @@ fn directed_beats_undirected_on_gho() {
 
 #[test]
 fn directed_campaign_arm_runs_end_to_end() {
-    let cfg = CampaignConfig {
-        apps: vec!["GHO".into()],
-        budget: 24,
-        threads: 2,
-        base_seed: 11,
-        directed: true,
-        shrink: false,
-        ..CampaignConfig::default()
+    let campaign = |presets: Vec<usize>| {
+        run(&CampaignConfig {
+            apps: vec!["GHO".into()],
+            presets,
+            budget: 24,
+            threads: 2,
+            base_seed: 11,
+            shrink: false,
+            ..CampaignConfig::default()
+        })
+        .expect("campaign runs")
     };
-    let report = run(&cfg).expect("campaign runs");
+    let report = campaign(vec![0, 1, 2, DIRECTED_PRESET]);
     assert_eq!(report.runs, 24);
     assert!(
         report
@@ -81,4 +84,9 @@ fn directed_campaign_arm_runs_end_to_end() {
         "arms: {:?}",
         report.arms
     );
+    // An app's directed arm follows its fuzz arms wherever the preset
+    // list names it, so naming it first runs the same campaign.
+    let first = campaign(vec![DIRECTED_PRESET, 0, 1, 2]);
+    assert_eq!(first.arms, report.arms);
+    assert_eq!(format!("{:?}", first.bugs), format!("{:?}", report.bugs));
 }

@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use nodefz_campaign::{run, CampaignConfig};
+use nodefz_campaign::{run, CampaignConfig, DIRECTED_PRESET};
 use nodefz_obs::{JsonValue, ObsLevel};
 
 /// What one campaign wrote, with every wall-clock field dropped.
@@ -50,7 +50,7 @@ fn campaign(threads: usize) -> Output {
         budget: 120,
         base_seed: 7,
         replay_checks: 2,
-        directed: true,
+        presets: vec![0, 1, 2, DIRECTED_PRESET],
         prune: true,
         obs_level: ObsLevel::Counters,
         corpus_dir: Some(dir.join("corpus")),

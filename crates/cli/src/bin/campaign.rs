@@ -79,12 +79,10 @@ static COMMANDS: [Command; 7] = [
                      results
   --budget N         total fuzz runs (default 400)
   --apps A,B,C       bug abbreviations to target (default: the fig6 set);
-                     CONFORM and CONFORM-API are the generated-program
-                     arms (independent sampling and API-graph traversal)
-                     judged against the runtime's ordering oracle, and a
-                     campaign that pulls CONFORM-API embeds a
-                     nodefz-apicov-v1 coverage block in its final metrics
-                     snapshot
+                     CONFORM-API is the generated-program arm judged
+                     against the runtime's ordering oracle, and a
+                     campaign that pulls it embeds a nodefz-apicov-v1
+                     coverage block in its final metrics snapshot
   --presets LIST     comma-separated fuzz presets to arm (default
                      standard,aggressive,guided); 'directed' adds a
                      race-directed arm per app, fed by happens-before
@@ -124,7 +122,7 @@ static COMMANDS: [Command; 7] = [
         name: "list",
         usage: "campaign list [flags] — list the apps a campaign can target
   --apps A,B,C       list only these apps (default: every app, then
-                     CONFORM and CONFORM-API)",
+                     CONFORM-API)",
         hooks: &[],
         run: list,
     },
@@ -164,25 +162,17 @@ static COMMANDS: [Command; 7] = [
         usage: "campaign sa [flags] — static race prediction without executing a schedule
   --apps A,B,C       apps whose static models to analyze (default: every
                      registered app, buggy and fixed variants)
-  --conform N        also model and analyze the first N generated
-                     programs of a conform seed family (default 0; the
-                     soundness/gated sweeps and --apicov default to 200
-                     when this is unset)
-  --family F         conform seed family for --conform and the sweeps
-                     (default 0, the CI smoke family; 3 is the API-graph
-                     family)
-  --apicov PATH      run the family's first N programs (N as for the
-                     sweeps) under vanilla scheduling and write their
-                     nodefz-apicov-v1 API-coverage document to PATH
+  --conform N        also model and analyze the first N programs of the
+                     conformance stream (default 0; the soundness sweep
+                     and --apicov default to 200 when this is unset)
+  --apicov PATH      run the stream's first N programs (N as for the
+                     soundness sweep) under vanilla scheduling and write
+                     their nodefz-apicov-v1 API-coverage document to PATH
   --out PATH         where to write the nodefz-sa-v1 report
                      (default SA_report.json)
   --soundness        run the dynamic soundness gate over the conform
                      programs: every dynamically predicted race must be
-                     covered by a static candidate, else exit nonzero
-  --gated            run the static-first differential sweep: programs
-                     the analyzer proves race-free skip the differential
-                     harness, tripwires re-check every Nth skip
-  --tripwire N       tripwire cadence under --gated (default 8)",
+                     covered by a static candidate, else exit nonzero",
         hooks: &["--canary"],
         run: sa,
     },
@@ -302,18 +292,18 @@ fn failed(message: impl std::fmt::Display) -> CliError {
 fn parse_presets(cfg: &mut CampaignConfig, names: &[String]) -> Result<(), CliError> {
     let mut presets = Vec::new();
     for name in names {
-        if name.eq_ignore_ascii_case("directed") {
-            cfg.directed = true;
+        let index = if name.eq_ignore_ascii_case("directed") {
+            nodefz_campaign::DIRECTED_PRESET
         } else {
-            let index = nodefz_campaign::preset_index(name).ok_or_else(|| {
+            nodefz_campaign::preset_index(name).ok_or_else(|| {
                 CliError::Usage(format!(
                     "--presets: unknown preset '{name}' (known: {}, directed)",
                     nodefz_campaign::PRESETS.join(", ")
                 ))
-            })?;
-            if !presets.contains(&index) {
-                presets.push(index);
-            }
+            })?
+        };
+        if !presets.contains(&index) {
+            presets.push(index);
         }
     }
     cfg.presets = presets;
@@ -462,13 +452,8 @@ fn list(args: &mut Args) -> Result<ExitCode, CliError> {
         .map(|c| c.info())
         .map(|i| (i.abbr, i.name, i.bug_ref))
         .collect();
-    for (case, name) in [
-        (nodefz_conform::bug_case(), "conformance arm"),
-        (nodefz_conform::api_bug_case(), "API-graph arm"),
-    ] {
-        let info = case.info();
-        rows.push((info.abbr, name, info.bug_ref));
-    }
+    let info = nodefz_conform::api_bug_case().info();
+    rows.push((info.abbr, "conformance arm", info.bug_ref));
     for (abbr, name, bug_ref) in rows {
         if apps.is_empty() || apps.iter().any(|a| a.eq_ignore_ascii_case(abbr)) {
             println!("{abbr:<4} {name:<16} {bug_ref}");
@@ -635,29 +620,22 @@ fn explain(args: &mut Args) -> Result<ExitCode, CliError> {
 /// `campaign sa`: analyze app static models (and optionally generated
 /// conform programs) without executing a single schedule, write the
 /// `nodefz-sa-v1` report, and optionally run the dynamic soundness
-/// gate, the static-first gated differential sweep, or the
-/// broken-analyzer canary.
+/// gate or the broken-analyzer canary.
 fn sa(args: &mut Args) -> Result<ExitCode, CliError> {
     use nodefz_apps::common::Variant;
 
     let mut apps = Vec::new();
     let mut conform: u64 = 0;
-    let mut family: u64 = 0;
     let mut out = PathBuf::from("SA_report.json");
     let mut soundness = false;
-    let mut gated = false;
-    let mut tripwire: u64 = 8;
     let mut canary = false;
     let mut apicov: Option<PathBuf> = None;
     while let Some(arg) = args.next()? {
         match arg.as_str() {
             "--apps" => apps = args.list(&arg)?,
             "--conform" => conform = args.value(&arg)?,
-            "--family" => family = args.value(&arg)?,
             "--out" => out = args.value(&arg)?,
             "--soundness" => soundness = true,
-            "--gated" => gated = true,
-            "--tripwire" => tripwire = args.value(&arg)?,
             "--canary" => canary = true,
             "--apicov" => apicov = Some(args.value(&arg)?),
             other => return Err(unexpected(other)),
@@ -695,8 +673,8 @@ fn sa(args: &mut Args) -> Result<ExitCode, CliError> {
         let mut race_free = 0u64;
         let mut candidates = 0usize;
         for i in 0..conform {
-            let seed = nodefz_sa::family_seed(family, i);
-            let prog = std::rc::Rc::new(nodefz_conform::generate_family(family, seed));
+            let seed = nodefz_conform::stream_seed(i);
+            let prog = std::rc::Rc::new(nodefz_conform::generate(seed));
             let pm = nodefz_sa::model_of_prog(&prog, &format!("conform-{seed:016x}"));
             let analysis = nodefz_sa::analyze_model(pm.model);
             race_free += u64::from(analysis.candidates.is_empty());
@@ -704,7 +682,7 @@ fn sa(args: &mut Args) -> Result<ExitCode, CliError> {
             analyses.push(analysis);
         }
         println!(
-            "sa: modeled {conform} conform program(s) of family {family}: {candidates} candidate(s), {race_free} proven race-free",
+            "sa: modeled {conform} conform program(s): {candidates} candidate(s), {race_free} proven race-free",
         );
     }
 
@@ -725,15 +703,15 @@ fn sa(args: &mut Args) -> Result<ExitCode, CliError> {
         // one `nodefz-apicov-v1` document.
         let mut cov = nodefz_conform::ApiCoverage::default();
         for i in 0..sweep_count {
-            let seed = nodefz_sa::family_seed(family, i);
-            let prog = std::rc::Rc::new(nodefz_conform::generate_family(family, seed));
+            let seed = nodefz_conform::stream_seed(i);
+            let prog = std::rc::Rc::new(nodefz_conform::generate(seed));
             cov.record_vanilla(&prog, seed, &pool);
         }
         let snap = cov.snapshot();
         nodefz_obs::write_atomic(path, &format!("{}\n", snap.to_json()))
             .map_err(|e| failed(format!("cannot write {}: {e}", path.display())))?;
         println!(
-            "apicov: {} program(s) of family {family}: {}/{} nodes, {}/{} edges, {}/{} rules; wrote {}",
+            "apicov: {} program(s): {}/{} nodes, {}/{} edges, {}/{} rules; wrote {}",
             snap.programs,
             snap.nodes_covered,
             snap.nodes_total,
@@ -746,7 +724,7 @@ fn sa(args: &mut Args) -> Result<ExitCode, CliError> {
     }
 
     if soundness {
-        let stats = nodefz_sa::sweep_family(family, sweep_count, &pool).map_err(failed)?;
+        let stats = nodefz_sa::sweep(sweep_count, &pool).map_err(failed)?;
         println!(
             "soundness: {} program(s), {} dynamic race(s), {} candidate(s) ({} confirmed), {} race-free",
             stats.programs,
@@ -767,24 +745,11 @@ fn sa(args: &mut Args) -> Result<ExitCode, CliError> {
         println!("soundness: gate holds — every dynamic prediction is statically covered");
     }
 
-    if gated {
-        let diff_cfg = nodefz_conform::DiffConfig {
-            pool: Some(nodefz_rt::LoopPool::new()),
-            ..nodefz_conform::DiffConfig::default()
-        };
-        let s = nodefz_sa::static_gated_sweep(family, sweep_count, tripwire, &diff_cfg)
-            .map_err(failed)?;
-        println!(
-            "gated: {} program(s): {} race-free, {} skipped, {} tripwire(s), {} differential(s)",
-            s.programs, s.race_free, s.skipped, s.tripwires, s.differentials,
-        );
-    }
-
     if canary {
         let mut tripped = false;
         for i in 0..sweep_count {
-            let seed = nodefz_sa::family_seed(family, i);
-            let prog = std::rc::Rc::new(nodefz_conform::generate_family(family, seed));
+            let seed = nodefz_conform::stream_seed(i);
+            let prog = std::rc::Rc::new(nodefz_conform::generate(seed));
             let check = nodefz_sa::check_prog(&prog, seed, &pool, true).map_err(failed)?;
             if !check.missing.is_empty() {
                 println!(

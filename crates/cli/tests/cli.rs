@@ -192,6 +192,46 @@ fn no_command_silently_ignores_a_flag() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Conformance testing is one program stream and one campaign arm: the
+/// seed-family and gated-sweep flags are unknown to `campaign sa`,
+/// `CONFORM` is an unknown app, and `campaign list` has one conformance
+/// row.
+#[test]
+fn conformance_is_one_stream_and_one_arm() {
+    // The deleted seed-family, gated-sweep and tripwire flags, by name.
+    for (name, value) in [
+        ("family", Some("3")),
+        ("gated", None),
+        ("tripwire", Some("8")),
+    ] {
+        let flag = format!("--{name}");
+        let mut args = vec!["sa", flag.as_str()];
+        args.extend(value);
+        let out = run(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stdout(&out).is_empty(), "{args:?} ran: {}", stdout(&out));
+        let error = format!("campaign sa: unknown flag {flag}");
+        assert_eq!(stderr.lines().next(), Some(error.as_str()), "{args:?}");
+    }
+
+    let out = run(&["--apps", "CONFORM", "--budget", "5"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stdout(&out).is_empty(), "ran: {}", stdout(&out));
+    assert!(stderr.contains("unknown app 'CONFORM'"), "{stderr}");
+
+    let out = run(&["list"]);
+    assert!(out.status.success());
+    let listing = stdout(&out);
+    let rows: Vec<&str> = listing
+        .lines()
+        .filter(|l| l.contains("conformance"))
+        .collect();
+    assert_eq!(rows.len(), 1, "{listing}");
+    assert!(rows[0].starts_with("CONFORM-API "), "{listing}");
+}
+
 #[test]
 fn presets_flag_restricts_a_campaign_to_one_arm() {
     let dir = scratch("presets");

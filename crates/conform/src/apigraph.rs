@@ -1,12 +1,13 @@
 //! API-graph program generation (RULF-style) for the conform harness.
 //!
-//! The hand-rolled generator in [`crate::gen`] samples ops independently,
-//! so it can only reach runtime states one registration deep. This module
-//! instead models the public runtime surface as an explicit **API
-//! dependency graph**: each node is one public call (a handle
-//! constructor, a state-transforming member op, or a combinator entry
-//! point) declaring which resource types it consumes and produces and the
-//! validity constraint it lives under. Programs are generated by walking
+//! [`generate`] is a pure function of its seed: the same seed always
+//! yields the same [`Prog`], which is what lets a campaign regenerate the
+//! program from a finding's environment seed at replay time. It models
+//! the public runtime surface as an explicit **API dependency graph**:
+//! each node is one public call (a handle constructor, a
+//! state-transforming member op, or a combinator entry point) declaring
+//! which resource types it consumes and produces and the validity
+//! constraint it lives under. Programs are generated by walking
 //! producer→consumer edges, so every emitted [`Prog`] is valid *by
 //! construction* — a member call can only appear downstream of the
 //! constructor that produced its resource.
@@ -30,8 +31,12 @@
 use nodefz_check::Gen;
 use nodefz_rt::AccessKind;
 
-use crate::gen::{MAX_DEPTH, MAX_NODES};
 use crate::prog::{Node, Op, Prog, Touch, SHARED_SITES};
+
+/// Maximum nodes per generated program (including the root).
+const MAX_NODES: usize = 12;
+/// Maximum tree depth (root = depth 0).
+const MAX_DEPTH: usize = 4;
 
 /// Resource types flowing along producer→consumer edges. `DispatchCtx`
 /// is ambient — every callback body provides one — so it never forms an
@@ -443,24 +448,25 @@ impl ApiGraph {
     }
 }
 
-/// The seed family index reserved for API-graph generation (families
-/// 0..3 use the independent-sampling generator).
-pub const API_FAMILY: u64 = 3;
+/// The base the conformance program stream is drawn from. Its value
+/// (3 × 0x6C62_272E_07BB_0142) is the one the frozen `nodefz-apicov-v1`
+/// golden and the measured sweeps were taken under.
+const STREAM_BASE: u64 = 0x4526_758A_1731_03C6;
 
-/// Family dispatch: the shared entry point for sweeps and campaigns.
-/// [`API_FAMILY`] routes to the graph-traversal generator; every other
-/// family keeps the original independent-sampling generator.
-pub fn generate_family(family: u64, seed: u64) -> Prog {
-    if family == API_FAMILY {
-        generate_api(seed)
-    } else {
-        crate::gen::generate(seed)
-    }
+/// The `i`-th seed of the conformance program stream: the one seed
+/// sequence every conformance sweep walks (the differential acceptance
+/// run, the oracle properties, the static soundness sweep and
+/// `campaign sa --conform N`), so the first `N` programs of any of them
+/// are the same programs.
+pub fn stream_seed(i: u64) -> u64 {
+    STREAM_BASE ^ i
 }
 
-/// Generates the API-graph program for `seed` over the full surface.
-pub fn generate_api(seed: u64) -> Prog {
-    generate_api_with(&ApiGraph::full(), seed).expect("the full API graph is closed")
+/// Generates the program for `seed` over the full API surface.
+/// Deterministic; always yields a [`Prog::validate`]-clean tree with at
+/// least one non-root node.
+pub fn generate(seed: u64) -> Prog {
+    generate_with(&ApiGraph::full(), seed).expect("the full API graph is closed")
 }
 
 /// Generates a program by traversing `graph` — refusing to generate at
@@ -472,7 +478,7 @@ pub fn generate_api(seed: u64) -> Prog {
 /// producer→consumer edges, with the Scheduzz split: the first half of
 /// the budget is the untouched setup backbone, the rest the
 /// shared-site-touching exercise payload.
-pub fn generate_api_with(graph: &ApiGraph, seed: u64) -> Result<Prog, String> {
+pub fn generate_with(graph: &ApiGraph, seed: u64) -> Result<Prog, String> {
     graph.validate()?;
     let heads = graph.heads();
     if heads.is_empty() {
@@ -480,7 +486,8 @@ pub fn generate_api_with(graph: &ApiGraph, seed: u64) -> Result<Prog, String> {
     }
     let mut g = Gen::new(seed ^ 0xA919_7A0B_5EED_C0DE);
     // Swarm mask over bundle heads: nonzero, so at least one op bundle
-    // is available (the same property family 0 has for its 7 ops).
+    // is available; programs that omit whole bundles reach corners a
+    // uniform mix never does.
     let mask = g.range(1, 1u64 << heads.len());
     let enabled: Vec<&ApiNode> = heads
         .iter()
@@ -605,15 +612,15 @@ mod tests {
                 damaged.validate().is_err(),
                 "{producer} drop went unnoticed"
             );
-            assert!(generate_api_with(&damaged, 1).is_err());
+            assert!(generate_with(&damaged, 1).is_err());
         }
     }
 
     #[test]
     fn generation_is_deterministic_and_valid() {
         for seed in 0..200 {
-            let a = generate_api(seed);
-            let b = generate_api(seed);
+            let a = generate(seed);
+            let b = generate(seed);
             assert_eq!(a, b, "seed {seed} not deterministic");
             a.validate().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             assert!(a.nodes.len() >= 2);
@@ -625,7 +632,7 @@ mod tests {
         // The Scheduzz split: the first half of every program is pure
         // construction.
         for seed in 0..100 {
-            let prog = generate_api(seed);
+            let prog = generate(seed);
             let setup = (prog.nodes.len() / 2).max(1);
             for node in &prog.nodes[..setup] {
                 assert!(
@@ -634,11 +641,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn family_dispatch_routes_by_index() {
-        assert_eq!(generate_family(0, 42), crate::gen::generate(42));
-        assert_eq!(generate_family(API_FAMILY, 42), generate_api(42));
     }
 }

@@ -196,13 +196,13 @@ impl ApiCovSnapshot {
 mod tests {
     use super::*;
 
-    use crate::apigraph::generate_api;
+    use crate::generate;
 
     #[test]
     fn coverage_accumulates_and_serialises() {
         let mut cov = ApiCoverage::default();
         for seed in 0..30 {
-            cov.record_vanilla(&Rc::new(generate_api(seed)), seed, &None);
+            cov.record_vanilla(&Rc::new(generate(seed)), seed, &None);
         }
         let snap = cov.snapshot();
         assert_eq!(snap.programs, 30);
@@ -217,7 +217,7 @@ mod tests {
         let (mut a, mut b) = (ApiCoverage::default(), ApiCoverage::default());
         for seed in 0..5 {
             let cov = if seed % 2 == 0 { &mut a } else { &mut b };
-            cov.record_vanilla(&Rc::new(generate_api(seed)), seed, &None);
+            cov.record_vanilla(&Rc::new(generate(seed)), seed, &None);
         }
         let mut merged = a.clone();
         merged.merge(&b);

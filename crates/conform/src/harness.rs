@@ -436,7 +436,7 @@ fn confirm_race(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::generate;
+    use crate::generate;
 
     #[test]
     fn differential_passes_on_generated_programs() {

@@ -2,7 +2,7 @@
 //!
 //! Every other crate in this workspace trusts the simulated event loop to
 //! *be* a libuv event loop. This crate tests that trust. It generates
-//! random event-driven programs from a small DSL ([`prog`], [`gen`]),
+//! random event-driven programs from a small DSL ([`prog`], [`apigraph`]),
 //! runs them through the real runtime, and judges the resulting dispatch
 //! logs against an executable encoding of libuv's ordering rules
 //! ([`oracle`]) — every verdict cites the rule it applied. The
@@ -13,15 +13,13 @@
 //! happens-before-predicted race must be confirmed by a directed flip or
 //! explicitly classified unconfirmable. Failing programs delta-debug to
 //! a minimal printable `nodefz-prog v1` literal ([`shrink`]), and the
-//! whole thing plugs into campaigns as the `CONFORM` arm ([`case`]).
+//! whole thing plugs into campaigns as the `CONFORM-API` arm ([`case`]).
 //!
-//! Two generators feed the harness: independent swarm sampling ([`gen`],
-//! seed families 0–2) and graph traversal over an explicit API
-//! dependency model of the runtime surface ([`apigraph`], family
-//! [`API_FAMILY`]) whose programs are valid by construction and whose
-//! surface coverage is accounted per batch as `nodefz-apicov-v1`
-//! ([`coverage`]); the latter rides in campaigns as the `CONFORM-API`
-//! arm.
+//! One generator feeds the harness: graph traversal over an explicit API
+//! dependency model of the runtime surface ([`generate`]), whose
+//! programs are valid by construction and whose surface coverage is
+//! accounted per batch as `nodefz-apicov-v1` ([`coverage`]). Every sweep
+//! walks one seed sequence, [`stream_seed`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,19 +27,14 @@
 pub mod apigraph;
 pub mod case;
 pub mod coverage;
-pub mod gen;
 pub mod harness;
 pub mod oracle;
 pub mod prog;
 pub mod shrink;
 
-pub use apigraph::{
-    generate_api, generate_api_with, generate_family, ApiGraph, ApiNode, Resource, API_FAMILY,
-    API_NODES,
-};
-pub use case::{api_bug_case, bug_case, ApiConformCase, ConformCase, ABBR, API_ABBR};
+pub use apigraph::{generate, generate_with, stream_seed, ApiGraph, ApiNode, Resource, API_NODES};
+pub use case::{api_bug_case, ApiConformCase, API_ABBR};
 pub use coverage::{ApiCovSnapshot, ApiCoverage};
-pub use gen::{generate, generate_with, MAX_DEPTH, MAX_NODES};
 pub use harness::{
     differential, render_log, run_logged, DiffConfig, DiffFailure, DiffReport, RaceOutcome,
 };

@@ -679,7 +679,7 @@ mod tests {
     use nodefz::Mode;
     use nodefz_rt::EventLogHandle;
 
-    use crate::gen::generate;
+    use crate::generate;
     use crate::prog::install;
 
     fn vanilla_log(seed: u64) -> (Prog, EventLog, bool) {

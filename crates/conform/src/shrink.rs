@@ -49,7 +49,7 @@ pub fn shrink_prog<F: FnMut(&Prog) -> bool>(prog: &Prog, mut fails: F) -> Shrink
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::generate;
+    use crate::generate;
     use crate::prog::Op;
 
     /// A predicate that "fails" whenever the program still contains a
@@ -66,19 +66,33 @@ mod tests {
             .find(|p| has_pool(p) && p.nodes.len() > 4)
             .expect("no seed generated a pool op among noise");
         let out = shrink_prog(&prog, has_pool);
-        out.minimal.validate().expect("shrunk program invalid");
-        assert!(has_pool(&out.minimal), "shrinking lost the failure");
-        // The minimal witness is a root plus one pool chain; no siblings
-        // of unrelated kinds survive.
+        let min = &out.minimal;
+        min.validate().expect("shrunk program invalid");
+        assert!(has_pool(min), "shrinking lost the failure");
         assert!(
-            out.minimal.nodes.len() < prog.nodes.len(),
+            min.nodes.len() < prog.nodes.len(),
             "nothing was removed from {prog}"
         );
-        assert!(out
-            .minimal
+        // A projection keeps a node only with its ancestors, so the
+        // minimal witness is one pool op and its ancestor chain: no
+        // sibling of an unrelated kind survives.
+        let pools: Vec<usize> = (0..min.nodes.len())
+            .filter(|&i| matches!(min.nodes[i].op, Op::Pool { .. }))
+            .collect();
+        assert_eq!(pools.len(), 1, "not 1-minimal:\n{min}");
+        let mut chain = vec![pools[0]];
+        while let Some(parent) = min
             .nodes
             .iter()
-            .all(|n| matches!(n.op, Op::Root | Op::Pool { .. })));
+            .position(|n| n.children.contains(&(chain[chain.len() - 1] as u32)))
+        {
+            chain.push(parent);
+        }
+        assert_eq!(
+            chain.len(),
+            min.nodes.len(),
+            "a stray node survived:\n{min}"
+        );
     }
 
     #[test]

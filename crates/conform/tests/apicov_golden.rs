@@ -1,42 +1,20 @@
-//! Coverage-regression golden (ISSUE 10 satellite c).
+//! Coverage-regression golden.
 //!
-//! Freezes the `nodefz-apicov-v1` document of a fixed 100-program
-//! API-graph batch as a byte-golden literal, and pins the comparative
-//! claim the new family exists for: at equal batch size, the API-graph
-//! family covers **strictly more** API nodes, producer→consumer edges,
-//! and oracle rules than seed family 0.
+//! Freezes the `nodefz-apicov-v1` document of the conformance stream's
+//! first 100 programs as a byte-golden literal.
 //!
 //! Re-bless with `NFZ_BLESS=1 cargo test -p nodefz-conform --test
 //! apicov_golden` after verifying a diff is intentional.
 
 use std::rc::Rc;
 
-use nodefz::Mode;
-use nodefz_rt::Termination;
+use nodefz_conform::{generate, stream_seed, ApiCovSnapshot, ApiCoverage};
 
-use nodefz_conform::{
-    generate_family, run_logged, ApiCovSnapshot, ApiCoverage, OracleCtx, API_FAMILY,
-};
-
-/// Seed scheme of the conform corpus (family stride ^ index).
-const FAMILY_STRIDE: u64 = 0x6C62_272E_07BB_0142;
-
-fn family_coverage(family: u64, count: u64) -> ApiCovSnapshot {
+fn stream_coverage(count: u64) -> ApiCovSnapshot {
     let mut cov = ApiCoverage::default();
-    let base = family.wrapping_mul(FAMILY_STRIDE);
     for i in 0..count {
-        let seed = base ^ i;
-        let prog = Rc::new(generate_family(family, seed));
-        let (report, log) = run_logged(&prog, seed, Mode::Vanilla, &None);
-        let completed = matches!(report.termination, Termination::Quiescent);
-        cov.record(
-            &prog,
-            &log,
-            &OracleCtx {
-                demux: false,
-                completed,
-            },
-        );
+        let seed = stream_seed(i);
+        cov.record_vanilla(&Rc::new(generate(seed)), seed, &None);
     }
     cov.snapshot()
 }
@@ -60,30 +38,6 @@ fn golden(name: &str, actual: &str) {
 
 #[test]
 fn apicov_document_is_byte_stable() {
-    let snap = family_coverage(API_FAMILY, 100);
+    let snap = stream_coverage(100);
     golden("apicov.json", &format!("{}\n", snap.to_json()));
-}
-
-#[test]
-fn api_graph_family_strictly_dominates_family_zero() {
-    let base = family_coverage(0, 100);
-    let api = family_coverage(API_FAMILY, 100);
-    assert!(
-        api.nodes_covered > base.nodes_covered,
-        "API nodes: api family {} vs family-0 {} — no strict gain",
-        api.nodes_covered,
-        base.nodes_covered
-    );
-    assert!(
-        api.edges_covered > base.edges_covered,
-        "edges: api family {} vs family-0 {} — no strict gain",
-        api.edges_covered,
-        base.edges_covered
-    );
-    assert!(
-        api.rules_covered > base.rules_covered,
-        "oracle rules: api family {} vs family-0 {} — no strict gain",
-        api.rules_covered,
-        base.rules_covered
-    );
 }

@@ -1,5 +1,4 @@
-//! Validity-by-construction property suite for API-graph generation
-//! (ISSUE 10 satellite a).
+//! Validity-by-construction property suite for API-graph generation.
 //!
 //! Every program the graph-traversal generator emits must be valid with
 //! no caveats: the literal validates, the interpreter installs and runs
@@ -13,9 +12,10 @@ use std::rc::Rc;
 use nodefz::Mode;
 use nodefz_rt::Termination;
 
-use nodefz_conform::{check, generate_api_with, run_logged, ApiGraph, OracleCtx, API_NODES};
+use nodefz_conform::{check, generate_with, run_logged, ApiGraph, OracleCtx, API_NODES};
 
-/// Fixed property seed family — disjoint from the smoke and corpus seeds.
+/// Fixed property seeds, disjoint from the conform program stream, so the
+/// suite checks programs no stream sweep runs.
 const PROP_BASE: u64 = 0x5EED_0000_0000_0003;
 
 /// Runs the full validity property over `seeds` programs generated from
@@ -25,8 +25,7 @@ const PROP_BASE: u64 = 0x5EED_0000_0000_0003;
 fn validity_suite(graph: &ApiGraph, seeds: u64) -> Result<(), String> {
     for i in 0..seeds {
         let seed = PROP_BASE ^ i;
-        let prog =
-            Rc::new(generate_api_with(graph, seed).map_err(|e| format!("seed {seed}: {e}"))?);
+        let prog = Rc::new(generate_with(graph, seed).map_err(|e| format!("seed {seed}: {e}"))?);
         prog.validate()
             .map_err(|e| format!("seed {seed}: invalid program: {e}"))?;
         let (report, log) = run_logged(&prog, seed, Mode::Vanilla, &None);
@@ -66,11 +65,11 @@ fn five_hundred_api_graph_programs_are_valid_by_construction() {
 
 #[test]
 fn generated_literals_round_trip_and_are_deterministic() {
-    use nodefz_conform::{generate_api, Prog};
+    use nodefz_conform::{generate, Prog};
     for i in 0..50u64 {
         let seed = PROP_BASE ^ i;
-        let a = generate_api(seed);
-        assert_eq!(a, generate_api(seed), "seed {seed} not deterministic");
+        let a = generate(seed);
+        assert_eq!(a, generate(seed), "seed {seed} not deterministic");
         assert_eq!(Prog::parse(&a.to_string()).unwrap(), a);
     }
 }

@@ -1,21 +1,18 @@
-//! The CI `apigraph-smoke` leg (ISSUE 10 satellite e).
+//! The CI conform smoke batch.
 //!
-//! A fixed-seed batch of 200 API-graph programs through the full
-//! differential harness, plus the `nodefz-apicov-v1` schema and
-//! threshold check: the batch must exercise ≥90% of the enumerated API
-//! nodes and every combinator in `crates/rt/src/combinators.rs`. The
-//! broken-graph canary lives in `apigraph_props.rs` and runs in the same
-//! CI leg.
+//! The conformance stream's first 200 programs through the full
+//! differential harness on pooled loops, plus the `nodefz-apicov-v1`
+//! schema and threshold check: the batch must exercise ≥90% of the
+//! enumerated API nodes and every combinator in
+//! `crates/rt/src/combinators.rs`. The broken-graph canary
+//! (`apigraph_props.rs`), and the same batch on fresh loops with the
+//! broken-oracle canary (`conform_smoke.rs`), run in the same CI leg.
 
 use std::rc::Rc;
 
-use nodefz::Mode;
-use nodefz_rt::{LoopPool, Termination};
+use nodefz_rt::LoopPool;
 
-use nodefz_conform::{differential, generate_api, run_logged, ApiCoverage, DiffConfig, OracleCtx};
-
-/// The fixed smoke seed family — referenced by `.github/workflows/ci.yml`.
-const SMOKE_BASE: u64 = 0x5EED_0000_0000_0002;
+use nodefz_conform::{differential, generate, stream_seed, ApiCoverage, DiffConfig};
 
 #[test]
 fn smoke_200_api_graph_programs_differentially_clean() {
@@ -26,8 +23,8 @@ fn smoke_200_api_graph_programs_differentially_clean() {
     };
     let mut failures = Vec::new();
     for i in 0..200u64 {
-        let seed = SMOKE_BASE ^ i;
-        let prog = Rc::new(generate_api(seed));
+        let seed = stream_seed(i);
+        let prog = Rc::new(generate(seed));
         if let Err(e) = differential(&prog, seed, &cfg) {
             failures.push(format!("seed {seed}: {e}\nprogram:\n{prog}"));
         }
@@ -44,18 +41,8 @@ fn smoke_200_api_graph_programs_differentially_clean() {
 fn smoke_batch_meets_the_apicov_thresholds() {
     let mut cov = ApiCoverage::default();
     for i in 0..200u64 {
-        let seed = SMOKE_BASE ^ i;
-        let prog = Rc::new(generate_api(seed));
-        let (report, log) = run_logged(&prog, seed, Mode::Vanilla, &None);
-        let completed = matches!(report.termination, Termination::Quiescent);
-        cov.record(
-            &prog,
-            &log,
-            &OracleCtx {
-                demux: false,
-                completed,
-            },
-        );
+        let seed = stream_seed(i);
+        cov.record_vanilla(&Rc::new(generate(seed)), seed, &None);
     }
     let snap = cov.snapshot();
     assert_eq!(snap.programs, 200);

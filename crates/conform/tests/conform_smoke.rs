@@ -1,34 +1,34 @@
-//! The CI `conform-smoke` leg (ISSUE 5 satellite e).
+//! The CI conform smoke leg's fresh-loop batch and its *broken-oracle
+//! canary*.
 //!
-//! A fixed-seed batch of 200 generated programs through the full
-//! differential harness, sized to finish quickly in CI, plus the
-//! *broken-oracle canary*: deliberate log corruptions that prove the
-//! oracle actually rejects at least three distinct classes of invalid
-//! schedule. A green smoke run therefore certifies both directions — the
-//! runtime produces legal schedules, and the judge is not asleep.
+//! The conformance stream's first 200 programs through the full
+//! differential harness on fresh loops (no loop pool; `apigraph_smoke.rs`
+//! runs the same batch through a pool), plus deliberate log corruptions
+//! that prove the oracle actually rejects at least three distinct classes
+//! of invalid schedule. A green smoke run therefore certifies both
+//! directions — the runtime produces legal schedules, and the judge is
+//! not asleep.
 
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use nodefz::Mode;
 use nodefz_apps::common::RunCfg;
-use nodefz_rt::{CbKind, EvKind, EventLog, EventLogHandle, LoopPool, Termination};
+use nodefz_rt::{CbKind, EvKind, EventLog, EventLogHandle, Termination};
 
-use nodefz_conform::{check, differential, generate, install, DiffConfig, OracleCtx, Prog};
-
-/// The fixed smoke seed family — referenced by `.github/workflows/ci.yml`.
-const SMOKE_BASE: u64 = 0x5EED_0000_0000_0001;
+use nodefz_conform::{
+    check, differential, generate, install, stream_seed, DiffConfig, OracleCtx, Prog,
+};
 
 #[test]
 fn smoke_200_programs_differentially_clean() {
-    let pool = LoopPool::new();
     let cfg = DiffConfig {
-        pool: Some(pool),
+        pool: None,
         ..DiffConfig::default()
     };
     let mut failures = Vec::new();
     for i in 0..200u64 {
-        let seed = SMOKE_BASE ^ i;
+        let seed = stream_seed(i);
         let prog = Rc::new(generate(seed));
         if let Err(e) = differential(&prog, seed, &cfg) {
             failures.push(format!("seed {seed}: {e}\nprogram:\n{prog}"));
@@ -76,7 +76,7 @@ fn broken_oracle_canary_rejects_three_classes_of_invalid_schedule() {
 
     // Class 1: causality — an event claiming a *later* event caused it.
     for seed in 0..200u64 {
-        let (prog, mut log) = vanilla_log(SMOKE_BASE ^ seed);
+        let (prog, mut log) = vanilla_log(stream_seed(seed));
         if log.events.len() < 2 {
             continue;
         }
@@ -90,7 +90,7 @@ fn broken_oracle_canary_rejects_three_classes_of_invalid_schedule() {
     // Class 2: phase order — drag the last event into an earlier
     // iteration than its predecessor.
     for seed in 0..200u64 {
-        let (prog, mut log) = vanilla_log(SMOKE_BASE ^ seed);
+        let (prog, mut log) = vanilla_log(stream_seed(seed));
         let n = log.events.len();
         if n < 2 || log.events[n - 2].iter == 0 {
             continue;
@@ -105,7 +105,7 @@ fn broken_oracle_canary_rejects_three_classes_of_invalid_schedule() {
     // Class 3: completeness/liveness — erase a dispatched node's marker
     // from a quiescent run's log.
     for seed in 0..200u64 {
-        let (prog, mut log) = vanilla_log(SMOKE_BASE ^ seed);
+        let (prog, mut log) = vanilla_log(stream_seed(seed));
         let Some(site) = log.sites.iter().position(|s| s == "run:1") else {
             continue;
         };
@@ -119,7 +119,7 @@ fn broken_oracle_canary_rejects_three_classes_of_invalid_schedule() {
     // Class 4: dispatch identity — relabel a timer dispatch as a check
     // callback so the node's kind contradicts its op.
     for seed in 0..400u64 {
-        let (prog, mut log) = vanilla_log(SMOKE_BASE ^ seed);
+        let (prog, mut log) = vanilla_log(stream_seed(seed));
         let Some(idx) = log
             .events
             .iter()

@@ -1,8 +1,8 @@
-//! The tentpole acceptance run: differential schedule testing at scale.
+//! The acceptance run: differential schedule testing at scale.
 //!
-//! Three independent-sampling seed families plus the API-graph family,
-//! × 500 generated programs each, every one driven through vanilla /
-//! fuzz / replay / directed with zero tolerated failures — plus the
+//! The conformance stream's first 2000 generated programs, every one
+//! driven through vanilla / fuzz / replay / directed with zero tolerated
+//! failures — plus the
 //! shrinking integration: a program whose
 //! differential report exhibits a property of interest delta-debugs to a
 //! minimal, deterministic, printable `nodefz-prog v1` repro.
@@ -11,7 +11,7 @@ use std::rc::Rc;
 
 use nodefz_rt::LoopPool;
 
-use nodefz_conform::{differential, generate, generate_family, shrink_prog, DiffConfig, Prog};
+use nodefz_conform::{differential, generate, shrink_prog, stream_seed, DiffConfig, Prog};
 
 #[test]
 fn differential_holds_for_500_programs_per_seed_family() {
@@ -21,24 +21,21 @@ fn differential_holds_for_500_programs_per_seed_family() {
         ..DiffConfig::default()
     };
     let mut totals = (0usize, 0usize, 0usize, 0usize); // events, races, confirmed, directed runs
-    for family in 0..4u64 {
-        let base = family.wrapping_mul(0x6C62_272E_07BB_0142);
-        for i in 0..500u64 {
-            let seed = base ^ i;
-            let prog = Rc::new(generate_family(family, seed));
-            let report = differential(&prog, seed, &cfg)
-                .unwrap_or_else(|e| panic!("seed {seed}: {e}\nprogram:\n{prog}"));
-            totals.0 += report.vanilla_events + report.fuzz_events;
-            totals.1 += report.races;
-            totals.2 += report.confirmed;
-            totals.3 += report.directed_runs;
-            // Every prediction chased was resolved one way or the other.
-            assert_eq!(
-                report.confirmed + report.unconfirmable,
-                report.races.min(2),
-                "seed {seed}: a race prediction was silently dropped"
-            );
-        }
+    for i in 0..2000u64 {
+        let seed = stream_seed(i);
+        let prog = Rc::new(generate(seed));
+        let report = differential(&prog, seed, &cfg)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}\nprogram:\n{prog}"));
+        totals.0 += report.vanilla_events + report.fuzz_events;
+        totals.1 += report.races;
+        totals.2 += report.confirmed;
+        totals.3 += report.directed_runs;
+        // Every prediction chased was resolved one way or the other.
+        assert_eq!(
+            report.confirmed + report.unconfirmable,
+            report.races.min(2),
+            "seed {seed}: a race prediction was silently dropped"
+        );
     }
     // The sweep must be substantive: thousands of events, some races
     // predicted, at least some confirmed by a directed flip.

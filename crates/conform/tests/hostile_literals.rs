@@ -8,7 +8,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use nodefz_check::{check_prefixes, mutants, payload_classes};
-use nodefz_conform::{generate_family, Prog, API_FAMILY};
+use nodefz_conform::{generate, stream_seed, Prog};
 
 /// A valid literal exercising every op and every touch kind.
 const EVERY_OP: &str = "nodefz-prog v1
@@ -64,10 +64,8 @@ fn hostile_literals_are_errors_never_panics() {
 /// allowed to parse is the literal minus its trailing newline.
 #[test]
 fn every_prog_prefix_is_a_typed_error() {
-    for family in [0, API_FAMILY] {
-        for seed in 0..8 {
-            let prog = generate_family(family, seed);
-            check_prefixes(&prog.encode(), &prog, Prog::parse);
-        }
+    for i in 0..16 {
+        let prog = generate(stream_seed(i));
+        check_prefixes(&prog.encode(), &prog, Prog::parse);
     }
 }

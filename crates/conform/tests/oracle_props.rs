@@ -1,7 +1,7 @@
-//! Property suite for the ordering oracle (ISSUE 5 satellite b).
+//! Property suite for the ordering oracle.
 //!
-//! Positive direction: the oracle accepts the vanilla log of 500
-//! generated programs for each of 3 seed families. Negative direction:
+//! Positive direction: the oracle accepts the vanilla log of the
+//! conformance stream's first 1500 programs. Negative direction:
 //! hand-mutated logs — a microtask torn out of its parent event, a
 //! reordered per-fd FIFO, a close dispatched before poll work, a
 //! non-monotone timer pair — are rejected with the *expected* rule id.
@@ -12,7 +12,7 @@ use nodefz::Mode;
 use nodefz_apps::common::RunCfg;
 use nodefz_rt::{CbId, CbKind, EvDetail, EvKind, EventLog, EventLogHandle, LoopPool, Termination};
 
-use nodefz_conform::{check, generate, install, Op, OracleCtx, Prog};
+use nodefz_conform::{check, generate, install, stream_seed, Op, OracleCtx, Prog};
 
 fn vanilla_log(pool: &LoopPool, seed: u64) -> (Prog, EventLog) {
     let prog = Rc::new(generate(seed));
@@ -54,13 +54,10 @@ fn assert_clean(prog: &Prog, log: &EventLog, seed: u64) {
 #[test]
 fn oracle_accepts_vanilla_logs_for_500_programs_across_3_seed_families() {
     let pool = LoopPool::new();
-    for family in 0..3u64 {
-        let base = family.wrapping_mul(nodefz_rt::GOLDEN_GAMMA);
-        for i in 0..500u64 {
-            let seed = base ^ i;
-            let (prog, log) = vanilla_log(&pool, seed);
-            assert_clean(&prog, &log, seed);
-        }
+    for i in 0..1500u64 {
+        let seed = stream_seed(i);
+        let (prog, log) = vanilla_log(&pool, seed);
+        assert_clean(&prog, &log, seed);
     }
 }
 

@@ -14,7 +14,6 @@
 //!   order (a single-threaded Redis).
 //! * Replies on one pooled connection return in request order; replies
 //!   *across* connections are unordered.
-//! * Keys may carry a TTL (`setnx_ttl`), supporting Redis-style locks.
 //!
 //! A request and its reply are typed environment wakeups ([`EnvTarget`]):
 //! the request waits in the store's own in-flight queue, so the round trip
@@ -79,12 +78,6 @@ enum Value {
     List(VecDeque<String>),
 }
 
-#[derive(Clone, Debug)]
-struct Entry {
-    value: Value,
-    expires: Option<VTime>,
-}
-
 /// A reply from the store.
 #[derive(Clone, Debug, PartialEq)]
 enum Reply {
@@ -99,7 +92,7 @@ enum Reply {
 enum Op {
     Get(String),
     Set(String, String),
-    SetNx(String, String, Option<VDur>),
+    SetNx(String, String),
     Del(String),
     Incr(String),
     LPush(String, String),
@@ -128,7 +121,7 @@ struct Request {
 }
 
 struct KvState {
-    data: BTreeMap<String, Entry>,
+    data: BTreeMap<String, Value>,
     conns: Vec<ConnSlot>,
     /// Requests on their way to the server. The server starts each one
     /// no earlier than it finished the one before, so they arrive in
@@ -285,7 +278,7 @@ impl Kv {
             .flight
             .pop_front()
             .expect("a request is in flight");
-        let reply = self.apply(op, cx.now());
+        let reply = self.apply(op);
         let reply_at = {
             let mut st = self.inner.borrow_mut();
             let conn = &mut st.conns[slot];
@@ -297,42 +290,20 @@ impl Kv {
         cx.wake_env_at(reply_at, &self.inner, (slot as u64) << 1 | REPLY);
     }
 
-    fn apply(&self, op: Op, now: VTime) -> Reply {
+    fn apply(&self, op: Op) -> Reply {
         let mut st = self.inner.borrow_mut();
-        // Lazy TTL expiry, as in Redis.
-        let expired: Vec<String> = st
-            .data
-            .iter()
-            .filter(|(_, e)| e.expires.is_some_and(|t| t <= now))
-            .map(|(k, _)| k.clone())
-            .collect();
-        for k in expired {
-            st.data.remove(&k);
-        }
         match op {
             Op::Get(k) => match st.data.get(&k) {
-                Some(Entry {
-                    value: Value::Str(s),
-                    ..
-                }) => Reply::Str(s.clone()),
+                Some(Value::Str(s)) => Reply::Str(s.clone()),
                 _ => Reply::Nil,
             },
             Op::Set(k, v) => {
-                st.data.insert(
-                    k,
-                    Entry {
-                        value: Value::Str(v),
-                        expires: None,
-                    },
-                );
+                st.data.insert(k, Value::Str(v));
                 Reply::Unit
             }
-            Op::SetNx(k, v, ttl) => {
+            Op::SetNx(k, v) => {
                 if let std::collections::btree_map::Entry::Vacant(e) = st.data.entry(k) {
-                    e.insert(Entry {
-                        value: Value::Str(v),
-                        expires: ttl.map(|d| now + d),
-                    });
+                    e.insert(Value::Str(v));
                     Reply::Bool(true)
                 } else {
                     Reply::Bool(false)
@@ -341,27 +312,18 @@ impl Kv {
             Op::Del(k) => Reply::Bool(st.data.remove(&k).is_some()),
             Op::Incr(k) => {
                 let next = match st.data.get(&k) {
-                    Some(Entry {
-                        value: Value::Str(s),
-                        ..
-                    }) => s.parse::<i64>().unwrap_or(0) + 1,
+                    Some(Value::Str(s)) => s.parse::<i64>().unwrap_or(0) + 1,
                     _ => 1,
                 };
-                st.data.insert(
-                    k,
-                    Entry {
-                        value: Value::Str(next.to_string()),
-                        expires: None,
-                    },
-                );
+                st.data.insert(k, Value::Str(next.to_string()));
                 Reply::Int(next)
             }
             Op::LPush(k, v) => {
-                let entry = st.data.entry(k).or_insert_with(|| Entry {
-                    value: Value::List(VecDeque::new()),
-                    expires: None,
-                });
-                match &mut entry.value {
+                match st
+                    .data
+                    .entry(k)
+                    .or_insert_with(|| Value::List(VecDeque::new()))
+                {
                     Value::List(list) => {
                         list.push_front(v);
                         Reply::Int(list.len() as i64)
@@ -370,10 +332,7 @@ impl Kv {
                 }
             }
             Op::RPop(k) => match st.data.get_mut(&k) {
-                Some(Entry {
-                    value: Value::List(list),
-                    ..
-                }) => list.pop_back().map_or(Reply::Nil, Reply::Str),
+                Some(Value::List(list)) => list.pop_back().map_or(Reply::Nil, Reply::Str),
                 _ => Reply::Nil,
             },
             Op::Find(prefix) => {
@@ -381,7 +340,7 @@ impl Kv {
                     .data
                     .range(prefix.clone()..)
                     .take_while(|(k, _)| k.starts_with(&prefix))
-                    .filter_map(|(k, e)| match &e.value {
+                    .filter_map(|(k, v)| match v {
                         Value::Str(s) => Some((k.clone(), s.clone())),
                         Value::List(_) => None,
                     })
@@ -440,23 +399,7 @@ impl Kv {
     ) {
         self.submit(
             cx,
-            Op::SetNx(key.to_string(), value.to_string(), None),
-            Box::new(move |cx, r| cb(cx, r == Reply::Bool(true))),
-        );
-    }
-
-    /// `SET key value NX PX ttl` — a Redis-style lock acquire.
-    pub fn setnx_ttl(
-        &self,
-        cx: &mut Ctx<'_>,
-        key: &str,
-        value: &str,
-        ttl: VDur,
-        cb: impl FnOnce(&mut Ctx<'_>, bool) + 'static,
-    ) {
-        self.submit(
-            cx,
-            Op::SetNx(key.to_string(), value.to_string(), Some(ttl)),
+            Op::SetNx(key.to_string(), value.to_string()),
             Box::new(move |cx, r| cb(cx, r == Reply::Bool(true))),
         );
     }
@@ -559,23 +502,17 @@ impl Kv {
     /// Reads a string value right now (oracle helper).
     pub fn get_sync(&self, key: &str) -> Option<String> {
         match self.inner.borrow().data.get(key) {
-            Some(Entry {
-                value: Value::Str(s),
-                ..
-            }) => Some(s.clone()),
+            Some(Value::Str(s)) => Some(s.clone()),
             _ => None,
         }
     }
 
     /// Writes a string value right now (setup helper).
     pub fn set_sync(&self, key: &str, value: &str) {
-        self.inner.borrow_mut().data.insert(
-            key.to_string(),
-            Entry {
-                value: Value::Str(value.to_string()),
-                expires: None,
-            },
-        );
+        self.inner
+            .borrow_mut()
+            .data
+            .insert(key.to_string(), Value::Str(value.to_string()));
     }
 
     /// Number of string keys with the given prefix (oracle helper).
@@ -591,10 +528,7 @@ impl Kv {
     /// Current length of a list key (oracle helper).
     pub fn list_len_sync(&self, key: &str) -> usize {
         match self.inner.borrow().data.get(key) {
-            Some(Entry {
-                value: Value::List(l),
-                ..
-            }) => l.len(),
+            Some(Value::List(l)) => l.len(),
             _ => 0,
         }
     }
@@ -650,22 +584,6 @@ mod tests {
             });
         });
         assert_eq!(kv.get_sync("lock").as_deref(), Some("me"));
-    }
-
-    #[test]
-    fn ttl_expires_keys() {
-        let kv = run_kv(4, 1, |cx, kv| {
-            let kv2 = kv.clone();
-            kv.setnx_ttl(cx, "lock", "me", VDur::millis(10), move |cx, won| {
-                assert!(won);
-                let kv3 = kv2.clone();
-                cx.set_timeout(VDur::millis(50), move |cx| {
-                    // The TTL elapsed; a new acquire succeeds.
-                    kv3.setnx(cx, "lock", "next", |_cx, won| assert!(won));
-                });
-            });
-        });
-        assert_eq!(kv.get_sync("lock").as_deref(), Some("next"));
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! those consumers need: every value becomes a [`JsonValue`] tree with
 //! path-style accessors.
 //!
-//! Numbers are held as `f64` (every producer in this workspace emits
-//! either small integers or fixed-point floats, both exact in a double's
-//! 53-bit mantissa). Parsing is strict about structure — a torn or
+//! An unsigned integer literal that fits in a `u64` is held exactly as
+//! [`JsonValue::U64`] (seeds and hashes span all 64 bits, past a double's
+//! 53-bit mantissa); every other number is an `f64`. Parsing is strict
+//! about structure — a torn or
 //! truncated document fails with the byte offset — which is exactly what
 //! a crash-robust reader wants: a half-written snapshot must be an error,
 //! never a silently short document.
@@ -33,7 +34,10 @@ pub enum JsonValue {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number.
+    /// An unsigned integer literal (digits only) that fits in a `u64`,
+    /// held exactly.
+    U64(u64),
+    /// Any other JSON number.
     Num(f64),
     /// A string, unescaped.
     Str(String),
@@ -98,20 +102,27 @@ impl JsonValue {
         }
     }
 
-    /// The numeric payload, if this is a number.
+    /// The numeric payload, if this is a number (an integer above 2^53
+    /// rounds to the nearest double).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            JsonValue::U64(n) => Some(*n as f64),
             JsonValue::Num(n) => Some(*n),
             _ => None,
         }
     }
 
-    /// The numeric payload as an unsigned integer (must be whole and
-    /// below 2^64). `u64::MAX as f64` rounds up to 2^64 itself, so the
-    /// bound is strict: 2^64 would otherwise saturate to `u64::MAX`.
+    /// The numeric payload as an unsigned integer: an integer literal
+    /// exactly, or a whole double below 2^64 (`u64::MAX as f64` rounds up
+    /// to 2^64 itself, so that bound is strict).
     pub fn as_u64(&self) -> Option<u64> {
-        let n = self.as_f64()?;
-        (n >= 0.0 && n.fract() == 0.0 && n < u64::MAX as f64).then_some(n as u64)
+        match self {
+            JsonValue::U64(n) => Some(*n),
+            JsonValue::Num(n) => {
+                (*n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64).then_some(*n as u64)
+            }
+            _ => None,
+        }
     }
 
     /// The boolean payload, if this is a boolean.
@@ -349,6 +360,9 @@ impl<'a> Parser<'a> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII span");
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(JsonValue::U64(n));
+        }
         text.parse::<f64>()
             .map(JsonValue::Num)
             .map_err(|_| JsonParseError {
@@ -433,17 +447,33 @@ mod tests {
     #[test]
     fn as_u64_rejects_two_to_the_64_and_above() {
         let num = |text: &str| JsonValue::parse(text).unwrap().as_u64();
-        // The largest double below 2^64 still converts exactly.
+        // An integer literal is exact up to u64::MAX.
+        assert_eq!(num("18446744073709551615"), Some(u64::MAX));
+        assert_eq!(num("18446744073709551616"), None);
+        // A double converts when whole and below 2^64: the largest double
+        // below 2^64 does, and u64::MAX spelled as a double rounds to 2^64.
         assert_eq!(
-            num("18446744073709549568"),
+            num("18446744073709549568.0"),
             Some(18_446_744_073_709_549_568)
         );
-        // u64::MAX's decimal spelling parses to the double 2^64.
-        assert_eq!(num("18446744073709551615"), None);
-        assert_eq!(num("18446744073709551616"), None);
+        assert_eq!(num("18446744073709551615.0"), None);
         assert_eq!(num("1e400"), None, "infinity");
         assert_eq!(num("0.5"), None);
         assert!(JsonValue::parse(r#""\ud800""#).is_err(), "lone surrogate");
+    }
+
+    #[test]
+    fn integers_past_two_to_the_53_read_back_exactly() {
+        for n in [9_007_199_254_740_993, u64::MAX] {
+            let v = JsonValue::parse(&format!("{{\"seed\": {n}}}")).unwrap();
+            assert_eq!(v.get("seed").and_then(JsonValue::as_u64), Some(n));
+        }
+        // 2^53 + 1 has no double of its own: only the exact integer tells
+        // the two documents apart.
+        assert_ne!(
+            JsonValue::parse("[9007199254740992]").unwrap(),
+            JsonValue::parse("[9007199254740993]").unwrap()
+        );
     }
 
     #[test]

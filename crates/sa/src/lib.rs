@@ -52,7 +52,4 @@ pub use mhp::MhpIndex;
 pub use prog_model::{model_of_prog, ProgModel};
 pub use races::{candidates, Candidate};
 pub use report::{analyze_model, sa_report, ModelAnalysis, SA_SCHEMA};
-pub use soundness::{
-    check_prog, family_seed, static_gated_sweep, sweep_family, GatedStats, ProgCheck, SweepStats,
-    FAMILY_STRIDE,
-};
+pub use soundness::{check_prog, sweep, ProgCheck, SweepStats};

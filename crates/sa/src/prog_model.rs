@@ -151,15 +151,13 @@ mod tests {
 
     #[test]
     fn models_of_generated_programs_validate() {
-        for seed in 0..50 {
-            for family in [0, nodefz_conform::API_FAMILY] {
-                let prog = nodefz_conform::generate_family(family, seed);
-                let pm = model_of_prog(&prog, "gen");
-                pm.model
-                    .validate()
-                    .unwrap_or_else(|e| panic!("family {family} seed {seed}: {e}"));
-                assert_eq!(pm.atom_of_node.len(), prog.nodes.len());
-            }
+        for seed in 0..100 {
+            let prog = nodefz_conform::generate(seed);
+            let pm = model_of_prog(&prog, "gen");
+            pm.model
+                .validate()
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            assert_eq!(pm.atom_of_node.len(), prog.nodes.len());
         }
     }
 }

@@ -6,16 +6,13 @@
 //! **containment**: every dynamic `(site, class, pair)` verdict must be
 //! covered by some static candidate of the same program. [`check_prog`]
 //! checks exactly that for one program (run markers map racing events
-//! back onto model atoms), [`sweep_family`] sweeps a whole conform seed
-//! family and hard-collects misses, and [`static_gated_sweep`] is the
-//! payoff: programs the analyzer proves race-free skip the differential
-//! harness entirely, with a tripwire re-running every Nth skipped
-//! program to catch an analyzer gone quietly wrong.
+//! back onto model atoms), and [`sweep`] walks a prefix of the conform
+//! program stream and hard-collects misses.
 
 use std::rc::Rc;
 
 use nodefz::Mode;
-use nodefz_conform::{differential, generate_family, run_logged, DiffConfig, Prog};
+use nodefz_conform::{generate, run_logged, stream_seed, Prog};
 use nodefz_hb::races_with_cuts;
 use nodefz_rt::{EventLog, LoopPool, Termination};
 
@@ -23,15 +20,6 @@ use crate::metrics::SaMetrics;
 use crate::mhp::MhpIndex;
 use crate::prog_model::{model_of_prog, ProgModel};
 use crate::races::{candidates, Candidate};
-
-/// Stride between conform corpus seed families (matching the
-/// differential acceptance sweep and the CI smoke batch).
-pub const FAMILY_STRIDE: u64 = 0x6C62_272E_07BB_0142;
-
-/// The `i`-th seed of conform corpus family `family`.
-pub fn family_seed(family: u64, i: u64) -> u64 {
-    family.wrapping_mul(FAMILY_STRIDE) ^ i
-}
 
 /// The soundness verdict for one program.
 pub struct ProgCheck {
@@ -163,7 +151,7 @@ pub fn check_prog(
     })
 }
 
-/// Aggregate soundness/precision stats over one seed family.
+/// Aggregate soundness/precision stats over one sweep.
 #[derive(Default)]
 pub struct SweepStats {
     /// Programs swept.
@@ -179,21 +167,17 @@ pub struct SweepStats {
     pub missing: Vec<String>,
 }
 
-/// Sweeps `count` programs of conform seed family `family` through
-/// [`check_prog`].
+/// Sweeps the first `count` programs of the conform program stream
+/// ([`stream_seed`]) through [`check_prog`].
 ///
 /// # Errors
 ///
 /// Propagates the first run failure (see [`check_prog`]).
-pub fn sweep_family(
-    family: u64,
-    count: u64,
-    pool: &Option<LoopPool>,
-) -> Result<SweepStats, String> {
+pub fn sweep(count: u64, pool: &Option<LoopPool>) -> Result<SweepStats, String> {
     let mut stats = SweepStats::default();
     for i in 0..count {
-        let seed = family_seed(family, i);
-        let prog = Rc::new(generate_family(family, seed));
+        let seed = stream_seed(i);
+        let prog = Rc::new(generate(seed));
         let check =
             check_prog(&prog, seed, pool, false).map_err(|e| format!("seed {seed}: {e}"))?;
         stats.programs += 1;
@@ -210,83 +194,36 @@ pub fn sweep_family(
     Ok(stats)
 }
 
-/// Stats of one static-first gated sweep.
-#[derive(Default)]
-pub struct GatedStats {
-    /// Programs considered.
-    pub programs: u64,
-    /// Programs the analyzer proved race-free.
-    pub race_free: u64,
-    /// Race-free programs whose differential run was skipped.
-    pub skipped: u64,
-    /// Race-free programs re-run anyway as tripwires.
-    pub tripwires: u64,
-    /// Full differential runs executed.
-    pub differentials: u64,
-}
-
-/// Sweeps a seed family with the differential harness, *skipping* the
-/// harness for programs the analyzer proves race-free. Every
-/// `tripwire_every`-th skipped program still runs the differential and
-/// must report zero dynamic races — a statically-race-free program with
-/// a dynamically predicted race means the skip was unsound, and the
-/// sweep fails loudly.
-///
-/// # Errors
-///
-/// Returns the first differential failure, tripwire violation, or
-/// analyzer run failure.
-pub fn static_gated_sweep(
-    family: u64,
-    count: u64,
-    tripwire_every: u64,
-    cfg: &DiffConfig,
-) -> Result<GatedStats, String> {
-    let mut stats = GatedStats::default();
-    for i in 0..count {
-        let seed = family_seed(family, i);
-        let prog = Rc::new(generate_family(family, seed));
-        let pm = model_of_prog(&prog, "prog");
-        let idx = MhpIndex::build(&pm.model);
-        let race_free = candidates(&pm.model, &idx).is_empty();
-        stats.programs += 1;
-        if race_free {
-            stats.race_free += 1;
-            let tripwire = tripwire_every > 0 && stats.race_free % tripwire_every == 0;
-            if !tripwire {
-                stats.skipped += 1;
-                continue;
-            }
-            stats.tripwires += 1;
-            let report = differential(&prog, seed, cfg).map_err(|e| format!("seed {seed}: {e}"))?;
-            if report.races > 0 {
-                return Err(format!(
-                    "seed {seed}: analyzer claimed race-free but the \
-                     differential predicted {} dynamic race(s) — unsound skip",
-                    report.races
-                ));
-            }
-        } else {
-            stats.differentials += 1;
-            differential(&prog, seed, cfg).map_err(|e| format!("seed {seed}: {e}"))?;
-        }
-    }
-    Ok(stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn family_seeds_match_the_differential_sweep() {
-        assert_eq!(family_seed(0, 7), 7);
-        assert_eq!(family_seed(2, 0), 2u64.wrapping_mul(FAMILY_STRIDE));
+    fn a_small_family_prefix_is_sound() {
+        // The stream prefix on fresh loops (no pool) must hold the gate
+        // and see exactly what the pooled sweep sees: recycled loop state
+        // changes no schedule.
+        let fresh = sweep(40, &None).expect("runs clean");
+        assert_eq!(fresh.programs, 40);
+        assert!(fresh.missing.is_empty(), "misses: {:#?}", fresh.missing);
+        assert!(fresh.dynamic > 0, "sweep too weak to test soundness");
+        assert_eq!(fresh.metrics.models, 40);
+        assert!(fresh.metrics.candidates >= fresh.metrics.confirmed);
+        let pooled = sweep(40, &Some(LoopPool::new())).expect("runs clean");
+        let counts = |s: &SweepStats| {
+            (
+                s.race_free,
+                s.dynamic,
+                s.metrics.candidates,
+                s.metrics.confirmed,
+            )
+        };
+        assert_eq!(counts(&fresh), counts(&pooled));
     }
 
     #[test]
-    fn a_small_family_prefix_is_sound() {
-        let stats = sweep_family(0, 40, &Some(LoopPool::new())).expect("runs clean");
+    fn an_api_family_prefix_is_sound() {
+        let stats = sweep(40, &Some(LoopPool::new())).expect("runs clean");
         assert_eq!(stats.programs, 40);
         assert!(stats.missing.is_empty(), "misses: {:#?}", stats.missing);
         // The prefix must exercise the gate: some dynamic races exist and
@@ -294,31 +231,5 @@ mod tests {
         assert!(stats.dynamic > 0, "sweep too weak to test soundness");
         assert_eq!(stats.metrics.models, 40);
         assert!(stats.metrics.candidates >= stats.metrics.confirmed);
-    }
-
-    #[test]
-    fn an_api_family_prefix_is_sound() {
-        // The API-graph family routes through the graph-traversal
-        // generator; the gate must hold over combinator and client
-        // bodies exactly as it does over the original op mix.
-        let api = nodefz_conform::API_FAMILY;
-        let stats = sweep_family(api, 40, &Some(LoopPool::new())).expect("runs clean");
-        assert_eq!(stats.programs, 40);
-        assert!(stats.missing.is_empty(), "misses: {:#?}", stats.missing);
-        assert!(stats.dynamic > 0, "sweep too weak to test soundness");
-    }
-
-    #[test]
-    fn gated_sweep_skips_race_free_programs_and_tripwires_hold() {
-        let cfg = DiffConfig {
-            pool: Some(LoopPool::new()),
-            ..DiffConfig::default()
-        };
-        let stats = static_gated_sweep(0, 40, 3, &cfg).expect("sweep clean");
-        assert_eq!(stats.programs, 40);
-        assert_eq!(stats.race_free, stats.skipped + stats.tripwires);
-        assert!(stats.skipped > 0, "gate never saved a differential run");
-        assert!(stats.tripwires > 0, "tripwire never fired");
-        assert!(stats.differentials > 0);
     }
 }

@@ -1,39 +1,30 @@
-//! The acceptance sweep: the full conform corpus — three independent-
-//! sampling seed families plus the API-graph family, × 500 generated
-//! programs each, the exact seeds of the differential acceptance run —
-//! goes through the soundness gate with **zero** dynamically-predicted
-//! races missing a static cover.
+//! The acceptance sweep: the conform program stream's first 2000
+//! programs — the exact seeds of the differential acceptance run — go
+//! through the soundness gate with **zero** dynamically-predicted races
+//! missing a static cover.
 
 use nodefz_rt::LoopPool;
-use nodefz_sa::sweep_family;
+use nodefz_sa::sweep;
 
 #[test]
 fn soundness_holds_over_the_full_conform_corpus() {
-    let pool = Some(LoopPool::new());
-    let mut programs = 0u64;
-    let mut race_free = 0u64;
-    let mut dynamic = 0u64;
-    let mut metrics = nodefz_sa::SaMetrics::default();
-    for family in 0..4u64 {
-        let stats =
-            sweep_family(family, 500, &pool).unwrap_or_else(|e| panic!("family {family}: {e}"));
-        assert!(
-            stats.missing.is_empty(),
-            "family {family}: {} uncovered dynamic prediction(s): {:#?}",
-            stats.missing.len(),
-            stats.missing
-        );
-        programs += stats.programs;
-        race_free += stats.race_free;
-        dynamic += stats.dynamic;
-        metrics.merge(&stats.metrics);
-    }
+    let stats = sweep(2000, &Some(LoopPool::new())).unwrap_or_else(|e| panic!("{e}"));
+    assert!(
+        stats.missing.is_empty(),
+        "{} uncovered dynamic prediction(s): {:#?}",
+        stats.missing.len(),
+        stats.missing
+    );
+    let metrics = &stats.metrics;
     // Precision accounting over the corpus — printed so the numbers in
     // EXPERIMENTS.md stay reproducible from one command.
     println!(
-        "sa sweep: {programs} programs, {race_free} race-free, {dynamic} dynamic races, \
+        "sa sweep: {} programs, {} race-free, {} dynamic races, \
          {} candidates ({} AV-capable / {} OV / {} COV), {} confirmed \
          ({} AV / {} OV / {} COV)",
+        stats.programs,
+        stats.race_free,
+        stats.dynamic,
         metrics.candidates,
         metrics.av,
         metrics.ov,
@@ -43,10 +34,14 @@ fn soundness_holds_over_the_full_conform_corpus() {
         metrics.confirmed_ov,
         metrics.confirmed_cov,
     );
-    assert_eq!(programs, 2000);
-    assert!(dynamic > 500, "sweep too weak: {dynamic} dynamic races");
+    assert_eq!(stats.programs, 2000);
     assert!(
-        race_free > 0,
+        stats.dynamic > 500,
+        "sweep too weak: {} dynamic races",
+        stats.dynamic
+    );
+    assert!(
+        stats.race_free > 0,
         "the analyzer never proved a program race-free"
     );
     assert!(metrics.confirmed > 0 && metrics.confirmed <= metrics.candidates);

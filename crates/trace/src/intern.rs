@@ -1,18 +1,13 @@
-//! String interning for the campaign hot path.
+//! String interning for report site tables.
 //!
-//! Signature work — normalizing an oracle's evidence string, hashing it,
-//! comparing it against every known bug — is pure string traffic, and a
-//! long campaign does it once per manifestation. [`SiteInterner`] collapses
-//! that to integer work: each distinct string is stored once and handed
-//! back as a dense [`SiteId`], so the deduplicator can key its table on a
-//! pair of `u32`s and only materialize strings when a report is written.
+//! A race report names each shared site once: [`SiteInterner`] stores
+//! each distinct string once and hands it back as a dense [`SiteId`], so
+//! findings refer to sites by table index.
 //!
 //! Interning is append-only: an id, once handed out, resolves to the same
 //! string for the interner's whole lifetime.
 
 use std::collections::HashMap;
-
-use crate::signature::{normalize_site_into, BugSignature};
 
 /// A dense handle to an interned string (see [`SiteInterner`]).
 ///
@@ -39,11 +34,6 @@ pub struct SiteId(pub u32);
 pub struct SiteInterner {
     ids: HashMap<String, SiteId>,
     names: Vec<String>,
-    /// Normalization scratch, reused across [`intern_site`] calls so a
-    /// cache hit performs zero allocations.
-    ///
-    /// [`intern_site`]: SiteInterner::intern_site
-    scratch: String,
 }
 
 impl SiteInterner {
@@ -60,29 +50,9 @@ impl SiteInterner {
         if let Some(&id) = self.ids.get(s) {
             return id;
         }
-        self.insert_new(s.to_string())
-    }
-
-    /// Normalizes a raw failure-site string (see
-    /// [`normalize_site`](crate::normalize_site)) and interns the result.
-    ///
-    /// Normalization writes into an internal scratch buffer, so when the
-    /// normalized form is already interned this performs no allocation.
-    pub fn intern_site(&mut self, raw: &str) -> SiteId {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        normalize_site_into(raw, &mut scratch);
-        let id = match self.ids.get(scratch.as_str()) {
-            Some(&id) => id,
-            None => self.insert_new(scratch.clone()),
-        };
-        self.scratch = scratch;
-        id
-    }
-
-    fn insert_new(&mut self, owned: String) -> SiteId {
         let id = SiteId(u32::try_from(self.names.len()).expect("interner overflow"));
-        self.ids.insert(owned.clone(), id);
-        self.names.push(owned);
+        self.ids.insert(s.to_string(), id);
+        self.names.push(s.to_string());
         id
     }
 
@@ -111,37 +81,9 @@ impl SiteInterner {
     }
 }
 
-/// The id-based form of a [`BugSignature`]: two table handles and the kind
-/// fingerprint, `Copy` and integer-hashable — what a deduplicator keys its
-/// table on instead of owned strings.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct SigKey {
-    /// Interned application abbreviation.
-    pub app: SiteId,
-    /// Interned normalized failure site.
-    pub site: SiteId,
-    /// Callback-kind fingerprint (already an integer).
-    pub kinds: u32,
-}
-
-impl SigKey {
-    /// Interns a signature's string fields (already normalized) into `t`.
-    ///
-    /// After the first manifestation of a bug, later calls for equal
-    /// signatures are pure lookups — no allocation.
-    pub fn of(sig: &BugSignature, t: &mut SiteInterner) -> SigKey {
-        SigKey {
-            app: t.intern(&sig.app),
-            site: t.intern(&sig.site),
-            kinds: sig.kinds,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::normalize_site;
 
     #[test]
     fn same_string_same_id() {
@@ -161,44 +103,6 @@ mod tests {
         assert_eq!(t.resolve(id), "lost # of # jobs");
         assert_eq!(t.lookup("lost # of # jobs"), Some(id));
         assert_eq!(t.lookup("never seen"), None);
-    }
-
-    #[test]
-    fn intern_site_normalizes_first() {
-        let mut t = SiteInterner::new();
-        let a = t.intern_site("Lost 3 of 12 jobs");
-        let b = t.intern_site("lost 9 of 12   jobs");
-        assert_eq!(a, b, "run-specific detail must collapse to one id");
-        assert_eq!(t.resolve(a), normalize_site("Lost 3 of 12 jobs"));
-        // The normalized form and the raw exact form are distinct entries.
-        let raw = t.intern("Lost 3 of 12 jobs");
-        assert_ne!(raw, a);
-    }
-
-    #[test]
-    fn sig_keys_mirror_signature_equality() {
-        let mut t = SiteInterner::new();
-        let a = BugSignature {
-            app: "KUE".into(),
-            site: "lost # of # jobs".into(),
-            kinds: 3,
-        };
-        let same = a.clone();
-        let other_app = BugSignature {
-            app: "MKD".into(),
-            ..a.clone()
-        };
-        let other_kinds = BugSignature {
-            kinds: 7,
-            ..a.clone()
-        };
-        assert_eq!(SigKey::of(&a, &mut t), SigKey::of(&same, &mut t));
-        assert_ne!(SigKey::of(&a, &mut t), SigKey::of(&other_app, &mut t));
-        assert_ne!(SigKey::of(&a, &mut t), SigKey::of(&other_kinds, &mut t));
-        // The key resolves back to the signature's strings.
-        let key = SigKey::of(&a, &mut t);
-        assert_eq!(t.resolve(key.app), "KUE");
-        assert_eq!(t.resolve(key.site), "lost # of # jobs");
     }
 
     #[test]

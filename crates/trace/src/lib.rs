@@ -15,7 +15,7 @@ mod levenshtein;
 mod signature;
 mod stats;
 
-pub use intern::{SigKey, SiteId, SiteInterner};
+pub use intern::{SiteId, SiteInterner};
 pub use levenshtein::{levenshtein, levenshtein_banded, normalized_levenshtein};
 pub use signature::{kind_fingerprint, normalize_site, normalize_site_into, BugSignature};
 pub use stats::{pairwise_normalized_ld, DiversitySummary, PAPER_TRUNCATION};

@@ -1,11 +1,10 @@
 //! Property tests for the string interner: interning is a bijection
-//! between distinct strings and dense ids, and normalization-interning
-//! agrees with [`normalize_site`] exactly.
+//! between distinct strings and dense ids.
 
 use std::collections::HashMap;
 
 use nodefz_check::{forall, Gen};
-use nodefz_trace::{normalize_site, SiteId, SiteInterner};
+use nodefz_trace::{SiteId, SiteInterner};
 
 /// A random failure-site-shaped string: words, digit runs, quotes, and
 /// messy whitespace — everything the normalizer special-cases.
@@ -67,16 +66,4 @@ fn equal_strings_share_an_id_distinct_strings_do_not() {
             assert_eq!(t.len(), by_string.len());
         },
     );
-}
-
-#[test]
-fn intern_site_agrees_with_normalize_site() {
-    forall("intern_site_agrees_with_normalize_site", 128, |g| {
-        let mut t = SiteInterner::new();
-        let raw = site(g);
-        let id = t.intern_site(&raw);
-        assert_eq!(t.resolve(id), normalize_site(&raw));
-        // Interning the normalized form directly lands on the same id.
-        assert_eq!(t.intern(&normalize_site(&raw)), id);
-    });
 }

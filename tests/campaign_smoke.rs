@@ -206,14 +206,14 @@ fn campaigns_with_the_same_seed_find_the_same_bugs() {
 
 #[test]
 fn conform_arm_runs_clean_in_a_campaign() {
-    // The CONFORM arm fuzzes the runtime itself: generated programs
+    // The CONFORM-API arm fuzzes the runtime itself: generated programs
     // judged against the ordering oracle. On a correct runtime a
     // campaign over it must spend its whole budget without a finding —
     // any finding here would be a runtime bug, not an application bug.
     let cfg = CampaignConfig {
         threads: 2,
         budget: 40,
-        apps: vec!["CONFORM".into()],
+        apps: vec!["CONFORM-API".into()],
         base_seed: 11,
         replay_checks: 1,
         ..CampaignConfig::default()
