@@ -26,7 +26,7 @@ use std::path::PathBuf;
 
 use nodefz::DirectedSpec;
 use nodefz_apps::common::{BugCase, Variant};
-use nodefz_hb::{analyze_app, AppAnalysis, RaceClass, RaceInfo};
+use nodefz_hb::{analyze_app, AppAnalysis, RaceClass, RaceInfo, MAX_FLIPS_PER_RACE};
 use nodefz_sa::{Candidate, MhpIndex, SaMetrics};
 use nodefz_trace::BugSignature;
 
@@ -39,9 +39,6 @@ use crate::driver::{accepted, panic_message, record_to_entry, RunContext};
 /// distinct (site, class), a few flip points each). Bounds the directed
 /// budget on apps whose analysis predicts many overlapping pairs.
 const MAX_SPECS_PER_APP: usize = 12;
-
-/// Flip points tried per predicted race, deepest chain ancestor first.
-const MAX_FLIPS_PER_RACE: usize = 4;
 
 /// Everything `campaign analyze` needs.
 #[derive(Clone, Debug)]
@@ -200,14 +197,7 @@ pub fn analyze_campaign(cfg: &AnalyzeConfig) -> Result<AnalyzeReport, String> {
     if cfg.apps.is_empty() {
         return Err("at least one app must be analyzed".into());
     }
-    for app in &cfg.apps {
-        if crate::driver::resolve_case(app).is_none() {
-            return Err(format!(
-                "unknown app '{app}' (known: {}, plus CONFORM and CONFORM-API)",
-                nodefz_apps::abbrs().join(", ")
-            ));
-        }
-    }
+    crate::config::check_apps(&cfg.apps)?;
     let corpus = match &cfg.corpus_dir {
         Some(dir) => Some(Corpus::open(dir).map_err(|e| format!("corpus: {e}"))?),
         None => None,
@@ -372,6 +362,23 @@ mod tests {
             ..AnalyzeConfig::default()
         };
         assert!(analyze_campaign(&cfg).unwrap_err().contains("NOPE"));
+    }
+
+    #[test]
+    fn apps_are_checked_as_the_campaign_checks_them() {
+        for apps in [&["CONFORM"][..], &["GHO", "GHO"], &["KUE", "NOPE"]] {
+            let apps: Vec<String> = apps.iter().map(|a| a.to_string()).collect();
+            let campaign = crate::CampaignConfig {
+                apps: apps.clone(),
+                ..crate::CampaignConfig::default()
+            };
+            let cfg = AnalyzeConfig {
+                apps,
+                ..AnalyzeConfig::default()
+            };
+            let err = analyze_campaign(&cfg).unwrap_err();
+            assert_eq!(err, campaign.validate().unwrap_err());
+        }
     }
 
     #[test]

@@ -138,26 +138,31 @@ impl CampaignConfig {
                 ));
             }
         }
-        for app in &self.apps {
-            if crate::driver::resolve_case(app).is_none() {
-                return Err(format!(
-                    "unknown app '{app}' (known: {}, plus CONFORM-API)",
-                    nodefz_apps::abbrs().join(", ")
-                ));
-            }
-        }
-        reject_duplicate_apps(&self.apps)
+        check_apps(&self.apps)
     }
 }
 
-/// Fails naming the first app listed twice. Apps compare
-/// case-insensitively, as [`crate::resolve_case`] resolves them: a
+/// The app check of every command that takes `--apps` (`campaign`,
+/// `campaign analyze`, `campaign list`): every app must resolve
+/// ([`crate::resolve_case`]) and none may be listed twice. Apps
+/// compare case-insensitively, as `resolve_case` resolves them: a
 /// duplicate would split one arm's runs across two indistinguishable arms.
 ///
 /// # Errors
 ///
-/// Names the duplicated app.
-pub fn reject_duplicate_apps(apps: &[String]) -> Result<(), String> {
+/// Names the first unknown app, with the known ones, or else the first
+/// app listed twice.
+pub fn check_apps(apps: &[String]) -> Result<(), String> {
+    if let Some(app) = apps
+        .iter()
+        .find(|app| crate::driver::resolve_case(app).is_none())
+    {
+        return Err(format!(
+            "unknown app '{app}' (known: {}, {})",
+            nodefz_apps::abbrs().join(", "),
+            nodefz_conform::API_ABBR
+        ));
+    }
     for (i, app) in apps.iter().enumerate() {
         if apps[..i].iter().any(|a| a.eq_ignore_ascii_case(app)) {
             return Err(format!("app '{app}' is listed twice"));
@@ -186,6 +191,21 @@ mod tests {
         };
         let err = cfg.validate().unwrap_err();
         assert!(err.contains("NOPE"), "{err}");
+    }
+
+    #[test]
+    fn the_unknown_app_error_lists_only_known_apps() {
+        let err = check_apps(&["CONFORM".into()]).unwrap_err();
+        let known = err
+            .split_once("(known: ")
+            .and_then(|(_, rest)| rest.strip_suffix(')'))
+            .unwrap_or_else(|| panic!("no known-app list: {err}"));
+        let known: Vec<&str> = known.split(", ").collect();
+        assert!(!known.contains(&"CONFORM"), "{err}");
+        for app in &known {
+            assert!(crate::resolve_case(app).is_some(), "{app} in {err}");
+        }
+        assert!(known.contains(&nodefz_conform::API_ABBR), "{err}");
     }
 
     #[test]

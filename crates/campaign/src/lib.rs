@@ -40,8 +40,7 @@ mod pinned_shrink;
 
 pub use analyze::{analyze_campaign, AnalyzeConfig, AnalyzeReport, ConfirmedRace};
 pub use config::{
-    preset_index, preset_name, preset_params, reject_duplicate_apps, CampaignConfig,
-    DIRECTED_PRESET, PRESETS,
+    check_apps, preset_index, preset_name, preset_params, CampaignConfig, DIRECTED_PRESET, PRESETS,
 };
 pub use corpus::{Corpus, CorpusDecodeError, CorpusEntry};
 pub use dedup::{BugRecord, Deduper, Finding};

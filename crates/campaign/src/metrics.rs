@@ -2,7 +2,7 @@
 //! snapshot document.
 //!
 //! The controller applies fuzz results in dispatch order and sums each one
-//! into a [`Tally`]: runs, manifestations, dispatched callbacks and their
+//! into a `Tally`: runs, manifestations, dispatched callbacks and their
 //! per-run histogram, and, above [`ObsLevel::Off`], the loop profile the
 //! result carries back from its worker. Controller-side series — per-arm
 //! pulls, quarantine and schedule diversity, and the bug-discovery curve —

@@ -441,12 +441,7 @@ fn list(args: &mut Args) -> Result<ExitCode, CliError> {
             other => return Err(unexpected(other)),
         }
     }
-    if let Some(app) = apps
-        .iter()
-        .find(|a| nodefz_campaign::resolve_case(a).is_none())
-    {
-        return Err(failed(format!("unknown app '{app}'")));
-    }
+    nodefz_campaign::check_apps(&apps).map_err(failed)?;
     let mut rows: Vec<(&str, &str, &str)> = nodefz_apps::registry()
         .iter()
         .map(|c| c.info())
@@ -454,9 +449,11 @@ fn list(args: &mut Args) -> Result<ExitCode, CliError> {
         .collect();
     let info = nodefz_conform::api_bug_case().info();
     rows.push((info.abbr, "conformance arm", info.bug_ref));
+    let abbr_w = rows.iter().map(|r| r.0.chars().count()).max().unwrap_or(0);
+    let name_w = rows.iter().map(|r| r.1.chars().count()).max().unwrap_or(0);
     for (abbr, name, bug_ref) in rows {
         if apps.is_empty() || apps.iter().any(|a| a.eq_ignore_ascii_case(abbr)) {
-            println!("{abbr:<4} {name:<16} {bug_ref}");
+            println!("{abbr:<abbr_w$} {name:<name_w$} {bug_ref}");
         }
     }
     Ok(ExitCode::SUCCESS)
@@ -480,6 +477,7 @@ fn analyze(args: &mut Args) -> Result<ExitCode, CliError> {
         }
     }
     cfg.apps = or_registered(cfg.apps, true);
+    nodefz_campaign::check_apps(&cfg.apps).map_err(failed)?;
     cfg.races_out = Some(races_out.clone());
     println!(
         "analyze: {} apps at env seed {}, {} directed attempts per flip",

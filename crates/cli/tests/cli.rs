@@ -194,8 +194,8 @@ fn no_command_silently_ignores_a_flag() {
 
 /// Conformance testing is one program stream and one campaign arm: the
 /// seed-family and gated-sweep flags are unknown to `campaign sa`,
-/// `CONFORM` is an unknown app, and `campaign list` has one conformance
-/// row.
+/// `CONFORM` is an unknown app to every command that takes `--apps`, and
+/// `campaign list` has one conformance row.
 #[test]
 fn conformance_is_one_stream_and_one_arm() {
     // The deleted seed-family, gated-sweep and tripwire flags, by name.
@@ -215,11 +215,20 @@ fn conformance_is_one_stream_and_one_arm() {
         assert_eq!(stderr.lines().next(), Some(error.as_str()), "{args:?}");
     }
 
-    let out = run(&["--apps", "CONFORM", "--budget", "5"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(stdout(&out).is_empty(), "ran: {}", stdout(&out));
-    assert!(stderr.contains("unknown app 'CONFORM'"), "{stderr}");
+    let mut errors = Vec::new();
+    for args in [
+        &["--apps", "CONFORM", "--budget", "5"][..],
+        &["analyze", "--apps", "CONFORM"],
+        &["list", "--apps", "CONFORM"],
+    ] {
+        let out = run(args);
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stdout(&out).is_empty(), "{args:?} ran: {}", stdout(&out));
+        assert!(stderr.contains("unknown app 'CONFORM'"), "{stderr}");
+        errors.push(stderr);
+    }
+    assert!(errors.windows(2).all(|w| w[0] == w[1]), "{errors:?}");
 
     let out = run(&["list"]);
     assert!(out.status.success());
@@ -230,6 +239,31 @@ fn conformance_is_one_stream_and_one_arm() {
         .collect();
     assert_eq!(rows.len(), 1, "{listing}");
     assert!(rows[0].starts_with("CONFORM-API "), "{listing}");
+}
+
+/// `campaign list` aligns its columns however long an abbreviation or
+/// a name is: every row's bug reference starts at the same column.
+#[test]
+fn list_aligns_every_bug_reference() {
+    let out = run(&["list"]);
+    assert!(out.status.success());
+    let listing = stdout(&out);
+    let mut refs: Vec<&str> = nodefz_apps::registry()
+        .iter()
+        .map(|c| c.info().bug_ref)
+        .collect();
+    refs.push(nodefz_conform::api_bug_case().info().bug_ref);
+    let rows: Vec<&str> = listing.lines().collect();
+    assert_eq!(rows.len(), refs.len(), "{listing}");
+    let columns: Vec<usize> = rows
+        .iter()
+        .zip(&refs)
+        .map(|(row, bug_ref)| {
+            assert!(row.ends_with(bug_ref), "{row:?} lacks {bug_ref:?}");
+            row.chars().count() - bug_ref.chars().count()
+        })
+        .collect();
+    assert!(columns.windows(2).all(|w| w[0] == w[1]), "{listing}");
 }
 
 #[test]

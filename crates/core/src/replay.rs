@@ -622,11 +622,6 @@ impl ReplayStatusHandle {
         self.inner.borrow().mismatches
     }
 
-    /// The first divergence, if any.
-    pub fn first_divergence(&self) -> Option<ReplayDivergence> {
-        self.inner.borrow().first.clone()
-    }
-
     /// `Ok(())` for a faithful replay, the divergence report otherwise.
     ///
     /// # Errors

@@ -20,13 +20,11 @@ use nodefz::{
 };
 use nodefz_apps::common::{RunCfg, Variant};
 use nodefz_campaign::{preset_params, resolve_case, CorpusEntry};
-use nodefz_hb::{canon_key, causal_chain, races_with_cuts, EventRef, RaceInfo, SeenSet};
+use nodefz_hb::{
+    canon_key, causal_chain, races_with_cuts, EventRef, RaceInfo, SeenSet, MAX_FLIPS_PER_RACE,
+};
 use nodefz_rt::{EventLog, EventLogHandle};
 use nodefz_trace::BugSignature;
-
-/// Flip points tried per predicted race during `--check`, deepest chain
-/// ancestor first (mirrors the `campaign analyze` confirm loop).
-const MAX_FLIPS_PER_RACE: usize = 4;
 
 /// Predicted races the check loop will chase before giving up.
 const MAX_CHECK_RACES: usize = 8;
@@ -210,13 +208,6 @@ fn divergence(failing: &DecisionTrace, passing: &DecisionTrace) -> Option<Diverg
     }
 }
 
-/// The flip-cut ladder actually tried for a race (bounded, with the
-/// pre-dispatch fallback when the chain walk found nothing) — the shared
-/// [`RaceInfo::ladder`] definition, bounded by this crate's flip budget.
-fn flip_ladder(race: &RaceInfo) -> Vec<u64> {
-    race.ladder(MAX_FLIPS_PER_RACE)
-}
-
 /// Explains one corpus entry.
 ///
 /// # Errors
@@ -348,7 +339,7 @@ pub fn explain_entry(entry: &CorpusEntry, cfg: &ExplainConfig) -> Result<RaceRep
         };
         let check_handle = TraceHandle::fresh();
         'plan: for race in plan.iter().take(MAX_CHECK_RACES) {
-            for cut in flip_ladder(race) {
+            for cut in race.ladder(MAX_FLIPS_PER_RACE) {
                 for attempt in 0..cfg.attempts {
                     attempted += 1;
                     let spec = DirectedSpec::new(nearest.trace.clone(), cut).with_attempt(attempt);
@@ -386,7 +377,7 @@ pub fn explain_entry(entry: &CorpusEntry, cfg: &ExplainConfig) -> Result<RaceRep
         None
     };
 
-    let ladder = flip_ladder(&flip_race);
+    let ladder = flip_race.ladder(MAX_FLIPS_PER_RACE);
     let flip = FlipPlan {
         cut: ladder[0],
         prefix_cut: flip_race.cut,

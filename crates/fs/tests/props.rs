@@ -17,9 +17,6 @@ enum Op {
     WriteFile(String, Vec<u8>),
     Append(String, Vec<u8>),
     ReadFile(String),
-    Unlink(String),
-    Rmdir(String),
-    Stat(String),
 }
 
 #[derive(Clone, Debug, PartialEq)]
@@ -98,49 +95,6 @@ impl Model {
             None => Err(Errno::Enoent),
         }
     }
-
-    fn unlink(&mut self, path: &str) -> Result<(), Errno> {
-        let parts = split(path)?;
-        self.parent_ok(&parts)?;
-        match self.nodes.get(&parts) {
-            Some(ModelNode::File(_)) => {
-                self.nodes.remove(&parts);
-                Ok(())
-            }
-            Some(ModelNode::Dir) => Err(Errno::Eisdir),
-            None => Err(Errno::Enoent),
-        }
-    }
-
-    fn rmdir(&mut self, path: &str) -> Result<(), Errno> {
-        let parts = split(path)?;
-        self.parent_ok(&parts)?;
-        match self.nodes.get(&parts) {
-            Some(ModelNode::Dir) => {
-                let has_children = self
-                    .nodes
-                    .keys()
-                    .any(|k| k.len() > parts.len() && k.starts_with(&parts));
-                if has_children {
-                    return Err(Errno::Enotempty);
-                }
-                self.nodes.remove(&parts);
-                Ok(())
-            }
-            Some(ModelNode::File(_)) => Err(Errno::Enotdir),
-            None => Err(Errno::Enoent),
-        }
-    }
-
-    fn stat(&self, path: &str) -> Result<(bool, usize), Errno> {
-        let parts = split(path)?;
-        self.parent_ok(&parts)?;
-        match self.nodes.get(&parts) {
-            Some(ModelNode::Dir) => Ok((true, 0)),
-            Some(ModelNode::File(d)) => Ok((false, d.len())),
-            None => Err(Errno::Enoent),
-        }
-    }
 }
 
 /// A small path universe so operations collide meaningfully.
@@ -150,14 +104,11 @@ fn gen_path(g: &mut Gen) -> String {
 }
 
 fn gen_op(g: &mut Gen) -> Op {
-    match g.below(7) {
+    match g.below(4) {
         0 => Op::Mkdir(gen_path(g)),
         1 => Op::WriteFile(gen_path(g), g.bytes(0, 8)),
         2 => Op::Append(gen_path(g), g.bytes(0, 8)),
-        3 => Op::ReadFile(gen_path(g)),
-        4 => Op::Unlink(gen_path(g)),
-        5 => Op::Rmdir(gen_path(g)),
-        _ => Op::Stat(gen_path(g)),
+        _ => Op::ReadFile(gen_path(g)),
     }
 }
 
@@ -202,26 +153,6 @@ fn run_sim(ops: Vec<Op>, seed: u64) -> Vec<String> {
                 let f = fs.clone();
                 fs.read_file(cx, &p, move |cx, r| cont(cx, format!("{r:?}"), f, ops, out));
             }
-            Op::Unlink(p) => {
-                let f = fs.clone();
-                fs.unlink(cx, &p, move |cx, r| cont(cx, format!("{r:?}"), f, ops, out));
-            }
-            Op::Rmdir(p) => {
-                let f = fs.clone();
-                fs.rmdir(cx, &p, move |cx, r| cont(cx, format!("{r:?}"), f, ops, out));
-            }
-            Op::Stat(p) => {
-                let f = fs.clone();
-                fs.stat(cx, &p, move |cx, r| {
-                    cont(
-                        cx,
-                        format!("{:?}", r.map(|s| (s.is_dir, s.size))),
-                        f,
-                        ops,
-                        out,
-                    )
-                });
-            }
         }
     }
 
@@ -240,9 +171,6 @@ fn run_model(ops: &[Op]) -> Vec<String> {
             Op::WriteFile(p, d) => format!("{:?}", model.write(p, d, false)),
             Op::Append(p, d) => format!("{:?}", model.write(p, d, true)),
             Op::ReadFile(p) => format!("{:?}", model.read(p)),
-            Op::Unlink(p) => format!("{:?}", model.unlink(p)),
-            Op::Rmdir(p) => format!("{:?}", model.rmdir(p)),
-            Op::Stat(p) => format!("{:?}", model.stat(p)),
         })
         .collect()
 }

@@ -107,6 +107,11 @@ pub struct RaceInfo {
     pub flip_cuts: Vec<u64>,
 }
 
+/// Flip points a race confirmer tries per predicted race, root-most chain
+/// ancestor first: the bound `campaign analyze` and `campaign explain
+/// --check` both pass to [`RaceInfo::ladder`].
+pub const MAX_FLIPS_PER_RACE: usize = 4;
+
 impl RaceInfo {
     /// The flip-cut ladder every directed confirmer climbs: at most `max`
     /// chain flip cuts (root-most first), falling back to "just before

@@ -51,7 +51,7 @@ mod report;
 
 pub use analyze::{
     analyze_app, analyze_recorded, causal_chain, chain_cuts, races_with_cuts, record_vanilla,
-    AnalyzeError, AppAnalysis, EventRef, RaceInfo,
+    AnalyzeError, AppAnalysis, EventRef, RaceInfo, MAX_FLIPS_PER_RACE,
 };
 pub use canon::{canon_key, CanonBuilder, CanonKey, SeenSet};
 pub use graph::HbGraph;

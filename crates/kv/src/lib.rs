@@ -96,7 +96,6 @@ enum Op {
     Del(String),
     Incr(String),
     LPush(String, String),
-    RPop(String),
     Find(String),
 }
 
@@ -331,10 +330,6 @@ impl Kv {
                     Value::Str(_) => Reply::Nil,
                 }
             }
-            Op::RPop(k) => match st.data.get_mut(&k) {
-                Some(Value::List(list)) => list.pop_back().map_or(Reply::Nil, Reply::Str),
-                _ => Reply::Nil,
-            },
             Op::Find(prefix) => {
                 let rows: Vec<(String, String)> = st
                     .data
@@ -447,28 +442,6 @@ impl Kv {
                     match r {
                         Reply::Int(i) => i,
                         _ => -1,
-                    },
-                )
-            }),
-        );
-    }
-
-    /// `RPOP key` — pops the oldest list element, if any.
-    pub fn rpop(
-        &self,
-        cx: &mut Ctx<'_>,
-        key: &str,
-        cb: impl FnOnce(&mut Ctx<'_>, Option<String>) + 'static,
-    ) {
-        self.submit(
-            cx,
-            Op::RPop(key.to_string()),
-            Box::new(move |cx, r| {
-                cb(
-                    cx,
-                    match r {
-                        Reply::Str(s) => Some(s),
-                        _ => None,
                     },
                 )
             }),
@@ -606,21 +579,15 @@ mod tests {
     }
 
     #[test]
-    fn list_push_pop_fifo() {
+    fn list_push_reports_the_length() {
         let kv = run_kv(6, 1, |cx, kv| {
             let kv2 = kv.clone();
             kv.lpush(cx, "q", "first", move |cx, len| {
                 assert_eq!(len, 1);
-                let kv3 = kv2.clone();
-                kv2.lpush(cx, "q", "second", move |cx, len| {
-                    assert_eq!(len, 2);
-                    kv3.rpop(cx, "q", |_cx, v| {
-                        assert_eq!(v.as_deref(), Some("first"));
-                    });
-                });
+                kv2.lpush(cx, "q", "second", |_cx, len| assert_eq!(len, 2));
             });
         });
-        assert_eq!(kv.list_len_sync("q"), 1);
+        assert_eq!(kv.list_len_sync("q"), 2);
     }
 
     #[test]

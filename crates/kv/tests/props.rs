@@ -19,7 +19,6 @@ enum Op {
     Del(String),
     Incr(String),
     LPush(String, String),
-    RPop(String),
 }
 
 fn gen_key(g: &mut Gen) -> String {
@@ -27,14 +26,13 @@ fn gen_key(g: &mut Gen) -> String {
 }
 
 fn gen_op(g: &mut Gen) -> Op {
-    match g.below(7) {
+    match g.below(6) {
         0 => Op::Get(gen_key(g)),
         1 => Op::Set(gen_key(g), g.lowercase(1, 5)),
         2 => Op::SetNx(gen_key(g), g.lowercase(1, 5)),
         3 => Op::Del(gen_key(g)),
         4 => Op::Incr(gen_key(g)),
-        5 => Op::LPush(gen_key(g), g.lowercase(1, 5)),
-        _ => Op::RPop(gen_key(g)),
+        _ => Op::LPush(gen_key(g), g.lowercase(1, 5)),
     }
 }
 
@@ -84,10 +82,6 @@ impl Model {
                 list.push_front(v.clone());
                 format!("{}", list.len())
             }
-            Op::RPop(k) => match self.lists.get_mut(k) {
-                Some(list) => format!("{:?}", list.pop_back()),
-                None => "None".into(),
-            },
         }
     }
 }
@@ -119,7 +113,6 @@ fn run_sim(ops: Vec<Op>, seed: u64) -> Vec<String> {
             Op::Del(k) => kv.del(cx, &k, cont!(|b: bool| format!("{b}"))),
             Op::Incr(k) => kv.incr(cx, &k, cont!(|n: i64| format!("{n}"))),
             Op::LPush(k, v) => kv.lpush(cx, &k, &v, cont!(|n: i64| format!("{n}"))),
-            Op::RPop(k) => kv.rpop(cx, &k, cont!(|v: Option<String>| format!("{v:?}"))),
         }
     }
 

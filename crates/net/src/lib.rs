@@ -14,8 +14,8 @@
 //! "closing" stage the paper identifies as racy), so the fuzzer's close
 //! deferral applies to socket disconnects just as in Node.fz.
 //!
-//! Traffic allocates nothing per message: every connect, send, close,
-//! write and datagram is a typed environment wakeup ([`EnvTarget`]) whose
+//! Traffic allocates nothing per message: every connect, send, close and
+//! write is a typed environment wakeup ([`EnvTarget`]) whose
 //! payload waits in the network's own queues, and a [`Msg`] lends a
 //! `'static` literal instead of copying it.
 //!
@@ -54,7 +54,7 @@
 
 use std::borrow::Cow;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Deref;
 use std::rc::Rc;
 
@@ -121,7 +121,7 @@ struct Listener {
 
 #[derive(Default)]
 struct ClientSide {
-    received: Vec<(VTime, Msg)>,
+    received: Vec<Msg>,
     closed_at: Option<VTime>,
     refused: bool,
     on_reply: Option<OnReply>,
@@ -158,47 +158,16 @@ struct ConnState {
     client: ClientSide,
 }
 
-type OnDatagram = Rc<RefCell<dyn FnMut(&mut Ctx<'_>, u16, &[u8])>>;
-
-struct UdpBinding {
-    fd: Fd,
-    inbox: VecDeque<(u16, Msg)>,
-    on_datagram: OnDatagram,
-}
-
-struct UdpPeer {
-    received: Vec<(VTime, Msg)>,
-}
-
-/// A datagram in flight.
-struct Datagram {
-    from: u16,
-    to: u16,
-    msg: Msg,
-}
-
 struct NetState {
     /// Listeners by port, in registration order (a server has a handful,
     /// so a scan beats hashing).
     listeners: Vec<(u16, Listener)>,
-    /// UDP bindings by port, in registration order.
-    udp: Vec<(u16, UdpBinding)>,
-    /// Environment-side datagram mailboxes by port, in first-delivery order.
-    udp_peers: Vec<(u16, UdpPeer)>,
-    /// Probability (0..1) that a datagram is dropped in flight.
-    udp_loss: f64,
-    /// Datagrams in flight, by the slot their wakeup names; `None` marks a
-    /// free slot (listed in `free_datagrams`).
-    datagrams: Vec<Option<Datagram>>,
-    free_datagrams: Vec<usize>,
     /// Connection slab, indexed by [`ConnId`]. A connection dropped at
     /// accept (EMFILE) leaves `None` in its slot.
     conns: Vec<Option<ConnState>>,
     latency: LatencyModel,
     rng: Option<Rng>,
     accepted: u64,
-    /// The simulated DNS zone.
-    hosts: BTreeMap<String, String>,
 }
 
 /// The entry for `port` in a registration-ordered port table.
@@ -227,15 +196,13 @@ impl NetState {
 }
 
 // What a network wakeup delivers: the low two bits of its token. The rest
-// of the token is a connection id or a datagram slot.
+// of the token is a connection id.
 /// A connection attempt reaches the listener.
 const CONNECT: u64 = 0;
 /// The next client-to-server delivery (data or EOF) of a connection.
 const TO_SERVER: u64 = 1;
 /// The next server-to-client message of a connection.
 const TO_CLIENT: u64 = 2;
-/// The datagram in a flight slot.
-const DATAGRAM: u64 = 3;
 
 fn token(what: u64, index: u64) -> u64 {
     index << 2 | what
@@ -257,12 +224,11 @@ impl Deref for Shared {
 impl EnvTarget for Shared {
     fn wake(self: Rc<Self>, cx: &mut Ctx<'_>, token: u64) {
         let net = SimNet { inner: self };
-        let index = token >> 2;
+        let id = ConnId(token >> 2);
         match token & 3 {
-            CONNECT => net.arrive_connect(cx, ConnId(index)),
-            TO_SERVER => net.deliver_c2s(cx, ConnId(index)),
-            TO_CLIENT => net.deliver_s2c(cx, ConnId(index)),
-            _ => net.deliver_datagram(cx, index as usize),
+            CONNECT => net.arrive_connect(cx, id),
+            TO_SERVER => net.deliver_c2s(cx, id),
+            _ => net.deliver_s2c(cx, id),
         }
     }
 }
@@ -290,16 +256,10 @@ impl SimNet {
         SimNet {
             inner: Rc::new(Shared(RefCell::new(NetState {
                 listeners: Vec::new(),
-                udp: Vec::new(),
-                udp_peers: Vec::new(),
-                udp_loss: 0.0,
-                datagrams: Vec::new(),
-                free_datagrams: Vec::new(),
                 conns: Vec::new(),
                 latency,
                 rng: None,
                 accepted: 0,
-                hosts: BTreeMap::new(),
             }))),
         }
     }
@@ -349,178 +309,6 @@ impl SimNet {
     /// Total connections accepted so far (diagnostics).
     pub fn accepted(&self) -> u64 {
         self.inner.borrow().accepted
-    }
-
-    /// Sets the datagram loss probability (0.0–1.0).
-    pub fn set_udp_loss(&self, loss: f64) {
-        self.inner.borrow_mut().udp_loss = loss.clamp(0.0, 1.0);
-    }
-
-    /// Binds a UDP-style datagram socket on `port`.
-    ///
-    /// Unlike connections, datagrams have **no ordering guarantee at all**
-    /// (§4.2.1 of the paper: "the traffic on UDP sockets … is not
-    /// [well-ordered]") and may be silently lost.
-    ///
-    /// # Errors
-    ///
-    /// `EADDRINUSE` if the port already has a binding; `EMFILE` at the
-    /// descriptor limit.
-    pub fn bind_udp(
-        &self,
-        cx: &mut Ctx<'_>,
-        port: u16,
-        on_datagram: impl FnMut(&mut Ctx<'_>, u16, &[u8]) + 'static,
-    ) -> Result<UdpSocket, Errno> {
-        if by_port(&self.inner.borrow().udp, port).is_some() {
-            return Err(Errno::Eaddrinuse);
-        }
-        let fd = cx.alloc_fd(FdKind::NetConn)?;
-        let net = self.clone();
-        cx.register_watcher(fd, move |cx, _fd| {
-            let next = {
-                let mut st = net.inner.borrow_mut();
-                by_port_mut(&mut st.udp, port)
-                    .and_then(|b| b.inbox.pop_front().map(|d| (d, b.on_datagram.clone())))
-            };
-            if let Some(((from, msg), cb)) = next {
-                (cb.borrow_mut())(cx, from, &msg);
-            }
-        })?;
-        self.inner.borrow_mut().udp.push((
-            port,
-            UdpBinding {
-                fd,
-                inbox: VecDeque::new(),
-                on_datagram: Rc::new(RefCell::new(on_datagram)),
-            },
-        ));
-        Ok(UdpSocket {
-            net: self.clone(),
-            port,
-        })
-    }
-
-    fn send_datagram(&self, cx: &mut Ctx<'_>, from: u16, to: u16, msg: Msg, delay: VDur) {
-        // Loss and latency are decided at send time from the env RNG.
-        let (lost, latency) = {
-            let mut st = self.inner.borrow_mut();
-            if st.rng.is_none() {
-                st.rng = Some(cx.env_rng().fork());
-            }
-            let loss = st.udp_loss;
-            let latency_model = st.latency;
-            let rng = st.rng.as_mut().expect("just initialized");
-            let lost = loss > 0.0 && rng.unit() < loss;
-            (lost, latency_model.sample(rng))
-        };
-        if lost {
-            return;
-        }
-        // NO per-peer FIFO clamp: datagrams reorder freely.
-        let slot = {
-            let mut st = self.inner.borrow_mut();
-            let datagram = Some(Datagram { from, to, msg });
-            match st.free_datagrams.pop() {
-                Some(slot) => {
-                    st.datagrams[slot] = datagram;
-                    slot
-                }
-                None => {
-                    st.datagrams.push(datagram);
-                    st.datagrams.len() - 1
-                }
-            }
-        };
-        let at = cx.now() + delay + latency;
-        cx.wake_env_at(at, &self.inner, token(DATAGRAM, slot as u64));
-    }
-
-    /// The datagram in flight slot `slot` arrives.
-    fn deliver_datagram(&self, cx: &mut Ctx<'_>, slot: usize) {
-        let delivered_to_server = {
-            let mut st = self.inner.borrow_mut();
-            let Datagram { from, to, msg } = st.datagrams[slot]
-                .take()
-                .expect("a woken datagram slot holds a datagram");
-            st.free_datagrams.push(slot);
-            match by_port_mut(&mut st.udp, to) {
-                Some(binding) => {
-                    binding.inbox.push_back((from, msg));
-                    Some(binding.fd)
-                }
-                None => {
-                    // No binding: deliver to an environment-side peer
-                    // mailbox (a reply to a client).
-                    let at = cx.now();
-                    match by_port_mut(&mut st.udp_peers, to) {
-                        Some(peer) => peer.received.push((at, msg)),
-                        None => st.udp_peers.push((
-                            to,
-                            UdpPeer {
-                                received: vec![(at, msg)],
-                            },
-                        )),
-                    }
-                    None
-                }
-            }
-        };
-        if let Some(fd) = delivered_to_server {
-            let _ = cx.mark_ready(fd);
-        }
-    }
-
-    /// Sends a datagram from the loop side (a bound socket's port) to `to`.
-    pub fn send_udp(&self, cx: &mut Ctx<'_>, from: u16, to: u16, msg: impl Into<Msg>) {
-        self.send_datagram(cx, from, to, msg.into(), VDur::ZERO);
-    }
-
-    /// Datagrams an environment-side peer port has received (oracle
-    /// helper).
-    pub fn udp_peer_received(&self, port: u16) -> Vec<Msg> {
-        by_port(&self.inner.borrow().udp_peers, port)
-            .map(|p| p.received.iter().map(|(_, m)| m.clone()).collect())
-            .unwrap_or_default()
-    }
-
-    /// Registers a host in the simulated DNS zone.
-    pub fn add_host(&self, name: &str, address: &str) {
-        self.inner
-            .borrow_mut()
-            .hosts
-            .insert(name.to_string(), address.to_string());
-    }
-
-    /// Resolves a host name asynchronously (`dns.lookup`).
-    ///
-    /// As in Node.js, the lookup runs on the worker pool (§2.2 of the
-    /// paper: the libraries use the pool for "asynchronous file system I/O
-    /// and DNS queries"), so its completion is a pool event the fuzzer can
-    /// reorder. Unknown names resolve to `ENOENT` (NXDOMAIN analog).
-    pub fn lookup(
-        &self,
-        cx: &mut Ctx<'_>,
-        name: &str,
-        cb: impl FnOnce(&mut Ctx<'_>, Result<String, Errno>) + 'static,
-    ) {
-        let net = self.clone();
-        let name = name.to_string();
-        let submit = cx.submit_work(
-            VDur::micros(500),
-            move |_w| {
-                net.inner
-                    .borrow()
-                    .hosts
-                    .get(&name)
-                    .cloned()
-                    .ok_or(Errno::Enoent)
-            },
-            move |cx, result| cb(cx, result),
-        );
-        if submit.is_err() {
-            cx.report_error("EMFILE", "dns lookup could not allocate a task descriptor");
-        }
     }
 
     /// Closes every listener after `delay` (test teardown helper).
@@ -754,7 +542,7 @@ impl SimNet {
             // A lent literal clones for free; an owned message is copied
             // only for a scripted reply callback.
             let reply = conn.client.on_reply.clone().map(|cb| (cb, msg.clone()));
-            conn.client.received.push((cx.now(), msg));
+            conn.client.received.push(msg);
             reply
         };
         if let Some((cb, msg)) = reply {
@@ -1007,16 +795,6 @@ impl Client {
             .inner
             .borrow()
             .conn(self.id)
-            .map(|c| c.client.received.iter().map(|(_, m)| m.clone()).collect())
-            .unwrap_or_default()
-    }
-
-    /// Arrival-stamped messages the client has received.
-    pub fn received_timed(&self) -> Vec<(VTime, Msg)> {
-        self.net
-            .inner
-            .borrow()
-            .conn(self.id)
             .map(|c| c.client.received.clone())
             .unwrap_or_default()
     }
@@ -1037,66 +815,6 @@ impl Client {
             .borrow()
             .conn(self.id)
             .and_then(|c| c.client.closed_at)
-    }
-}
-
-/// A bound datagram socket (server side).
-pub struct UdpSocket {
-    net: SimNet,
-    port: u16,
-}
-
-impl UdpSocket {
-    /// The bound port.
-    pub fn port(&self) -> u16 {
-        self.port
-    }
-
-    /// Sends a datagram from this socket to `to` (another binding or an
-    /// environment-side peer).
-    pub fn send_to(&self, cx: &mut Ctx<'_>, to: u16, msg: impl Into<Msg>) {
-        let port = self.port;
-        self.net.send_datagram(cx, port, to, msg.into(), VDur::ZERO);
-    }
-
-    /// Closes the socket, releasing its descriptor.
-    pub fn close(&self, cx: &mut Ctx<'_>) {
-        let binding = remove_port(&mut self.net.inner.borrow_mut().udp, self.port);
-        if let Some(binding) = binding {
-            let _ = cx.close_fd(binding.fd);
-        }
-    }
-}
-
-/// A scripted environment-side datagram sender.
-#[derive(Clone)]
-pub struct UdpSender {
-    net: SimNet,
-    port: u16,
-}
-
-impl UdpSender {
-    /// Creates a sender whose datagrams carry `port` as their source.
-    pub fn new(net: &SimNet, port: u16) -> UdpSender {
-        UdpSender {
-            net: net.clone(),
-            port,
-        }
-    }
-
-    /// The sender's source port.
-    pub fn port(&self) -> u16 {
-        self.port
-    }
-
-    /// Sends a datagram to `to` after `delay`.
-    pub fn send_after(&self, cx: &mut Ctx<'_>, delay: VDur, to: u16, msg: impl Into<Msg>) {
-        self.net.send_datagram(cx, self.port, to, msg.into(), delay);
-    }
-
-    /// Datagrams this sender's mailbox has received back.
-    pub fn received(&self) -> Vec<Msg> {
-        self.net.udp_peer_received(self.port)
     }
 }
 

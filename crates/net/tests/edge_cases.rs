@@ -1,68 +1,11 @@
-//! Edge-case tests for the network substrate: DNS, teardown corners,
+//! Edge-case tests for the network substrate: teardown corners,
 //! descriptor exhaustion, and heavy concurrency.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use nodefz_net::{Client, SimNet};
-use nodefz_rt::{Errno, EventLoop, LoopConfig, Termination, VDur};
-
-#[test]
-fn dns_lookup_resolves_known_hosts() {
-    let mut el = EventLoop::new(LoopConfig::seeded(1));
-    let net = SimNet::new();
-    net.add_host("db.internal", "10.0.0.7");
-    let got = Rc::new(RefCell::new(None));
-    let n = net.clone();
-    let g = got.clone();
-    el.enter(move |cx| {
-        n.lookup(cx, "db.internal", move |_cx, r| {
-            *g.borrow_mut() = Some(r);
-        });
-    });
-    let report = el.run();
-    assert_eq!(report.termination, Termination::Quiescent);
-    assert_eq!(got.borrow().clone().unwrap(), Ok("10.0.0.7".to_string()));
-    // The lookup ran on the worker pool, as in Node.js.
-    assert_eq!(report.pool.completed, 1);
-}
-
-#[test]
-fn dns_lookup_unknown_is_nxdomain() {
-    let mut el = EventLoop::new(LoopConfig::seeded(2));
-    let net = SimNet::new();
-    let n = net.clone();
-    el.enter(move |cx| {
-        n.lookup(cx, "nope.invalid", |cx, r| {
-            assert_eq!(r, Err(Errno::Enoent));
-            cx.report_error("nxdomain", "");
-        });
-    });
-    assert!(el.run().has_error("nxdomain"));
-}
-
-#[test]
-fn concurrent_lookups_all_complete() {
-    let mut el = EventLoop::new(LoopConfig::seeded(3));
-    let net = SimNet::new();
-    for i in 0..8 {
-        net.add_host(&format!("host{i}"), &format!("10.0.0.{i}"));
-    }
-    let hits = Rc::new(RefCell::new(0u32));
-    let n = net.clone();
-    let h = hits.clone();
-    el.enter(move |cx| {
-        for i in 0..8 {
-            let h = h.clone();
-            n.lookup(cx, &format!("host{i}"), move |_cx, r| {
-                r.unwrap();
-                *h.borrow_mut() += 1;
-            });
-        }
-    });
-    el.run();
-    assert_eq!(*hits.borrow(), 8);
-}
+use nodefz_rt::{EventLoop, LoopConfig, Termination, VDur};
 
 #[test]
 fn close_before_connect_completes() {

@@ -1,6 +1,6 @@
 //! Order and provenance of the network's typed environment wakeups.
 //!
-//! Every connect, send, close, write and datagram is a typed wakeup
+//! Every connect, send, close and write is a typed wakeup
 //! (`Ctx::wake_env_at`) instead of a boxed closure. These tests pin what
 //! the closures guaranteed:
 //! - wakeups due at one virtual time fire in the order they were
@@ -14,7 +14,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use nodefz_net::{Client, LatencyModel, SimNet, UdpSender};
+use nodefz_net::{Client, LatencyModel, SimNet};
 use nodefz_rt::{
     CbId, CbKind, EvKind, EventLog, EventLogHandle, EventLoop, LoopConfig, VDur, VTime,
 };
@@ -60,25 +60,20 @@ fn wakeups_due_together_fire_in_schedule_order() {
     let sent_at = Rc::new(RefCell::new(None));
     let n = net.clone();
     let r = reads.clone();
-    let udp = el.enter(move |cx| {
-        let record = move |cx: &mut nodefz_rt::Ctx<'_>, msg: &[u8]| {
-            let name = String::from_utf8(msg.to_vec()).unwrap();
-            cx.touch_read(&name);
-            r.borrow_mut().push(name);
-        };
-        let on_tcp = record.clone();
+    el.enter(move |cx| {
         n.listen(cx, 80, move |_cx, conn| {
-            let on_tcp = on_tcp.clone();
-            conn.on_data(move |cx, _conn, msg| on_tcp(cx, msg));
+            let r = r.clone();
+            conn.on_data(move |cx, _conn, msg| {
+                let name = String::from_utf8(msg.to_vec()).unwrap();
+                cx.touch_read(&name);
+                r.borrow_mut().push(name);
+            });
         })
         .unwrap();
-        n.bind_udp(cx, 53, move |cx, _from, msg| record(cx, msg))
-            .unwrap()
     });
     let (ran, sent) = (closure_ran_at.clone(), sent_at.clone());
     el.enter(|cx| {
         let clients: Vec<Client> = (0..3).map(|_| Client::connect(cx, &net, 80)).collect();
-        let sender = UdpSender::new(&net, 9000);
         // Every connection is accepted long before this timer fires.
         cx.set_timeout(VDur::millis(10), move |cx| {
             *sent.borrow_mut() = Some(cx.now());
@@ -93,13 +88,10 @@ fn wakeups_due_together_fire_in_schedule_order() {
                 *ran.borrow_mut() = Some(cx.now());
             });
             clients[2].send(cx, b"c1");
-            sender.send_after(cx, VDur::ZERO, 53, b"u1");
-            sender.send_after(cx, VDur::ZERO, 53, b"u2");
             for c in &clients {
                 c.close_after(cx, VDur::millis(5));
             }
         });
-        cx.set_timeout(VDur::millis(30), move |cx| udp.close(cx));
         net.close_all_listeners_after(cx, VDur::millis(30));
     });
     el.run();
@@ -110,15 +102,15 @@ fn wakeups_due_together_fire_in_schedule_order() {
         Some(due),
         "the closure's due time"
     );
-    assert_eq!(*reads.borrow(), ["a1", "b1", "c1", "u1", "u2"]);
+    assert_eq!(*reads.borrow(), ["a1", "b1", "c1"]);
     let log = events.snapshot();
-    let envs: Vec<CbId> = ["a1", "b1", "c1", "u1", "u2"]
+    let envs: Vec<CbId> = ["a1", "b1", "c1"]
         .iter()
         .map(|m| env_cause(&log, toucher(&log, m)))
         .collect();
     let closure = toucher(&log, "closure");
     assert_eq!(log.events[closure.0 as usize].kind, EvKind::Env);
-    let order = [envs[0], envs[1], closure, envs[2], envs[3], envs[4]];
+    let order = [envs[0], envs[1], closure, envs[2]];
     assert!(
         order.windows(2).all(|w| w[0] < w[1]),
         "env events out of schedule order: {order:?}"

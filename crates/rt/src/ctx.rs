@@ -15,12 +15,9 @@ use crate::error::{AppError, Errno};
 use crate::looper::LoopState;
 use crate::poll::{Fd, FdKind, IoCb};
 use crate::pool::{QueuedTask, TaskId, WorkCtx};
-use crate::proc::{ChildEvent, ChildSpec, ChildState, Pid};
 use crate::rng::Rng;
-use crate::signal::Signal;
 use crate::time::{VDur, VTime};
 use crate::timers::TimerId;
-use crate::trace::CbKind;
 
 /// Identifier of an idle/prepare/check handle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -272,11 +269,6 @@ impl<'a> Ctx<'a> {
         self.st.poll.close(fd)
     }
 
-    /// Whether `fd` is open.
-    pub fn fd_is_open(&self, fd: Fd) -> bool {
-        self.st.poll.is_open(fd)
-    }
-
     /// Number of open descriptors.
     pub fn open_fds(&self) -> usize {
         self.st.poll.open_count()
@@ -285,171 +277,6 @@ impl<'a> Ctx<'a> {
     /// Sets whether `fd` keeps the loop alive (libuv `uv_ref`/`uv_unref`).
     pub fn set_fd_refd(&mut self, fd: Fd, refd: bool) -> Result<(), Errno> {
         self.st.poll.set_refd(fd, refd)
-    }
-
-    /// Overrides the trace kind recorded for events on `fd`.
-    pub fn set_fd_trace_kind(&mut self, fd: Fd, kind: CbKind) -> Result<(), Errno> {
-        self.st.poll.set_kind_override(fd, kind)
-    }
-
-    // ---- Signals -------------------------------------------------------------
-
-    /// Registers a watcher for `sig` (`process.on('SIGINT', …)`).
-    ///
-    /// The watcher owns a descriptor (signalfd-style) whose readiness flows
-    /// through the poll phase, so signal delivery is fuzzable like any other
-    /// event. Signal watchers do not keep the loop alive, as in Node.js.
-    ///
-    /// # Errors
-    ///
-    /// Returns `EMFILE` at the descriptor limit.
-    pub fn on_signal(
-        &mut self,
-        sig: Signal,
-        mut cb: impl FnMut(&mut Ctx<'_>, Signal) + 'static,
-    ) -> Result<Fd, Errno> {
-        let fd = self.st.poll.alloc(FdKind::Other)?;
-        self.st.poll.set_kind_override(fd, CbKind::Signal)?;
-        self.st.poll.set_refd(fd, false)?;
-        let wrapped: IoCb = Rc::new(RefCell::new(move |cx: &mut Ctx<'_>, _fd| cb(cx, sig)));
-        self.st.poll.set_watcher(fd, wrapped)?;
-        self.note_fd_registration(fd);
-        self.st.signals.register(sig, fd);
-        Ok(fd)
-    }
-
-    /// Removes a signal watcher registered with [`Ctx::on_signal`].
-    pub fn remove_signal_watcher(&mut self, fd: Fd) -> Result<(), Errno> {
-        if !self.st.signals.unregister(fd) {
-            return Err(Errno::Ebadf);
-        }
-        self.st.poll.close(fd)
-    }
-
-    /// Raises a signal from the environment after `delay` (a `kill(1)`).
-    pub fn raise_signal_after(&mut self, delay: VDur, sig: Signal) {
-        self.schedule_env(delay, move |cx| cx.deliver_signal(sig));
-    }
-
-    /// Delivers a signal to every registered watcher right now.
-    pub(crate) fn deliver_signal(&mut self, sig: Signal) {
-        let fds = self.st.signals.watchers_of(sig);
-        for fd in fds {
-            if self.st.mark_ready_traced(fd).is_ok() {
-                self.st.signals.delivered += 1;
-            }
-        }
-    }
-
-    /// Signal watchers currently registered for `sig`.
-    pub fn signal_watchers(&self, sig: Signal) -> usize {
-        self.st.signals.watcher_count(sig)
-    }
-
-    // ---- Child processes -------------------------------------------------------
-
-    /// Spawns a simulated child process (`child_process.spawn`).
-    ///
-    /// `on_output` runs per output chunk; `on_exit` runs once with the exit
-    /// code. Both arrive through the child's pipe descriptor in the poll
-    /// phase. The child keeps the loop alive until its exit is delivered;
-    /// `SIGCHLD` is raised when it terminates.
-    ///
-    /// # Errors
-    ///
-    /// Returns `EMFILE` at the descriptor limit.
-    pub fn spawn_child(
-        &mut self,
-        spec: ChildSpec,
-        mut on_output: impl FnMut(&mut Ctx<'_>, &[u8]) + 'static,
-        on_exit: impl FnOnce(&mut Ctx<'_>, i32) + 'static,
-    ) -> Result<Pid, Errno> {
-        let fd = self.st.poll.alloc(FdKind::Other)?;
-        self.st.poll.set_kind_override(fd, CbKind::ChildIo)?;
-        let pid = self.st.procs.next_pid();
-        self.st.procs.children.push(ChildState {
-            pid,
-            fd,
-            inbox: Default::default(),
-            killed: false,
-            exited: false,
-        });
-        let mut on_exit = Some(on_exit);
-        let watcher: IoCb = Rc::new(RefCell::new(move |cx: &mut Ctx<'_>, fd: Fd| {
-            let event = cx.st.procs.by_fd(fd).and_then(|c| c.inbox.pop_front());
-            match event {
-                Some(ChildEvent::Output(bytes)) => on_output(cx, &bytes),
-                Some(ChildEvent::Exit(code)) => {
-                    cx.st.procs.remove(pid);
-                    let _ = cx.st.poll.close(fd);
-                    if let Some(f) = on_exit.take() {
-                        f(cx, code);
-                    }
-                }
-                None => {}
-            }
-        }));
-        self.st.poll.set_watcher(fd, watcher)?;
-        self.note_fd_registration(fd);
-        // Schedule the child's environment-side life.
-        let runtime = self.st.rng_env.jitter(spec.runtime, 0.3);
-        for (offset, bytes) in spec.output {
-            let at = offset.min(runtime);
-            self.schedule_env(at, move |cx| {
-                let fd = match cx.st.procs.get_mut(pid) {
-                    Some(c) if !c.exited && !c.killed => {
-                        c.inbox.push_back(ChildEvent::Output(bytes));
-                        Some(c.fd)
-                    }
-                    _ => None,
-                };
-                if let Some(fd) = fd {
-                    let _ = cx.mark_ready(fd);
-                }
-            });
-        }
-        let exit_code = spec.exit_code;
-        self.schedule_env(runtime, move |cx| {
-            cx.finish_child(pid, exit_code);
-        });
-        Ok(pid)
-    }
-
-    /// Kills a running child (`child.kill()`); its exit event reports code
-    /// 137 and `SIGCHLD` is raised.
-    ///
-    /// # Errors
-    ///
-    /// Returns `ESRCH` if the child already exited or never existed.
-    pub fn kill_child(&mut self, pid: Pid) -> Result<(), Errno> {
-        match self.st.procs.get_mut(pid) {
-            Some(c) if !c.exited => {
-                c.killed = true;
-            }
-            _ => return Err(Errno::Esrch),
-        }
-        self.finish_child(pid, 137);
-        Ok(())
-    }
-
-    fn finish_child(&mut self, pid: Pid, exit_code: i32) {
-        let fd = match self.st.procs.get_mut(pid) {
-            Some(c) if !c.exited => {
-                c.exited = true;
-                c.inbox.push_back(ChildEvent::Exit(exit_code));
-                Some(c.fd)
-            }
-            _ => None,
-        };
-        if let Some(fd) = fd {
-            let _ = self.st.mark_ready_traced(fd);
-            self.deliver_signal(Signal::Chld);
-        }
-    }
-
-    /// Children spawned and not yet exited.
-    pub fn running_children(&self) -> usize {
-        self.st.procs.running()
     }
 
     // ---- Environment --------------------------------------------------------

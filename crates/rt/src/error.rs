@@ -20,10 +20,8 @@ pub enum Errno {
     Emfile,
     /// The target is not a directory.
     Enotdir,
-    /// The target is a directory (e.g. `unlink` on a directory).
+    /// The target is a directory (e.g. `readFile` on a directory).
     Eisdir,
-    /// The directory is not empty.
-    Enotempty,
     /// The file descriptor is invalid or already closed.
     Ebadf,
     /// The connection was refused (no listener on the port).
@@ -40,8 +38,6 @@ pub enum Errno {
     Ebusy,
     /// Invalid argument.
     Einval,
-    /// No such process.
-    Esrch,
 }
 
 impl Errno {
@@ -53,7 +49,6 @@ impl Errno {
             Errno::Emfile => "EMFILE",
             Errno::Enotdir => "ENOTDIR",
             Errno::Eisdir => "EISDIR",
-            Errno::Enotempty => "ENOTEMPTY",
             Errno::Ebadf => "EBADF",
             Errno::Econnrefused => "ECONNREFUSED",
             Errno::Econnreset => "ECONNRESET",
@@ -62,7 +57,6 @@ impl Errno {
             Errno::Etimedout => "ETIMEDOUT",
             Errno::Ebusy => "EBUSY",
             Errno::Einval => "EINVAL",
-            Errno::Esrch => "ESRCH",
         }
     }
 }
@@ -117,7 +111,6 @@ mod tests {
             Errno::Emfile,
             Errno::Enotdir,
             Errno::Eisdir,
-            Errno::Enotempty,
             Errno::Ebadf,
             Errno::Econnrefused,
             Errno::Econnreset,
@@ -126,7 +119,6 @@ mod tests {
             Errno::Etimedout,
             Errno::Ebusy,
             Errno::Einval,
-            Errno::Esrch,
         ];
         for e in all {
             assert!(e.name().starts_with('E'));

@@ -66,10 +66,8 @@ mod looper;
 pub mod obs;
 mod poll;
 mod pool;
-mod proc;
 mod rng;
 mod sched;
-mod signal;
 mod time;
 mod timers;
 mod trace;
@@ -85,10 +83,8 @@ pub use looper::{EventLoop, LiveCounts, LoopConfig, LoopPool, RunReport, Termina
 pub use obs::{LoopObs, ObsHandle, Phase, PhaseProfile, TraceEvent, TraceEventSink};
 pub use poll::{Fd, FdKind, ReadyEntry};
 pub use pool::{PoolStats, TaskId, WorkCtx};
-pub use proc::{ChildSpec, Pid};
 pub use rng::{fnv1a, splitmix64, Rng, ShuffleScratch, GOLDEN_GAMMA};
 pub use sched::{PoolMode, Scheduler, TimerVerdict, VanillaScheduler};
-pub use signal::Signal;
 pub use time::{VDur, VTime};
 pub use timers::TimerId;
 pub use trace::{CbKind, TraceRecorder, TypeSchedule};

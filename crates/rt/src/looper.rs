@@ -18,10 +18,8 @@ use crate::events::{CbId, EvDetail, EvKind, EventLogHandle};
 use crate::obs::{ObsHandle, ObsSpan, Phase};
 use crate::poll::{Fd, FdKind, PollState, ReadyEntry};
 use crate::pool::{CompletedTask, PoolState, PoolStats, RunningTask, TaskId, WorkCtx};
-use crate::proc::ProcTable;
 use crate::rng::Rng;
 use crate::sched::{PoolMode, Scheduler, TimerVerdict, VanillaScheduler};
-use crate::signal::SignalState;
 use crate::time::{VDur, VTime};
 use crate::timers::TimerHeap;
 use crate::trace::{CbKind, TraceRecorder, TypeSchedule};
@@ -196,7 +194,7 @@ impl RunReport {
 pub struct LiveCounts {
     /// Armed timers.
     pub timers: usize,
-    /// Open descriptors (watchers, pool descriptors, signal fds, …).
+    /// Open descriptors (watchers, pool descriptors, …).
     pub open_fds: usize,
     /// Queued microtasks (`next_tick`).
     pub microtasks: usize,
@@ -220,8 +218,6 @@ pub struct LiveCounts {
     pub pool_running: usize,
     /// Worker-pool completions awaiting delivery (mux + demux).
     pub pool_done: usize,
-    /// Running child processes.
-    pub children: usize,
 }
 
 impl LiveCounts {
@@ -247,8 +243,6 @@ pub(crate) struct LoopState {
     pub poll: PollState,
     pub pool: PoolState,
     pub env: EnvQueue,
-    pub signals: SignalState,
-    pub procs: ProcTable,
     pub trace: TraceRecorder,
     pub errors: Vec<AppError>,
     pub stopped: bool,
@@ -287,8 +281,6 @@ impl LoopState {
             poll: PollState::new(cfg.fd_limit),
             pool: PoolState::new(rng_pool, cfg.pool_cost_jitter),
             env: EnvQueue::default(),
-            signals: SignalState::default(),
-            procs: ProcTable::default(),
             trace: TraceRecorder::default(),
             errors: Vec::new(),
             stopped: false,
@@ -325,8 +317,6 @@ impl LoopState {
         self.poll.reset(cfg.fd_limit);
         self.pool.reset(rng_pool, cfg.pool_cost_jitter);
         self.env.reset();
-        self.signals.reset();
-        self.procs.reset();
         self.trace.reset();
         self.errors.clear();
         self.stopped = false;
@@ -375,7 +365,6 @@ impl LoopState {
             pool_queued: self.pool.queue.len(),
             pool_running: self.pool.running.len(),
             pool_done: self.pool.done_mux.len() + self.pool.done_demux.len(),
-            children: self.procs.running(),
         }
     }
 
@@ -566,11 +555,6 @@ impl EventLoop {
             home: Some(pool.clone()),
             obs: None,
         }
-    }
-
-    /// Name of the installed scheduler.
-    pub fn scheduler_name(&self) -> &'static str {
-        self.sched.name()
     }
 
     /// Counts of everything currently keeping this loop alive.

@@ -36,8 +36,6 @@ pub enum FdKind {
     PoolDone,
     /// A per-task done descriptor (de-multiplexed mode).
     TaskDone,
-    /// A file-system completion descriptor.
-    FsDone,
     /// An internal wakeup descriptor.
     Wakeup,
     /// Anything else.
@@ -53,7 +51,6 @@ impl FdKind {
             FdKind::KvConn => CbKind::KvReply,
             FdKind::PoolDone => CbKind::PoolDone,
             FdKind::TaskDone => CbKind::PoolDone,
-            FdKind::FsDone => CbKind::FsDone,
             FdKind::Wakeup => CbKind::Wakeup,
             FdKind::Other => CbKind::IoOther,
         }
@@ -79,8 +76,6 @@ pub(crate) struct Watcher {
     pub cb: Option<IoCb>,
     /// Whether this descriptor keeps the loop alive (libuv ref/unref).
     pub refd: bool,
-    /// Override for the trace kind of events on this descriptor.
-    pub kind_override: Option<CbKind>,
 }
 
 /// First descriptor handed out: 0/1/2 are "taken", as on a real process.
@@ -151,7 +146,6 @@ impl PollState {
             kind,
             cb: None,
             refd: true,
-            kind_override: None,
         }));
         self.open += 1;
         self.refd_open += 1;
@@ -178,16 +172,6 @@ impl PollState {
                     (true, false) => self.refd_open -= 1,
                     _ => {}
                 }
-                Ok(())
-            }
-            None => Err(Errno::Ebadf),
-        }
-    }
-
-    pub fn set_kind_override(&mut self, fd: Fd, kind: CbKind) -> Result<(), Errno> {
-        match self.slot_mut(fd) {
-            Some(w) => {
-                w.kind_override = Some(kind);
                 Ok(())
             }
             None => Err(Errno::Ebadf),
@@ -269,7 +253,7 @@ impl PollState {
 
     pub fn event_kind(&self, fd: Fd) -> CbKind {
         self.slot(fd)
-            .map(|w| w.kind_override.unwrap_or(w.kind.event_kind()))
+            .map(|w| w.kind.event_kind())
             .unwrap_or(CbKind::IoOther)
     }
 
@@ -382,11 +366,9 @@ mod tests {
     }
 
     #[test]
-    fn event_kind_follows_fd_kind_and_override() {
+    fn event_kind_follows_fd_kind() {
         let mut p = PollState::new(8);
-        let fd = p.alloc(FdKind::FsDone).unwrap();
-        assert_eq!(p.event_kind(fd), CbKind::FsDone);
-        p.set_kind_override(fd, CbKind::KvReply).unwrap();
+        let fd = p.alloc(FdKind::KvConn).unwrap();
         assert_eq!(p.event_kind(fd), CbKind::KvReply);
         assert_eq!(p.event_kind(Fd(99)), CbKind::IoOther);
     }

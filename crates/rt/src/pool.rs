@@ -1,7 +1,7 @@
 //! The worker pool (libuv threadpool analog).
 //!
 //! Applications offload expensive or blocking work (file-system operations,
-//! DNS, user tasks) to the pool via [`Ctx::submit_work`]. Each task has a
+//! user tasks) to the pool via [`Ctx::submit_work`]. Each task has a
 //! *work* closure that executes "on a worker" at some virtual time and a
 //! *done* callback that later executes on the event loop.
 //!

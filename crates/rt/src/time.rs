@@ -80,11 +80,6 @@ impl VDur {
         self.0
     }
 
-    /// Returns the number of whole virtual microseconds in the span.
-    pub fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Returns the number of whole virtual milliseconds in the span.
     pub fn as_millis(self) -> u64 {
         self.0 / 1_000_000

@@ -9,6 +9,11 @@
 use std::fmt;
 
 /// The type of a dispatched callback, as recorded in a type schedule.
+///
+/// The variant order is persisted: a kind's position in [`CbKind::all`] is
+/// its bit in a bug signature's kind fingerprint, which every repro's file
+/// name hashes, and the metrics document's `callbacks[]` rows follow the
+/// same order. Never remove or reorder a variant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CbKind {
     /// An expired timer callback.
@@ -33,13 +38,19 @@ pub enum CbKind {
     PoolTask,
     /// A worker-pool completion ("done") callback executed on the loop.
     PoolDone,
-    /// A simulated file-system operation completed.
+    /// A file-system watcher fired. The file system runs its operations
+    /// on the worker pool (their completions record as `PoolDone`) and
+    /// models no watchers, so nothing produces this kind; it keeps its
+    /// place for the persisted order.
     FsDone,
     /// A key-value store reply was delivered.
     KvReply,
-    /// A signal watcher fired.
+    /// A signal watcher fired. The runtime models no signals, so nothing
+    /// produces this kind; it keeps its place for the persisted order.
     Signal,
-    /// Output or exit from a child process.
+    /// Output or exit from a child process. The runtime models no child
+    /// processes, so nothing produces this kind; it keeps its place for
+    /// the persisted order.
     ChildIo,
     /// An internal wakeup (scheduler bookkeeping).
     Wakeup,
@@ -238,6 +249,40 @@ mod tests {
         assert_eq!(CbKind::all().len(), CbKind::COUNT);
         for (i, k) in CbKind::all().iter().enumerate() {
             assert_eq!(k.index(), i, "{k:?}");
+        }
+    }
+
+    /// Pins the persisted encoding of every kind: its label (the metrics
+    /// `callbacks[]` row), its code, and its bit in the signature
+    /// fingerprint (`nodefz_trace::kind_fingerprint` sets bit `index()`).
+    /// A removed or reordered variant renames every persisted repro.
+    #[test]
+    fn persisted_encoding_is_frozen() {
+        let golden: [(CbKind, &str, u8, u32); CbKind::COUNT] = [
+            (CbKind::Timer, "timer", b'T', 1 << 0),
+            (CbKind::Pending, "pending", b'p', 1 << 1),
+            (CbKind::Idle, "idle", b'i', 1 << 2),
+            (CbKind::Prepare, "prepare", b'r', 1 << 3),
+            (CbKind::Check, "check", b'c', 1 << 4),
+            (CbKind::Close, "close", b'X', 1 << 5),
+            (CbKind::NetAccept, "net-accept", b'A', 1 << 6),
+            (CbKind::NetRead, "net-read", b'N', 1 << 7),
+            (CbKind::NetClose, "net-close", b'n', 1 << 8),
+            (CbKind::PoolTask, "pool-task", b'W', 1 << 9),
+            (CbKind::PoolDone, "pool-done", b'D', 1 << 10),
+            (CbKind::FsDone, "fs-done", b'F', 1 << 11),
+            (CbKind::KvReply, "kv-reply", b'K', 1 << 12),
+            (CbKind::Signal, "signal", b'S', 1 << 13),
+            (CbKind::ChildIo, "child-io", b'P', 1 << 14),
+            (CbKind::Wakeup, "wakeup", b'w', 1 << 15),
+            (CbKind::IoOther, "io", b'o', 1 << 16),
+        ];
+        let kinds: Vec<CbKind> = golden.iter().map(|&(k, ..)| k).collect();
+        assert_eq!(CbKind::all(), kinds.as_slice());
+        for (kind, label, code, bit) in golden {
+            assert_eq!(kind.label(), label, "{kind:?}");
+            assert_eq!(kind.code(), code, "{kind:?}");
+            assert_eq!(1u32 << kind.index(), bit, "{kind:?}");
         }
     }
 
