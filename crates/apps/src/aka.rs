@@ -83,28 +83,6 @@ impl BugCase for Aka {
         }
     }
 
-    fn static_model(&self, variant: Variant) -> Option<crate::statics::StaticModel> {
-        use crate::statics::{AtomKind, ModelBuilder};
-        let mut m = ModelBuilder::new("AKA", variant);
-        // Setup seeds the keep-alive pool.
-        m.write(0, "aka:agent-state");
-        let timeout = m.atom("timer:keep-alive", AtomKind::Timer, 0);
-        m.write(timeout, "aka:agent-state");
-        // The server's FIN is an external stimulus with no registering
-        // callback — modelled parentless so it stays concurrent with
-        // everything, matching the recorded happens-before graph.
-        let fin = m.free_atom("env:server-fin", AtomKind::Env);
-        m.write(fin, "aka:agent-state");
-        let fin_close = m.atom("close:socket-teardown", AtomKind::Close, fin);
-        m.write(fin_close, "aka:agent-state");
-        // take_socket reads and rewrites the pool in both variants; the
-        // fix only validates liveness within the same callback.
-        let req = m.atom("net:pooled-request", AtomKind::Net, 0);
-        m.read(req, "aka:agent-state");
-        m.write(req, "aka:agent-state");
-        Some(m.build())
-    }
-
     fn run(&self, cfg: &RunCfg, variant: Variant) -> Outcome {
         let mut el = cfg.build_loop();
         let net = SimNet::with_latency(LatencyModel {

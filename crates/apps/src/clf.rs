@@ -92,25 +92,6 @@ impl BugCase for Clf {
         }
     }
 
-    fn static_model(&self, variant: Variant) -> Option<crate::statics::StaticModel> {
-        use crate::statics::{AtomKind, ModelBuilder};
-        let mut m = ModelBuilder::new("CLF", variant);
-        for r in 1..=2u32 {
-            let log = m.atom(&format!("net:log#{r}"), AtomKind::Net, 0);
-            // Logger::log always checks the current-file slot first.
-            m.read(log, "clf:current-file");
-            let done = m.atom(&format!("fs.write:done#{r}"), AtomKind::Fs, log);
-            if variant == Variant::Buggy {
-                // BUGGY: the slot is claimed only after the asynchronous
-                // file creation completes.
-                m.write(done, "clf:current-file");
-            }
-            // Fixed: the slot is claimed synchronously inside `log` —
-            // the completion callback no longer writes shared state.
-        }
-        Some(m.build())
-    }
-
     fn run(&self, cfg: &RunCfg, variant: Variant) -> Outcome {
         let mut el = cfg.build_loop();
         let net = SimNet::with_latency(LatencyModel {

@@ -173,14 +173,6 @@ pub trait BugCase {
     /// Runs the workload once and applies the oracle.
     fn run(&self, cfg: &RunCfg, variant: Variant) -> Outcome;
 
-    /// A declarative static model of this variant's callback-registration
-    /// structure, for zero-execution race prediction (`nodefz-sa`).
-    /// Returns `None` when no model has been authored; every fig6 app
-    /// provides one for both variants.
-    fn static_model(&self, _variant: Variant) -> Option<crate::statics::StaticModel> {
-        None
-    }
-
     /// Runs this software's "test suite" — a larger workload used by the
     /// schedule-diversity (Figure 7) and overhead (Figure 8) experiments.
     ///

@@ -37,25 +37,6 @@ impl BugCase for Fps {
         }
     }
 
-    fn static_model(&self, variant: Variant) -> Option<crate::statics::StaticModel> {
-        use crate::statics::{AtomKind, ModelBuilder};
-        let mut m = ModelBuilder::new("FPS", variant);
-        for r in 1..=2u32 {
-            let req = m.atom(&format!("net:request#{r}"), AtomKind::Net, 0);
-            let get = m.atom(&format!("kv.get:policy#{r}"), AtomKind::Kv, req);
-            if variant == Variant::Buggy {
-                // The handler parks "the" current request in a shared
-                // slot; the policy reply answers whatever the slot holds.
-                m.write(req, "fps:inflight");
-                m.read(get, "fps:inflight");
-                m.write(get, "fps:inflight");
-            }
-            // Fixed: the reply is routed from this request's own chain —
-            // no shared slot is touched.
-        }
-        Some(m.build())
-    }
-
     fn run(&self, cfg: &RunCfg, variant: Variant) -> Outcome {
         let mut el = cfg.build_loop();
         let net = SimNet::with_latency(LatencyModel {

@@ -39,21 +39,6 @@ impl BugCase for FpsNovel {
         }
     }
 
-    fn static_model(&self, variant: Variant) -> Option<crate::statics::StaticModel> {
-        use crate::statics::{AtomKind, ModelBuilder};
-        let mut m = ModelBuilder::new("FPS*", variant);
-        // Three async setup operations, each bumping the completion
-        // counter. The fix changes when the assertion runs, not which
-        // shared state the completions update.
-        let fixture = m.atom("fs.read:fixture", AtomKind::Fs, 0);
-        m.update(fixture, "fps*:completed");
-        for rule in 1..=2u32 {
-            let get = m.atom(&format!("kv.get:rule{rule}"), AtomKind::Kv, 0);
-            m.update(get, "fps*:completed");
-        }
-        Some(m.build())
-    }
-
     fn run(&self, cfg: &RunCfg, variant: Variant) -> Outcome {
         let mut el = cfg.build_loop();
         let net = SimNet::with_latency(LatencyModel {

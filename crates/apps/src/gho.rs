@@ -37,30 +37,6 @@ impl BugCase for Gho {
         }
     }
 
-    fn static_model(&self, variant: Variant) -> Option<crate::statics::StaticModel> {
-        use crate::statics::{AtomKind, ModelBuilder};
-        let mut m = ModelBuilder::new("GHO", variant);
-        for r in 1..=2u32 {
-            let req = m.atom(&format!("net:signup#{r}"), AtomKind::Net, 0);
-            match variant {
-                Variant::Buggy => {
-                    // Async check-then-insert: the read and the write sit
-                    // in different callbacks of the same chain.
-                    let get = m.atom(&format!("kv.get:user-row#{r}"), AtomKind::Kv, req);
-                    m.read(get, "gho:user-row");
-                    let set = m.atom(&format!("kv.set:user-row#{r}"), AtomKind::Kv, get);
-                    m.write(set, "gho:user-row");
-                }
-                Variant::Fixed => {
-                    // setnx: the check-and-insert is a single server-side
-                    // atomic operation — no instrumented window remains.
-                    let _ = m.atom(&format!("kv.setnx:user-row#{r}"), AtomKind::Kv, req);
-                }
-            }
-        }
-        Some(m.build())
-    }
-
     fn run(&self, cfg: &RunCfg, variant: Variant) -> Outcome {
         let mut el = cfg.build_loop();
         let net = SimNet::with_latency(LatencyModel {

@@ -36,26 +36,6 @@ impl BugCase for Kue {
         }
     }
 
-    fn static_model(&self, variant: Variant) -> Option<crate::statics::StaticModel> {
-        use crate::statics::{AtomKind, ModelBuilder};
-        let mut m = ModelBuilder::new("KUE", variant);
-        let req = m.atom("net:job-failed", AtomKind::Net, 0);
-        let u_get = m.atom("kv.get:update", AtomKind::Kv, req);
-        let u_set = m.atom("kv.set:failed", AtomKind::Kv, u_get);
-        m.write(u_set, "kue:job-state");
-        let d_parent = match variant {
-            // BUGGY (Figure 3, before): update() and delayed() race.
-            Variant::Buggy => req,
-            // FIX (Figure 3, after): delayed() runs in update()'s
-            // completion callback, so registration orders the writes.
-            Variant::Fixed => u_set,
-        };
-        let d_get = m.atom("kv.get:delayed", AtomKind::Kv, d_parent);
-        let d_set = m.atom("kv.set:delayed", AtomKind::Kv, d_get);
-        m.write(d_set, "kue:job-state");
-        Some(m.build())
-    }
-
     fn run(&self, cfg: &RunCfg, variant: Variant) -> Outcome {
         let mut el = cfg.build_loop();
         let net = SimNet::with_latency(LatencyModel {

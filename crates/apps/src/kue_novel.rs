@@ -39,25 +39,6 @@ impl BugCase for KueNovel {
         }
     }
 
-    fn static_model(&self, variant: Variant) -> Option<crate::statics::StaticModel> {
-        use crate::statics::{AtomKind, ModelBuilder};
-        let mut m = ModelBuilder::new("KUE*", variant);
-        let run = m.atom("net:run-job", AtomKind::Net, 0);
-        let lock = m.atom("kv.setnx:lock", AtomKind::Kv, run);
-        m.write(lock, "kue*:active-job");
-        let done = m.atom("pool:job-done", AtomKind::Pool, lock);
-        if variant == Variant::Buggy {
-            // BUGGY: the release is guarded by the shared active-job
-            // flag; the fixed completion releases unconditionally and
-            // performs no instrumented check.
-            m.read(done, "kue*:active-job");
-            m.write(done, "kue*:active-job");
-        }
-        let pause = m.atom("net:pause", AtomKind::Net, 0);
-        m.write(pause, "kue*:active-job");
-        Some(m.build())
-    }
-
     fn run(&self, cfg: &RunCfg, variant: Variant) -> Outcome {
         let mut el = cfg.build_loop();
         let net = SimNet::with_latency(LatencyModel {

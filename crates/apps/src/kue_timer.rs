@@ -39,16 +39,6 @@ impl BugCase for KueTimer {
         }
     }
 
-    fn static_model(&self, variant: Variant) -> Option<crate::statics::StaticModel> {
-        use crate::statics::{AtomKind, ModelBuilder};
-        // A race against *time*, not against shared state: the model has
-        // a single timer atom and no instrumented accesses, so the static
-        // analyzer correctly predicts no shared-site races.
-        let mut m = ModelBuilder::new("KUEt", variant);
-        let _ = m.atom("timer:deadline-probe", AtomKind::Timer, 0);
-        Some(m.build())
-    }
-
     fn run(&self, cfg: &RunCfg, variant: Variant) -> Outcome {
         let mut el = cfg.build_loop();
         let net = SimNet::with_latency(LatencyModel {

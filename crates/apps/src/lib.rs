@@ -9,7 +9,6 @@
 #![warn(missing_docs)]
 
 pub mod common;
-pub mod statics;
 
 mod aka;
 mod clf;

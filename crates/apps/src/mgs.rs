@@ -41,20 +41,6 @@ impl BugCase for Mgs {
         }
     }
 
-    fn static_model(&self, variant: Variant) -> Option<crate::statics::StaticModel> {
-        use crate::statics::{AtomKind, ModelBuilder};
-        let mut m = ModelBuilder::new("MGS", variant);
-        let req = m.atom("net:populate", AtomKind::Net, 0);
-        // Every sub-query's completion bumps the fill counter; the fix
-        // (a remaining-counter) changes when the promise resolves, not
-        // which shared state the completions update.
-        for i in 0..QUERIES {
-            let find = m.atom(&format!("kv.find:doc{i}"), AtomKind::Kv, req);
-            m.update(find, "mgs:filled");
-        }
-        Some(m.build())
-    }
-
     fn run(&self, cfg: &RunCfg, variant: Variant) -> Outcome {
         let mut el = cfg.build_loop();
         let net = SimNet::with_latency(LatencyModel {

@@ -98,26 +98,6 @@ impl BugCase for Mkd {
         }
     }
 
-    fn static_model(&self, variant: Variant) -> Option<crate::statics::StaticModel> {
-        use crate::statics::{AtomKind, ModelBuilder};
-        let mut m = ModelBuilder::new("MKD", variant);
-        // Both variants recurse through the same mkdir chain; each level's
-        // completion either created the directory (write) or observed it
-        // existing (read). The fix changes what the chain *does* with an
-        // EEXIST, not which file-system state it touches.
-        for r in 1..=2u32 {
-            let req = m.atom(&format!("net:mkdirp#{r}"), AtomKind::Net, 0);
-            let mut parent = req;
-            for level in ["leaf", "parent", "retry"] {
-                let lvl = m.atom(&format!("fs.mkdir:{level}#{r}"), AtomKind::Fs, parent);
-                m.read(lvl, "mkd:fs-tree");
-                m.write(lvl, "mkd:fs-tree");
-                parent = lvl;
-            }
-        }
-        Some(m.build())
-    }
-
     fn run(&self, cfg: &RunCfg, variant: Variant) -> Outcome {
         let mut el = cfg.build_loop();
         let net = SimNet::with_latency(LatencyModel {

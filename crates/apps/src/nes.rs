@@ -35,22 +35,6 @@ impl BugCase for Nes {
         }
     }
 
-    fn static_model(&self, variant: Variant) -> Option<crate::statics::StaticModel> {
-        use crate::statics::{AtomKind, ModelBuilder};
-        let mut m = ModelBuilder::new("NES", variant);
-        let accept = m.atom("net:accept", AtomKind::Net, 0);
-        m.write(accept, "nes:socket");
-        let heartbeat = m.atom("timer:heartbeat", AtomKind::Timer, accept);
-        if variant == Variant::Buggy {
-            // BUGGY: the heartbeat dereferences the socket slot; the
-            // fixed heartbeat null-checks without an instrumented read.
-            m.read(heartbeat, "nes:socket");
-        }
-        let closed = m.atom("net:on-close", AtomKind::Net, accept);
-        m.write(closed, "nes:socket");
-        Some(m.build())
-    }
-
     fn run(&self, cfg: &RunCfg, variant: Variant) -> Outcome {
         let mut el = cfg.build_loop();
         let net = SimNet::with_latency(LatencyModel {

@@ -47,24 +47,6 @@ impl BugCase for Sio {
         }
     }
 
-    fn static_model(&self, variant: Variant) -> Option<crate::statics::StaticModel> {
-        use crate::statics::{AtomKind, ModelBuilder};
-        let mut m = ModelBuilder::new("SIO", variant);
-        for speed in ["fast", "slow"] {
-            let open = m.atom(&format!("net:open-{speed}"), AtomKind::Net, 0);
-            m.read(open, "sio:manager");
-            let hs = m.atom(&format!("pool:handshake-{speed}"), AtomKind::Pool, open);
-            m.read(hs, "sio:manager");
-            m.write(hs, "sio:manager");
-        }
-        let bye = m.atom("net:bye", AtomKind::Net, 0);
-        m.write(bye, "sio:manager");
-        // The fix registers the socket synchronously in the open handler,
-        // a value-level change: the instrumented accesses (and so the
-        // static over-approximation) are identical in both variants.
-        Some(m.build())
-    }
-
     fn run(&self, cfg: &RunCfg, variant: Variant) -> Outcome {
         let mut el = cfg.build_loop();
         let net = SimNet::with_latency(LatencyModel {

@@ -36,29 +36,6 @@ impl BugCase for SioNovel {
         }
     }
 
-    fn static_model(&self, variant: Variant) -> Option<crate::statics::StaticModel> {
-        use crate::statics::{AtomKind, ModelBuilder};
-        let mut m = ModelBuilder::new("SIO*", variant);
-        let serve = |m: &mut ModelBuilder, label: &str, parent: u32| {
-            let data = m.atom(&format!("net:data-{label}"), AtomKind::Net, parent);
-            m.read(data, "sio*:slot");
-            m.write(data, "sio*:slot");
-            let expire = m.atom(&format!("timer:expire-{label}"), AtomKind::Timer, data);
-            m.write(expire, "sio*:slot");
-        };
-        serve(&mut m, "probe", 0);
-        if variant == Variant::Buggy {
-            // BUGGY: a leaked reconnect interval keeps producing stray
-            // clients that grab the shared slot (first two firings
-            // modelled; later firings repeat the same access pattern).
-            for n in 1..=2u32 {
-                let tick = m.atom(&format!("timer:reconnect#{n}"), AtomKind::Timer, 0);
-                serve(&mut m, &format!("stray{n}"), tick);
-            }
-        }
-        Some(m.build())
-    }
-
     fn run(&self, cfg: &RunCfg, variant: Variant) -> Outcome {
         let mut el = cfg.build_loop();
         let net = SimNet::with_latency(LatencyModel {

@@ -25,9 +25,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
 use nodefz::DirectedSpec;
-use nodefz_apps::common::{BugCase, Variant};
-use nodefz_hb::{analyze_app, AppAnalysis, RaceClass, RaceInfo, MAX_FLIPS_PER_RACE};
-use nodefz_sa::{Candidate, MhpIndex, SaMetrics};
+use nodefz_apps::common::BugCase;
+use nodefz_hb::{analyze_app, AppAnalysis, RaceInfo, MAX_FLIPS_PER_RACE};
 use nodefz_trace::BugSignature;
 
 use crate::config::DIRECTED_PRESET;
@@ -107,9 +106,6 @@ pub struct AnalyzeReport {
     /// Directed executions spent across every race chased, in
     /// happens-before prediction order.
     pub directed_execs: u64,
-    /// Static-analysis precision counters over the analyzed apps'
-    /// models.
-    pub sa: SaMetrics,
     /// Confirmed races whose repro an acceptance replay did not
     /// re-manifest, so no corpus entry was written, with how many of the
     /// replays did (empty without a corpus).
@@ -146,15 +142,6 @@ fn spec_worklist(analysis: &AppAnalysis) -> Vec<(RaceInfo, Vec<DirectedSpec>)> {
         out.push((race.clone(), specs));
     }
     out
-}
-
-/// The analyzed app's static race candidates (buggy variant): `None`
-/// when the app carries no declarative model (CONFORM-API, non-fig6 cases).
-fn static_candidates(app: &str) -> Option<Vec<Candidate>> {
-    let case = crate::driver::resolve_case(app)?;
-    let model = case.static_model(Variant::Buggy)?;
-    let idx = MhpIndex::build(&model);
-    Some(nodefz_sa::candidates(&model, &idx))
 }
 
 /// Records and analyzes one run of `case` ([`analyze_app`]). Both runs
@@ -209,7 +196,6 @@ pub fn analyze_campaign(cfg: &AnalyzeConfig) -> Result<AnalyzeReport, String> {
     let mut confirmed = Vec::new();
     let mut ctx = RunContext::new();
     let mut directed_execs = 0u64;
-    let mut sa = SaMetrics::default();
     for app in &cfg.apps {
         let case = crate::driver::resolve_case(app).expect("validated above");
         let analysis = match analyze_caught(case.as_ref(), cfg.env_seed) {
@@ -219,16 +205,6 @@ pub fn analyze_campaign(cfg: &AnalyzeConfig) -> Result<AnalyzeReport, String> {
                 continue;
             }
         };
-        let cands = static_candidates(app);
-        if let Some(cands) = &cands {
-            sa.models += 1;
-            sa.candidates += cands.len() as u64;
-            for c in cands {
-                sa.av += u64::from(c.covers(RaceClass::Av));
-                sa.ov += u64::from(c.covers(RaceClass::Ov));
-                sa.cov += u64::from(c.covers(RaceClass::Cov));
-            }
-        }
         for (race, specs) in spec_worklist(&analysis) {
             let mut execs = 0;
             'race: for spec in specs {
@@ -245,19 +221,6 @@ pub fn analyze_campaign(cfg: &AnalyzeConfig) -> Result<AnalyzeReport, String> {
                         preset: DIRECTED_PRESET,
                         ..finding
                     }) {
-                        if let Some(cands) = &cands {
-                            if cands
-                                .iter()
-                                .any(|c| c.site == race.site && c.covers(race.class))
-                            {
-                                sa.confirmed += 1;
-                                match race.class {
-                                    RaceClass::Av => sa.confirmed_av += 1,
-                                    RaceClass::Ov => sa.confirmed_ov += 1,
-                                    RaceClass::Cov => sa.confirmed_cov += 1,
-                                }
-                            }
-                        }
                         confirmed.push(ConfirmedRace {
                             app: app.clone(),
                             site: race.site.clone(),
@@ -305,7 +268,6 @@ pub fn analyze_campaign(cfg: &AnalyzeConfig) -> Result<AnalyzeReport, String> {
         races_json,
         failed,
         directed_execs,
-        sa,
         not_persisted,
     })
 }
@@ -344,14 +306,6 @@ mod tests {
             );
             assert!(report.directed_execs >= 1, "{app}: no directed execs");
             assert!(report.races_json.contains("nodefz-races-v1"));
-            // The precision counters ride along whenever the app has a
-            // static model (all four of these do).
-            assert_eq!(report.sa.models, 1, "{app}: static model not consulted");
-            assert!(report.sa.candidates >= 1, "{app}: no static candidates");
-            assert!(
-                report.sa.confirmed >= 1,
-                "{app}: a confirmed race matched no static candidate"
-            );
         }
     }
 

@@ -209,9 +209,8 @@ pub struct MetricsSnapshot {
     pub phases: Vec<PhaseMetrics>,
     /// Per-kind dispatch counts (same availability as `phases`).
     pub callbacks: Vec<(&'static str, u64)>,
-    /// Per-run dispatched-callback distribution (`None` in documents that
-    /// count no fuzz runs, such as `campaign analyze`'s).
-    pub run_dispatched: Option<DispatchHistogram>,
+    /// Per-run dispatched-callback distribution.
+    pub run_dispatched: DispatchHistogram,
     /// Schedule-space pruning counters (`None` unless the campaign ran
     /// with pruning on). Additive to the `nodefz-metrics-v1` schema:
     /// existing readers that ignore unknown fields keep working.
@@ -219,12 +218,9 @@ pub struct MetricsSnapshot {
     /// Seen-set LRU health riding along with the counters (same
     /// availability; additive fields inside the `pruning` block).
     pub prune_health: Option<PruneHealth>,
-    /// Static-analysis precision counters (`None` unless the campaign
-    /// ran the static analyzer). Additive, like `pruning`.
-    pub sa: Option<nodefz_sa::SaMetrics>,
     /// API-surface coverage of the conform-api arms (`None` unless the
     /// campaign pulled a `CONFORM-API` arm). The full `nodefz-apicov-v1`
-    /// document embeds under the `apicov` key — additive, like `sa`.
+    /// document embeds under the `apicov` key — additive, like `pruning`.
     pub apicov: Option<nodefz_conform::ApiCovSnapshot>,
 }
 
@@ -321,28 +317,24 @@ impl MetricsSnapshot {
         w.end_array();
 
         w.key("run_dispatched");
-        match &self.run_dispatched {
-            Some(h) => {
-                w.begin_object();
-                w.key("bounds");
-                w.begin_array();
-                for b in DISPATCH_BOUNDS {
-                    w.u64(b);
-                }
-                w.end_array();
-                w.key("buckets");
-                w.begin_array();
-                for b in &h.buckets {
-                    w.u64(*b);
-                }
-                w.end_array();
-                w.field_u64("count", h.count);
-                w.field_u64("sum", h.sum);
-                w.field_f64("mean", h.mean(), 1);
-                w.end_object();
-            }
-            None => w.null(),
+        let h = &self.run_dispatched;
+        w.begin_object();
+        w.key("bounds");
+        w.begin_array();
+        for b in DISPATCH_BOUNDS {
+            w.u64(b);
         }
+        w.end_array();
+        w.key("buckets");
+        w.begin_array();
+        for b in &h.buckets {
+            w.u64(*b);
+        }
+        w.end_array();
+        w.field_u64("count", h.count);
+        w.field_u64("sum", h.sum);
+        w.field_f64("mean", h.mean(), 1);
+        w.end_object();
 
         if let Some(p) = &self.pruning {
             w.key("pruning");
@@ -357,21 +349,6 @@ impl MetricsSnapshot {
                 w.field_u64("seen_hits", h.seen_hits);
             }
             w.field_f64("redundancy_ratio", p.redundancy_ratio(), 6);
-            w.end_object();
-        }
-
-        if let Some(sa) = &self.sa {
-            w.key("sa");
-            w.begin_object();
-            w.field_u64("models", sa.models);
-            w.field_u64("candidates", sa.candidates);
-            w.field_u64("av", sa.av);
-            w.field_u64("ov", sa.ov);
-            w.field_u64("cov", sa.cov);
-            w.field_u64("confirmed", sa.confirmed);
-            w.field_u64("confirmed_av", sa.confirmed_av);
-            w.field_u64("confirmed_ov", sa.confirmed_ov);
-            w.field_u64("confirmed_cov", sa.confirmed_cov);
             w.end_object();
         }
 
@@ -429,10 +406,9 @@ pub(crate) fn collect(
         discovery: discovery.to_vec(),
         phases: tally.phases.clone(),
         callbacks: tally.callbacks.clone(),
-        run_dispatched: Some(tally.run_dispatched.clone()),
+        run_dispatched: tally.run_dispatched.clone(),
         pruning: pruning.copied(),
         prune_health,
-        sa: None,
         apicov: None,
     }
 }
@@ -569,7 +545,7 @@ mod tests {
         assert_eq!(snap.dispatched, 9257);
         assert_eq!(snap.manifested, 1);
         assert!(snap.phases.is_empty() && snap.callbacks.is_empty());
-        let hist = snap.run_dispatched.as_ref().expect("campaigns count runs");
+        let hist = &snap.run_dispatched;
         assert_eq!(hist.buckets, [1, 2, 0, 0, 0, 0, 0, 0, 1]);
         assert_eq!(hist.count, 4);
         assert_eq!(hist.sum, 9257);

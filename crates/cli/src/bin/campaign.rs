@@ -4,11 +4,11 @@
 //! and its entry point. The fuzz campaign is the unnamed default row
 //! (`campaign [flags]`); the rest are subcommands (`campaign verify DIR`,
 //! `campaign analyze`, ...). A row takes exactly the flags its usage
-//! block lists, plus its test hooks, and fills its library config from
-//! that config's `Default`. [`Args`], the one argument cursor, rejects
-//! any other flag before anything runs and names the rows that take it,
-//! so no command silently ignores a flag. Plain `std::env::args` parsing
-//! — no argument-parsing dependency.
+//! block lists, and fills its library config from that config's
+//! `Default`. [`Args`], the one argument cursor, rejects any other flag
+//! before anything runs and names the rows that take it, so no command
+//! silently ignores a flag. Plain `std::env::args` parsing — no
+//! argument-parsing dependency.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -25,8 +25,6 @@ struct Command {
     /// opens with two spaces and the flag; deeper-indented lines continue
     /// the one above.
     usage: &'static str,
-    /// Test-hook flags the row also takes, documented in [`TEST_HOOKS`].
-    hooks: &'static [&'static str],
     /// Parses the row's arguments through the cursor, then runs it.
     run: fn(&mut Args) -> Result<ExitCode, CliError>,
 }
@@ -41,18 +39,15 @@ impl Command {
         }
     }
 
-    /// Whether the row takes `flag`: its usage block lists it, or it is
-    /// one of the row's test hooks.
+    /// Whether the row takes `flag`: its usage block lists it.
     fn takes(&self, flag: &str) -> bool {
-        self.hooks.contains(&flag)
-            || self
-                .usage
-                .lines()
-                .any(|line| line.strip_prefix("  ").and_then(|l| l.split(' ').next()) == Some(flag))
+        self.usage
+            .lines()
+            .any(|line| line.strip_prefix("  ").and_then(|l| l.split(' ').next()) == Some(flag))
     }
 
     /// What `--help` prints: the row's block, or for the default row the
-    /// overview of every command, its own block and the test hooks.
+    /// overview of every command and its own block.
     fn help(&self) -> String {
         if !self.name.is_empty() {
             return self.usage.to_string();
@@ -65,13 +60,13 @@ impl Command {
             text += command.usage.lines().next().unwrap_or_default();
             text += "\n";
         }
-        format!("{text}\n{}\n\n{TEST_HOOKS}", self.usage)
+        format!("{text}\n{}", self.usage)
     }
 }
 
 /// The commands. The first row is the default: it runs when the first
 /// argument names no other row.
-static COMMANDS: [Command; 7] = [
+static COMMANDS: [Command; 5] = [
     Command {
         name: "",
         usage: "campaign [flags] — fuzz the targeted apps under the Node.fz scheduler
@@ -107,7 +102,6 @@ static COMMANDS: [Command; 7] = [
   --trace-out PATH   after the campaign, record one profiled run as a
                      chrome://tracing timeline
   --obs-level LEVEL  worker loop profiling: off | counters (default off)",
-        hooks: &[],
         run: fuzz,
     },
     Command {
@@ -115,7 +109,6 @@ static COMMANDS: [Command; 7] = [
         usage: "campaign verify DIR — replay every corpus entry in DIR; exit 1 if any fails
   DIR                a corpus directory (see --corpus); a missing one is an
                      error, never an empty pass",
-        hooks: &[],
         run: verify,
     },
     Command {
@@ -123,7 +116,6 @@ static COMMANDS: [Command; 7] = [
         usage: "campaign list [flags] — list the apps a campaign can target
   --apps A,B,C       list only these apps (default: every app, then
                      CONFORM-API)",
-        hooks: &[],
         run: list,
     },
     Command {
@@ -137,10 +129,7 @@ static COMMANDS: [Command; 7] = [
                      (default RACES_report.json)
   --corpus DIR       persist confirmed repros into DIR
   --replay-checks N  acceptance replays per confirmed repro (default 3);
-                     a repro is written only if every one re-manifests it
-  --metrics-out PATH write a nodefz-metrics-v1 snapshot with the static
-                     candidate counters to PATH",
-        hooks: &[],
+                     a repro is written only if every one re-manifests it",
         run: analyze,
     },
     Command {
@@ -154,46 +143,9 @@ static COMMANDS: [Command; 7] = [
   --attempts N       directed replays per flip cut under --check
                      (default 24)
   --no-color         plain output (also honored: NO_COLOR)",
-        hooks: &[],
         run: explain,
     },
-    Command {
-        name: "sa",
-        usage: "campaign sa [flags] — static race prediction without executing a schedule
-  --apps A,B,C       apps whose static models to analyze (default: every
-                     registered app, buggy and fixed variants)
-  --conform N        also model and analyze the first N programs of the
-                     conformance stream (default 0; the soundness sweep
-                     and --apicov default to 200 when this is unset)
-  --apicov PATH      run the stream's first N programs (N as for the
-                     soundness sweep) under vanilla scheduling and write
-                     their nodefz-apicov-v1 API-coverage document to PATH
-  --out PATH         where to write the nodefz-sa-v1 report
-                     (default SA_report.json)
-  --soundness        run the dynamic soundness gate over the conform
-                     programs: every dynamically predicted race must be
-                     covered by a static candidate, else exit nonzero",
-        hooks: &["--canary"],
-        run: sa,
-    },
-    Command {
-        name: "lint",
-        usage: "campaign lint [flags] — schedule-sensitivity lints over app static models
-  --apps A,B,C       apps to lint (default: every registered app);
-                     advisory only, always exits zero",
-        hooks: &[],
-        run: lint,
-    },
 ];
-
-/// The flags that sabotage a run on purpose so a test can prove a
-/// failure path works; each belongs to one row's `hooks`.
-const TEST_HOOKS: &str =
-    "test hooks — deliberate sabotage that proves a failure path works; not for normal use
-  campaign sa --canary
-                     sabotage the analyzer (drop one candidate per
-                     program) and exit zero only if the soundness gate
-                     trips — proves the gate can fail";
 
 /// Why a command stopped without an exit code of its own.
 enum CliError {
@@ -310,18 +262,16 @@ fn parse_presets(cfg: &mut CampaignConfig, names: &[String]) -> Result<(), CliEr
     Ok(())
 }
 
-/// `apps`, or when it is empty every registered app; only the fig6
-/// experiment set, the bugs the paper fuzzes, when `fig6` is set (the
-/// static analyzer costs nothing to run, so `sa` and `lint` default to
-/// full coverage).
-fn or_registered(apps: Vec<String>, fig6: bool) -> Vec<String> {
+/// `apps`, or when it is empty the fig6 experiment set: the bugs the
+/// paper fuzzes.
+fn or_fig6(apps: Vec<String>) -> Vec<String> {
     if !apps.is_empty() {
         return apps;
     }
     nodefz_apps::registry()
         .iter()
         .map(|c| c.info())
-        .filter(|i| i.in_fig6 || !fig6)
+        .filter(|i| i.in_fig6)
         .map(|i| i.abbr.to_string())
         .collect()
 }
@@ -352,7 +302,7 @@ fn fuzz(args: &mut Args) -> Result<ExitCode, CliError> {
             other => return Err(unexpected(other)),
         }
     }
-    cfg.apps = or_registered(cfg.apps, true);
+    cfg.apps = or_fig6(cfg.apps);
     cfg.validate().map_err(failed)?;
 
     println!(
@@ -463,7 +413,6 @@ fn list(args: &mut Args) -> Result<ExitCode, CliError> {
 fn analyze(args: &mut Args) -> Result<ExitCode, CliError> {
     let mut cfg = AnalyzeConfig::default();
     let mut races_out = PathBuf::from("RACES_report.json");
-    let mut metrics_out: Option<PathBuf> = None;
     while let Some(arg) = args.next()? {
         match arg.as_str() {
             "--apps" => cfg.apps = args.list(&arg)?,
@@ -472,11 +421,10 @@ fn analyze(args: &mut Args) -> Result<ExitCode, CliError> {
             "--races-out" => races_out = args.value(&arg)?,
             "--corpus" => cfg.corpus_dir = Some(args.value(&arg)?),
             "--replay-checks" => cfg.replay_checks = args.value(&arg)?,
-            "--metrics-out" => metrics_out = Some(args.value(&arg)?),
             other => return Err(unexpected(other)),
         }
     }
-    cfg.apps = or_registered(cfg.apps, true);
+    cfg.apps = or_fig6(cfg.apps);
     nodefz_campaign::check_apps(&cfg.apps).map_err(failed)?;
     cfg.races_out = Some(races_out.clone());
     println!(
@@ -485,7 +433,6 @@ fn analyze(args: &mut Args) -> Result<ExitCode, CliError> {
         cfg.env_seed,
         cfg.attempts,
     );
-    let started = std::time::Instant::now();
     let report = nodefz_campaign::analyze_campaign(&cfg).map_err(failed)?;
     for analysis in &report.analyses {
         println!(
@@ -530,40 +477,6 @@ fn analyze(args: &mut Args) -> Result<ExitCode, CliError> {
         report.directed_execs,
         races_out.display(),
     );
-    if report.sa.models > 0 {
-        println!(
-            "analyze: static models for {} app(s): {} candidate(s) ({} AV-capable, {} OV, {} COV), {} dynamically confirmed",
-            report.sa.models,
-            report.sa.candidates,
-            report.sa.av,
-            report.sa.ov,
-            report.sa.cov,
-            report.sa.confirmed,
-        );
-    }
-    if let Some(path) = &metrics_out {
-        let snapshot = nodefz_campaign::MetricsSnapshot {
-            elapsed: started.elapsed(),
-            budget: report.directed_execs,
-            runs: report.directed_execs,
-            dispatched: 0,
-            manifested: report.confirmed.len() as u64,
-            unique_bugs: report.confirmed.len() as u64,
-            finished: true,
-            arms: Vec::new(),
-            discovery: Vec::new(),
-            phases: Vec::new(),
-            callbacks: Vec::new(),
-            run_dispatched: None,
-            pruning: None,
-            prune_health: None,
-            sa: Some(report.sa),
-            apicov: None,
-        };
-        nodefz_obs::write_atomic(path, &snapshot.to_json())
-            .map_err(|e| failed(format!("cannot write {}: {e}", path.display())))?;
-        println!("wrote metrics {}", path.display());
-    }
     Ok(if report.failed.is_empty() {
         ExitCode::SUCCESS
     } else {
@@ -612,208 +525,6 @@ fn explain(args: &mut Args) -> Result<ExitCode, CliError> {
             "--check failed: the explained flip did not re-manifest the bug",
         ));
     }
-    Ok(ExitCode::SUCCESS)
-}
-
-/// `campaign sa`: analyze app static models (and optionally generated
-/// conform programs) without executing a single schedule, write the
-/// `nodefz-sa-v1` report, and optionally run the dynamic soundness
-/// gate or the broken-analyzer canary.
-fn sa(args: &mut Args) -> Result<ExitCode, CliError> {
-    use nodefz_apps::common::Variant;
-
-    let mut apps = Vec::new();
-    let mut conform: u64 = 0;
-    let mut out = PathBuf::from("SA_report.json");
-    let mut soundness = false;
-    let mut canary = false;
-    let mut apicov: Option<PathBuf> = None;
-    while let Some(arg) = args.next()? {
-        match arg.as_str() {
-            "--apps" => apps = args.list(&arg)?,
-            "--conform" => conform = args.value(&arg)?,
-            "--out" => out = args.value(&arg)?,
-            "--soundness" => soundness = true,
-            "--canary" => canary = true,
-            "--apicov" => apicov = Some(args.value(&arg)?),
-            other => return Err(unexpected(other)),
-        }
-    }
-    let mut analyses = Vec::new();
-    for abbr in &or_registered(apps, false) {
-        let case =
-            nodefz_apps::by_abbr(abbr).ok_or_else(|| failed(format!("unknown app '{abbr}'")))?;
-        let mut modeled = false;
-        for variant in [Variant::Buggy, Variant::Fixed] {
-            let Some(model) = case.static_model(variant) else {
-                continue;
-            };
-            modeled = true;
-            let analysis = nodefz_sa::analyze_model(model);
-            println!(
-                "  {:<4} {:<6} {:>3} atom(s)  {:>3} candidate(s)  {:>3} lint(s)",
-                analysis.model.name,
-                analysis.model.variant,
-                analysis.model.atoms.len(),
-                analysis.candidates.len(),
-                analysis.lints.len(),
-            );
-            analyses.push(analysis);
-        }
-        if !modeled {
-            println!("  {abbr:<4} (no static model)");
-        }
-    }
-
-    let pool = Some(nodefz_rt::LoopPool::new());
-    let sweep_count = if conform > 0 { conform } else { 200 };
-    if conform > 0 {
-        let mut race_free = 0u64;
-        let mut candidates = 0usize;
-        for i in 0..conform {
-            let seed = nodefz_conform::stream_seed(i);
-            let prog = std::rc::Rc::new(nodefz_conform::generate(seed));
-            let pm = nodefz_sa::model_of_prog(&prog, &format!("conform-{seed:016x}"));
-            let analysis = nodefz_sa::analyze_model(pm.model);
-            race_free += u64::from(analysis.candidates.is_empty());
-            candidates += analysis.candidates.len();
-            analyses.push(analysis);
-        }
-        println!(
-            "sa: modeled {conform} conform program(s): {candidates} candidate(s), {race_free} proven race-free",
-        );
-    }
-
-    let report = nodefz_sa::sa_report(&analyses);
-    nodefz_obs::write_atomic(&out, &report)
-        .map_err(|e| failed(format!("cannot write {}: {e}", out.display())))?;
-    println!(
-        "sa: {} model(s), {} candidate(s), {} lint finding(s); wrote {}",
-        analyses.len(),
-        analyses.iter().map(|a| a.candidates.len()).sum::<usize>(),
-        analyses.iter().map(|a| a.lints.len()).sum::<usize>(),
-        out.display(),
-    );
-
-    if let Some(path) = &apicov {
-        // Coverage accounting over the same seed stream the sweeps walk:
-        // run each program once under vanilla scheduling and fold it into
-        // one `nodefz-apicov-v1` document.
-        let mut cov = nodefz_conform::ApiCoverage::default();
-        for i in 0..sweep_count {
-            let seed = nodefz_conform::stream_seed(i);
-            let prog = std::rc::Rc::new(nodefz_conform::generate(seed));
-            cov.record_vanilla(&prog, seed, &pool);
-        }
-        let snap = cov.snapshot();
-        nodefz_obs::write_atomic(path, &format!("{}\n", snap.to_json()))
-            .map_err(|e| failed(format!("cannot write {}: {e}", path.display())))?;
-        println!(
-            "apicov: {} program(s): {}/{} nodes, {}/{} edges, {}/{} rules; wrote {}",
-            snap.programs,
-            snap.nodes_covered,
-            snap.nodes_total,
-            snap.edges_covered,
-            snap.edges_total,
-            snap.rules_covered,
-            snap.rules_total,
-            path.display(),
-        );
-    }
-
-    if soundness {
-        let stats = nodefz_sa::sweep(sweep_count, &pool).map_err(failed)?;
-        println!(
-            "soundness: {} program(s), {} dynamic race(s), {} candidate(s) ({} confirmed), {} race-free",
-            stats.programs,
-            stats.dynamic,
-            stats.metrics.candidates,
-            stats.metrics.confirmed,
-            stats.race_free,
-        );
-        if !stats.missing.is_empty() {
-            for miss in stats.missing.iter().take(10) {
-                eprintln!("  MISS {miss}");
-            }
-            return Err(failed(format!(
-                "soundness gate FAILED — {} dynamic prediction(s) uncovered",
-                stats.missing.len()
-            )));
-        }
-        println!("soundness: gate holds — every dynamic prediction is statically covered");
-    }
-
-    if canary {
-        let mut tripped = false;
-        for i in 0..sweep_count {
-            let seed = nodefz_conform::stream_seed(i);
-            let prog = std::rc::Rc::new(nodefz_conform::generate(seed));
-            let check = nodefz_sa::check_prog(&prog, seed, &pool, true).map_err(failed)?;
-            if !check.missing.is_empty() {
-                println!(
-                    "canary: gate tripped at seed {seed:#018x} after {} program(s) ({} miss(es))",
-                    i + 1,
-                    check.missing.len(),
-                );
-                tripped = true;
-                break;
-            }
-        }
-        if !tripped {
-            return Err(failed(format!(
-                "canary FAILED — the sabotaged analyzer never tripped the \
-                 soundness gate across {sweep_count} program(s)"
-            )));
-        }
-    }
-
-    Ok(ExitCode::SUCCESS)
-}
-
-/// `campaign lint`: run the schedule-sensitivity lint pass over app
-/// static models. Advisory only — findings are printed, never fatal.
-fn lint(args: &mut Args) -> Result<ExitCode, CliError> {
-    use nodefz_apps::common::Variant;
-
-    let mut apps = Vec::new();
-    while let Some(arg) = args.next()? {
-        match arg.as_str() {
-            "--apps" => apps = args.list(&arg)?,
-            other => return Err(unexpected(other)),
-        }
-    }
-    let mut findings = 0usize;
-    let mut models = 0usize;
-    for abbr in &or_registered(apps, false) {
-        let case =
-            nodefz_apps::by_abbr(abbr).ok_or_else(|| failed(format!("unknown app '{abbr}'")))?;
-        for variant in [Variant::Buggy, Variant::Fixed] {
-            let Some(model) = case.static_model(variant) else {
-                continue;
-            };
-            models += 1;
-            let idx = nodefz_sa::MhpIndex::build(&model);
-            let lints = nodefz_sa::lint_model(&model, &idx);
-            for lint in &lints {
-                let atoms = lint
-                    .atoms
-                    .iter()
-                    .map(|&a| model.atoms[a as usize].label.as_str())
-                    .collect::<Vec<_>>()
-                    .join(" ~ ");
-                println!(
-                    "  {:<12} {:<24} {:<14} {} ({})",
-                    format!("{}/{}", model.name, model.variant),
-                    lint.rule,
-                    lint.site,
-                    lint.detail,
-                    atoms,
-                );
-            }
-            findings += lints.len();
-        }
-    }
-    println!("lint: {findings} finding(s) over {models} model(s); advisory only");
     Ok(ExitCode::SUCCESS)
 }
 

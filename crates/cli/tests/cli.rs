@@ -38,7 +38,7 @@ fn block_headers(text: &str) -> Vec<&str> {
 /// written — by a message naming the flag and the commands that take it,
 /// followed by the failing command's usage block alone. Ignoring the flag
 /// would silently run something else: `--races-out` a campaign that writes
-/// no analysis at all, `--prune` a static analysis that prunes nothing.
+/// no analysis at all, `--metrics-out` an analysis that writes no metrics.
 #[test]
 fn no_command_silently_ignores_a_flag() {
     let dir = scratch("foreign-flags");
@@ -48,9 +48,9 @@ fn no_command_silently_ignores_a_flag() {
     // (arguments, the rejected flag, every command that takes it).
     let foreign: [(&[&str], &str, &str); 9] = [
         (
-            &["--canary", "--budget", "5", "--apps", "GHO"],
-            "--canary",
-            "`campaign sa`",
+            &["analyze", "--metrics-out", races, "--apps", "GHO"],
+            "--metrics-out",
+            "`campaign`",
         ),
         (
             &["--races-out", races, "--attempts", "3", "--apps", "GHO"],
@@ -86,8 +86,16 @@ fn no_command_silently_ignores_a_flag() {
             "--seed",
             "`campaign`, `campaign analyze`",
         ),
-        (&["sa", "--prune", "--out", races], "--prune", "`campaign`"),
-        (&["lint", "--out", races], "--out", "`campaign sa`"),
+        (
+            &["list", "--races-out", races],
+            "--races-out",
+            "`campaign analyze`",
+        ),
+        (
+            &["verify", corpus, "--check"],
+            "--check",
+            "`campaign explain`",
+        ),
     ];
     for (args, flag, owners) in foreign {
         let out = run(args);
@@ -115,7 +123,7 @@ fn no_command_silently_ignores_a_flag() {
     // The old spellings of the modes are gone, as are the deleted commands
     // and the bad values the verify skill probes by hand; each fails
     // before anything runs.
-    let rejected: [&[&str]; 15] = [
+    let rejected: [&[&str]; 18] = [
         &["--verify", corpus],
         &["--list"],
         &["--analyze", "--apps", "GHO"],
@@ -125,6 +133,9 @@ fn no_command_silently_ignores_a_flag() {
         &["orchestrate", "--apps", "GHO"],
         &["report"],
         &["list", "--json"],
+        &["sa"],
+        &["lint"],
+        &["--canary"],
         &["--bogus"],
         &["--budget", "xyz"],
         &["--seed"],
@@ -142,7 +153,7 @@ fn no_command_silently_ignores_a_flag() {
 
     // `--help` prints the requested command's block to stdout and exits 0;
     // bare `campaign --help` prints the overview of every command.
-    let rows = ["verify", "list", "analyze", "explain", "sa", "lint"];
+    let rows = ["verify", "list", "analyze", "explain"];
     for row in rows {
         let out = run(&[row, "--help"]);
         assert_eq!(out.status.code(), Some(0), "{row}");
@@ -163,10 +174,18 @@ fn no_command_silently_ignores_a_flag() {
             "{row}: {overview}"
         );
     }
-    assert!(overview.contains("campaign sa --canary"), "{overview}");
+    let listed = overview
+        .lines()
+        .filter(|l| l.starts_with("  campaign ") && l.contains(" — "))
+        .count();
+    assert_eq!(listed, 1 + rows.len(), "{overview}");
     for gone in [
         "campaign orchestrate",
         "campaign report",
+        "campaign sa",
+        "campaign lint",
+        "test hooks",
+        "--canary",
         "--crash-after-runs",
         "--induce-crash",
     ] {
@@ -192,29 +211,11 @@ fn no_command_silently_ignores_a_flag() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Conformance testing is one program stream and one campaign arm: the
-/// seed-family and gated-sweep flags are unknown to `campaign sa`,
-/// `CONFORM` is an unknown app to every command that takes `--apps`, and
-/// `campaign list` has one conformance row.
+/// Conformance testing is one campaign arm: `CONFORM` is an unknown app
+/// to every command that takes `--apps`, and `campaign list` has one
+/// conformance row.
 #[test]
 fn conformance_is_one_stream_and_one_arm() {
-    // The deleted seed-family, gated-sweep and tripwire flags, by name.
-    for (name, value) in [
-        ("family", Some("3")),
-        ("gated", None),
-        ("tripwire", Some("8")),
-    ] {
-        let flag = format!("--{name}");
-        let mut args = vec!["sa", flag.as_str()];
-        args.extend(value);
-        let out = run(&args);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
-        assert!(stdout(&out).is_empty(), "{args:?} ran: {}", stdout(&out));
-        let error = format!("campaign sa: unknown flag {flag}");
-        assert_eq!(stderr.lines().next(), Some(error.as_str()), "{args:?}");
-    }
-
     let mut errors = Vec::new();
     for args in [
         &["--apps", "CONFORM", "--budget", "5"][..],

@@ -455,9 +455,8 @@ const STREAM_BASE: u64 = 0x4526_758A_1731_03C6;
 
 /// The `i`-th seed of the conformance program stream: the one seed
 /// sequence every conformance sweep walks (the differential acceptance
-/// run, the oracle properties, the static soundness sweep and
-/// `campaign sa --conform N`), so the first `N` programs of any of them
-/// are the same programs.
+/// run, the oracle properties and the apicov golden), so the first `N`
+/// programs of any of them are the same programs.
 pub fn stream_seed(i: u64) -> u64 {
     STREAM_BASE ^ i
 }

@@ -71,7 +71,7 @@ impl ApiCoverage {
     }
 
     /// Runs `prog` once at `env_seed` under vanilla scheduling and folds
-    /// the run in: the accounting step of `campaign sa --apicov` and of a
+    /// the run in: the accounting step of the apicov golden and of a
     /// campaign's `CONFORM-API` arms.
     pub fn record_vanilla(&mut self, prog: &Rc<Prog>, env_seed: u64, pool: &Option<LoopPool>) {
         let (report, log) = run_logged(prog, env_seed, Mode::Vanilla, pool);

@@ -172,10 +172,10 @@ pub fn render_log(log: &EventLog) -> String {
 }
 
 /// One posture's run: build, install, run, snapshot the log *before* the
-/// loop (and any pooled state) is dropped. Public so other crates (the
-/// static analyzer's soundness gate, notably) can obtain the event log of
-/// a single posture without re-implementing the install/run/snapshot
-/// dance.
+/// loop (and any pooled state) is dropped. Public so callers outside the
+/// differential harness (the API-graph validity properties, notably) can
+/// obtain the event log of a single posture without re-implementing the
+/// install/run/snapshot dance.
 pub fn run_logged(
     prog: &Rc<Prog>,
     env_seed: u64,

@@ -24,18 +24,10 @@ pub enum Errno {
     Eisdir,
     /// The file descriptor is invalid or already closed.
     Ebadf,
-    /// The connection was refused (no listener on the port).
-    Econnrefused,
-    /// The connection was reset by the peer.
-    Econnreset,
     /// The address (port) is already in use.
     Eaddrinuse,
     /// The socket is not connected.
     Enotconn,
-    /// The operation timed out.
-    Etimedout,
-    /// The resource is temporarily busy (e.g. a held lock).
-    Ebusy,
     /// Invalid argument.
     Einval,
 }
@@ -50,12 +42,8 @@ impl Errno {
             Errno::Enotdir => "ENOTDIR",
             Errno::Eisdir => "EISDIR",
             Errno::Ebadf => "EBADF",
-            Errno::Econnrefused => "ECONNREFUSED",
-            Errno::Econnreset => "ECONNRESET",
             Errno::Eaddrinuse => "EADDRINUSE",
             Errno::Enotconn => "ENOTCONN",
-            Errno::Etimedout => "ETIMEDOUT",
-            Errno::Ebusy => "EBUSY",
             Errno::Einval => "EINVAL",
         }
     }
@@ -112,12 +100,8 @@ mod tests {
             Errno::Enotdir,
             Errno::Eisdir,
             Errno::Ebadf,
-            Errno::Econnrefused,
-            Errno::Econnreset,
             Errno::Eaddrinuse,
             Errno::Enotconn,
-            Errno::Etimedout,
-            Errno::Ebusy,
             Errno::Einval,
         ];
         for e in all {

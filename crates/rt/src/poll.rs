@@ -36,8 +36,6 @@ pub enum FdKind {
     PoolDone,
     /// A per-task done descriptor (de-multiplexed mode).
     TaskDone,
-    /// An internal wakeup descriptor.
-    Wakeup,
     /// Anything else.
     Other,
 }
@@ -51,7 +49,6 @@ impl FdKind {
             FdKind::KvConn => CbKind::KvReply,
             FdKind::PoolDone => CbKind::PoolDone,
             FdKind::TaskDone => CbKind::PoolDone,
-            FdKind::Wakeup => CbKind::Wakeup,
             FdKind::Other => CbKind::IoOther,
         }
     }

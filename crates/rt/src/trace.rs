@@ -52,7 +52,9 @@ pub enum CbKind {
     /// processes, so nothing produces this kind; it keeps its place for
     /// the persisted order.
     ChildIo,
-    /// An internal wakeup (scheduler bookkeeping).
+    /// An internal wakeup (scheduler bookkeeping). The runtime allocates
+    /// no wakeup descriptors, so nothing produces this kind; it keeps its
+    /// place for the persisted order.
     Wakeup,
     /// Any other I/O readiness event.
     IoOther,
