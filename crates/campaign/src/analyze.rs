@@ -216,8 +216,7 @@ pub fn analyze_campaign(cfg: &AnalyzeConfig) -> Result<AnalyzeReport, String> {
                     let Some(finding) = exec.finding else {
                         continue;
                     };
-                    let signature = finding.signature.clone();
-                    if deduper.insert(Finding {
+                    if let Some(new) = deduper.insert(Finding {
                         preset: DIRECTED_PRESET,
                         ..finding
                     }) {
@@ -227,7 +226,7 @@ pub fn analyze_campaign(cfg: &AnalyzeConfig) -> Result<AnalyzeReport, String> {
                             class: race.class.label(),
                             cut: spec.cut,
                             execs,
-                            signature,
+                            signature: new.first.signature.clone(),
                         });
                     }
                     break 'race;

@@ -57,28 +57,26 @@ impl Deduper {
         Deduper::default()
     }
 
-    /// Records a manifestation; returns `true` when its signature is new.
-    pub fn insert(&mut self, finding: Finding) -> bool {
-        match self.bugs.get_mut(&finding.signature) {
-            Some(record) => {
-                record.hits += 1;
-                false
-            }
-            None => {
-                self.bugs.insert(
-                    finding.signature.clone(),
-                    BugRecord {
-                        first: finding,
-                        hits: 1,
-                        shrunk: None,
-                        oracle_calls: 0,
-                        shrink_replays: 0,
-                        replays_ok: 0,
-                    },
-                );
-                true
-            }
+    /// Records a manifestation; returns the new record when its signature
+    /// is new, `None` when it only counts another hit of a known bug.
+    pub fn insert(&mut self, finding: Finding) -> Option<&BugRecord> {
+        if let Some(record) = self.bugs.get_mut(&finding.signature) {
+            record.hits += 1;
+            return None;
         }
+        let record = BugRecord {
+            first: finding,
+            hits: 1,
+            shrunk: None,
+            oracle_calls: 0,
+            shrink_replays: 0,
+            replays_ok: 0,
+        };
+        Some(
+            self.bugs
+                .entry(record.first.signature.clone())
+                .or_insert(record),
+        )
     }
 
     /// Attaches a shrink result to an existing record: the shrunk trace,
@@ -141,8 +139,8 @@ mod tests {
     #[test]
     fn same_site_different_numbers_dedup_to_one() {
         let mut d = Deduper::new();
-        assert!(d.insert(finding("KUE", "lost 3 of 12 jobs")));
-        assert!(!d.insert(finding("KUE", "lost 9 of 12 jobs")));
+        assert!(d.insert(finding("KUE", "lost 3 of 12 jobs")).is_some());
+        assert!(d.insert(finding("KUE", "lost 9 of 12 jobs")).is_none());
         assert_eq!(d.unique_bugs(), 1);
         assert_eq!(d.records()[0].hits, 2);
     }
@@ -150,8 +148,8 @@ mod tests {
     #[test]
     fn different_apps_stay_separate() {
         let mut d = Deduper::new();
-        assert!(d.insert(finding("KUE", "lost jobs")));
-        assert!(d.insert(finding("MKD", "lost jobs")));
+        assert!(d.insert(finding("KUE", "lost jobs")).is_some());
+        assert!(d.insert(finding("MKD", "lost jobs")).is_some());
         assert_eq!(d.unique_bugs(), 2);
     }
 

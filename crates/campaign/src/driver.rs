@@ -44,7 +44,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use nodefz::{DecisionTrace, DirectedSpec, Mode, ReplayMemo, ReplayStatusHandle, TraceHandle};
+use nodefz::{
+    Decision, DecisionTrace, DirectedSpec, Mode, ReplayMemo, ReplayStatusHandle, TraceHandle,
+};
 use nodefz_apps::common::{BugCase, Outcome, RunCfg, Variant};
 use nodefz_hb::{CanonBuilder, CanonKey};
 use nodefz_rt::{EventLogHandle, TypeSchedule};
@@ -401,9 +403,11 @@ impl FuzzExec {
 /// loop's heap buffers (timer wheel, poll set, pool queues, scratch
 /// vectors), and the [`TraceHandle`] recycles the decision buffer — its
 /// contents are only snapshotted when a run actually manifests a bug.
-/// Replays ([`RunContext::replays_to`]) recycle the same pool and one
-/// [`ReplayStatusHandle`]; shrinks ([`RunContext::shrink`]) replay through
-/// a second handle that logs each replay's consultations.
+/// Replays ([`RunContext::replays_to`]) recycle the same pool, one
+/// [`ReplayStatusHandle`], one decision buffer for the replayed trace and
+/// one string for checking the expected signature; shrinks
+/// ([`RunContext::shrink`]) replay through a second handle that logs each
+/// replay's consultations.
 ///
 /// Every case runs under `catch_unwind`. After a panic the context
 /// rebuilds its pool and handles, so nothing of the panicked run carries
@@ -416,6 +420,12 @@ pub struct RunContext {
     status: ReplayStatusHandle,
     /// The shrink oracle's replay handle: it logs each consultation.
     logged: ReplayStatusHandle,
+    /// The replayed trace's decisions, copied in for each replay and taken
+    /// back after it.
+    replaying: Vec<Decision>,
+    /// Scratch for normalizing a replay's failure site when checking it
+    /// against the expected signature.
+    site: String,
     /// HB-canonicalization kit attached when pruning is on: the event-log
     /// handle every run records into plus the reusable canon builder and
     /// its scratch buffer — allocation-free at steady state, and purely
@@ -458,6 +468,8 @@ impl RunContext {
             handle: TraceHandle::fresh(),
             status: ReplayStatusHandle::fresh(),
             logged: ReplayStatusHandle::logging(),
+            replaying: Vec::new(),
+            site: String::new(),
             prune: None,
             obs: None,
         }
@@ -612,12 +624,22 @@ impl RunContext {
     ) -> Option<bool> {
         let case = resolve_case(app)?;
         let status = if logged { &self.logged } else { &self.status };
-        let mode = Mode::Replay(trace.clone(), status.clone());
-        let run_cfg = RunCfg::new(mode, env_seed).pooled(&self.pool);
-        let out = self.run_caught(&*case, &run_cfg).ok()?;
+        let mut decisions = std::mem::take(&mut self.replaying);
+        decisions.clone_from(&trace.decisions);
+        let replayed = DecisionTrace {
+            decisions,
+            ..*trace
+        };
+        let run_cfg =
+            RunCfg::new(Mode::Replay(replayed, status.clone()), env_seed).pooled(&self.pool);
+        let out = self.run_caught(&*case, &run_cfg);
+        if let Mode::Replay(replayed, _) = run_cfg.mode {
+            self.replaying = replayed.decisions;
+        }
+        let out = out.ok()?;
         Some(
             out.manifested
-                && &BugSignature::new(app, &out.detail, &out.report.schedule) == expected,
+                && expected.matches(app, &out.detail, &out.report.schedule, &mut self.site),
         )
     }
 
@@ -1001,35 +1023,33 @@ pub fn run_with_progress(
                         quarantined.extend(arms[i].retire(done.env_seed, message).cloned());
                     }
                     let arm = &arms[i];
-                    if let Some(finding) = finding {
-                        let env_seed = finding.env_seed;
-                        let signature = finding.signature.clone();
-                        let trace = finding.trace.clone();
-                        if deduper.insert(finding) {
-                            on_event(&Event::NewBug {
-                                signature: signature.clone(),
-                                env_seed,
-                            });
-                            discovery.push(Discovery {
-                                signature: signature.to_string(),
-                                app: arm.app.clone(),
-                                site: signature.site.clone(),
-                                // `applied` only moves forward and at most
-                                // one signature is new per run, so the
-                                // curve is monotone by construction.
-                                first_exec: applied,
-                                first_ms: start.elapsed().as_millis() as u64,
-                            });
-                            queue.push(Job::Shrink {
-                                app: arm.app.clone(),
-                                env_seed,
-                                trace,
-                                signature,
-                                do_shrink: cfg.shrink,
-                                replay_checks: cfg.replay_checks,
-                            });
-                            shrinks_pending += 1;
-                        }
+                    // Only a new bug's trace and signature are copied out,
+                    // for its shrink job; a known bug's hit just counts.
+                    if let Some(new) = finding.and_then(|f| deduper.insert(f)) {
+                        let (signature, env_seed) = (&new.first.signature, new.first.env_seed);
+                        on_event(&Event::NewBug {
+                            signature: signature.clone(),
+                            env_seed,
+                        });
+                        discovery.push(Discovery {
+                            signature: signature.to_string(),
+                            app: arm.app.clone(),
+                            site: signature.site.clone(),
+                            // `applied` only moves forward and at most one
+                            // signature is new per run, so the curve is
+                            // monotone by construction.
+                            first_exec: applied,
+                            first_ms: start.elapsed().as_millis() as u64,
+                        });
+                        queue.push(Job::Shrink {
+                            app: arm.app.clone(),
+                            env_seed,
+                            trace: new.first.trace.clone(),
+                            signature: signature.clone(),
+                            do_shrink: cfg.shrink,
+                            replay_checks: cfg.replay_checks,
+                        });
+                        shrinks_pending += 1;
                     }
                     on_event(&Event::Run {
                         completed: applied,

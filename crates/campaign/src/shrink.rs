@@ -22,9 +22,10 @@
 //! or lies past the end, falls back to the same inert choice
 //! ([`nodefz::replay_choice`]). Each replay it does run logs its
 //! consultations into a per-shrink [`nodefz::ReplayMemo`], freed when the
-//! shrink ends; a replay that panics is not stored. ddmin itself never
-//! asks about a candidate equal to one it already rejected. The acceptance
-//! replays that follow a shrink are real replays
+//! shrink ends; a replay that panics is not stored. ddmin keeps no memory
+//! of its own and asks again about a candidate equal to one it already
+//! tried: an equal list takes the same decisions, so the memo answers it.
+//! The acceptance replays that follow a shrink are real replays
 //! ([`RunContext::replays_to`]), and so are `campaign verify`, `campaign
 //! analyze` and `explain`: they are the determinism checks the memo
 //! relies on.

@@ -9,8 +9,14 @@
 //! equal the unmemoized shrink's, and so must the campaign's own
 //! memoized shrink, [`RunContext::shrink`], which must also run fewer
 //! replays than it makes oracle calls in aggregate.
+//!
+//! ddmin keeps no memory and asks again about a candidate it already
+//! tried, so the memo is the only thing that stops a repeated candidate
+//! from replaying. The unmemoized shrink records every distinct candidate
+//! decision list it asks about, and [`RunContext::shrink`] must run no
+//! more replays than there are of those.
 
-use nodefz::{ConsultLog, DecisionTrace, Mode, ReplayMemo, ReplayStatusHandle};
+use nodefz::{ConsultLog, Decision, DecisionTrace, Mode, ReplayMemo, ReplayStatusHandle};
 use nodefz_apps::common::{RunCfg, Variant};
 use nodefz_campaign::{shrink, RunContext, PRESETS};
 use nodefz_trace::BugSignature;
@@ -43,7 +49,7 @@ fn is_prefix(path: &ConsultLog, log: &ConsultLog) -> bool {
 #[test]
 fn the_memo_answers_every_fig6_shrink_as_a_replay_would() {
     let mut ctx = RunContext::new();
-    let (mut shrinks, mut calls, mut answered, mut replays) = (0, 0, 0, 0);
+    let (mut shrinks, mut calls, mut answered, mut replays, mut repeats) = (0, 0, 0, 0, 0);
     for case in nodefz_apps::registry() {
         let info = case.info();
         if !info.in_fig6 {
@@ -84,7 +90,11 @@ fn the_memo_answers_every_fig6_shrink_as_a_replay_would() {
                     !memo.contradicted(),
                     "{what}: a replay contradicted the memo"
                 );
+                let mut distinct: Vec<Vec<Decision>> = Vec::new();
                 let plain = shrink(&finding.trace, |t| {
+                    if !distinct.contains(&t.decisions) {
+                        distinct.push(t.decisions.clone());
+                    }
                     replay(app, env_seed, t, expected, &ReplayStatusHandle::fresh())
                 });
                 let (campaign, ran) = ctx.shrink(app, env_seed, &finding.trace, expected);
@@ -95,7 +105,13 @@ fn the_memo_answers_every_fig6_shrink_as_a_replay_would() {
                         "{what}: the {how} shrink differs from the unmemoized one"
                     );
                 }
+                assert!(
+                    ran <= distinct.len() as u64,
+                    "{what}: {ran} replays for {} distinct candidates",
+                    distinct.len()
+                );
                 assert!(ran <= campaign.runs, "{what}");
+                repeats += campaign.runs - distinct.len() as u64;
                 shrinks += 1;
                 calls += campaign.runs;
                 replays += ran;
@@ -107,6 +123,7 @@ fn the_memo_answers_every_fig6_shrink_as_a_replay_would() {
         "only {shrinks} of 78 (app, preset, seed) triples manifested"
     );
     assert!(answered > 0, "the memo never answered");
+    assert!(repeats > 0, "ddmin never asked about a candidate twice");
     assert!(
         replays < calls,
         "{replays} replays for {calls} oracle calls: the memo saved nothing"

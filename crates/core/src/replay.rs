@@ -111,15 +111,6 @@ impl PartialEq for Perm {
 
 impl Eq for Perm {}
 
-impl std::hash::Hash for Perm {
-    /// Hashes the live entries only, agreeing with `PartialEq`: the inline
-    /// array is unused past `len`, and after a spill the entries live in
-    /// `spill`, so a field-wise hash would split equal permutations.
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.as_slice().hash(state);
-    }
-}
-
 impl fmt::Debug for Perm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.as_slice()).finish()
@@ -151,7 +142,7 @@ impl<'a> IntoIterator for &'a Perm {
 }
 
 /// One recorded scheduling decision.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Decision {
     /// Timer verdict: `None` = run, `Some(delay_ns)` = defer with delay.
     Timer(Option<u64>),

@@ -10,9 +10,6 @@
 //! interesting; the result is the shortest interesting sublist found by
 //! removing ever-smaller chunks, preserving relative element order.
 
-use std::collections::HashSet;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
-
 /// Outcome of a [`ddmin`] run.
 #[derive(Clone, Debug)]
 pub struct DdminResult<T> {
@@ -34,25 +31,21 @@ pub struct DdminResult<T> {
 /// oracle is never called on the original input (assumed interesting) and
 /// may be called on the empty list.
 ///
-/// The oracle is never asked twice about equal candidates. Rejected
-/// candidates are remembered and a candidate equal to one of them counts
-/// as rejected without a call: runs of equal elements make different
-/// chunk removals build the same list, and a finer pass rebuilds
-/// candidates a coarser one already failed. An accepted candidate cannot
-/// recur, because the current list only shrinks. For a deterministic
-/// oracle the result is the one asking again would give; only
-/// [`DdminResult::runs`] is lower. The rejected candidates stay in
-/// memory until `ddmin` returns, at worst quadratic in the input's
-/// length.
+/// Every candidate is built into one reused buffer, and every one goes to
+/// the oracle: runs of equal elements make different chunk removals build
+/// the same list, and a finer pass rebuilds candidates a coarser one
+/// already failed, so the oracle may be asked again about a list it
+/// already rejected. An oracle that is costly to ask twice remembers its
+/// own answers, as the campaign's shrink oracle does.
 pub fn ddmin<T, F>(items: &[T], mut interesting: F) -> DdminResult<T>
 where
-    T: Clone + Eq + Hash,
+    T: Clone,
     F: FnMut(&[T]) -> bool,
 {
     let original_len = items.len();
     let mut runs = 0u64;
     let mut current: Vec<T> = items.to_vec();
-    let mut rejected: HashSet<Vec<T>, BuildHasherDefault<FoldHasher>> = HashSet::default();
+    let mut candidate: Vec<T> = Vec::with_capacity(current.len());
 
     let mut chunk = current.len().div_ceil(2).max(1);
     while chunk >= 1 && !current.is_empty() {
@@ -60,19 +53,15 @@ where
         let mut removed_any = false;
         while start < current.len() {
             let end = (start + chunk).min(current.len());
-            let mut candidate = current.clone();
-            candidate.drain(start..end);
-            if rejected.contains(&candidate) {
-                start = end;
-                continue;
-            }
+            candidate.clear();
+            candidate.extend_from_slice(&current[..start]);
+            candidate.extend_from_slice(&current[end..]);
             runs += 1;
             if interesting(&candidate) {
-                current = candidate;
+                std::mem::swap(&mut current, &mut candidate);
                 removed_any = true;
                 // Same start now addresses the next chunk.
             } else {
-                rejected.insert(candidate);
                 start = end;
             }
         }
@@ -88,38 +77,6 @@ where
         items: current,
         original_len,
         runs,
-    }
-}
-
-/// Word-at-a-time multiply-rotate hashing for ddmin's memo, finished
-/// with [`nodefz_rt::splitmix64`].
-///
-/// Every candidate is hashed before its oracle call. On a 2-CPU x86-64
-/// host, SipHash over a 124-decision trace takes about 2.4 µs, a seventh
-/// of a pooled replay, and would eat most of the calls the memo saves;
-/// this fold takes about 0.5 µs. A collision costs only an equality
-/// check: the set compares candidates, never trusts the hash. SipHash's
-/// resistance to crafted collisions buys nothing here: candidates are
-/// cut from the caller's own list, and ddmin's callers minimize runs they
-/// recorded or programs they generated.
-#[derive(Default)]
-struct FoldHasher(u64);
-
-impl Hasher for FoldHasher {
-    fn finish(&self) -> u64 {
-        nodefz_rt::splitmix64(self.0)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517C_C1B7_2722_0A95);
     }
 }
 

@@ -82,11 +82,19 @@ pub fn normalize_site_into(site: &str, out: &mut String) {
 }
 
 /// A 17-bit fingerprint: one bit per [`CbKind`] that appears in the
-/// schedule at least once.
+/// schedule at least once, bit `i` for the kind at index `i` of
+/// [`CbKind::all`].
+///
+/// One pass over the schedule's codes marks which occur; the kinds are
+/// then read off that table.
 pub fn kind_fingerprint(schedule: &TypeSchedule) -> u32 {
+    let mut seen = [false; 256];
+    for &code in schedule.codes() {
+        seen[usize::from(code)] = true;
+    }
     let mut bits = 0u32;
     for (i, kind) in CbKind::all().iter().enumerate() {
-        if schedule.count(*kind) > 0 {
+        if seen[usize::from(kind.code())] {
             bits |= 1 << i;
         }
     }
@@ -115,6 +123,25 @@ impl BugSignature {
             site: normalize_site(site),
             kinds: kind_fingerprint(schedule),
         }
+    }
+
+    /// Whether a manifestation of `app` with raw evidence `site` and type
+    /// schedule `schedule` has this signature: the answer of
+    /// `BugSignature::new(app, site, schedule) == *self`, without building
+    /// that signature. The site is normalized into `scratch`, so a reused
+    /// buffer makes the check allocation-free once its capacity plateaus.
+    pub fn matches(
+        &self,
+        app: &str,
+        site: &str,
+        schedule: &TypeSchedule,
+        scratch: &mut String,
+    ) -> bool {
+        if self.app != app {
+            return false;
+        }
+        normalize_site_into(site, scratch);
+        *scratch == self.site && kind_fingerprint(schedule) == self.kinds
     }
 
     /// A compact stable digest of the signature, usable as a corpus file
