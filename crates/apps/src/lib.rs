@@ -46,9 +46,10 @@ pub use wpt::Wpt;
 
 use common::BugCase;
 
-/// All reproduced bugs, in Table 2 order.
-pub fn registry() -> Vec<Box<dyn BugCase>> {
-    vec![
+/// Every reproduced bug, in Table 2 order. The cases are unit structs, so
+/// boxing one does not allocate: neither does this array.
+fn cases() -> [Box<dyn BugCase>; 16] {
+    [
         Box::new(Epl),
         Box::new(Gho),
         Box::new(Fps),
@@ -68,18 +69,24 @@ pub fn registry() -> Vec<Box<dyn BugCase>> {
     ]
 }
 
+/// All reproduced bugs, in Table 2 order.
+pub fn registry() -> Vec<Box<dyn BugCase>> {
+    cases().into()
+}
+
 /// The abbreviations of every reproduced bug, in Table 2 order.
 ///
 /// `Box<dyn BugCase>` is not `Send` (bug cases drive `Rc`-based loops), so
 /// multi-threaded drivers ship abbreviations across threads and instantiate
 /// cases locally via [`by_abbr`].
 pub fn abbrs() -> Vec<&'static str> {
-    registry().iter().map(|c| c.info().abbr).collect()
+    cases().iter().map(|c| c.info().abbr).collect()
 }
 
-/// Looks up a bug case by its Table 2 abbreviation (case-insensitive).
+/// Looks up a bug case by its Table 2 abbreviation (case-insensitive),
+/// without allocating: campaigns resolve a case for every run.
 pub fn by_abbr(abbr: &str) -> Option<Box<dyn BugCase>> {
-    registry()
+    cases()
         .into_iter()
         .find(|c| c.info().abbr.eq_ignore_ascii_case(abbr))
 }

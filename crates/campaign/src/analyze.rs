@@ -6,14 +6,21 @@
 //! of race-directed runs confirming each predicted pair:
 //!
 //! ```text
-//! per app: record (nodeNFZ posture) ─► hb analysis ─► predicted races
-//!              │                                          │
-//!              └────────── prefix + cut ──► DirectedSpec ─┘
+//! per app: record (nodeNFZ posture, event log attached) ─► predicted races
+//!              │                                               │
+//!              └─────────── prefix + cut ──► DirectedSpec ─────┘
 //!                                               │
 //!                       directed attempts ─► confirmed BugSignature
 //!                                               │
 //!                nodefz-races-v1 report    deduped corpus repros
 //! ```
+//!
+//! Every run, the analysis run included, goes through one pooled,
+//! panic-catching [`RunContext`]: the analysis is built straight from the
+//! event log its run recorded ([`nodefz_hb::AppAnalysis::new`]), with no
+//! trace text and no replay, and the directed attempts that follow start
+//! on the pool it warmed. The attempts share one copy of the recorded
+//! trace.
 //!
 //! A confirming directed run was recorded, so its decision trace replays
 //! like any fuzz-found repro — confirmed races land in the same corpus
@@ -21,18 +28,16 @@
 //! acceptance: a repro is written only when every acceptance replay
 //! re-manifested it.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
 use nodefz::DirectedSpec;
-use nodefz_apps::common::BugCase;
-use nodefz_hb::{analyze_app, AppAnalysis, RaceInfo, MAX_FLIPS_PER_RACE};
+use nodefz_hb::{AppAnalysis, RaceInfo, MAX_FLIPS_PER_RACE};
 use nodefz_trace::BugSignature;
 
 use crate::config::DIRECTED_PRESET;
 use crate::corpus::Corpus;
 use crate::dedup::{Deduper, Finding};
-use crate::driver::{accepted, panic_message, record_to_entry, RunContext};
+use crate::driver::{accepted, record_to_entry, RunContext};
 
 /// How many predicted flips per app the pipelines keep (first pair per
 /// distinct (site, class), a few flip points each). Bounds the directed
@@ -100,7 +105,7 @@ pub struct AnalyzeReport {
     pub confirmed: Vec<ConfirmedRace>,
     /// The rendered `nodefz-races-v1` document.
     pub races_json: String,
-    /// Apps whose analysis failed or panicked, with the error rendered
+    /// Apps whose analysis run panicked, with the panic's message
     /// (`analyze` keeps going; one bad app should not sink the batch).
     pub failed: Vec<(String, String)>,
     /// Directed executions spent across every race chased, in
@@ -119,8 +124,10 @@ pub struct AnalyzeReport {
 /// ancestor first. Deferring the chain's *root* shifts the whole chain
 /// in virtual time, which is what actually inverts the order; flipping
 /// right at the racing access is usually too late, because its side
-/// effects are already in flight through environment hops.
+/// effects are already in flight through environment hops. Every spec
+/// shares one copy of the analysis' trace.
 fn spec_worklist(analysis: &AppAnalysis) -> Vec<(RaceInfo, Vec<DirectedSpec>)> {
+    let shared = DirectedSpec::new(analysis.trace.clone(), 0);
     let mut seen: Vec<(&str, &'static str)> = Vec::new();
     let mut out: Vec<(RaceInfo, Vec<DirectedSpec>)> = Vec::new();
     let mut total = 0;
@@ -137,36 +144,34 @@ fn spec_worklist(analysis: &AppAnalysis) -> Vec<(RaceInfo, Vec<DirectedSpec>)> {
         total += cuts.len();
         let specs = cuts
             .into_iter()
-            .map(|cut| DirectedSpec::new(analysis.trace.clone(), cut))
+            .map(|cut| DirectedSpec {
+                cut,
+                ..shared.clone()
+            })
             .collect();
         out.push((race.clone(), specs));
     }
     out
 }
 
-/// Records and analyzes one run of `case` ([`analyze_app`]). Both runs
-/// happen outside [`RunContext`], so a panic in either is caught here and
-/// comes back as the error, with the panic's message.
-fn analyze_caught(case: &dyn BugCase, env_seed: u64) -> Result<AppAnalysis, String> {
-    match catch_unwind(AssertUnwindSafe(|| analyze_app(case, env_seed))) {
-        Ok(analysis) => analysis.map_err(|e| e.to_string()),
-        Err(payload) => Err(panic_message(&*payload)),
-    }
-}
-
 /// The directed-arm work list for one app, in happens-before prediction
-/// order. Unknown apps and empty predictions yield no specs (the campaign
-/// driver then skips the arm).
+/// order, from one analysis run on `ctx` ([`RunContext::analyze`]).
+/// Unknown apps and empty predictions yield no specs (the campaign driver
+/// then skips the arm).
 ///
 /// # Errors
 ///
-/// The analysis failed or panicked; the campaign driver quarantines the
-/// app's directed arm with this message.
-pub(crate) fn directed_specs(app: &str, env_seed: u64) -> Result<Vec<DirectedSpec>, String> {
+/// The analysis run panicked; the campaign driver quarantines the app's
+/// directed arm with the panic's message.
+pub(crate) fn directed_specs(
+    ctx: &mut RunContext,
+    app: &str,
+    env_seed: u64,
+) -> Result<Vec<DirectedSpec>, String> {
     let Some(case) = crate::driver::resolve_case(app) else {
         return Ok(Vec::new());
     };
-    let analysis = analyze_caught(case.as_ref(), env_seed)?;
+    let analysis = ctx.analyze(case.as_ref(), env_seed)?;
     Ok(spec_worklist(&analysis)
         .into_iter()
         .flat_map(|(_, specs)| specs)
@@ -178,9 +183,15 @@ pub(crate) fn directed_specs(app: &str, env_seed: u64) -> Result<Vec<DirectedSpe
 /// # Errors
 ///
 /// Fails on an unknown app, an invalid configuration, or a corpus/report
-/// I/O error. Per-app *analysis* errors, panics included, are collected
-/// in [`AnalyzeReport::failed`] instead.
+/// I/O error. An app whose analysis run panics is listed in
+/// [`AnalyzeReport::failed`] instead.
 pub fn analyze_campaign(cfg: &AnalyzeConfig) -> Result<AnalyzeReport, String> {
+    analyze_on(&mut RunContext::new(), cfg)
+}
+
+/// [`analyze_campaign`], running every analysis, directed attempt and
+/// acceptance replay on `ctx`.
+fn analyze_on(ctx: &mut RunContext, cfg: &AnalyzeConfig) -> Result<AnalyzeReport, String> {
     if cfg.apps.is_empty() {
         return Err("at least one app must be analyzed".into());
     }
@@ -194,11 +205,10 @@ pub fn analyze_campaign(cfg: &AnalyzeConfig) -> Result<AnalyzeReport, String> {
     let mut failed = Vec::new();
     let mut deduper = Deduper::new();
     let mut confirmed = Vec::new();
-    let mut ctx = RunContext::new();
     let mut directed_execs = 0u64;
     for app in &cfg.apps {
         let case = crate::driver::resolve_case(app).expect("validated above");
-        let analysis = match analyze_caught(case.as_ref(), cfg.env_seed) {
+        let analysis = match ctx.analyze(case.as_ref(), cfg.env_seed) {
             Ok(a) => a,
             Err(e) => {
                 failed.push((app.clone(), e));
@@ -336,7 +346,10 @@ mod tests {
 
     #[test]
     fn directed_specs_are_empty_for_unknown_apps() {
-        assert_eq!(directed_specs("NOPE", 1), Ok(Vec::new()));
+        assert_eq!(
+            directed_specs(&mut RunContext::new(), "NOPE", 1),
+            Ok(Vec::new())
+        );
     }
 
     #[test]
@@ -358,6 +371,56 @@ mod tests {
             "{:?}",
             report.confirmed
         );
+    }
+
+    #[test]
+    fn the_pooled_analysis_equals_the_text_path_and_the_pool_leaks_nothing() {
+        // One context analyzes every fig6 app at 52 env seeds, with
+        // `analyze_campaign`'s directed attempts in between and the
+        // test-only PANICKY app, which panics at every fourth seed, second
+        // in line. Every analysis must equal the text path's on fresh
+        // loops: a state leak through the pool or the handles would show
+        // as a difference.
+        use crate::driver::tests::{panics, PANICKY};
+        use nodefz_hb::{analyze_recorded, races_report, record_vanilla};
+
+        let mut apps: Vec<String> = nodefz_apps::registry()
+            .iter()
+            .filter(|c| c.info().in_fig6)
+            .map(|c| c.info().abbr.to_string())
+            .collect();
+        assert_eq!(apps.len(), 13);
+        apps.insert(1, PANICKY.into());
+        let mut ctx = RunContext::new();
+        for env_seed in 0..52 {
+            let cfg = AnalyzeConfig {
+                apps: apps.clone(),
+                env_seed,
+                attempts: 1,
+                ..AnalyzeConfig::default()
+            };
+            let report = analyze_on(&mut ctx, &cfg).expect("pipeline runs");
+            let failed: &[(String, String)] = if panics(env_seed) {
+                &[(PANICKY.into(), format!("panicky app: env seed {env_seed}"))]
+            } else {
+                &[]
+            };
+            assert_eq!(report.failed, failed, "env seed {env_seed}");
+            let analyzed: Vec<&String> = apps
+                .iter()
+                .filter(|app| failed.iter().all(|(f, _)| f != *app))
+                .collect();
+            let fresh: Vec<AppAnalysis> = analyzed
+                .iter()
+                .map(|app| {
+                    let case = crate::driver::resolve_case(app).expect("known app");
+                    let text = record_vanilla(case.as_ref(), env_seed);
+                    analyze_recorded(case.as_ref(), env_seed, &text).expect("text path")
+                })
+                .collect();
+            assert_eq!(report.analyses, fresh, "env seed {env_seed}");
+            assert_eq!(report.races_json, races_report(&fresh));
+        }
     }
 
     #[test]

@@ -33,8 +33,9 @@
 //! the controller as a crash, and the controller retires that run's arm
 //! in slot order: the arm's `nodefz-metrics-v1` row carries the
 //! quarantine, and the summary names it. A replay that panics counts as
-//! not reproducing, and a directed arm whose up-front analysis run panics
-//! is retired before its first pull, with the same record. Only an
+//! not reproducing, and a directed arm whose up-front analysis run (on
+//! the controller's own context) panics is retired before its first
+//! pull, with the same record. Only an
 //! `abort()`, a stack overflow or running out of memory still ends the
 //! process, and the runtime's caps on loop iterations and virtual time
 //! bound every run whose callbacks return.
@@ -48,7 +49,7 @@ use nodefz::{
     Decision, DecisionTrace, DirectedSpec, Mode, ReplayMemo, ReplayStatusHandle, TraceHandle,
 };
 use nodefz_apps::common::{BugCase, Outcome, RunCfg, Variant};
-use nodefz_hb::{CanonBuilder, CanonKey};
+use nodefz_hb::{AppAnalysis, CanonBuilder, CanonKey};
 use nodefz_rt::{EventLogHandle, TypeSchedule};
 use nodefz_trace::BugSignature;
 
@@ -407,7 +408,9 @@ impl FuzzExec {
 /// [`ReplayStatusHandle`], one decision buffer for the replayed trace and
 /// one string for checking the expected signature; shrinks
 /// ([`RunContext::shrink`]) replay through a second handle that logs each
-/// replay's consultations.
+/// replay's consultations. A race analysis records its one run on the same
+/// pool, into the same trace handle, with the context's event log
+/// attached.
 ///
 /// Every case runs under `catch_unwind`. After a panic the context
 /// rebuilds its pool and handles, so nothing of the panicked run carries
@@ -426,11 +429,14 @@ pub struct RunContext {
     /// Scratch for normalizing a replay's failure site when checking it
     /// against the expected signature.
     site: String,
-    /// HB-canonicalization kit attached when pruning is on: the event-log
-    /// handle every run records into plus the reusable canon builder and
-    /// its scratch buffer — allocation-free at steady state, and purely
-    /// observational (recording never changes seeds or schedules, so the
-    /// executed run stream is identical with pruning on or off).
+    /// The event log a race analysis records, and every fuzz run when
+    /// pruning is on. Recording never changes seeds or schedules.
+    events: EventLogHandle,
+    /// HB-canonicalization kit attached when pruning is on: the reusable
+    /// canon builder and its scratch buffer, allocation-free at steady
+    /// state. With it, every fuzz run records into `events`; recording is
+    /// observational, so the executed run stream is identical with pruning
+    /// on or off.
     prune: Option<PruneKit>,
     /// Loop-observability handle attached to every fuzz run (profiling
     /// only — it never changes seeds, decisions, or schedules).
@@ -439,19 +445,8 @@ pub struct RunContext {
 
 /// The per-worker state [`RunContext::enable_prune`] attaches.
 struct PruneKit {
-    events: EventLogHandle,
     canon: CanonBuilder,
     scratch: Vec<u64>,
-}
-
-impl PruneKit {
-    fn new() -> PruneKit {
-        PruneKit {
-            events: EventLogHandle::fresh(),
-            canon: CanonBuilder::new(),
-            scratch: Vec::new(),
-        }
-    }
 }
 
 impl Default for RunContext {
@@ -470,6 +465,7 @@ impl RunContext {
             logged: ReplayStatusHandle::logging(),
             replaying: Vec::new(),
             site: String::new(),
+            events: EventLogHandle::fresh(),
             prune: None,
             obs: None,
         }
@@ -479,7 +475,10 @@ impl RunContext {
     /// event log and reports its HB canonical key in
     /// [`FuzzExec::canon`].
     pub fn enable_prune(&mut self) {
-        self.prune = Some(PruneKit::new());
+        self.prune = Some(PruneKit {
+            canon: CanonBuilder::new(),
+            scratch: Vec::new(),
+        });
     }
 
     /// Attaches a loop-observability handle to every subsequent fuzz run.
@@ -533,8 +532,8 @@ impl RunContext {
             None => Mode::Record(preset_params(preset), self.handle.clone()),
         };
         let mut run_cfg = RunCfg::new(mode, env_seed).pooled(&self.pool);
-        if let Some(kit) = &self.prune {
-            run_cfg = run_cfg.events(&kit.events);
+        if self.prune.is_some() {
+            run_cfg = run_cfg.events(&self.events);
         }
         if let Some(obs) = &self.obs {
             run_cfg = run_cfg.observed(obs);
@@ -554,7 +553,7 @@ impl RunContext {
             trace: self.handle.snapshot(),
         });
         let canon = self.prune.as_mut().map(|kit| {
-            let key = kit
+            let key = self
                 .events
                 .with(|log| kit.canon.build(log, &mut kit.scratch));
             (key, crate::prune::env_scope(app, env_seed))
@@ -581,13 +580,32 @@ impl RunContext {
         self.handle = TraceHandle::fresh();
         self.status = ReplayStatusHandle::fresh();
         self.logged = ReplayStatusHandle::logging();
-        if let Some(kit) = &mut self.prune {
-            *kit = PruneKit::new();
-        }
+        self.events = EventLogHandle::fresh();
         if let Some(obs) = &self.obs {
             obs.reset();
         }
         Err(panic_message(&*payload))
+    }
+
+    /// Predicts the races of `case` at `env_seed` from one run: the buggy
+    /// variant in the analysis' vanilla posture
+    /// ([`nodefz_hb::vanilla_posture`]) on this context's pooled loop, with
+    /// the context's event log attached, analyzed straight from that log
+    /// ([`AppAnalysis::new`]). A panic comes back as the error, with its
+    /// message. Like a replay, the run is neither profiled nor pruned.
+    pub(crate) fn analyze(
+        &mut self,
+        case: &dyn BugCase,
+        env_seed: u64,
+    ) -> Result<AppAnalysis, String> {
+        let run_cfg = RunCfg::new(nodefz_hb::vanilla_posture(&self.handle), env_seed)
+            .pooled(&self.pool)
+            .events(&self.events);
+        self.run_caught(case, &run_cfg)?;
+        let trace = self.handle.snapshot();
+        Ok(self
+            .events
+            .with(|log| AppAnalysis::new(case.info().abbr, env_seed, trace, log)))
     }
 
     /// Replays `trace` against `app` under `env_seed` on this context's
@@ -858,11 +876,12 @@ pub fn run_with_progress(
     };
 
     // When the directed preset is armed, analyze one recorded
-    // vanilla-posture run per app up front (controller-side; two runs per
-    // app) and keep the predicted flips. An app's directed arm follows its
-    // fuzz arms. Apps with no predictions get no directed arm; an app
-    // whose analysis run panicked gets one that is retired before its
-    // first pull, and a quarantine that names it.
+    // vanilla-posture run per app up front (controller-side, one run per
+    // app on one pooled context) and keep the predicted flips. An app's
+    // directed arm follows its fuzz arms. Apps with no predictions get no
+    // directed arm; an app whose analysis run panicked gets one that is
+    // retired before its first pull, and a quarantine that names it.
+    let mut analyzer = RunContext::new();
     let mut quarantined: Vec<Quarantine> = Vec::new();
     let mut specs: std::collections::HashMap<String, (u64, Vec<DirectedSpec>)> = Default::default();
     let mut arms: Vec<Arm> = Vec::new();
@@ -879,7 +898,7 @@ pub fn run_with_progress(
         }
         let analysis_seed = derive_seed(arm_seed(cfg.base_seed, app, DIRECTED_PRESET), 0);
         let mut arm = Arm::new(app.clone(), DIRECTED_PRESET);
-        match directed_specs(app, analysis_seed) {
+        match directed_specs(&mut analyzer, app, analysis_seed) {
             Ok(app_specs) if app_specs.is_empty() => continue,
             Ok(app_specs) => {
                 specs.insert(app.clone(), (analysis_seed, app_specs));
@@ -1319,7 +1338,7 @@ pub(crate) mod tests {
     /// every env seed [`panics`] picks. Nothing else ever manifests.
     pub(super) struct Panicky;
 
-    fn panics(env_seed: u64) -> bool {
+    pub(crate) fn panics(env_seed: u64) -> bool {
         env_seed.is_multiple_of(4)
     }
 

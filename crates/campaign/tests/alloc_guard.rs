@@ -1,17 +1,19 @@
 //! Hot-path allocation budget guard.
 //!
-//! Executions per second is what nfzbench's `fuzz` workload times, and
-//! the silent way to lose it is heap traffic creeping back into an
-//! execution. This test installs [`nodefz_check::CountingAlloc`] as the
-//! global allocator, runs the campaign hot path
-//! ([`nodefz_campaign::RunContext::fuzz_once`]) on a warmed-up context,
-//! and asserts two steady-state budgets. It counts allocations and
-//! reallocations rather than timing them, so a regression fails
-//! `cargo test` on any hardware.
+//! Executions per second is what nfzbench's `fuzz` and `directed`
+//! workloads time, and the silent way to lose it is heap traffic creeping
+//! back into an execution. This test installs
+//! [`nodefz_check::CountingAlloc`] as the global allocator, runs the
+//! campaign hot paths ([`nodefz_campaign::RunContext::fuzz_once`] and
+//! [`nodefz_campaign::RunContext::fuzz_directed`]) on warmed-up contexts,
+//! and asserts three steady-state budgets, plus that looking a case up
+//! allocates nothing. It counts allocations and reallocations rather than
+//! timing them, so a regression fails `cargo test` on any hardware.
 //!
-//! The counter is process-global, so both checks run inside the one test
+//! The counter is process-global, so every check runs inside the one test
 //! of this binary: no concurrent test can add to a measured window.
 
+use nodefz::DirectedSpec;
 use nodefz_campaign::{RunContext, PRESETS};
 use nodefz_check::CountingAlloc;
 
@@ -39,6 +41,24 @@ const ALLOCS_PER_EXEC_BUDGET: f64 = 85.0;
 /// message); the budget adds a quarter for headroom.
 const GHO_ALLOCS_PER_EVENT_BUDGET: f64 = 1.5;
 
+/// Maximum steady-state bytes allocated per directed execution, averaged
+/// over rounds of one spec per predicted race of every fig6 app at one
+/// env seed, each attempt's spec cloned as `analyze_campaign` clones it.
+///
+/// A copy of the recorded trace is one allocation of several kilobytes:
+/// about 1% of a directed execution's allocations but over half of its
+/// bytes, so this budget counts bytes. While each spec owned its prefix,
+/// every attempt copied the trace twice (the per-attempt clone and the
+/// scheduler's) and each case lookup built the 16-case registry: 21,720
+/// bytes (85.7 allocations) per execution. With the prefix shared and the
+/// lookup allocation-free: 9,953 bytes (82.7 allocations). The budget
+/// adds a quarter, as GHO's does, so one trace copy per attempt (about
+/// 5.8 KB) creeping back fails it.
+const DIRECTED_BYTES_PER_EXEC_BUDGET: f64 = 12_500.0;
+
+/// The env seed the directed check analyzes and attacks at.
+const DIRECTED_ENV_SEED: u64 = 11;
+
 /// Measured rounds per check, after the warm-up rounds.
 const ROUNDS: u64 = 10;
 const WARMUP_ROUNDS: u64 = 3;
@@ -47,6 +67,8 @@ const WARMUP_ROUNDS: u64 = 3;
 fn fuzzed_run_stays_within_allocation_budget() {
     fig6_mix_stays_within_execution_budget();
     gho_stays_within_callback_budget();
+    directed_mix_stays_within_execution_budget();
+    case_lookup_does_not_allocate();
 }
 
 fn fig6_arms() -> Vec<(&'static str, usize)> {
@@ -116,4 +138,64 @@ fn gho_stays_within_callback_budget() {
         during.allocs,
         during.bytes,
     );
+}
+
+fn directed_mix_stays_within_execution_budget() {
+    // One spec per predicted race, at its first flip cut; all of an app's
+    // specs share its analysis' prefix, as `analyze_campaign`'s do.
+    let mut work: Vec<(&'static str, DirectedSpec)> = Vec::new();
+    for case in nodefz_apps::registry() {
+        let info = case.info();
+        if !info.in_fig6 {
+            continue;
+        }
+        let analysis =
+            nodefz_hb::analyze_app(case.as_ref(), DIRECTED_ENV_SEED).expect("live analysis");
+        let shared = DirectedSpec::new(analysis.trace, 0);
+        for race in &analysis.races {
+            work.push((
+                info.abbr,
+                DirectedSpec {
+                    cut: race.ladder(1)[0],
+                    ..shared.clone()
+                },
+            ));
+        }
+    }
+    // Every fig6 app but KUEt predicts its planted race at this seed.
+    assert!(work.len() >= 12, "too few predicted races: {}", work.len());
+    let mut ctx = RunContext::new();
+    for attempt in 0..WARMUP_ROUNDS {
+        for (app, spec) in &work {
+            ctx.fuzz_directed(app, spec.clone().with_attempt(attempt), DIRECTED_ENV_SEED);
+        }
+    }
+    let before = ALLOC.stats();
+    let mut execs = 0u64;
+    for attempt in 100..100 + ROUNDS {
+        for (app, spec) in &work {
+            let exec =
+                ctx.fuzz_directed(app, spec.clone().with_attempt(attempt), DIRECTED_ENV_SEED);
+            assert!(exec.crash.is_none(), "{app} at cut {} panicked", spec.cut);
+            execs += 1;
+        }
+    }
+    let during = ALLOC.stats().since(&before);
+    let per_exec = during.bytes as f64 / execs as f64;
+    assert!(
+        per_exec <= DIRECTED_BYTES_PER_EXEC_BUDGET,
+        "directed mix allocates too much: {per_exec:.0} bytes/execution over {execs} \
+         executions ({} allocs, {} bytes) — budget is {DIRECTED_BYTES_PER_EXEC_BUDGET}",
+        during.allocs,
+        during.bytes,
+    );
+}
+
+fn case_lookup_does_not_allocate() {
+    let before = ALLOC.stats();
+    for abbr in ["EPL", "kuet", "FPS*", "NOPE"] {
+        std::hint::black_box(nodefz_apps::by_abbr(abbr));
+    }
+    let during = ALLOC.stats().since(&before);
+    assert_eq!(during.allocs, 0, "by_abbr allocated");
 }

@@ -16,6 +16,8 @@
 //! `sched_seed`): retrying a prediction means bumping
 //! [`DirectedSpec::attempt`], which reseeds only the suffix fuzzer.
 
+use std::sync::Arc;
+
 use nodefz_rt::{PoolMode, ReadyEntry, Scheduler, TimerVerdict, VDur, GOLDEN_GAMMA};
 
 use crate::params::FuzzParams;
@@ -27,10 +29,14 @@ use crate::scheduler::FuzzScheduler;
 const FLIP_TIMER_DELAY: VDur = VDur::millis(5);
 
 /// One race-directed scheduling attempt.
+///
+/// Cloning a spec shares its prefix: a confirmer's retries, every flip
+/// cut of one analysis and the scheduler each attempt builds all read one
+/// copy of the recorded decisions.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DirectedSpec {
     /// The recorded decision trace of the run the prediction came from.
-    pub prefix: DecisionTrace,
+    pub prefix: Arc<DecisionTrace>,
     /// Consultations to replay verbatim before flipping (the earlier
     /// racing event's [`decisions`](nodefz_rt::EventRecord::decisions)
     /// stamp).
@@ -47,7 +53,7 @@ impl DirectedSpec {
     /// window and first attempt.
     pub fn new(prefix: DecisionTrace, cut: u64) -> DirectedSpec {
         DirectedSpec {
-            prefix,
+            prefix: Arc::new(prefix),
             cut,
             window: 8,
             attempt: 0,
@@ -222,7 +228,7 @@ mod tests {
             Decision::PickTask(0),
         ]);
         let spec = DirectedSpec {
-            prefix: trace,
+            prefix: Arc::new(trace),
             cut: 3,
             window: 2,
             attempt: 0,

@@ -1,16 +1,24 @@
-//! The record → replay → predict pipeline for one application.
+//! The record → predict pipeline for one application.
 //!
-//! [`record_vanilla`] runs an app's buggy variant once under
-//! `nodeFZ(record)` with the no-fuzz parameterization — the `nodeNFZ`
-//! posture of §5.1 — and returns the `nodefz-trace` v1 text. That text is
-//! the *only* input [`analyze_recorded`] needs: it decodes and validates
-//! the trace, replays it decision-for-decision with dispatch-provenance
-//! recording switched on, checks the replay was faithful, and runs the
-//! happens-before race analysis over the reconstructed [`EventLog`].
+//! Every analysis consumes one run of an app's buggy variant under
+//! [`vanilla_posture`]: `nodeFZ(record)` with the no-fuzz
+//! parameterization, the `nodeNFZ` posture of §5.1. From that run's
+//! decision trace and dispatch-provenance [`EventLog`] one builder,
+//! [`AppAnalysis::new`], runs the happens-before race analysis. Two paths
+//! feed it:
 //!
-//! Ingestion is hardened: truncated or corrupt trace text surfaces as a
-//! typed [`AnalyzeError`] (never a panic), so a campaign can skip a bad
-//! corpus entry and keep going.
+//! - the live path, [`analyze_app`] (and the campaign's pooled
+//!   `RunContext`), records the run with the event log attached and
+//!   builds the analysis from that log: one run, no text;
+//! - the text path, [`analyze_recorded`], reads a `nodefz-trace` v1 text
+//!   (from [`record_vanilla`] or from outside the program), decodes and
+//!   validates it, replays it decision-for-decision with the event log
+//!   attached, and checks the replay was faithful.
+//!
+//! Event logging only observes, so both paths build the same analysis of
+//! the same run. Ingestion on the text path is hardened: truncated or
+//! corrupt trace text surfaces as a typed [`AnalyzeError`] (never a
+//! panic), so a campaign can skip a bad corpus entry and keep going.
 
 use std::fmt;
 
@@ -19,7 +27,7 @@ use nodefz::{
     TraceDecodeError, TraceFormatError, TraceHandle,
 };
 use nodefz_apps::common::{BugCase, RunCfg, Variant};
-use nodefz_rt::{EvKind, EventLogHandle};
+use nodefz_rt::{EvKind, EventLog, EventLogHandle};
 
 use crate::races::{find_races, RaceClass};
 
@@ -130,13 +138,14 @@ impl RaceInfo {
 }
 
 /// The full analysis of one recorded app run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AppAnalysis {
     /// App abbreviation ("GHO", "SIO*", …).
     pub app: String,
     /// Environment seed of the recorded run.
     pub env_seed: u64,
-    /// The decoded decision trace (the directed scheduler's prefix).
+    /// The recorded run's decision trace (the directed scheduler's
+    /// prefix).
     pub trace: DecisionTrace,
     /// Events dispatched in the recorded run.
     pub events: usize,
@@ -148,16 +157,41 @@ pub struct AppAnalysis {
     pub races: Vec<RaceInfo>,
 }
 
+impl AppAnalysis {
+    /// Analyzes one run of `app` at `env_seed` from its decision trace and
+    /// the event log recorded alongside it: the one builder both the live
+    /// and the text path end in.
+    pub fn new(app: &str, env_seed: u64, trace: DecisionTrace, log: &EventLog) -> AppAnalysis {
+        AppAnalysis {
+            app: app.to_string(),
+            env_seed,
+            trace,
+            events: log.events.len(),
+            accesses: log.accesses.len(),
+            sites: log.sites.clone(),
+            races: races_with_cuts(log),
+        }
+    }
+}
+
+/// The mode every analyzed run is recorded in: `nodeFZ(record)` with
+/// [`FuzzParams::none`], the `nodeNFZ` posture of §5.1, recording into
+/// `handle`.
+pub fn vanilla_posture(handle: &TraceHandle) -> Mode {
+    Mode::Record(FuzzParams::none(), handle.clone())
+}
+
 /// Records one vanilla-posture (`nodeNFZ`, no fuzzing decisions) run of
 /// the app's buggy variant and returns the `nodefz-trace` v1 text.
 pub fn record_vanilla(app: &dyn BugCase, env_seed: u64) -> String {
     let handle = TraceHandle::fresh();
-    let cfg = RunCfg::new(Mode::Record(FuzzParams::none(), handle.clone()), env_seed);
+    let cfg = RunCfg::new(vanilla_posture(&handle), env_seed);
     app.run(&cfg, Variant::Buggy);
     encode_trace(&handle.snapshot())
 }
 
-/// Replays `trace_text` against the app and predicts its races.
+/// Replays `trace_text` against the app and predicts its races: the text
+/// path, for traces read from outside the program.
 ///
 /// The prediction consumes *one* recorded schedule; §5's fuzzing
 /// campaigns need hundreds of schedules to manifest the same bugs.
@@ -173,33 +207,33 @@ pub fn analyze_recorded(
     let cfg = RunCfg::new(Mode::Replay(trace.clone(), status.clone()), env_seed).events(&events);
     app.run(&cfg, Variant::Buggy);
     status.verdict()?;
-    let log = events.snapshot();
-    let races = races_with_cuts(&log);
-    Ok(AppAnalysis {
-        app: app.info().abbr.to_string(),
-        env_seed,
-        trace,
-        events: log.events.len(),
-        accesses: log.accesses.len(),
-        sites: log.sites.clone(),
-        races,
-    })
+    Ok(events.with(|log| AppAnalysis::new(app.info().abbr, env_seed, trace, log)))
 }
 
-/// Records one vanilla-posture run and analyzes it — the full text
-/// round-trip (encode → decode → replay → predict).
+/// Records one vanilla-posture run with its event log attached and
+/// predicts its races from that run: the live path, one run and no text.
+/// It equals [`analyze_recorded`] of [`record_vanilla`]'s text, because
+/// event logging only observes.
+///
+/// # Errors
+///
+/// Never fails: there is no text to decode and no replay to diverge. The
+/// `Result` matches [`analyze_recorded`]'s, so callers take either path.
 pub fn analyze_app(app: &dyn BugCase, env_seed: u64) -> Result<AppAnalysis, AnalyzeError> {
-    let text = record_vanilla(app, env_seed);
-    analyze_recorded(app, env_seed, &text)
+    let handle = TraceHandle::fresh();
+    let events = EventLogHandle::fresh();
+    let cfg = RunCfg::new(vanilla_posture(&handle), env_seed).events(&events);
+    app.run(&cfg, Variant::Buggy);
+    Ok(events.with(|log| AppAnalysis::new(app.info().abbr, env_seed, handle.snapshot(), log)))
 }
 
 /// Predicts races over any dispatch-provenance log and resolves each to
 /// a reporting-ready [`RaceInfo`] (named site, kind labels, and the full
 /// ladder of directed flip cuts). This is the log-level core of
-/// [`analyze_recorded`], exposed so harnesses that build their own logs
+/// [`AppAnalysis::new`], exposed so harnesses that build their own logs
 /// — e.g. the `nodefz-conform` differential harness — can feed
 /// predictions straight into a directed scheduler.
-pub fn races_with_cuts(log: &nodefz_rt::EventLog) -> Vec<RaceInfo> {
+pub fn races_with_cuts(log: &EventLog) -> Vec<RaceInfo> {
     find_races(log)
         .into_iter()
         .map(|r| {
@@ -325,6 +359,10 @@ mod tests {
             assert!(r.a.event < r.b.event);
             assert_eq!(r.cut, r.a.decisions);
         }
+        // The live analysis survives the text round trip unchanged.
+        let text = record_vanilla(app.as_ref(), 11);
+        assert_eq!(text, encode_trace(&analysis.trace));
+        assert_eq!(analyze_recorded(app.as_ref(), 11, &text), Ok(analysis));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Node.fz (§5) finds races *dynamically*: run the program under many
 //! perturbed schedules and wait for an oracle to trip. This crate adds the
-//! complementary *predictive* pass: from **one** recorded run it
-//! reconstructs the dispatch-provenance event log, builds the
+//! complementary *predictive* pass: from **one** recorded run and its
+//! dispatch-provenance event log it builds the
 //! happens-before relation every legal schedule preserves
 //! ([`HbGraph`]), and reports unordered callback pairs that touch the
 //! same instrumented shared site as candidate races, classified
@@ -18,12 +18,16 @@
 //! ## Pipeline
 //!
 //! ```text
-//! record_vanilla ──▶ nodefz-trace v1 text ──▶ analyze_recorded
-//!     (nodeNFZ posture, one run)                  │
-//!                                                 ├─ decode + validate (typed errors)
-//!                                                 ├─ replay with event-log recording
-//!                                                 ├─ HbGraph transitive closure
-//!                                                 └─ find_races → AV/OV/COV + cut
+//! live: analyze_app, or the campaign's pooled RunContext
+//!       one vanilla_posture run (nodeNFZ), event log attached ───────┐
+//!                                                                    │
+//! text: record_vanilla ──▶ nodefz-trace v1 text ──▶ analyze_recorded │
+//!       decode + validate (typed errors), replay with the event      │
+//!       log attached, replay verdict ────────────────────────────────┤
+//!                                                                    ▼
+//!                                   AppAnalysis::new(trace, &EventLog)
+//!                                    ├─ HbGraph transitive closure
+//!                                    └─ find_races → AV/OV/COV + cut
 //! races_report ──▶ nodefz-races-v1 JSON
 //! ```
 //!
@@ -51,7 +55,7 @@ mod report;
 
 pub use analyze::{
     analyze_app, analyze_recorded, causal_chain, chain_cuts, races_with_cuts, record_vanilla,
-    AnalyzeError, AppAnalysis, EventRef, RaceInfo, MAX_FLIPS_PER_RACE,
+    vanilla_posture, AnalyzeError, AppAnalysis, EventRef, RaceInfo, MAX_FLIPS_PER_RACE,
 };
 pub use canon::{canon_key, CanonBuilder, CanonKey, SeenSet};
 pub use graph::HbGraph;
