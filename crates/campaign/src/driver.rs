@@ -42,12 +42,11 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use nodefz::{
-    Decision, DecisionTrace, DirectedSpec, Mode, ReplayMemo, ReplayStatusHandle, TraceHandle,
-};
+use nodefz::{DecisionTrace, DirectedSpec, Mode, ReplayMemo, ReplayStatusHandle, TraceHandle};
 use nodefz_apps::common::{BugCase, Outcome, RunCfg, Variant};
 use nodefz_hb::{AppAnalysis, CanonBuilder, CanonKey};
 use nodefz_rt::{EventLogHandle, TypeSchedule};
@@ -405,8 +404,9 @@ impl FuzzExec {
 /// vectors), and the [`TraceHandle`] recycles the decision buffer — its
 /// contents are only snapshotted when a run actually manifests a bug.
 /// Replays ([`RunContext::replays_to`]) recycle the same pool, one
-/// [`ReplayStatusHandle`], one decision buffer for the replayed trace and
-/// one string for checking the expected signature; shrinks
+/// [`ReplayStatusHandle`], one decision buffer for the replayed trace
+/// (which the replayer reads in place, [`Mode::ReplayShared`]) and one
+/// string for checking the expected signature; shrinks
 /// ([`RunContext::shrink`]) replay through a second handle that logs each
 /// replay's consultations. A race analysis records its one run on the same
 /// pool, into the same trace handle, with the context's event log
@@ -423,9 +423,9 @@ pub struct RunContext {
     status: ReplayStatusHandle,
     /// The shrink oracle's replay handle: it logs each consultation.
     logged: ReplayStatusHandle,
-    /// The replayed trace's decisions, copied in for each replay and taken
-    /// back after it.
-    replaying: Vec<Decision>,
+    /// The replayed trace, copied in for each replay and shared with its
+    /// replayer, which reads it in place.
+    replaying: Rc<DecisionTrace>,
     /// Scratch for normalizing a replay's failure site when checking it
     /// against the expected signature.
     site: String,
@@ -463,7 +463,11 @@ impl RunContext {
             handle: TraceHandle::fresh(),
             status: ReplayStatusHandle::fresh(),
             logged: ReplayStatusHandle::logging(),
-            replaying: Vec::new(),
+            replaying: Rc::new(DecisionTrace {
+                pool_mode: nodefz_rt::PoolMode::Concurrent { workers: 4 },
+                demux_done: false,
+                decisions: Vec::new(),
+            }),
             site: String::new(),
             events: EventLogHandle::fresh(),
             prune: None,
@@ -642,19 +646,16 @@ impl RunContext {
     ) -> Option<bool> {
         let case = resolve_case(app)?;
         let status = if logged { &self.logged } else { &self.status };
-        let mut decisions = std::mem::take(&mut self.replaying);
-        decisions.clone_from(&trace.decisions);
-        let replayed = DecisionTrace {
-            decisions,
-            ..*trace
-        };
-        let run_cfg =
-            RunCfg::new(Mode::Replay(replayed, status.clone()), env_seed).pooled(&self.pool);
-        let out = self.run_caught(&*case, &run_cfg);
-        if let Mode::Replay(replayed, _) = run_cfg.mode {
-            self.replaying = replayed.decisions;
-        }
-        let out = out.ok()?;
+        // The buffer is unshared here: the last replayer and its mode were
+        // dropped with their run.
+        let replayed = Rc::make_mut(&mut self.replaying);
+        replayed.pool_mode = trace.pool_mode;
+        replayed.demux_done = trace.demux_done;
+        replayed.decisions.clone_from(&trace.decisions);
+        let mode = Mode::ReplayShared(Rc::clone(&self.replaying), status.clone());
+        let out = self
+            .run_caught(&*case, &RunCfg::new(mode, env_seed).pooled(&self.pool))
+            .ok()?;
         Some(
             out.manifested
                 && expected.matches(app, &out.detail, &out.report.schedule, &mut self.site),
@@ -1416,7 +1417,7 @@ pub(crate) mod tests {
                 }
             });
             Outcome {
-                manifested: !matches!(cfg.mode, Mode::Replay(..)),
+                manifested: !matches!(cfg.mode, Mode::Replay(..) | Mode::ReplayShared(..)),
                 detail: "flaky: manifests unless replayed".into(),
                 report: el.run(),
             }
@@ -1742,6 +1743,32 @@ pub(crate) mod tests {
 
         assert!(!ctx.replays_to(PANICKY, 8, &a.trace, &a.signature));
         assert!(ctx.replays_to("GHO", gho_seed, &a.trace, &a.signature));
+    }
+
+    #[test]
+    fn a_recycled_event_log_records_what_a_fresh_one_does() {
+        let arms: Vec<(&str, usize)> = nodefz_apps::registry()
+            .iter()
+            .map(|case| case.info())
+            .filter(|info| info.in_fig6)
+            .flat_map(|info| (0..crate::PRESETS.len()).map(move |preset| (info.abbr, preset)))
+            .collect();
+        assert_eq!(arms.len(), 39, "fig6 arms");
+        let mut recycled = RunContext::new();
+        recycled.enable_prune();
+        for env_seed in 0..3 * arms.len() as u64 {
+            let (app, preset) = arms[env_seed as usize % arms.len()];
+            let kept = recycled.fuzz_once(app, preset, env_seed);
+            let mut fresh = RunContext::new();
+            fresh.enable_prune();
+            let new = fresh.fuzz_once(app, preset, env_seed);
+            assert!(kept.canon.is_some(), "{app}/{preset} at {env_seed}: no key");
+            assert_eq!(kept.canon, new.canon, "{app}/{preset} at {env_seed}");
+            let (kept, new) = (recycled.events.snapshot(), fresh.events.snapshot());
+            assert_eq!(kept.events, new.events, "{app}/{preset} at {env_seed}");
+            assert_eq!(kept.accesses, new.accesses, "{app}/{preset} at {env_seed}");
+            assert_eq!(kept.sites, new.sites, "{app}/{preset} at {env_seed}");
+        }
     }
 
     #[test]

@@ -63,6 +63,7 @@ impl BugCase for ApiConformCase {
         let log = events.snapshot();
         let demux = match &cfg.mode {
             Mode::Replay(trace, _) => trace.demux_done,
+            Mode::ReplayShared(trace, _) => trace.demux_done,
             mode => mode.params().is_some_and(|p| p.demux_done),
         };
         let completed = matches!(report.termination, Termination::Quiescent);

@@ -339,16 +339,14 @@ pub fn differential(
             completed: true,
         },
     )?;
-    let base_trace = base_handle.snapshot();
+    // Every directed attempt's spec shares this one copy of the trace.
+    let base = DirectedSpec::new(base_handle.snapshot(), 0);
     let races = races_with_cuts(&blog);
     report.races = races.len();
     // Directed runs use the standard parameterization for their suffix.
-    let directed_demux = Mode::Directed(
-        DirectedSpec::new(base_trace.clone(), 0),
-        TraceHandle::fresh(),
-    )
-    .params()
-    .is_some_and(|p| p.demux_done);
+    let directed_demux = Mode::Directed(base.clone(), TraceHandle::fresh())
+        .params()
+        .is_some_and(|p| p.demux_done);
 
     for race in races.iter().take(cfg.directed_races) {
         let outcome = confirm_race(
@@ -356,7 +354,7 @@ pub fn differential(
             env_seed,
             cfg,
             &blog,
-            &base_trace,
+            &base,
             race,
             directed_demux,
             &mut report,
@@ -378,7 +376,7 @@ fn confirm_race(
     env_seed: u64,
     cfg: &DiffConfig,
     base_log: &EventLog,
-    base_trace: &nodefz::DecisionTrace,
+    base: &DirectedSpec,
     race: &nodefz_hb::RaceInfo,
     directed_demux: bool,
     report: &mut DiffReport,
@@ -404,8 +402,12 @@ fn confirm_race(
     // equals the ladder's pre-dispatch fallback, so this is identical to
     // the historical chain_cut fallback).
     for cut in race.ladder(cfg.directed_cuts) {
+        let at_cut = DirectedSpec {
+            cut,
+            ..base.clone()
+        };
         for attempt in 0..cfg.directed_attempts {
-            let spec = DirectedSpec::new(base_trace.clone(), cut).with_attempt(attempt);
+            let spec = at_cut.clone().with_attempt(attempt);
             let dhandle = TraceHandle::fresh();
             let (dr, dlog) = run_logged(prog, env_seed, Mode::Directed(spec, dhandle), &cfg.pool);
             report.directed_runs += 1;

@@ -7,6 +7,8 @@
 //! the standard parameterization). [`Mode`] reifies that choice plus the
 //! guided and custom parameterizations used in §5.2.3 and the ablations.
 
+use std::rc::Rc;
+
 use nodefz_rt::{EventLoop, LoopConfig, LoopPool, Scheduler, VanillaScheduler};
 
 use crate::directed::{DirectedScheduler, DirectedSpec};
@@ -37,6 +39,10 @@ pub enum Mode {
     /// Re-applies a recorded [`DecisionTrace`] decision-for-decision,
     /// reporting divergence through the shared [`ReplayStatusHandle`].
     Replay(DecisionTrace, ReplayStatusHandle),
+    /// [`Mode::Replay`] of a shared trace: the replayer reads the caller's
+    /// copy instead of cloning its own, so a caller that replays many
+    /// traces through one buffer copies each of them once.
+    ReplayShared(Rc<DecisionTrace>, ReplayStatusHandle),
     /// Race-directed scheduling: replays the spec's recorded prefix up to
     /// its cut, forces the flipped order for a window, then fuzzes. The
     /// run is recorded into the [`TraceHandle`] so a confirmed race
@@ -54,7 +60,7 @@ impl Mode {
             Mode::Guided => "nodeFZ(guided)",
             Mode::Custom(_) => "nodeFZ(custom)",
             Mode::Record(..) => "nodeFZ(record)",
-            Mode::Replay(..) => "replay",
+            Mode::Replay(..) | Mode::ReplayShared(..) => "replay",
             Mode::Directed(..) => "nodeFZ(directed)",
         }
     }
@@ -68,7 +74,7 @@ impl Mode {
             Mode::Guided => Some(FuzzParams::guided_accurate_timers()),
             Mode::Custom(p) => Some(p.clone()),
             Mode::Record(p, _) => Some(p.clone()),
-            Mode::Replay(..) => None,
+            Mode::Replay(..) | Mode::ReplayShared(..) => None,
             // The directed suffix runs the standard parameterization.
             Mode::Directed(..) => Some(FuzzParams::standard()),
         }
@@ -83,6 +89,9 @@ impl Mode {
             )),
             Mode::Replay(trace, status) => {
                 Box::new(ReplayScheduler::attached(trace.clone(), status.clone()))
+            }
+            Mode::ReplayShared(trace, status) => {
+                Box::new(ReplayScheduler::attached(Rc::clone(trace), status.clone()))
             }
             Mode::Directed(spec, handle) => Box::new(RecordingScheduler::with_handle(
                 DirectedScheduler::new(spec.clone(), sched_seed),

@@ -63,6 +63,21 @@ impl Perm {
         }
     }
 
+    /// A permutation of `len` entries, every one 0 until written through
+    /// [`Perm::as_mut_slice`]; above [`Perm::INLINE`] entries it allocates
+    /// once, exactly `len` entries.
+    fn zeroed(len: usize) -> Perm {
+        Perm {
+            len: u32::try_from(len).expect("permutation length fits in u32"),
+            inline: [0; Perm::INLINE],
+            spill: if len > Perm::INLINE {
+                vec![0; len]
+            } else {
+                Vec::new()
+            },
+        }
+    }
+
     /// Appends one source index.
     pub fn push(&mut self, v: u32) {
         let len = self.len as usize;
@@ -86,6 +101,15 @@ impl Perm {
             &self.inline[..len]
         } else {
             &self.spill
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [u32] {
+        let len = self.len as usize;
+        if len <= Perm::INLINE {
+            &mut self.inline[..len]
+        } else {
+            &mut self.spill
         }
     }
 }
@@ -375,10 +399,18 @@ impl fmt::Display for TraceFormatError {
 
 impl std::error::Error for TraceFormatError {}
 
+/// A trace being recorded, with the recorder's scratch: both live as long
+/// as the [`TraceHandle`], so a reused handle records allocation-free.
+struct Recording {
+    trace: DecisionTrace,
+    /// The ready list as it stood before the inner scheduler shuffled it.
+    before: Vec<ReadyEntry>,
+}
+
 /// Shared handle to a trace being recorded.
 #[derive(Clone)]
 pub struct TraceHandle {
-    inner: Rc<RefCell<DecisionTrace>>,
+    inner: Rc<RefCell<Recording>>,
 }
 
 impl TraceHandle {
@@ -387,17 +419,20 @@ impl TraceHandle {
     /// [`RecordingScheduler::with_handle`] and [`crate::Mode::Record`]).
     pub fn fresh() -> TraceHandle {
         TraceHandle {
-            inner: Rc::new(RefCell::new(DecisionTrace {
-                pool_mode: PoolMode::Concurrent { workers: 4 },
-                demux_done: false,
-                decisions: Vec::new(),
+            inner: Rc::new(RefCell::new(Recording {
+                trace: DecisionTrace {
+                    pool_mode: PoolMode::Concurrent { workers: 4 },
+                    demux_done: false,
+                    decisions: Vec::new(),
+                },
+                before: Vec::new(),
             })),
         }
     }
 
     /// Takes a snapshot of the decisions recorded so far.
     pub fn snapshot(&self) -> DecisionTrace {
-        self.inner.borrow().clone()
+        self.inner.borrow().trace.clone()
     }
 }
 
@@ -410,16 +445,18 @@ impl PartialEq for TraceHandle {
 
 impl fmt::Debug for TraceHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "TraceHandle({} decisions)", self.inner.borrow().len())
+        write!(
+            f,
+            "TraceHandle({} decisions)",
+            self.inner.borrow().trace.len()
+        )
     }
 }
 
 /// Wraps a scheduler, recording every decision it makes.
 pub struct RecordingScheduler<S> {
     inner: S,
-    trace: Rc<RefCell<DecisionTrace>>,
-    /// Scratch for shuffle recording: the pre-shuffle sequence numbers.
-    before: Vec<u64>,
+    rec: Rc<RefCell<Recording>>,
 }
 
 impl<S: Scheduler> RecordingScheduler<S> {
@@ -440,16 +477,19 @@ impl<S: Scheduler> RecordingScheduler<S> {
     /// [`crate::Mode::Record`]).
     pub fn with_handle(inner: S, handle: &TraceHandle) -> RecordingScheduler<S> {
         {
-            let mut trace = handle.inner.borrow_mut();
+            let trace = &mut handle.inner.borrow_mut().trace;
             trace.pool_mode = inner.pool_mode();
             trace.demux_done = inner.demux_done();
             trace.decisions.clear();
         }
         RecordingScheduler {
-            trace: handle.inner.clone(),
+            rec: handle.inner.clone(),
             inner,
-            before: Vec::new(),
         }
+    }
+
+    fn push(&self, decision: Decision) {
+        self.rec.borrow_mut().trace.decisions.push(decision);
     }
 }
 
@@ -472,59 +512,68 @@ impl<S: Scheduler> Scheduler for RecordingScheduler<S> {
             TimerVerdict::Run => None,
             TimerVerdict::Defer { delay } => Some(delay.as_nanos()),
         };
-        self.trace.borrow_mut().decisions.push(Decision::Timer(rec));
+        self.push(Decision::Timer(rec));
         verdict
     }
 
+    /// Records the permutation the inner scheduler applies in one pass:
+    /// the inner scheduler shuffles entries whose `seq` holds their
+    /// original index, so each entry names its source, and every `seq` is
+    /// restored afterwards. The inner scheduler sees those indices in
+    /// place of the sequence numbers; no scheduler in this workspace reads
+    /// them.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "shuffle must be a permutation" when the inner
+    /// scheduler drops, duplicates or invents an entry.
     fn shuffle_ready(&mut self, ready: &mut Vec<ReadyEntry>) {
-        self.before.clear();
-        self.before.extend(ready.iter().map(|e| e.seq));
+        let mut rec = self.rec.borrow_mut();
+        let Recording { trace, before } = &mut *rec;
+        before.clear();
+        before.extend_from_slice(ready);
+        for (index, entry) in (0u64..).zip(ready.iter_mut()) {
+            entry.seq = index;
+        }
         self.inner.shuffle_ready(ready);
-        // Record the applied permutation by matching sequence numbers.
-        let perm: Perm = ready
-            .iter()
-            .map(|e| {
-                self.before
-                    .iter()
-                    .position(|&seq| seq == e.seq)
-                    .expect("shuffle must be a permutation") as u32
-            })
-            .collect();
-        self.trace
-            .borrow_mut()
-            .decisions
-            .push(Decision::Shuffle(perm));
+        assert_eq!(ready.len(), before.len(), "shuffle must be a permutation");
+        let mut perm = Perm::zeroed(ready.len());
+        for (slot, entry) in perm.as_mut_slice().iter_mut().zip(ready.iter_mut()) {
+            let original = usize::try_from(entry.seq)
+                .ok()
+                .and_then(|src| before.get(src))
+                .filter(|o| o.fd == entry.fd && o.at == entry.at)
+                .expect("shuffle must be a permutation");
+            *slot = entry.seq as u32;
+            *entry = *original;
+        }
+        assert!(
+            is_permutation(&perm, before.len()),
+            "shuffle must be a permutation"
+        );
+        trace.decisions.push(Decision::Shuffle(perm));
     }
 
     fn defer_ready(&mut self, entry: &ReadyEntry) -> bool {
         let defer = self.inner.defer_ready(entry);
-        self.trace
-            .borrow_mut()
-            .decisions
-            .push(Decision::DeferReady(defer));
+        self.push(Decision::DeferReady(defer));
         defer
     }
 
     fn defer_close(&mut self) -> bool {
         let defer = self.inner.defer_close();
-        self.trace
-            .borrow_mut()
-            .decisions
-            .push(Decision::DeferClose(defer));
+        self.push(Decision::DeferClose(defer));
         defer
     }
 
     fn pick_task(&mut self, window: usize) -> usize {
         let pick = self.inner.pick_task(window);
-        self.trace
-            .borrow_mut()
-            .decisions
-            .push(Decision::PickTask(pick as u32));
+        self.push(Decision::PickTask(pick as u32));
         pick
     }
 
     fn decision_count(&self) -> u64 {
-        self.trace.borrow().decisions.len() as u64
+        self.rec.borrow().trace.decisions.len() as u64
     }
 }
 
@@ -698,7 +747,7 @@ pub struct ReplayScheduler {
 /// The trace being replayed, the index of the decision the next
 /// consultation meets, and where the replay reports.
 struct Cursor {
-    trace: DecisionTrace,
+    trace: Rc<DecisionTrace>,
     next: usize,
     status: ReplayStatusHandle,
     /// Whether the status handle logs consultations, read once at attach
@@ -754,12 +803,16 @@ impl ReplayScheduler {
     /// Creates a replayer reporting into an externally supplied handle.
     ///
     /// The handle's previous state is cleared, so one handle can be reused
-    /// across runs (see [`crate::Mode::Replay`]).
-    pub fn attached(trace: DecisionTrace, status: ReplayStatusHandle) -> ReplayScheduler {
+    /// across runs (see [`crate::Mode::Replay`]). A shared trace is read in
+    /// place, never copied (see [`crate::Mode::ReplayShared`]).
+    pub fn attached(
+        trace: impl Into<Rc<DecisionTrace>>,
+        status: ReplayStatusHandle,
+    ) -> ReplayScheduler {
         let logging = status.reset();
         ReplayScheduler {
             cursor: Cursor {
-                trace,
+                trace: trace.into(),
                 next: 0,
                 status,
                 logging,
@@ -1268,6 +1321,145 @@ mod tests {
             status
                 .verdict()
                 .expect("faithful replay from reused handle");
+        }
+    }
+
+    /// Ready lists of every length from 0 to 70, three of each, with
+    /// scattered sequence numbers.
+    fn ready_lists() -> Vec<Vec<ReadyEntry>> {
+        (0..=70u32)
+            .flat_map(|len| {
+                (0..3u64).map(move |round| {
+                    (0..len)
+                        .map(|i| ReadyEntry {
+                            fd: Fd(i + 3),
+                            at: VTime(u64::from(i / 3)),
+                            seq: 1_000 * round + 7 * u64::from(i) + 5,
+                        })
+                        .collect()
+                })
+            })
+            .collect()
+    }
+
+    /// Shuffles every list through a recorder around `inner`; returns each
+    /// list as it came back, and the recorded trace.
+    fn record_shuffles<S: Scheduler>(
+        inner: S,
+        lists: &[Vec<ReadyEntry>],
+    ) -> (Vec<Vec<ReadyEntry>>, DecisionTrace) {
+        let (mut recorder, handle) = RecordingScheduler::new(inner);
+        let shuffled = lists
+            .iter()
+            .map(|list| {
+                let mut ready = list.clone();
+                recorder.shuffle_ready(&mut ready);
+                ready
+            })
+            .collect();
+        (shuffled, handle.snapshot())
+    }
+
+    #[test]
+    fn recorder_records_exactly_the_permutation_applied() {
+        let lists = ready_lists();
+        let fuzz = FuzzScheduler::new(FuzzParams::standard(), 71);
+        let (_, fuzz_trace) = record_shuffles(fuzz, &lists);
+        // Replays the fuzzed permutations below list length 6, reverses
+        // lengths 6 to 13 (across `Perm::INLINE`), then fuzzes.
+        let spec = crate::DirectedSpec {
+            cut: 18,
+            window: 24,
+            ..crate::DirectedSpec::new(fuzz_trace, 0)
+        };
+        for (what, (shuffled, trace)) in [
+            (
+                "fuzz",
+                record_shuffles(FuzzScheduler::new(FuzzParams::standard(), 72), &lists),
+            ),
+            (
+                "directed",
+                record_shuffles(crate::DirectedScheduler::new(spec, 73), &lists),
+            ),
+        ] {
+            assert_eq!(trace.len(), lists.len(), "{what}: one decision per shuffle");
+            let (mut replayer, status) = ReplayScheduler::with_status(trace.clone());
+            let mut spilled = 0;
+            for ((list, after), decision) in lists.iter().zip(&shuffled).zip(&trace.decisions) {
+                let Decision::Shuffle(perm) = decision else {
+                    panic!("{what}: recorded {decision} for a shuffle");
+                };
+                // The O(n²) reference: each entry's source, found by its
+                // sequence number.
+                let reference: Vec<u32> = after
+                    .iter()
+                    .map(|e| list.iter().position(|b| b.seq == e.seq).expect("moved") as u32)
+                    .collect();
+                assert_eq!(perm.as_slice(), reference, "{what}: length {}", list.len());
+                for (entry, &src) in after.iter().zip(perm.iter()) {
+                    assert_eq!(
+                        *entry, list[src as usize],
+                        "{what}: entries come back whole"
+                    );
+                }
+                spilled += usize::from(list.len() > Perm::INLINE && !is_identity(perm));
+                let mut replayed = list.clone();
+                replayer.shuffle_ready(&mut replayed);
+                assert_eq!(&replayed, after, "{what}: length {}", list.len());
+            }
+            assert!(spilled > 0, "{what}: no spilled permutation was recorded");
+            status.verdict().unwrap_or_else(|e| panic!("{what}: {e}"));
+        }
+    }
+
+    /// An inner scheduler that breaks the ready list instead of shuffling it.
+    struct Saboteur(&'static str);
+
+    impl Scheduler for Saboteur {
+        fn name(&self) -> &'static str {
+            self.0
+        }
+
+        fn shuffle_ready(&mut self, ready: &mut Vec<ReadyEntry>) {
+            match self.0 {
+                "drops" => {
+                    ready.pop();
+                }
+                "duplicates" => ready[0] = ready[1],
+                // A new descriptor in place of the first: its number is
+                // still a valid index.
+                "invents" => {
+                    ready[0] = ReadyEntry {
+                        fd: Fd(999),
+                        ..ready[0]
+                    }
+                }
+                other => unreachable!("{other}"),
+            }
+        }
+    }
+
+    #[test]
+    fn recorder_panics_on_a_shuffle_that_is_not_a_permutation() {
+        for how in ["drops", "duplicates", "invents"] {
+            for len in [2, Perm::INLINE + 1, 40] {
+                let mut ready = ready_lists()[3 * len].clone();
+                assert_eq!(ready.len(), len);
+                let (mut recorder, _handle) = RecordingScheduler::new(Saboteur(how));
+                let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    recorder.shuffle_ready(&mut ready)
+                }))
+                .expect_err(how);
+                let message = payload
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| payload.downcast_ref::<&str>().copied())
+                    .unwrap_or_default();
+                assert!(
+                    message.contains("shuffle must be a permutation"),
+                    "{how} at length {len}: {message}"
+                );
+            }
         }
     }
 

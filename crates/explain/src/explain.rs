@@ -338,11 +338,17 @@ pub fn explain_entry(entry: &CorpusEntry, cfg: &ExplainConfig) -> Result<RaceRep
             cut: 0,
         };
         let check_handle = TraceHandle::fresh();
+        // Every attempt's spec shares this one copy of the nearest trace.
+        let nearest_spec = DirectedSpec::new(nearest.trace.clone(), 0);
         'plan: for race in plan.iter().take(MAX_CHECK_RACES) {
             for cut in race.ladder(MAX_FLIPS_PER_RACE) {
+                let at_cut = DirectedSpec {
+                    cut,
+                    ..nearest_spec.clone()
+                };
                 for attempt in 0..cfg.attempts {
                     attempted += 1;
-                    let spec = DirectedSpec::new(nearest.trace.clone(), cut).with_attempt(attempt);
+                    let spec = at_cut.clone().with_attempt(attempt);
                     let out = case.run(
                         &RunCfg::new(Mode::Directed(spec, check_handle.clone()), entry.env_seed),
                         Variant::Buggy,

@@ -290,6 +290,8 @@ impl EventLogHandle {
     }
 
     /// Resets the log in place (so a handle can be reused across runs).
+    /// Each per-fd ready queue is emptied, not dropped: an empty queue
+    /// reads as an absent one, and the next run reuses its buffer.
     pub(crate) fn reset(&self) {
         let mut log = self.0.borrow_mut();
         log.events.clear();
@@ -299,7 +301,7 @@ impl EventLogHandle {
         log.task_submit.clear();
         log.task_event.clear();
         log.fd_reg.clear();
-        log.fd_ready.clear();
+        log.fd_ready.iter_mut().for_each(VecDeque::clear);
     }
 }
 
@@ -350,8 +352,14 @@ mod tests {
             let e = log.push_event(EvKind::Env, None, None, EvDetail::None, 2, 1);
             log.touch(e, "x", AccessKind::Write);
             log.set_task_submit(0, Some(e));
+            log.push_fd_ready(4, Some(e));
         }
         h.reset();
+        assert_eq!(
+            h.0.borrow_mut().pop_fd_ready(4),
+            None,
+            "a kept queue is empty"
+        );
         let log = h.snapshot();
         assert!(log.events.is_empty());
         assert!(log.accesses.is_empty());
