@@ -13,8 +13,6 @@
 //!   contribution study (extension).
 //! * `cargo bench -p nodefz-bench --bench sweep` — parameter sweeps
 //!   (extension).
-//! * `cargo bench -p nodefz-bench --bench micro` — Criterion micro-benches
-//!   of the runtime and analysis kernels.
 //!
 //! Absolute numbers differ from the paper (this substrate is a simulator,
 //! not the authors' testbed); the comparison targets are the *shapes*

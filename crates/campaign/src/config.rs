@@ -80,12 +80,12 @@ pub struct CampaignConfig {
     /// Runtime telemetry dial for worker runs. Above [`ObsLevel::Off`]
     /// the workers profile loop phases and per-kind dispatches, and each
     /// run's profile travels back with its result to be summed into the
-    /// metrics.
+    /// metrics, so it requires [`CampaignConfig::metrics_out`].
     pub obs_level: ObsLevel,
     /// Whether to classify every run by its happens-before canonical key
-    /// ([`crate::prune`]): the controller counts distinct vs redundant
-    /// schedule classes, memoizes each class's outcome as an online
-    /// soundness check, and reports the counters in metrics snapshots.
+    /// ([`nodefz_hb::CanonKey`]): the controller counts distinct vs
+    /// redundant classes in one seen-set and reports the counts in the
+    /// metrics, so it requires [`CampaignConfig::metrics_out`].
     /// Classification is pure accounting — the dispatched run stream is
     /// byte-for-byte identical with pruning on or off, so corpora match.
     pub prune: bool,
@@ -135,6 +135,19 @@ impl CampaignConfig {
                 return Err(format!(
                     "preset index {preset} out of range (presets: {}, directed)",
                     PRESETS.join(", ")
+                ));
+            }
+        }
+        // Their counts reach only the metrics document; without one they
+        // would cost every run and report nothing.
+        if self.metrics_out.is_none() {
+            if self.prune {
+                return Err("--prune counts go to the metrics document: add --metrics-out".into());
+            }
+            if !self.obs_level.is_off() {
+                return Err(format!(
+                    "--obs-level {} profiles go to the metrics document: add --metrics-out",
+                    self.obs_level.label()
                 ));
             }
         }
@@ -224,21 +237,40 @@ mod tests {
             apps: vec!["KUE".into()],
             ..CampaignConfig::default()
         };
+        let metrics = CampaignConfig {
+            metrics_out: Some("metrics.json".into()),
+            ..base.clone()
+        };
         for cfg in [
             CampaignConfig {
                 trace_out: Some("trace.json".into()),
                 ..base.clone()
             },
+            metrics.clone(),
+            CampaignConfig {
+                obs_level: ObsLevel::Counters,
+                ..metrics.clone()
+            },
+            CampaignConfig {
+                prune: true,
+                ..metrics
+            },
+        ] {
+            cfg.validate().unwrap();
+        }
+        // Both report only through the metrics document.
+        for cfg in [
             CampaignConfig {
                 obs_level: ObsLevel::Counters,
                 ..base.clone()
             },
             CampaignConfig {
-                metrics_out: Some("metrics.json".into()),
+                prune: true,
                 ..base
             },
         ] {
-            cfg.validate().unwrap();
+            let err = cfg.validate().unwrap_err();
+            assert!(err.contains("--metrics-out"), "{err}");
         }
     }
 

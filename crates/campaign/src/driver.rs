@@ -15,7 +15,7 @@
 //!
 //! Every fuzz job carries its slot, the index it was dispatched at, and
 //! the controller applies results strictly in slot order, holding back
-//! any that arrive early: prune verdict, dedup, quarantine, metrics and
+//! any that arrive early: HB-class count, dedup, quarantine, metrics and
 //! the next pick all see the same sequence however many threads ran the
 //! jobs. Findings, corpora and the metrics' counters are therefore a
 //! function of the seed, budget, apps and presets alone; only a
@@ -48,7 +48,7 @@ use std::time::{Duration, Instant};
 
 use nodefz::{DecisionTrace, DirectedSpec, Mode, ReplayMemo, ReplayStatusHandle, TraceHandle};
 use nodefz_apps::common::{BugCase, Outcome, RunCfg, Variant};
-use nodefz_hb::{AppAnalysis, CanonBuilder, CanonKey};
+use nodefz_hb::{AppAnalysis, CanonBuilder, CanonKey, SeenSet};
 use nodefz_rt::{EventLogHandle, TypeSchedule};
 use nodefz_trace::BugSignature;
 
@@ -57,7 +57,6 @@ use crate::config::{preset_name, preset_params, CampaignConfig, DIRECTED_PRESET}
 use crate::corpus::{Corpus, CorpusEntry};
 use crate::dedup::{BugRecord, Deduper, Finding};
 use crate::metrics::{self, Discovery, LoopProfile, Tally};
-use crate::prune::{Pruner, SEEN_CAP};
 use crate::shrink::{shrink, ShrinkResult};
 use nodefz_obs::ObsLevel;
 
@@ -77,6 +76,11 @@ const WINDOW: u64 = 32;
 /// How often the controller rewrites the `--metrics-out` snapshot while
 /// the campaign runs (a final snapshot is always written at the end).
 const METRICS_INTERVAL: Duration = Duration::from_millis(500);
+
+/// Capacity of the `--prune` seen-set: large enough that a campaign's
+/// working set never thrashes, small enough to bound memory (~16 bytes a
+/// key).
+const SEEN_CAP: usize = 1 << 20;
 
 /// Resolves a campaign app abbreviation to its bug case. Beyond the
 /// studied application bugs ([`nodefz_apps::by_abbr`]), campaigns can run
@@ -193,9 +197,8 @@ struct FuzzDone {
     dispatched: u64,
     /// The run's type schedule, when the job asked for it.
     schedule: Option<TypeSchedule>,
-    /// The run's HB canonical key plus its environment scope (see
-    /// [`crate::prune::env_scope`]), when pruning is on.
-    canon: Option<(CanonKey, u64)>,
+    /// The run's HB canonical key, when pruning is on.
+    canon: Option<CanonKey>,
     /// The run's loop profile, above `--obs-level off`.
     profile: Option<Box<LoopProfile>>,
     /// The panic message, when the run panicked.
@@ -374,12 +377,19 @@ pub struct FuzzExec {
     /// The run's type schedule, when sampling was requested.
     pub schedule: Option<TypeSchedule>,
     /// The run's HB-equivalence canonical key plus its environment scope
-    /// ([`crate::prune::env_scope`]), when the context prunes
+    /// ([`env_scope`]), when the context prunes
     /// ([`RunContext::enable_prune`]).
     pub canon: Option<(CanonKey, u64)>,
     /// The panic message, when the case panicked; the run then has no
     /// finding, schedule or canonical key.
     pub crash: Option<String>,
+}
+
+/// The environment scope [`FuzzExec::canon`] pairs with a run's key: FNV
+/// of the app name folded with the environment seed. Two runs share a
+/// scope exactly when they execute the same callbacks on the same inputs.
+pub fn env_scope(app: &str, env_seed: u64) -> u64 {
+    nodefz_rt::fnv1a(app.as_bytes()) ^ env_seed
 }
 
 impl FuzzExec {
@@ -560,7 +570,7 @@ impl RunContext {
             let key = self
                 .events
                 .with(|log| kit.canon.build(log, &mut kit.scratch));
-            (key, crate::prune::env_scope(app, env_seed))
+            (key, env_scope(app, env_seed))
         });
         FuzzExec {
             finding,
@@ -801,7 +811,7 @@ fn worker_loop(queue: &JobQueue, tx: mpsc::Sender<Msg>, level: ObsLevel, prune: 
                     finding: exec.finding,
                     dispatched: exec.dispatched,
                     schedule: exec.schedule,
-                    canon: exec.canon,
+                    canon: exec.canon.map(|(key, _scope)| key),
                     profile: obs.as_ref().map(|obs| Box::new(LoopProfile::take(obs))),
                     crash: exec.crash,
                 })
@@ -919,10 +929,11 @@ pub fn run_with_progress(
         ));
     }
     let mut deduper = Deduper::new();
-    // Controller-side pruning: classify every run's canonical key and
-    // cross-check class outcomes. Accounting only — the dispatched run
-    // stream is identical with pruning on or off (corpora match bytewise).
-    let mut pruner = cfg.prune.then(|| Pruner::new(SEEN_CAP));
+    // `--prune`: every applied run's canonical key goes into one seen-set,
+    // whose counts are the metrics' `pruning` block. Accounting only — the
+    // dispatched run stream is identical with pruning on or off (corpora
+    // match bytewise).
+    let mut seen = cfg.prune.then(|| SeenSet::new(SEEN_CAP));
 
     // The run counters, summed as results are applied.
     let mut tally = Tally::new(cfg.obs_level);
@@ -1031,8 +1042,8 @@ pub fn run_with_progress(
                     applied += 1;
                     let (i, finding) = (done.arm, done.finding);
                     tally.add(done.dispatched, finding.is_some(), done.profile.as_deref());
-                    if let (Some(pruner), Some((key, scope))) = (pruner.as_mut(), done.canon) {
-                        pruner.observe(key, scope, finding.as_ref().map(|f| &f.signature));
+                    if let (Some(seen), Some(key)) = (seen.as_mut(), done.canon) {
+                        seen.insert(key);
                     }
                     if let Some(schedule) = done.schedule {
                         arm_schedules[i].push(schedule);
@@ -1127,7 +1138,7 @@ pub fn run_with_progress(
                     &discovery,
                     &tally,
                     deduper.records().len() as u64,
-                    pruner.as_ref(),
+                    seen.as_ref(),
                 ) {
                     failure = Some(e);
                     break;
@@ -1159,7 +1170,7 @@ pub fn run_with_progress(
             &discovery,
             &tally,
             deduper.records().len() as u64,
-            pruner.as_ref(),
+            seen.as_ref(),
         )?;
     }
     if let Some(path) = &cfg.trace_out {
@@ -1233,7 +1244,7 @@ fn write_metrics(
     discovery: &[Discovery],
     tally: &Tally,
     unique_bugs: u64,
-    pruner: Option<&Pruner>,
+    seen: Option<&SeenSet>,
 ) -> Result<(), String> {
     let mut snapshot = metrics::collect(
         start.elapsed(),
@@ -1244,8 +1255,7 @@ fn write_metrics(
         arm_schedules,
         discovery,
         tally,
-        pruner.map(Pruner::counters),
-        pruner.map(Pruner::health),
+        seen,
     );
     if finished {
         snapshot.apicov = conform_apicov(cfg, arms);

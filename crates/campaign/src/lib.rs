@@ -27,7 +27,6 @@ pub mod config;
 pub mod corpus;
 pub mod dedup;
 pub mod metrics;
-pub mod prune;
 pub mod report;
 pub mod shrink;
 
@@ -45,9 +44,8 @@ pub use config::{
 pub use corpus::{Corpus, CorpusDecodeError, CorpusEntry};
 pub use dedup::{BugRecord, Deduper, Finding};
 pub use driver::{
-    resolve_case, run, run_with_progress, verify_entry, BugSummary, CampaignReport, Event,
-    FuzzExec, Quarantine, RunContext,
+    env_scope, resolve_case, run, run_with_progress, verify_entry, BugSummary, CampaignReport,
+    Event, FuzzExec, Quarantine, RunContext,
 };
 pub use metrics::{ArmMetrics, Discovery, MetricsSnapshot, PhaseMetrics};
-pub use prune::{env_scope, ClassVerdict, PruneCounters, PruneHealth, Pruner};
 pub use shrink::{shrink, ShrinkResult};

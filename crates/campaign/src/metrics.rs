@@ -17,12 +17,12 @@
 
 use std::time::Duration;
 
+use nodefz_hb::SeenSet;
 use nodefz_obs::{JsonWriter, ObsLevel};
 use nodefz_rt::{CbKind, ObsHandle, Phase, PhaseProfile};
 use nodefz_trace::{DiversitySummary, PAPER_TRUNCATION};
 
 use crate::driver::{Arm, Quarantine};
-use crate::prune::{PruneCounters, PruneHealth};
 
 /// Upper bounds for the per-run dispatched-callback histogram. Bug runs
 /// dispatch hundreds to a few thousand callbacks; the overflow bucket
@@ -183,6 +183,52 @@ pub struct PhaseMetrics {
     pub wall_ns: u64,
 }
 
+/// The `--prune` seen-set's counts, which the metrics' `pruning` block is
+/// written from. The key they count ([`nodefz_hb::CanonKey`]) gives a
+/// race and its reversal one class, so `distinct` counts classes of that
+/// key, not Mazurkiewicz traces.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SeenCounts {
+    /// Classes resident in the seen-set.
+    pub occupancy: u64,
+    /// Classes evicted to stay under the seen-set's cap. Nonzero means
+    /// the redundancy ratio undercounts: an evicted class seen again
+    /// counts as distinct.
+    pub evictions: u64,
+    /// Runs whose key was resident already: the redundant runs.
+    pub hits: u64,
+}
+
+impl SeenCounts {
+    /// Reads the counts off `seen`.
+    pub fn of(seen: &SeenSet) -> SeenCounts {
+        SeenCounts {
+            occupancy: seen.len() as u64,
+            evictions: seen.evicted(),
+            hits: seen.hits(),
+        }
+    }
+
+    /// Runs whose key was new: each resident or evicted class was
+    /// inserted once.
+    pub fn distinct(&self) -> u64 {
+        self.occupancy + self.evictions
+    }
+
+    /// Runs counted.
+    pub fn runs(&self) -> u64 {
+        self.distinct() + self.hits
+    }
+
+    /// Fraction of runs that re-visited a class already seen.
+    pub fn redundancy_ratio(&self) -> f64 {
+        match self.runs() {
+            0 => 0.0,
+            runs => self.hits as f64 / runs as f64,
+        }
+    }
+}
+
 /// A point-in-time campaign telemetry snapshot; serializes to the
 /// `nodefz-metrics-v1` JSON document.
 #[derive(Clone, Debug)]
@@ -211,13 +257,10 @@ pub struct MetricsSnapshot {
     pub callbacks: Vec<(&'static str, u64)>,
     /// Per-run dispatched-callback distribution.
     pub run_dispatched: DispatchHistogram,
-    /// Schedule-space pruning counters (`None` unless the campaign ran
+    /// The `--prune` seen-set's counts (`None` unless the campaign ran
     /// with pruning on). Additive to the `nodefz-metrics-v1` schema:
     /// existing readers that ignore unknown fields keep working.
-    pub pruning: Option<PruneCounters>,
-    /// Seen-set LRU health riding along with the counters (same
-    /// availability; additive fields inside the `pruning` block).
-    pub prune_health: Option<PruneHealth>,
+    pub pruning: Option<SeenCounts>,
     /// API-surface coverage of the conform-api arms (`None` unless the
     /// campaign pulled a `CONFORM-API` arm). The full `nodefz-apicov-v1`
     /// document embeds under the `apicov` key — additive, like `pruning`.
@@ -339,15 +382,12 @@ impl MetricsSnapshot {
         if let Some(p) = &self.pruning {
             w.key("pruning");
             w.begin_object();
-            w.field_u64("runs", p.runs);
-            w.field_u64("distinct", p.distinct);
-            w.field_u64("redundant", p.redundant);
-            w.field_u64("mismatches", p.mismatches);
-            if let Some(h) = &self.prune_health {
-                w.field_u64("seen_occupancy", h.seen_occupancy);
-                w.field_u64("seen_evictions", h.seen_evictions);
-                w.field_u64("seen_hits", h.seen_hits);
-            }
+            w.field_u64("runs", p.runs());
+            w.field_u64("distinct", p.distinct());
+            w.field_u64("redundant", p.hits);
+            w.field_u64("seen_occupancy", p.occupancy);
+            w.field_u64("seen_evictions", p.evictions);
+            w.field_u64("seen_hits", p.hits);
             w.field_f64("redundancy_ratio", p.redundancy_ratio(), 6);
             w.end_object();
         }
@@ -379,8 +419,7 @@ pub(crate) fn collect(
     schedules: &[Vec<nodefz_rt::TypeSchedule>],
     discovery: &[Discovery],
     tally: &Tally,
-    pruning: Option<&PruneCounters>,
-    prune_health: Option<PruneHealth>,
+    seen: Option<&SeenSet>,
 ) -> MetricsSnapshot {
     let arms = arms
         .iter()
@@ -407,8 +446,7 @@ pub(crate) fn collect(
         phases: tally.phases.clone(),
         callbacks: tally.callbacks.clone(),
         run_dispatched: tally.run_dispatched.clone(),
-        pruning: pruning.copied(),
-        prune_health,
+        pruning: seen.map(SeenCounts::of),
         apicov: None,
     }
 }
@@ -452,7 +490,6 @@ mod tests {
             &[],
             &Tally::new(ObsLevel::Off),
             None,
-            None,
         );
         let div = snap.arms[0].diversity.as_ref().expect("sampled arm");
         assert_eq!(div.runs, 2);
@@ -475,7 +512,6 @@ mod tests {
             &[Vec::new()],
             &[],
             &Tally::new(ObsLevel::Off),
-            None,
             None,
         );
         assert!(snap.arms[0].diversity.is_none());
@@ -500,7 +536,6 @@ mod tests {
                 &[Vec::new()],
                 &[],
                 &Tally::new(ObsLevel::Off),
-                None,
                 None,
             )
             .to_json()
@@ -538,7 +573,6 @@ mod tests {
             &[],
             &[],
             &tally,
-            None,
             None,
         );
         assert_eq!(snap.runs, 4);
@@ -586,7 +620,6 @@ mod tests {
             &discovery,
             &Tally::new(ObsLevel::Off),
             None,
-            None,
         );
         assert!(
             snap.discovery
@@ -596,5 +629,45 @@ mod tests {
             snap.discovery
         );
         assert!(snap.to_json().contains("\"first_exec\": 17"));
+    }
+
+    #[test]
+    fn the_pruning_block_is_read_off_the_seen_set() {
+        // Into a set of two: fresh, fresh, hit, fresh (evicts 1), fresh
+        // (evicts 2).
+        let mut seen = SeenSet::new(2);
+        for key in [1, 2, 1, 3, 1] {
+            seen.insert(nodefz_hb::CanonKey(key));
+        }
+        let snap = collect(
+            Duration::ZERO,
+            5,
+            0,
+            true,
+            &[],
+            &[],
+            &[],
+            &Tally::new(ObsLevel::Off),
+            Some(&seen),
+        );
+        let doc = nodefz_obs::JsonValue::parse(&snap.to_json()).unwrap();
+        let block = doc.get("pruning").expect("pruning block");
+        for (key, count) in [
+            ("runs", 5),
+            ("distinct", 4),
+            ("redundant", 1),
+            ("seen_occupancy", 2),
+            ("seen_evictions", 2),
+            ("seen_hits", 1),
+        ] {
+            assert_eq!(
+                block.get(key).and_then(|v| v.as_u64()),
+                Some(count),
+                "{key}"
+            );
+        }
+        let ratio = block.get("redundancy_ratio").and_then(|v| v.as_f64());
+        assert_eq!(ratio, Some(0.2));
+        assert!(block.get("mismatches").is_none());
     }
 }

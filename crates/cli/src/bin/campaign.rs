@@ -91,17 +91,18 @@ static COMMANDS: [Command; 5] = [
   --replay-checks N  acceptance replays per repro (default 10); a repro
                      is written only if every one re-manifests it
   --seed N           base environment seed (default 1)
-  --prune            classify every run into its happens-before
-                     equivalence class online and report pruning counters
-                     (distinct/redundant and redundancy ratio) in metrics
-                     snapshots; the dispatched run stream is unchanged,
-                     so found bugs and corpora are byte-identical with or
-                     without the flag
+  --prune            classify every run by its happens-before canonical
+                     key and count distinct/redundant classes and the
+                     redundancy ratio in the metrics (needs
+                     --metrics-out); the dispatched run stream is
+                     unchanged, so found bugs and corpora are
+                     byte-identical with or without the flag
   --metrics-out PATH write nodefz-metrics-v1 telemetry snapshots to PATH,
                      refreshed every ~500ms and finalized at drain
   --trace-out PATH   after the campaign, record one profiled run as a
                      chrome://tracing timeline
-  --obs-level LEVEL  worker loop profiling: off | counters (default off)",
+  --obs-level LEVEL  worker loop profiling into the metrics: off |
+                     counters (default off; counters needs --metrics-out)",
         run: fuzz,
     },
     Command {

@@ -123,7 +123,7 @@ fn no_command_silently_ignores_a_flag() {
     // The old spellings of the modes are gone, as are the deleted commands
     // and the bad values the verify skill probes by hand; each fails
     // before anything runs.
-    let rejected: [&[&str]; 18] = [
+    let rejected: [&[&str]; 20] = [
         &["--verify", corpus],
         &["--list"],
         &["--analyze", "--apps", "GHO"],
@@ -142,6 +142,9 @@ fn no_command_silently_ignores_a_flag() {
         &["--apps", "NOPE"],
         &["--threads", "0"],
         &["verify"],
+        // Their counts reach only the metrics document.
+        &["--prune", "--apps", "GHO"],
+        &["--obs-level", "counters", "--apps", "GHO"],
     ];
     for args in rejected {
         let out = run(args);

@@ -246,8 +246,8 @@ impl std::hash::BuildHasher for BuildKeyHasher {
 /// executed this equivalence class?" — millions of times, so membership
 /// is a single identity-hashed map probe. When the cap is reached the
 /// oldest key is evicted (a bounded window of remembered classes: an
-/// evicted class re-executing once is redundancy, not unsoundness —
-/// pruning only ever skips *extra* work).
+/// evicted class seen again reads as new, so its counts undercount
+/// redundancy; nothing is ever skipped on its answer).
 #[derive(Debug)]
 pub struct SeenSet {
     map: std::collections::HashMap<CanonKey, (), BuildKeyHasher>,

@@ -1,6 +1,7 @@
-//! Properties of the canonical schedule key: the soundness contract that
-//! lets the campaign prune is that two runs mapping to the same
-//! [`CanonKey`] carry the same races — skipping one loses nothing.
+//! Properties of the canonical schedule key: two runs mapping to the same
+//! [`CanonKey`] carry the same race report. The campaign's `--prune`
+//! class counts rest on that; it does not promise that the two runs
+//! manifest alike, since a race and its reversal share a key.
 
 use std::collections::HashMap;
 
@@ -48,8 +49,8 @@ fn logged_fuzz_run(abbr: &str, env_seed: u64, sched_seed: u64) -> EventLog {
 /// A race, normalized for comparison: (site, class label, endpoint a, b).
 type RaceRow = (String, &'static str, String, String);
 
-/// The pruning soundness contract on real fuzzed runs: group runs by
-/// canonical key; every group must agree on its (normalized) race report.
+/// The key's contract on real fuzzed runs: group runs by canonical key;
+/// every group must agree on its (normalized) race report.
 #[test]
 fn same_canon_key_implies_identical_race_reports() {
     let mut groups: HashMap<CanonKey, (String, Vec<RaceRow>)> = HashMap::new();
@@ -70,7 +71,7 @@ fn same_canon_key_implies_identical_race_reports() {
                         collisions += 1;
                         // Colliding runs may come from different seeds (or
                         // even environments with identical event structure);
-                        // what pruning relies on is that they agree on races.
+                        // what the key promises is that they agree on races.
                         let (first_tag, first_races) = o.get();
                         assert_eq!(
                             first_races, &races,

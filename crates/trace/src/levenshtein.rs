@@ -3,8 +3,7 @@
 //! The paper measures schedule-space exploration as the pairwise Levenshtein
 //! distance between the *type schedules* of repeated runs, normalized by the
 //! maximum possible distance and truncated to the first 20 K callbacks. We
-//! provide the exact O(n·m) two-row computation plus a banded variant for
-//! long schedules whose distance is known to be small.
+//! provide the exact O(n·m) two-row computation.
 
 /// Exact Levenshtein (edit) distance between two byte strings.
 ///
@@ -39,81 +38,6 @@ pub fn levenshtein(a: &[u8], b: &[u8]) -> usize {
         std::mem::swap(&mut prev, &mut curr);
     }
     prev[b.len()] as usize
-}
-
-/// Banded Levenshtein distance: exact if the true distance is at most
-/// `band`, otherwise returns `None`.
-///
-/// Runs in O(band · max(n, m)) time, useful for comparing long schedules
-/// that are expected to be similar.
-///
-/// # Examples
-///
-/// ```
-/// use nodefz_trace::levenshtein_banded;
-///
-/// assert_eq!(levenshtein_banded(b"kitten", b"sitting", 3), Some(3));
-/// assert_eq!(levenshtein_banded(b"kitten", b"sitting", 2), None);
-/// ```
-pub fn levenshtein_banded(a: &[u8], b: &[u8], band: usize) -> Option<usize> {
-    let (a, b) = if a.len() < b.len() { (b, a) } else { (a, b) };
-    let (n, m) = (a.len(), b.len());
-    if n - m > band {
-        return None;
-    }
-    if m == 0 {
-        return Some(n);
-    }
-    const INF: u32 = u32::MAX / 2;
-    // Row i covers columns j in [i.saturating_sub(band), min(m, i + band)].
-    let width = 2 * band + 1;
-    let mut prev = vec![INF; width + 2];
-    let mut curr = vec![INF; width + 2];
-    // Row 0: D[0][j] = j for j <= band.
-    for (off, slot) in prev.iter_mut().take(width).enumerate() {
-        // Column j = off - band at row 0 exists only when off >= band.
-        if off >= band {
-            let j = off - band;
-            if j <= m {
-                *slot = j as u32;
-            }
-        }
-    }
-    for i in 1..=n {
-        for slot in curr.iter_mut() {
-            *slot = INF;
-        }
-        let lo = i.saturating_sub(band);
-        let hi = (i + band).min(m);
-        for j in lo..=hi {
-            // Offset of column j in row i is j - i + band.
-            let off = j + band - i;
-            let up_off = off + 1; // Same column, previous row.
-            let diag_off = off; // Column j-1, previous row.
-            let mut best = INF;
-            if j > 0 {
-                let sub = prev[diag_off].saturating_add(u32::from(a[i - 1] != b[j - 1]));
-                best = best.min(sub);
-                if off > 0 {
-                    best = best.min(curr[off - 1].saturating_add(1)); // Insert.
-                }
-            } else {
-                best = best.min(i as u32); // D[i][0] = i.
-            }
-            if up_off < width {
-                best = best.min(prev[up_off].saturating_add(1)); // Delete.
-            }
-            curr[off] = best;
-        }
-        std::mem::swap(&mut prev, &mut curr);
-    }
-    let off = m + band - n;
-    let d = prev[off];
-    if d as usize <= band {
-        Some(d as usize)
-    } else {
-        None
-    }
 }
 
 /// Levenshtein distance normalized by the maximum possible distance
@@ -170,47 +94,6 @@ mod tests {
         assert_eq!(normalized_levenshtein(b"abc", b"xyz"), 1.0);
         let v = normalized_levenshtein(b"abcd", b"abxy");
         assert!(v > 0.0 && v < 1.0);
-    }
-
-    #[test]
-    fn banded_matches_exact_within_band() {
-        let a = b"the quick brown fox jumps over the lazy dog";
-        let b = b"the quick brown cat jumps over a lazy dog!";
-        let exact = levenshtein(a, b);
-        assert_eq!(levenshtein_banded(a, b, exact), Some(exact));
-        assert_eq!(levenshtein_banded(a, b, exact + 5), Some(exact));
-        assert_eq!(levenshtein_banded(a, b, exact - 1), None);
-    }
-
-    #[test]
-    fn banded_empty_cases() {
-        assert_eq!(levenshtein_banded(b"", b"", 0), Some(0));
-        assert_eq!(levenshtein_banded(b"abc", b"", 3), Some(3));
-        assert_eq!(levenshtein_banded(b"abc", b"", 2), None);
-    }
-
-    #[test]
-    fn banded_length_gap_exceeds_band() {
-        assert_eq!(levenshtein_banded(b"aaaaaaaa", b"a", 3), None);
-    }
-
-    #[test]
-    fn banded_agrees_on_random_strings() {
-        // Deterministic pseudo-random strings via a simple LCG.
-        let mut x: u64 = 12345;
-        let mut next = move || {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (x >> 33) as u8 % 4 + b'a'
-        };
-        for _ in 0..50 {
-            let a: Vec<u8> = (0..40).map(|_| next()).collect();
-            let b: Vec<u8> = (0..42).map(|_| next()).collect();
-            let exact = levenshtein(&a, &b);
-            let banded = levenshtein_banded(&a, &b, 60).unwrap();
-            assert_eq!(banded, exact);
-        }
     }
 
     #[test]
